@@ -19,6 +19,7 @@ import shlex
 import shutil
 import sys
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from .accounting import count_parameters
@@ -46,16 +47,10 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MissingEvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MissingEvaluationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
@@ -114,23 +109,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> None:
+    """Command line flags win over the file and pass the same checks."""
     if getattr(args, "delta", None) is not None:
-        if not 0.0 <= args.delta <= 1.0:
-            raise ConfigError(f"--delta must be within [0, 1], got {args.delta}")
         cfg.search.delta = args.delta
     if getattr(args, "scope", None) is not None:
-        if args.scope < 1:
-            raise ConfigError(f"--scope must be >= 1, got {args.scope}")
         cfg.search.scope = args.scope
     if args.oracle is not None:
         cfg.oracle.kind = args.oracle
-        if cfg.oracle.kind == "external" and not cfg.oracle.trainer_cmd:
-            raise ConfigError("--oracle external needs oracle.trainer_cmd in the config")
-        if cfg.oracle.kind == "replay":
-            if not cfg.oracle.ledger:
-                raise ConfigError("--oracle replay needs oracle.ledger in the config")
-            if not cfg._resolve(cfg.oracle.ledger).exists():
-                raise ConfigError(f"replay ledger {cfg.oracle.ledger} does not exist")
+    cfg._validate()
 
 
 def _make_oracle(cfg: RunConfig, spec, run_dir: Path, replay_dir: Path | None):
@@ -156,7 +142,10 @@ def _make_oracle(cfg: RunConfig, spec, run_dir: Path, replay_dir: Path | None):
     return oracle, oracle.close
 
 
-def _prepare(args, command: str):
+def _run(args, command: str, body, evaluates: bool = True) -> int:
+    """Set up the run directory and return ``body(cfg, run_dir, spec, oracle)``.
+    A replay that finds no ledger record for an evaluation ends as a failed run;
+    a command that ``evaluates`` nothing gets no oracle."""
     replay_dir = getattr(args, "replay_dir", None)
     cfg = RunConfig.from_file(args.config)
     if replay_dir is None:
@@ -170,22 +159,25 @@ def _prepare(args, command: str):
         shutil.copyfile(replay_dir / "resolved.cfg", run_dir / "resolved.cfg")
         shutil.copyfile(replay_dir / "ledger.jsonl", run_dir / "ledger.jsonl")
     spec = cfg.build_spec()
-    oracle, closer = _make_oracle(cfg, spec, run_dir, replay_dir)
+    oracle, closer = (_make_oracle(cfg, spec, run_dir, replay_dir) if evaluates
+                      else (None, None))
     # Even an evaluation-free run leaves a (possibly empty) ledger, so every
     # run directory is replayable.
     (run_dir / "ledger.jsonl").touch(exist_ok=True)
-    return cfg, run_dir, spec, oracle, closer
+    try:
+        return body(cfg, run_dir, spec, oracle)
+    except MissingEvaluationError as exc:
+        (run_dir / "summary.txt").write_text(
+            f"command: {cfg.command}\nstatus: failed\nerror: {exc}\n", encoding="utf-8")
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        if closer:
+            closer()
 
 
 def _pick_budget(cfg: RunConfig, which: str):
     return cfg.final_budget() if which == "final" else cfg.search_budget()
-
-
-def _write_failure(run_dir: Path, command: str | None, exc: Exception) -> int:
-    (run_dir / "summary.txt").write_text(
-        f"command: {command}\nstatus: failed\nerror: {exc}\n", encoding="utf-8")
-    print(f"error: {exc}", file=sys.stderr)
-    return 1
 
 
 def _write_json(path: Path, payload) -> None:
@@ -207,15 +199,7 @@ def _fmt_cli_value(v) -> str:
 
 def cmd_reduce(args) -> int:
     command = f"reduce --budget {args.budget} --direction {args.direction}"
-    cfg, run_dir, spec, oracle, closer = _prepare(args, command)
-    try:
-        try:
-            return _run_reduce(args, cfg, run_dir, spec, oracle)
-        except MissingEvaluationError as exc:
-            return _write_failure(run_dir, cfg.command, exc)
-    finally:
-        if closer:
-            closer()
+    return _run(args, command, partial(_run_reduce, args))
 
 
 def _run_reduce(args, cfg, run_dir, spec, oracle) -> int:
@@ -300,15 +284,7 @@ def cmd_lesion(args) -> int:
     if args.indices is not None:
         command += " --indices " + " ".join(str(i) for i in args.indices)
     command += f" --budget {args.budget}"
-    cfg, run_dir, spec, oracle, closer = _prepare(args, command)
-    try:
-        try:
-            return _run_lesion(args, values, cfg, run_dir, spec, oracle)
-        except MissingEvaluationError as exc:
-            return _write_failure(run_dir, cfg.command, exc)
-    finally:
-        if closer:
-            closer()
+    return _run(args, command, partial(_run_lesion, args, values))
 
 
 def _run_lesion(args, values, cfg, run_dir, spec, oracle) -> int:
@@ -345,15 +321,7 @@ def cmd_rd(args) -> int:
         f" --budget {args.budget}"
     if args.gnuplot:
         command += " --gnuplot"
-    cfg, run_dir, spec, oracle, closer = _prepare(args, command)
-    try:
-        try:
-            return _run_rd(args, cfg, run_dir, spec, oracle)
-        except MissingEvaluationError as exc:
-            return _write_failure(run_dir, cfg.command, exc)
-    finally:
-        if closer:
-            closer()
+    return _run(args, command, partial(_run_rd, args))
 
 
 def _run_rd(args, cfg, run_dir, spec, oracle) -> int:
@@ -384,26 +352,25 @@ def _run_rd(args, cfg, run_dir, spec, oracle) -> int:
 
 
 def cmd_size(args) -> int:
-    cfg, run_dir, spec, oracle, closer = _prepare(args, "size")
-    try:
-        report = count_parameters(spec)
-        lines = [f"command: {cfg.command}",
-                 f"model: {spec.meta.name} dataset={spec.meta.dataset} "
-                 f"classes={spec.meta.num_classes}",
-                 f"parameters: {report.parameter_count}",
-                 f"buffers: {report.buffer_count}",
-                 f"size_bytes: {report.size_bytes}",
-                 f"size_mb: {report.size_mb:.4f}"]
-        for b in report.per_block_breakdown:
-            lines.append(f"block {b.block_id}: params={b.params} bytes={b.bytes}")
-        text = "\n".join(lines) + "\n"
-        (run_dir / "summary.txt").write_text(text, encoding="utf-8")
-        _write_json(run_dir / "size.json", report.to_dict())
-        print(text, end="")
-        return 0
-    finally:
-        if closer:
-            closer()
+    return _run(args, "size", _run_size, evaluates=False)
+
+
+def _run_size(cfg, run_dir, spec, oracle) -> int:
+    report = count_parameters(spec)
+    lines = [f"command: {cfg.command}",
+             f"model: {spec.meta.name} dataset={spec.meta.dataset} "
+             f"classes={spec.meta.num_classes}",
+             f"parameters: {report.parameter_count}",
+             f"buffers: {report.buffer_count}",
+             f"size_bytes: {report.size_bytes}",
+             f"size_mb: {report.size_mb:.4f}"]
+    for b in report.per_block_breakdown:
+        lines.append(f"block {b.block_id}: params={b.params} bytes={b.bytes}")
+    text = "\n".join(lines) + "\n"
+    (run_dir / "summary.txt").write_text(text, encoding="utf-8")
+    _write_json(run_dir / "size.json", report.to_dict())
+    print(text, end="")
+    return 0
 
 
 # -- replay ------------------------------------------------------------------

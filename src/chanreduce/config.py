@@ -1,7 +1,7 @@
 """Run configuration: a flat, sectioned text file driving every CLI command.
 
-Sections: [model], [oracle], [search], [budget], [output]. Unknown keys warn but do
-not fail; genuinely invalid values raise :class:`ConfigError`. The resolved
+Sections: [model], [oracle], [search], [budget], [output], [run]. Unknown keys
+warn but do not fail; genuinely invalid values raise :class:`ConfigError`. The resolved
 configuration (every effective value made explicit) is written into the run
 directory so a run can be replayed from its own artifacts.
 """
@@ -9,9 +9,11 @@ directory so a run can be replayed from its own artifacts.
 from __future__ import annotations
 
 import configparser
+import io
 import logging
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,60 +26,68 @@ log = logging.getLogger(__name__)
 
 RUN_ROOT_ENV = "CHANREDUCE_RUN_ROOT"
 
-_KNOWN_KEYS = {
-    "model": {"family", "depth", "block_widths", "input_channels", "num_classes",
-              "dataset", "resolution", "width_mult", "descriptor", "name"},
-    "oracle": {"kind", "a_max", "exponent", "frontiers", "weights", "ledger",
-               "trainer_cmd", "parallelism", "timeout_seconds", "protocol",
-               "exchange_dir"},
-    "search": {"delta", "scope", "beta_return_mode", "seed", "metric"},
-    "budget": {"search_epochs", "search_milestones", "final_epochs", "final_milestones",
-               "lr_initial", "lr_divisor", "momentum", "weight_decay", "batch_size"},
-    "output": {"run_dir"},
-    "run": {"command"},
-}
-
 
 class ConfigError(Exception):
     """A configuration problem the user must fix (CLI exit code 2)."""
 
 
+def _word(*choices: str):
+    """A string key read case-insensitively; one of ``choices``, the first by
+    default."""
+    return field(default=choices[0], metadata={"choices": choices})
+
+
+def _bounded(default, low, high=math.inf):
+    """A number key that must lie within [low, high] when set."""
+    return field(default=default, metadata={"range": (low, high)})
+
+
+def _path():
+    """An optional path, relative to the config file's directory."""
+    return field(default=None, metadata={"path": True})
+
+
+# Each field is one config key, named [section] key = value in the file. Optional
+# fields come last: the resolved dump lists keys in declaration order and leaves
+# out the unset ones.
+
+
 @dataclass
 class ModelConfig:
-    family: str = "sequential"
+    family: str = _word("sequential", "descriptor", *PRESETS)
     depth: int = 15
     block_widths: tuple[int, ...] = (16, 32, 64)
     input_channels: int = 3
-    num_classes: int | None = None   # family default when unset
     dataset: str = "cifar10"
     resolution: int = 32
     width_mult: float = 1.0
-    descriptor: str | None = None
+    num_classes: int | None = None   # family default when unset
+    descriptor: str | None = _path()
     name: str | None = None
 
 
 @dataclass
 class OracleConfig:
-    kind: str = "surrogate"
+    kind: str = _word("surrogate", "replay", "external")
     a_max: float = 0.91
     exponent: float = 2.0
     frontiers: tuple[float, ...] = (0.95, 0.85, 0.55)
     weights: tuple[float, ...] = (4.0, 4.0, 4.0)
-    ledger: str | None = None
-    trainer_cmd: str | None = None
     parallelism: int = 1
     timeout_seconds: float = 3600.0
-    protocol: str = "pipe"
-    exchange_dir: str | None = None
+    protocol: str = _word("pipe", "files")
+    ledger: str | None = _path()
+    trainer_cmd: str | None = None
+    exchange_dir: str | None = _path()
 
 
 @dataclass
 class SearchConfig:
-    delta: float = 0.01
-    scope: int | None = None        # None: all macroblocks
-    beta_return_mode: str = "feasible_bound"
+    delta: float = _bounded(0.01, 0.0, 1.0)
+    beta_return_mode: str = _word("feasible_bound", "last_midpoint")
     seed: int = 0
-    metric: str = "top1"
+    metric: str = _word("top1", "top5")
+    scope: int | None = _bounded(None, 1)   # None: all macroblocks
 
 
 @dataclass
@@ -99,9 +109,19 @@ class RunConfig:
     oracle: OracleConfig = field(default_factory=OracleConfig)
     search: SearchConfig = field(default_factory=SearchConfig)
     budget: BudgetConfig = field(default_factory=BudgetConfig)
-    run_dir: str | None = None
-    command: str | None = None
+    run_dir: str | None = field(default=None, metadata={"section": "output"})
+    command: str | None = field(default=None, metadata={"section": "run"})
     base_dir: Path = field(default_factory=Path.cwd)
+
+    def _keys(self):
+        """Every config key as (section, field, object holding its value), in
+        file order."""
+        for f in fields(self):
+            if "section" in f.metadata:
+                yield f.metadata["section"], f, self
+            elif is_dataclass(part := getattr(self, f.name)):
+                for g in fields(part):
+                    yield f.name, g, part
 
     # -- parsing ------------------------------------------------------------
 
@@ -115,87 +135,34 @@ class RunConfig:
             parser.read(path)
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
-        return cls._from_parser(parser, base_dir=path.resolve().parent)
 
-    @classmethod
-    def _from_parser(cls, parser: configparser.ConfigParser, base_dir: Path) -> "RunConfig":
+        cfg = cls(base_dir=path.resolve().parent)
+        keys = {(section, f.name): (f, part) for section, f, part in cfg._keys()}
+        sections = {section for section, _ in keys}
         for section in parser.sections():
-            if section not in _KNOWN_KEYS:
+            if section not in sections:
                 log.warning("ignoring unknown config section [%s]", section)
                 continue
-            for key in parser[section]:
-                if key not in _KNOWN_KEYS[section]:
+            for key, raw in parser[section].items():
+                if (section, key) not in keys:
                     log.warning("ignoring unknown config key %s.%s", section, key)
-
-        cfg = cls(base_dir=base_dir)
-        get = _Getter(parser)
-        m = cfg.model
-        m.family = get.str("model", "family", m.family).lower()
-        m.depth = get.int("model", "depth", m.depth)
-        m.block_widths = get.int_list("model", "block_widths", m.block_widths)
-        m.input_channels = get.int("model", "input_channels", m.input_channels)
-        m.num_classes = get.int("model", "num_classes", m.num_classes)
-        m.dataset = get.str("model", "dataset", m.dataset)
-        m.resolution = get.int("model", "resolution", m.resolution)
-        m.width_mult = get.float("model", "width_mult", m.width_mult)
-        m.descriptor = get.str("model", "descriptor", m.descriptor)
-        m.name = get.str("model", "name", m.name)
-
-        o = cfg.oracle
-        o.kind = get.str("oracle", "kind", o.kind).lower()
-        if o.kind not in ("surrogate", "replay", "external"):
-            raise ConfigError(f"oracle kind must be surrogate|replay|external, got {o.kind!r}")
-        o.a_max = get.float("oracle", "a_max", o.a_max)
-        o.exponent = get.float("oracle", "exponent", o.exponent)
-        o.frontiers = get.float_list("oracle", "frontiers", o.frontiers)
-        o.weights = get.float_list("oracle", "weights", o.weights)
-        o.ledger = get.str("oracle", "ledger", o.ledger)
-        o.trainer_cmd = get.str("oracle", "trainer_cmd", o.trainer_cmd)
-        o.parallelism = get.int("oracle", "parallelism", o.parallelism)
-        o.timeout_seconds = get.float("oracle", "timeout_seconds", o.timeout_seconds)
-        o.protocol = get.str("oracle", "protocol", o.protocol).lower()
-        o.exchange_dir = get.str("oracle", "exchange_dir", o.exchange_dir)
-
-        s = cfg.search
-        s.delta = get.float("search", "delta", s.delta)
-        if not 0.0 <= s.delta <= 1.0:
-            raise ConfigError(f"search.delta must be within [0, 1], got {s.delta}")
-        scope = get.str("search", "scope", None)
-        if scope is not None:
-            try:
-                s.scope = int(scope)
-            except ValueError:
-                raise ConfigError(f"search.scope must be an integer, got {scope!r}")
-            if s.scope < 1:
-                raise ConfigError(f"search.scope must be >= 1, got {s.scope}")
-        s.beta_return_mode = get.str("search", "beta_return_mode", s.beta_return_mode).lower()
-        if s.beta_return_mode not in ("feasible_bound", "last_midpoint"):
-            raise ConfigError("search.beta_return_mode must be feasible_bound|last_midpoint, "
-                              f"got {s.beta_return_mode!r}")
-        s.seed = get.int("search", "seed", s.seed)
-        s.metric = get.str("search", "metric", s.metric).lower()
-        if s.metric not in ("top1", "top5"):
-            raise ConfigError(f"search.metric must be top1|top5, got {s.metric!r}")
-
-        b = cfg.budget
-        b.search_epochs = get.int("budget", "search_epochs", b.search_epochs)
-        b.search_milestones = get.int_list("budget", "search_milestones", b.search_milestones)
-        b.final_epochs = get.int("budget", "final_epochs", b.final_epochs)
-        b.final_milestones = get.int_list("budget", "final_milestones", b.final_milestones)
-        b.lr_initial = get.float("budget", "lr_initial", b.lr_initial)
-        b.lr_divisor = get.float("budget", "lr_divisor", b.lr_divisor)
-        b.momentum = get.float("budget", "momentum", b.momentum)
-        b.weight_decay = get.float("budget", "weight_decay", b.weight_decay)
-        b.batch_size = get.int("budget", "batch_size", b.batch_size)
-
-        cfg.run_dir = get.str("output", "run_dir", cfg.run_dir)
-        cfg.command = get.str("run", "command", cfg.command)
-        cfg._validate(base_dir)
+                    continue
+                f, part = keys[section, key]
+                setattr(part, key, _parse(f"{section}.{key}", f, raw.strip()))
+        cfg._validate()
         return cfg
 
-    def _validate(self, base_dir: Path) -> None:
-        if self.model.family not in ("sequential", "descriptor", *PRESETS):
-            raise ConfigError(f"unknown model family {self.model.family!r}")
+    def _validate(self) -> None:
+        for section, f, part in self._keys():
+            value = getattr(part, f.name)
+            choices = f.metadata.get("choices")
+            if choices and value not in choices:
+                raise ConfigError(f"{section}.{f.name} must be {'|'.join(choices)}, "
+                                  f"got {value!r}")
+            low, high = f.metadata.get("range", (None, None))
+            if low is not None and value is not None and not low <= value <= high:
+                raise ConfigError(f"{section}.{f.name} must be within [{low}, {high}], "
+                                  f"got {value}")
         if self.model.family == "descriptor":
             if not self.model.descriptor:
                 raise ConfigError("model.family=descriptor needs model.descriptor=<path>")
@@ -278,106 +245,55 @@ class RunConfig:
     def resolved_text(self) -> str:
         """Every effective value, written back in config syntax."""
         parser = configparser.ConfigParser()
-        m, o, s, b = self.model, self.oracle, self.search, self.budget
-        parser["model"] = {"family": m.family, "depth": str(m.depth),
-                           "block_widths": _fmt_list(m.block_widths),
-                           "input_channels": str(m.input_channels),
-                           "dataset": m.dataset,
-                           "resolution": str(m.resolution),
-                           "width_mult": repr(m.width_mult)}
-        if m.family != "descriptor":
-            parser["model"]["num_classes"] = str(self.effective_classes())
-        if m.descriptor:
-            parser["model"]["descriptor"] = str(self._resolve(m.descriptor))
-        if m.name:
-            parser["model"]["name"] = m.name
-        parser["oracle"] = {"kind": o.kind, "a_max": repr(o.a_max),
-                            "exponent": repr(o.exponent),
-                            "frontiers": _fmt_list(o.frontiers),
-                            "weights": _fmt_list(o.weights),
-                            "parallelism": str(o.parallelism),
-                            "timeout_seconds": repr(o.timeout_seconds),
-                            "protocol": o.protocol}
-        if o.ledger:
-            parser["oracle"]["ledger"] = str(self._resolve(o.ledger))
-        if o.trainer_cmd:
-            parser["oracle"]["trainer_cmd"] = o.trainer_cmd
-        if o.exchange_dir:
-            parser["oracle"]["exchange_dir"] = str(self._resolve(o.exchange_dir))
-        parser["search"] = {"delta": repr(s.delta),
-                            "beta_return_mode": s.beta_return_mode,
-                            "seed": str(s.seed), "metric": s.metric}
-        if s.scope is not None:
-            parser["search"]["scope"] = str(s.scope)
-        parser["budget"] = {"search_epochs": str(b.search_epochs),
-                            "search_milestones": _fmt_list(b.search_milestones),
-                            "final_epochs": str(b.final_epochs),
-                            "final_milestones": _fmt_list(b.final_milestones),
-                            "lr_initial": repr(b.lr_initial),
-                            "lr_divisor": repr(b.lr_divisor),
-                            "momentum": repr(b.momentum),
-                            "weight_decay": repr(b.weight_decay),
-                            "batch_size": str(b.batch_size)}
-        if self.run_dir:
-            parser["output"] = {"run_dir": self.run_dir}
-        if self.command:
-            parser["run"] = {"command": self.command}
-        import io
+        for section, f, part in self._keys():
+            value = getattr(part, f.name)
+            if f.name == "num_classes":
+                value = None if self.model.family == "descriptor" else self.effective_classes()
+            elif value is not None and f.metadata.get("path"):
+                value = self._resolve(value)
+            if value is not None:
+                if not parser.has_section(section):
+                    parser.add_section(section)
+                parser.set(section, f.name, _fmt(value))
         buf = io.StringIO()
         parser.write(buf)
         return buf.getvalue()
 
 
-def _fmt_list(values) -> str:
-    return " ".join(repr(v) if isinstance(v, float) else str(v) for v in values)
+def _fmt(value) -> str:
+    if isinstance(value, tuple):
+        return " ".join(_fmt(v) for v in value)
+    return repr(value) if isinstance(value, float) else str(value)
 
 
-class _Getter:
-    """Typed configparser access with ConfigError reporting."""
+def _number(raw: str) -> float:
+    return float(Fraction(raw)) if "/" in raw else float(raw)
 
-    def __init__(self, parser: configparser.ConfigParser):
-        self.parser = parser
 
-    def str(self, section, key, default):
-        if self.parser.has_option(section, key):
-            return self.parser.get(section, key).strip()
-        return default
+# annotation -> (parser of one value, what an error calls the expected value)
+_TYPES = {
+    "int": (int, "an integer"),
+    "float": (_number, "a number"),
+    "str": (str, "a string"),
+    "tuple[int, ...]": (lambda raw: tuple(int(x) for x in _split(raw)),
+                        "a list of integers"),
+    "tuple[float, ...]": (lambda raw: tuple(_number(x) for x in _split(raw)),
+                          "a list of numbers"),
+}
 
-    def int(self, section, key, default):
-        raw = self.str(section, key, None)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{section}.{key} must be an integer, got {raw!r}")
 
-    def float(self, section, key, default):
-        raw = self.str(section, key, None)
-        if raw is None:
-            return default
-        try:
-            return float(Fraction(raw)) if "/" in raw else float(raw)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"{section}.{key} must be a number, got {raw!r}")
+def _split(raw: str) -> list[str]:
+    return raw.replace(",", " ").split()
 
-    def _split(self, raw: str) -> list[str]:
-        return raw.replace(",", " ").split()
 
-    def int_list(self, section, key, default):
-        raw = self.str(section, key, None)
-        if raw is None:
-            return tuple(default)
-        try:
-            return tuple(int(x) for x in self._split(raw))
-        except ValueError:
-            raise ConfigError(f"{section}.{key} must be a list of integers, got {raw!r}")
-
-    def float_list(self, section, key, default):
-        raw = self.str(section, key, None)
-        if raw is None:
-            return tuple(default)
-        try:
-            return tuple(float(x) for x in self._split(raw))
-        except ValueError:
-            raise ConfigError(f"{section}.{key} must be a list of numbers, got {raw!r}")
+def _parse(name: str, f, raw: str):
+    """The typed value of key ``name`` (declared by field ``f``) from its raw text."""
+    if "choices" in f.metadata:
+        raw = raw.lower()
+    if not raw and f.type == "str | None":
+        return None
+    parse, expected = _TYPES[f.type.removesuffix(" | None")]
+    try:
+        return parse(raw)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"{name} must be {expected}, got {raw!r}") from None

@@ -70,8 +70,7 @@ def _evaluate_all(tasks, oracle, budget):
     return [oracle.evaluate(cfg, budget) for cfg in tasks]
 
 
-def run_onehot_sweep(spec: ModelSpec, plan: SweepPlan, oracle, *,
-                     ledger=None) -> list[SweepObservation]:
+def run_onehot_sweep(spec: ModelSpec, plan: SweepPlan, oracle) -> list[SweepObservation]:
     """One-hot channel lesions in index-major order (all values of entry 1, then
     entry 2, ...). Constant plans set entries to fixed widths; proportional plans
     ceiling-scale them."""
@@ -98,14 +97,11 @@ def run_onehot_sweep(spec: ModelSpec, plan: SweepPlan, oracle, *,
         if not obs.record.ok:
             log.warning("lesion (entry %d, %s) evaluation status %s",
                         obs.index, obs.parameter, obs.record.status)
-        if ledger is not None:
-            ledger.append(obs.record)
     return observations
 
 
 def run_macroblock_rd_sweep(spec: ModelSpec, partition: MacroblockPartition,
-                            k_values, oracle, budget: TrainingBudget, *,
-                            ledger=None) -> list[BlockRDPoint]:
+                            k_values, oracle, budget: TrainingBudget) -> list[BlockRDPoint]:
     """Scale each macroblock through the factor grid; one trade-off point per
     (block, k), block-major."""
     ks = tuple(k_values)
@@ -120,8 +116,6 @@ def run_macroblock_rd_sweep(spec: ModelSpec, partition: MacroblockPartition,
     for (b, k), cfg, rec in zip(keys, configs, records):
         report = count_parameters(with_config(spec, cfg))
         points.append(BlockRDPoint(b, k, report.parameter_count, report.size_bytes, rec))
-        if ledger is not None:
-            ledger.append(rec)
     return points
 
 

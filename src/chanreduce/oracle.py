@@ -162,7 +162,9 @@ class EvaluationLedger:
 
     Appends are atomic per record and serialized by a lock; lookups return the
     newest record for a digest. Corrupt lines are skipped with a warning so a
-    damaged file never blocks replay.
+    damaged file never blocks replay. A crash in the middle of a write leaves an
+    unterminated last line; the first append terminates it, so the new record
+    starts on a line of its own instead of being glued onto the torn one.
     """
 
     def __init__(self, path):
@@ -171,21 +173,24 @@ class EvaluationLedger:
         self._by_digest: dict[str, EvaluationRecord] = {}
         self._by_key: dict[tuple[str, str], EvaluationRecord] = {}
         self._records: list[EvaluationRecord] = []
+        self._torn_tail = False
         if self.path.exists():
             self._load()
 
     def _load(self) -> None:
+        line = "\n"
         with self.path.open("r", encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
+                text = line.strip()
+                if not text:
                     continue
                 try:
-                    record = EvaluationRecord.from_dict(json.loads(line))
+                    record = EvaluationRecord.from_dict(json.loads(text))
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                     log.warning("skipping corrupt ledger line %s:%d (%s)", self.path, lineno, exc)
                     continue
                 self._index(record)
+        self._torn_tail = not line.endswith("\n")
 
     @staticmethod
     def _budget_key(budget: TrainingBudget) -> str:
@@ -201,8 +206,9 @@ class EvaluationLedger:
         with self._lock:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+                fh.write(("\n" if self._torn_tail else "") + line + "\n")
                 fh.flush()
+            self._torn_tail = False
             self._index(record)
 
     def lookup(self, digest: str, budget: TrainingBudget | None = None) -> EvaluationRecord | None:

@@ -47,17 +47,14 @@ def _check_alphas(alphas) -> list:
     return out
 
 
-def build_alpha_curve(spec: ModelSpec, alphas, oracle, budget: TrainingBudget, *,
-                      ledger=None) -> list[RDPoint]:
+def build_alpha_curve(spec: ModelSpec, alphas, oracle, budget: TrainingBudget) -> list[RDPoint]:
     """One point per multiplier, sorted by size ascending. Failed evaluations are
-    logged (and ledgered when asked) but produce no point."""
+    logged but produce no point."""
     points = []
     for alpha in _check_alphas(alphas):
         config = apply_alpha_scaling(channel_config(spec), alpha)
         report = count_parameters(with_config(spec, config))
         record = oracle.evaluate(config, budget)
-        if ledger is not None:
-            ledger.append(record)
         if not record.ok:
             log.warning("alpha=%g evaluation status %s; point skipped", alpha, record.status)
             continue
@@ -70,7 +67,7 @@ def build_alpha_curve(spec: ModelSpec, alphas, oracle, budget: TrainingBudget, *
 def build_alpha_plus_backward_curve(spec: ModelSpec, alphas, delta: float, oracle,
                                     budget: TrainingBudget, scope: int | None = None, *,
                                     beta_mode: BetaMode = BetaMode.FEASIBLE_BOUND,
-                                    metric: str = "top1", ledger=None) -> list[RDPoint]:
+                                    metric: str = "top1") -> list[RDPoint]:
     """Compose uniform scaling with backward reduction: for each alpha, scale the
     model, then greedily reduce its macroblocks within the accuracy budget delta
     (measured against the scaled model's own accuracy)."""
@@ -80,16 +77,11 @@ def build_alpha_plus_backward_curve(spec: ModelSpec, alphas, delta: float, oracl
         partition = partition_macroblocks(scaled)
         result = backward_reduction(scaled, partition, delta, oracle, budget, scope,
                                     beta_mode=beta_mode, metric=metric)
-        if ledger is not None:
-            for probe in result.trace:
-                ledger.append(probe.record)
         digest = config_digest(result.reduced_config, spec)
         record = next((p.record for p in result.trace
                        if p.record.config_digest == digest and p.record.ok), None)
         if record is None:
             record = oracle.evaluate(result.reduced_config, budget)
-            if ledger is not None:
-                ledger.append(record)
         if not record.ok:
             log.warning("alpha=%g composed point status %s; point skipped",
                         alpha, record.status)

@@ -12,8 +12,8 @@ Response fields:
 
 Unknown fields in a reply are ignored; the run_id must echo the request. A reply
 that never arrives (dead or unreachable worker, deadline passed) yields a record
-with status ``timeout``; a reply that arrives but cannot be parsed yields status
-``failed``. Neither aborts a caller: failures surface as infeasible probes.
+with status ``timeout``; a reply that arrives but cannot be parsed, and a
+``files`` worker that exits non-zero, yield status ``failed``. Neither aborts a caller: failures surface as infeasible probes.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import json
 import logging
 import os
 import queue
+import secrets
 import select
 import shlex
 import subprocess
@@ -169,6 +170,9 @@ class ExternalTrainerOracle:
         self.exchange_dir = Path(exchange_dir) if exchange_dir else None
         if protocol == PROTOCOL_FILES and self.exchange_dir is None:
             raise ValueError("files protocol needs an exchange directory")
+        # Run ids carry a nonce drawn per oracle, so a rerun in the same
+        # exchange_dir never reuses an earlier run's file names.
+        self._nonce = secrets.token_hex(4)
         self._counter = 0
         self._counter_lock = threading.Lock()
         self._workers: queue.Queue[_PipeWorker] = queue.Queue()
@@ -179,7 +183,7 @@ class ExternalTrainerOracle:
     def _next_run_id(self, digest: str) -> str:
         with self._counter_lock:
             self._counter += 1
-            return f"{digest[:12]}-{self._counter:04d}"
+            return f"{digest[:12]}-{self._nonce}-{self._counter:04d}"
 
     def evaluate(self, config: ChannelConfig, budget: TrainingBudget) -> EvaluationRecord:
         digest = config_digest(config, self.spec)
@@ -234,6 +238,7 @@ class ExternalTrainerOracle:
         tmp = req_path.with_suffix(".tmp")
         tmp.write_text(json.dumps(request, sort_keys=True) + "\n", encoding="utf-8")
         tmp.rename(req_path)
+        resp_path.unlink(missing_ok=True)
         start = time.monotonic()
         try:
             proc = subprocess.run(self.argv + [str(req_path), str(resp_path)],
@@ -243,9 +248,10 @@ class ExternalTrainerOracle:
         except OSError as exc:
             raise _ReplyError(STATUS_TIMEOUT, f"trainer unreachable: {exc}")
         elapsed = time.monotonic() - start
+        if proc.returncode != 0:
+            raise _ReplyError(STATUS_FAILED, f"trainer exited with code {proc.returncode}")
         if not resp_path.exists():
-            raise _ReplyError(STATUS_FAILED,
-                              f"trainer wrote no response file (exit code {proc.returncode})")
+            raise _ReplyError(STATUS_FAILED, "trainer wrote no response file")
         for line in resp_path.read_text(encoding="utf-8").splitlines():
             if not line.strip():
                 continue

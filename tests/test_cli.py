@@ -199,6 +199,28 @@ def test_size(tmp_path, capsys):
     assert (out / "ledger.jsonl").exists()
 
 
+def test_size_builds_no_oracle(tmp_path):
+    # A files-protocol trainer without an exchange_dir cannot be built; size
+    # never evaluates, so it must not try.
+    cfg = write_cfg(tmp_path, """\
+        [oracle]
+        kind = external
+        trainer_cmd = no-such-trainer
+        protocol = files
+        """)
+    out = tmp_path / "out"
+    assert run("size", "--config", cfg, "--out", out) == 0
+    assert (out / "ledger.jsonl").read_text() == ""
+
+
+def test_override_checked_like_the_file(tmp_path):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert run("reduce", "--config", cfg, "--out", out, "--scope", "0") == 2
+    assert run("rd", "--config", cfg, "--out", out, "--delta", "-0.1") == 2
+    assert run("size", "--config", cfg, "--out", out, "--oracle", "replay") == 2
+
+
 def test_run_dir_from_env(tmp_path, monkeypatch):
     root = tmp_path / "all-runs"
     monkeypatch.setenv("CHANREDUCE_RUN_ROOT", str(root))

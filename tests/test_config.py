@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import re
 import textwrap
+from pathlib import Path
 
-from chanreduce.config import RunConfig
+import pytest
+
+from chanreduce.config import ConfigError, RunConfig
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 FULL_CFG = """\
     [model]
@@ -173,3 +179,36 @@ def test_resolved_text_preset_class_count(tmp_path):
     model = cfg.resolved_text().split("\n\n")[0]
     assert model.splitlines()[1] == "family = resnet18"
     assert model.splitlines()[-1] == "num_classes = 100"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[search]\nscope = two\n", "search.scope must be an integer, got 'two'"),
+    ("[search]\nscope = 0\n", "search.scope must be within [1, inf], got 0"),
+    ("[search]\ndelta = 3/2\n", "search.delta must be within [0.0, 1.0], got 1.5"),
+    ("[search]\ndelta = 1/0\n", "search.delta must be a number, got '1/0'"),
+    ("[model]\nblock_widths = 8, x\n", "model.block_widths must be a list of integers"),
+    ("[oracle]\nweights = 1 one\n", "oracle.weights must be a list of numbers"),
+    ("[oracle]\nkind = Quantum\n", "oracle.kind must be surrogate|replay|external, "
+                                    "got 'quantum'"),
+    ("[model]\nfamily = vgg\n", "model.family must be sequential|descriptor|"),
+    ("[search]\nmetric = top3\n", "search.metric must be top1|top5"),
+    ("[oracle]\nprotocol = smoke\n", "oracle.protocol must be pipe|files"),
+])
+def test_invalid_values(tmp_path, text, message):
+    with pytest.raises(ConfigError) as err:
+        _load(tmp_path, text)
+    assert str(err.value).startswith(message)
+
+
+def test_readme_lists_every_key():
+    """The README's configuration block documents exactly the parsed key set."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("### Configuration", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    documented, section = set(), None
+    for line in block.splitlines():
+        if m := re.match(r"\[(\w+)\]", line):
+            section = m.group(1)
+        elif m := re.match(r";?\s*(\w+)\s*=", line):
+            documented.add(f"{section}.{m.group(1)}")
+    derived = {f"{section}.{f.name}" for section, f, _ in RunConfig()._keys()}
+    assert documented == derived - {"run.command"}

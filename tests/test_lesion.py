@@ -64,7 +64,8 @@ def test_onehot_rejections(d15_spec):
 def test_onehot_ledger_appends(d15_spec, tmp_path):
     ledger = cr.EvaluationLedger(tmp_path / "l.jsonl")
     plan = SweepPlan(cr.SWEEP_CONSTANT, (4, 8), indices=(1, 2))
-    run_onehot_sweep(d15_spec, plan, cr.SurrogateOracle(d15_spec), ledger=ledger)
+    run_onehot_sweep(d15_spec, plan,
+                     cr.RecordingOracle(cr.SurrogateOracle(d15_spec), ledger))
     assert len(ledger) == 4
 
 

@@ -219,6 +219,30 @@ def test_ledger_skips_corrupt_lines(tmp_path, caplog):
     assert sum("corrupt ledger line" in r.message for r in caplog.records) == 2
 
 
+@pytest.fixture
+def torn_ledger(tmp_path):
+    """A ledger whose writer crashed halfway through its second record."""
+    path = tmp_path / "l.jsonl"
+    line = json.dumps(_record(digest="a" * 64, top1=0.6).to_dict())
+    path.write_text(line + "\n" + line[:40])
+    return path
+
+
+def test_ledger_append_after_torn_tail(torn_ledger):
+    ledger = EvaluationLedger(torn_ledger)
+    assert len(ledger) == 1
+    ledger.append(_record(digest="b" * 64, top1=0.7))
+    reloaded = EvaluationLedger(torn_ledger)
+    assert [r.config_digest for r in reloaded.records()] == ["a" * 64, "b" * 64]
+
+
+def test_ledger_keeps_unterminated_complete_record(tmp_path):
+    path = tmp_path / "l.jsonl"
+    path.write_text(json.dumps(_record(digest="a" * 64).to_dict()))
+    EvaluationLedger(path).append(_record(digest="b" * 64))
+    assert len(EvaluationLedger(path)) == 2
+
+
 def test_ledger_threaded_appends(tmp_path):
     ledger = EvaluationLedger(tmp_path / "l.jsonl")
 

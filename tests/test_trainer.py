@@ -262,6 +262,28 @@ def test_files_missing_response(tmp_path, d15_spec, d15_config):
     assert "trainer wrote no response file" in rec.note
 
 
+def test_files_rerun_ignores_stale_response(tmp_path, d15_spec, d15_config):
+    """A second oracle on the same exchange_dir whose trainer crashes before
+    writing must not pick up the first run's response."""
+    good = _script(tmp_path, "file_trainer.py", """\
+        import json, sys
+        req = json.load(open(sys.argv[1]))
+        json.dump({"run_id": req["run_id"], "status": "ok", "top1": 0.71},
+                  open(sys.argv[2], "w"))
+        """)
+    crash = _script(tmp_path, "crash.py", "import sys\nsys.exit(3)\n")
+    exchange = tmp_path / "exchange"
+    records = []
+    for script in (good, crash):
+        oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
+                                       protocol="files", exchange_dir=exchange,
+                                       timeout=30.0)
+        records.append(oracle.evaluate(d15_config, cr.SEARCH_BUDGET))
+    assert records[0].ok and records[0].top1 == 0.71
+    assert records[1].status == cr.STATUS_FAILED and records[1].top1 is None
+    assert "exited with code 3" in records[1].note
+
+
 def test_constructor_validation(d15_spec):
     with pytest.raises(ValueError):
         ExternalTrainerOracle("x", d15_spec, parallelism=0)
