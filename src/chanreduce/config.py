@@ -130,7 +130,8 @@ class RunConfig:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file {path} does not exist")
-        parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+        parser = configparser.ConfigParser(interpolation=None,
+                                           inline_comment_prefixes=("#", ";"))
         try:
             parser.read(path)
         except configparser.Error as exc:
@@ -244,7 +245,7 @@ class RunConfig:
 
     def resolved_text(self) -> str:
         """Every effective value, written back in config syntax."""
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)
         for section, f, part in self._keys():
             value = getattr(part, f.name)
             if f.name == "num_classes":

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +18,7 @@ from .accounting import count_parameters
 from .arch import (ChannelConfig, MacroblockPartition, ModelSpec, Rational,
                    apply_constant_lesion, apply_macroblock_scale,
                    apply_proportional_lesion, channel_config, with_config)
-from .oracle import EvaluationRecord, TrainingBudget
+from .oracle import EvaluationRecord, TrainingBudget, fan_out
 
 log = logging.getLogger(__name__)
 
@@ -60,16 +59,6 @@ class BlockRDPoint:
     record: EvaluationRecord
 
 
-def _evaluate_all(tasks, oracle, budget):
-    """Evaluate prepared configs, preserving task order; parallel when the oracle
-    has more than one worker slot."""
-    slots = getattr(oracle, "parallel_slots", 1)
-    if slots > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=min(slots, len(tasks))) as pool:
-            return list(pool.map(lambda cfg: oracle.evaluate(cfg, budget), tasks))
-    return [oracle.evaluate(cfg, budget) for cfg in tasks]
-
-
 def run_onehot_sweep(spec: ModelSpec, plan: SweepPlan, oracle) -> list[SweepObservation]:
     """One-hot channel lesions in index-major order (all values of entry 1, then
     entry 2, ...). Constant plans set entries to fixed widths; proportional plans
@@ -90,7 +79,7 @@ def run_onehot_sweep(spec: ModelSpec, plan: SweepPlan, oracle) -> list[SweepObse
         else:
             configs.append(apply_proportional_lesion(nominal, i, v))
 
-    records = _evaluate_all(configs, oracle, plan.budget)
+    records = fan_out(oracle, lambda cfg: oracle.evaluate(cfg, plan.budget), configs)
     observations = [SweepObservation(i, v, cfg, rec)
                     for (i, v), cfg, rec in zip(keys, configs, records)]
     for obs in observations:
@@ -110,7 +99,7 @@ def run_macroblock_rd_sweep(spec: ModelSpec, partition: MacroblockPartition,
     nominal = channel_config(spec)
     keys = [(b, k) for b in range(partition.num_blocks) for k in ks]
     configs = [apply_macroblock_scale(nominal, partition, b, k) for b, k in keys]
-    records = _evaluate_all(configs, oracle, budget)
+    records = fan_out(oracle, lambda cfg: oracle.evaluate(cfg, budget), configs)
 
     points = []
     for (b, k), cfg, rec in zip(keys, configs, records):

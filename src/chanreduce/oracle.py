@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
@@ -155,6 +156,22 @@ class MissingEvaluationError(LookupError):
 
 class Oracle(Protocol):
     def evaluate(self, config: ChannelConfig, budget: TrainingBudget) -> EvaluationRecord: ...
+
+
+def fan_out(oracle, fn, items) -> list:
+    """``[fn(item) for item in items]``, spread over up to ``oracle.parallel_slots``
+    threads; results come back in item order. With one slot the calls run in
+    order on the calling thread. An exception raised by any call reaches the
+    caller, and items not yet started are then dropped."""
+    items = list(items)
+    slots = min(getattr(oracle, "parallel_slots", 1), len(items))
+    if slots <= 1:
+        return [fn(item) for item in items]
+    pool = ThreadPoolExecutor(max_workers=slots)
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 class EvaluationLedger:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .accounting import count_parameters
 from .arch import ModelSpec, apply_alpha_scaling, channel_config, partition_macroblocks, with_config
-from .oracle import TrainingBudget, config_digest
+from .oracle import TrainingBudget, config_digest, fan_out
 from .search import BetaMode, backward_reduction
 
 log = logging.getLogger(__name__)
@@ -48,16 +48,17 @@ def _check_alphas(alphas) -> list:
 
 
 def build_alpha_curve(spec: ModelSpec, alphas, oracle, budget: TrainingBudget) -> list[RDPoint]:
-    """One point per multiplier, sorted by size ascending. Failed evaluations are
-    logged but produce no point."""
+    """One point per multiplier, sorted by size ascending, evaluated on the
+    oracle's slots. Failed evaluations are logged but produce no point."""
+    alphas = _check_alphas(alphas)
+    configs = [apply_alpha_scaling(channel_config(spec), alpha) for alpha in alphas]
+    records = fan_out(oracle, lambda config: oracle.evaluate(config, budget), configs)
     points = []
-    for alpha in _check_alphas(alphas):
-        config = apply_alpha_scaling(channel_config(spec), alpha)
-        report = count_parameters(with_config(spec, config))
-        record = oracle.evaluate(config, budget)
+    for alpha, config, record in zip(alphas, configs, records):
         if not record.ok:
             log.warning("alpha=%g evaluation status %s; point skipped", alpha, record.status)
             continue
+        report = count_parameters(with_config(spec, config))
         points.append(RDPoint(f"alpha={float(alpha):g}", report.size_bytes,
                               report.parameter_count, record.top1,
                               config_digest(config, spec)))
@@ -70,9 +71,11 @@ def build_alpha_plus_backward_curve(spec: ModelSpec, alphas, delta: float, oracl
                                     metric: str = "top1") -> list[RDPoint]:
     """Compose uniform scaling with backward reduction: for each alpha, scale the
     model, then greedily reduce its macroblocks within the accuracy budget delta
-    (measured against the scaled model's own accuracy)."""
-    points = []
-    for alpha in _check_alphas(alphas):
+    (measured against the scaled model's own accuracy). The reductions are
+    independent and are started in alpha order on the oracle's slots."""
+    alphas = _check_alphas(alphas)
+
+    def reduce_at(alpha):
         scaled = with_config(spec, apply_alpha_scaling(channel_config(spec), alpha))
         partition = partition_macroblocks(scaled)
         result = backward_reduction(scaled, partition, delta, oracle, budget, scope,
@@ -82,6 +85,10 @@ def build_alpha_plus_backward_curve(spec: ModelSpec, alphas, delta: float, oracl
                        if p.record.config_digest == digest and p.record.ok), None)
         if record is None:
             record = oracle.evaluate(result.reduced_config, budget)
+        return result, digest, record
+
+    points = []
+    for alpha, (result, digest, record) in zip(alphas, fan_out(oracle, reduce_at, alphas)):
         if not record.ok:
             log.warning("alpha=%g composed point status %s; point skipped",
                         alpha, record.status)

@@ -18,6 +18,7 @@ with status ``timeout``; a reply that arrives but cannot be parsed, and a
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import os
@@ -110,14 +111,19 @@ class _PipeWorker:
 
     def ensure_running(self) -> None:
         if self.proc is None or self.proc.poll() is not None:
-            self._buffer = b""
+            self.kill()
             self.proc = subprocess.Popen(self.argv, stdin=subprocess.PIPE,
                                          stdout=subprocess.PIPE)
 
     def kill(self) -> None:
-        if self.proc is not None and self.proc.poll() is None:
-            self.proc.kill()
+        """Stop the worker, reap it and close both pipes."""
+        if self.proc is not None:
+            if self.proc.poll() is None:
+                self.proc.kill()
             self.proc.wait()
+            self.proc.stdout.close()
+            with contextlib.suppress(BrokenPipeError):  # drops a request not yet sent
+                self.proc.stdin.close()
         self.proc = None
         self._buffer = b""
 
@@ -128,7 +134,8 @@ class _PipeWorker:
         self.proc.stdin.flush()
 
     def read_line(self, deadline: float) -> str | None:
-        """Next stdout line, or None once the deadline passes or the pipe closes."""
+        """Next stdout line, or None once the deadline passes. A closed pipe
+        raises, naming the worker's exit code once it has exited."""
         assert self.proc is not None and self.proc.stdout is not None
         fd = self.proc.stdout.fileno()
         while b"\n" not in self._buffer:
@@ -139,8 +146,14 @@ class _PipeWorker:
             if not ready:
                 continue
             chunk = os.read(fd, 65536)
-            if not chunk:
-                return None  # EOF: worker died
+            if not chunk:  # EOF: the worker closed stdout, normally because it exits
+                try:
+                    code = self.proc.wait(min(1.0, max(0.0, deadline - time.monotonic())))
+                except subprocess.TimeoutExpired:
+                    raise _ReplyError(STATUS_TIMEOUT,
+                                      "trainer closed its output before replying") from None
+                raise _ReplyError(STATUS_TIMEOUT,
+                                  f"trainer exited with code {code} before replying")
             self._buffer += chunk
         line, self._buffer = self._buffer.split(b"\n", 1)
         return line.decode("utf-8", errors="replace")
@@ -150,7 +163,10 @@ class ExternalTrainerOracle:
     """Dispatch evaluations to external training workers.
 
     ``parallelism`` pipe workers are kept alive and handed out one request at a
-    time; sweeps may call :meth:`evaluate` from that many threads concurrently.
+    time. Lesion sweeps and both rate-distortion curves call :meth:`evaluate`
+    from that many threads concurrently; ``reduce`` stays sequential. Records
+    then reach the ledger in completion order, which replay does not depend on:
+    it looks records up by digest.
     """
 
     def __init__(self, command: str | list[str], spec: ModelSpec, *,
@@ -213,15 +229,14 @@ class ExternalTrainerOracle:
                 worker.kill()
                 raise _ReplyError(STATUS_TIMEOUT, f"trainer unreachable: {exc}")
             while True:
-                line = worker.read_line(deadline)
-                if line is None:
-                    worker.kill()
-                    raise _ReplyError(STATUS_TIMEOUT,
-                                      f"no trainer reply within {self.timeout:g}s")
                 try:
+                    line = worker.read_line(deadline)
+                    if line is None:
+                        raise _ReplyError(STATUS_TIMEOUT,
+                                          f"no trainer reply within {self.timeout:g}s")
                     reply = _parse_reply(line, request["run_id"])
                 except _ReplyError:
-                    worker.kill()  # stream state unknown after garbage
+                    worker.kill()  # stream state unknown after silence, exit or garbage
                     raise
                 if reply is None:
                     log.warning("ignoring stale trainer reply line %r", line[:80])

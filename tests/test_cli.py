@@ -6,9 +6,13 @@ import json
 import shutil
 import sys
 import textwrap
+import threading
+import time
+from collections import Counter
 
 import pytest
 
+import chanreduce as cr
 from chanreduce import cli
 
 ARTIFACTS = ("resolved.cfg", "ledger.jsonl", "reduction.json", "summary.txt")
@@ -184,6 +188,78 @@ def test_rd_with_gnuplot(tmp_path):
     assert "curve alpha+backward: 3 points" in summary
 
 
+class _SlowSurrogate(cr.SurrogateOracle):
+    """Surrogate with three slots that sleeps in every call and records the
+    most calls ever in flight at once."""
+
+    parallel_slots = 3
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lock = threading.Lock()
+        self.inflight = self.max_inflight = 0
+
+    def evaluate(self, config, budget):
+        with self.lock:
+            self.inflight += 1
+            self.max_inflight = max(self.max_inflight, self.inflight)
+        try:
+            time.sleep(0.005)
+            return super().evaluate(config, budget)
+        finally:
+            with self.lock:
+                self.inflight -= 1
+
+
+def _evaluations(run_dir):
+    lines = (run_dir / "ledger.jsonl").read_text().splitlines()
+    return Counter((r["config_digest"], json.dumps(r["budget"], sort_keys=True))
+                   for r in map(json.loads, lines))
+
+
+def test_rd_on_three_slots_matches_one_slot(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path)
+    sequential, concurrent = tmp_path / "sequential", tmp_path / "concurrent"
+    assert run("rd", "--config", cfg, "--out", sequential) == 0
+    made = []
+    monkeypatch.setattr(cli, "SurrogateOracle",
+                        lambda *args: made.append(_SlowSurrogate(*args)) or made[-1])
+    assert run("rd", "--config", cfg, "--out", concurrent) == 0
+
+    assert made[0].max_inflight >= 2
+    for name in ("alpha_curve.csv", "rd_curve.csv"):
+        assert (concurrent / name).read_bytes() == (sequential / name).read_bytes()
+    evaluations = _evaluations(concurrent)
+    assert evaluations == _evaluations(sequential)
+    assert (sum(evaluations.values()), len(evaluations)) == (47, 40)
+
+    # The ledger follows completion order; replay looks records up by digest.
+    replayed = tmp_path / "replayed"
+    assert run("replay", concurrent, "--out", replayed) == 0
+    for name in ("resolved.cfg", "ledger.jsonl", "alpha_curve.csv", "rd_curve.csv",
+                 "summary.txt"):
+        assert (replayed / name).read_bytes() == (concurrent / name).read_bytes()
+
+
+class _TwoSlotReplay(cr.ReplayOracle):
+    parallel_slots = 2
+
+
+def test_rd_replay_error_in_a_worker_thread_fails_the_run(tmp_path, monkeypatch):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert run("rd", "--config", cfg, "--out", out) == 0
+    ledger = out / "ledger.jsonl"
+    ledger.write_text("".join(ledger.read_text().splitlines(keepends=True)[:-1]))
+
+    monkeypatch.setattr(cli, "ReplayOracle", _TwoSlotReplay)
+    replayed = tmp_path / "replayed"
+    assert run("replay", out, "--out", replayed) == 1
+    summary = (replayed / "summary.txt").read_text()
+    assert "status: failed" in summary
+    assert "error: missing evaluation for digest" in summary
+
+
 def test_size(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
@@ -268,6 +344,22 @@ def test_preset_model(tmp_path):
     out = tmp_path / "out"
     assert run("size", "--config", cfg, "--out", out) == 0
     assert "parameters: 21797672" in (out / "summary.txt").read_text()
+
+
+def test_percent_in_config_value_is_literal(tmp_path):
+    cfg = write_cfg(tmp_path, """\
+        [oracle]
+        trainer_cmd = python3 w.py --tag run%d 100%%
+        """)
+    assert cr.RunConfig.from_file(cfg).oracle.trainer_cmd == "python3 w.py --tag run%d 100%%"
+    out = tmp_path / "out"
+    assert run("reduce", "--config", cfg, "--out", out) == 0
+    resolved = (out / "resolved.cfg").read_text()
+    assert "trainer_cmd = python3 w.py --tag run%d 100%%\n" in resolved
+    replayed = tmp_path / "replayed"
+    assert run("replay", out, "--out", replayed) == 0
+    for name in ARTIFACTS:
+        assert (replayed / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_unknown_config_key_warns(tmp_path, caplog):

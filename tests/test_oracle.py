@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 
 import pytest
 
 import chanreduce as cr
 from chanreduce import EvaluationLedger, EvaluationRecord, TrainingBudget
+from chanreduce.oracle import fan_out
 
 
 # -- budgets -----------------------------------------------------------------
@@ -289,3 +291,38 @@ def test_recording_oracle_appends_every_call(tmp_path, d15_spec):
     assert len(ledger) == 2
     assert oracle.parallel_slots == 1
     oracle.close()
+
+
+# -- fan-out -----------------------------------------------------------------
+
+
+class _Slots:
+    def __init__(self, parallel_slots):
+        self.parallel_slots = parallel_slots
+
+
+def test_fan_out_one_slot_runs_in_order_on_the_caller():
+    seen = []
+
+    def square(x):
+        seen.append((x, threading.current_thread()))
+        return x * x
+
+    assert fan_out(_Slots(1), square, range(5)) == [0, 1, 4, 9, 16]
+    assert seen == [(x, threading.current_thread()) for x in range(5)]
+
+
+def test_fan_out_keeps_item_order_and_raises_worker_errors():
+    def square(x):
+        time.sleep((8 - x) * 0.002)   # later items finish first
+        return x * x
+
+    assert fan_out(_Slots(3), square, range(8)) == [x * x for x in range(8)]
+
+    def missing(x):
+        if x == 2:
+            raise cr.MissingEvaluationError(f"no record for {x}")
+        return x
+
+    with pytest.raises(cr.MissingEvaluationError, match="no record for 2"):
+        fan_out(_Slots(2), missing, range(6))

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import sys
 import textwrap
+import warnings
 
 import pytest
 
@@ -175,6 +177,74 @@ def test_pipe_worker_eof(tmp_path, d15_spec, d15_config):
     finally:
         oracle.close()
     assert rec.status == cr.STATUS_TIMEOUT
+
+
+@pytest.mark.parametrize("ending,note", [
+    ("sys.exit(3)", "trainer exited with code 3 before replying"),
+    ("os.close(1); time.sleep(30)", "trainer closed its output before replying"),
+])
+def test_pipe_worker_gone_before_replying(tmp_path, d15_spec, d15_config, ending, note):
+    script = _script(tmp_path, "crasher.py", f"""\
+        import os, sys, time
+        sys.stdin.readline()
+        {ending}
+        """)
+    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
+                                   timeout=30.0)
+    try:
+        rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
+    finally:
+        oracle.close()
+    assert rec.status == cr.STATUS_TIMEOUT
+    assert rec.note == note
+
+
+def test_pipe_workers_release_their_pipes(tmp_path, d15_spec, d15_config):
+    """A worker that exits after each reply is respawned, and neither the
+    respawn nor close() leaves a pipe open."""
+    script = _script(tmp_path, "one_shot.py", """\
+        import json, sys
+        req = json.loads(sys.stdin.readline())
+        print(json.dumps({"run_id": req["run_id"], "status": "ok", "top1": 0.5}),
+              flush=True)
+        """)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
+                                       timeout=30.0)
+        records = []
+        for _ in range(3):
+            records.append(oracle.evaluate(d15_config, cr.SEARCH_BUDGET))
+            # Let the worker exit, so the next call finds it dead and respawns it.
+            oracle._workers.queue[0].proc.wait(timeout=10)
+        oracle.close()
+        del oracle
+        gc.collect()
+    assert all(r.ok for r in records)
+    assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
+
+
+def test_pipe_worker_that_stops_reading(tmp_path, d15_spec, d15_config):
+    """A request stuck in the pipe buffer of a worker that closed its stdin is
+    dropped when the worker is killed; the call still returns a record."""
+    script = _script(tmp_path, "deaf.py", """\
+        import json, os, sys, time
+        req = json.loads(sys.stdin.readline())
+        os.close(0)
+        print(json.dumps({"run_id": req["run_id"], "status": "ok", "top1": 0.5}),
+              flush=True)
+        time.sleep(30)
+        """)
+    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
+                                   timeout=30.0)
+    try:
+        first = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
+        second = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
+    finally:
+        oracle.close()
+    assert first.ok
+    assert second.status == cr.STATUS_TIMEOUT
+    assert "trainer unreachable" in second.note
 
 
 def test_unreachable_command(d15_spec, d15_config):
