@@ -188,6 +188,32 @@ def test_rd_with_gnuplot(tmp_path):
     assert "curve alpha+backward: 3 points" in summary
 
 
+# Both curves of `rd` on d15 with the default alphas, pinned byte for byte. The
+# benchmark gate compares the CLI with this library, so only a pin fixed here
+# catches a wrong curve that both would agree on.
+ALPHA_CURVE_D15 = """\
+label,size_bytes,params,top1,config_digest
+alpha=0.25,57496,14094,0.0,e89797df849cf3141ecce7ab25236b52109e8af4565596bd1e6c02489161b55c
+alpha=0.5,223240,55250,0.0,bcc1602fb6108ecf601d3457fe995713775dd07576a02203c16b1ab60ce5109b
+alpha=0.75,497272,123478,0.7100000000000002,9e208d596f0537dd2cee091842db1d1371f4798063564e351bbf3e16f2131de7
+alpha=1,879592,218778,0.91,d3d1fd7b3956eac53cb42c1fc5f940409d8abc7d6ca33ceb348dc7599732d2b2
+"""
+RD_CURVE_D15 = """\
+label,size_bytes,params,top1,config_digest
+alpha=0.25+backward,20804,5031,0.0,bd9837761b44413ec0a02b9d51cd71045e683dfe57a1289172a48b707df46034
+alpha=0.5+backward,67748,16627,0.0,acb2904264e07a0983bf10556ed7a5595cc5a39d54bdac1bbb5164f7113e6622
+alpha=0.75+backward,307552,76198,0.7052734375000002,23a9a296b0325ac66d3cd19837b8b43d296578f5e70077053a0e5e8cd5780d89
+alpha=1+backward,349828,86707,0.9044921875,175eaacbd8101718d314d740f15324becdfc7565478d378dd8dc7bb9be7afc1d
+"""
+
+
+def test_rd_curves_golden(tmp_path):
+    out = tmp_path / "out"
+    assert run("rd", "--config", write_cfg(tmp_path), "--out", out) == 0
+    for name, text in (("alpha_curve.csv", ALPHA_CURVE_D15), ("rd_curve.csv", RD_CURVE_D15)):
+        assert (out / name).read_bytes() == text.replace("\n", "\r\n").encode()  # csv line ends
+
+
 class _SlowSurrogate(cr.SurrogateOracle):
     """Surrogate with three slots that sleeps in every call and records the
     most calls ever in flight at once."""

@@ -127,6 +127,42 @@ def test_bisection_matches_exhaustive_scan(seed):
 # -- greedy reduction --------------------------------------------------------
 
 
+def _d15(a: int, b: int, c: int) -> tuple:
+    """d15 channel vector with uniform block widths a, b and c."""
+    return (3,) + (a,) * 5 + (b,) * 5 + (c,) * 5
+
+
+# Backward reduction of d15 scaled to alpha=0.75, scored against the nominal
+# model as `rd` does: (block, beta, channels, top1) of every probe, in order.
+ALPHA_075_PROBES = [
+    (None, 1.0, _d15(12, 24, 48), 0.7100000000000002),
+    (2, 0.75, _d15(12, 24, 36), 0.7100000000000002),
+    (2, 0.625, _d15(12, 24, 30), 0.6835937500000001),
+    (2, 0.6875, _d15(12, 24, 33), 0.7052734375000002),
+    (2, 0.65625, _d15(12, 24, 32), 0.7000000000000002),
+    (2, 0.671875, _d15(12, 24, 33), 0.7052734375000002),
+    (1, 0.75, _d15(12, 18, 33), 0.41464843750000013),
+    (1, 0.875, _d15(12, 21, 33), 0.5951171875000001),
+    (1, 0.9375, _d15(12, 23, 33), 0.6763671875000001),
+    (1, 0.96875, _d15(12, 24, 33), 0.7052734375000002),
+    (0, 0.75, _d15(9, 24, 33), 0.2646484375000002),
+    (0, 0.875, _d15(11, 24, 33), 0.5896484375000002),
+    (0, 0.9375, _d15(12, 24, 33), 0.7052734375000002),
+]
+
+
+def _alpha_075_reduction(d15_spec, oracle):
+    scaled = cr.with_config(d15_spec, cr.apply_alpha_scaling(cr.channel_config(d15_spec), 0.75))
+    return cr.backward_reduction(scaled, None, 0.01, oracle, cr.SEARCH_BUDGET)
+
+
+def test_alpha_075_reduction_golden(d15_spec):
+    result = _alpha_075_reduction(d15_spec, cr.SurrogateOracle(d15_spec))
+    assert result.betas == (0.9375, 0.96875, 0.671875)
+    assert [(p.block, p.beta, p.config.channels, p.record.top1)
+            for p in result.trace] == ALPHA_075_PROBES
+
+
 def test_backward_reduction_defaults(d15_spec, d15_partition):
     oracle = CountingOracle(cr.SurrogateOracle(d15_spec))
     result = cr.backward_reduction(d15_spec, d15_partition, 0.01, oracle,
