@@ -7,7 +7,7 @@ oracle (analytic surrogate, recorded ledger, or an external trainer process).
 """
 
 from .accounting import (BYTES_PER_SCALAR, KB, MB, BlockUsage, SizeReport,
-                         count_parameters, model_size_bytes, saving_percent)
+                         count_parameters, saving_percent)
 from .arch import (BatchNorm, ChannelConfig, Conv, FullyConnected, GlobalAvgPool,
                    Macroblock, MacroblockPartition, ModelMeta, ModelSpec, Pool,
                    apply_alpha_scaling, apply_constant_lesion, apply_macroblock_scale,
@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BYTES_PER_SCALAR", "KB", "MB", "BlockUsage", "SizeReport", "count_parameters",
-    "model_size_bytes", "saving_percent",
+    "saving_percent",
     "BatchNorm", "ChannelConfig", "Conv", "FullyConnected", "GlobalAvgPool",
     "Macroblock", "MacroblockPartition", "ModelMeta", "ModelSpec", "Pool",
     "apply_alpha_scaling", "apply_constant_lesion", "apply_macroblock_scale",

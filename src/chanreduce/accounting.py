@@ -52,11 +52,6 @@ class SizeReport:
                 "per_block_breakdown": [[b.block_id, b.params, b.bytes]
                                         for b in self.per_block_breakdown]}
 
-    def to_csv_row(self) -> str:
-        breakdown = ";".join(f"{b.block_id}:{b.params}:{b.bytes}"
-                             for b in self.per_block_breakdown)
-        return f"{self.parameter_count},{self.buffer_count},{self.size_bytes},{breakdown}"
-
 
 def _layer_params(layer) -> tuple[int, int]:
     """(learnable, buffers) for one layer."""
@@ -98,13 +93,6 @@ def count_parameters(spec: ModelSpec, *, bytes_per_scalar: int = BYTES_PER_SCALA
 
     size = (total_params + total_buffers) * bytes_per_scalar + overhead
     return SizeReport(total_params, total_buffers, size, tuple(breakdown))
-
-
-def model_size_bytes(spec: ModelSpec, bytes_per_scalar: int = BYTES_PER_SCALAR,
-                     overhead: int = 0) -> int:
-    if bytes_per_scalar < 1 or overhead < 0:
-        raise ValueError("bytes_per_scalar must be >= 1 and overhead >= 0")
-    return count_parameters(spec, bytes_per_scalar=bytes_per_scalar, overhead=overhead).size_bytes
 
 
 def saving_percent(base: SizeReport, reduced: SizeReport) -> float:

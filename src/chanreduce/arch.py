@@ -186,10 +186,6 @@ class Macroblock:
     widths: tuple[int, ...]        # nominal width per owned entry
 
     @property
-    def uniform_width(self) -> int | None:
-        return self.widths[0] if len(set(self.widths)) == 1 else None
-
-    @property
     def search_width(self) -> int:
         # Finest lattice for the bisection loop guard on non-uniform blocks.
         return max(self.widths)
@@ -202,11 +198,6 @@ class MacroblockPartition:
     @property
     def num_blocks(self) -> int:
         return len(self.blocks)
-
-    @property
-    def widths(self) -> tuple:
-        """Per-block nominal width; non-uniform blocks report the per-entry tuple."""
-        return tuple(b.uniform_width if b.uniform_width is not None else b.widths for b in self.blocks)
 
     @property
     def macroblock_starts(self) -> tuple[int, ...]:

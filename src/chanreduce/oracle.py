@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
-from .arch import ChannelConfig, MacroblockPartition, ModelSpec, channel_config, partition_macroblocks, structural_key
+from .arch import ChannelConfig, MacroblockPartition, ModelSpec, partition_macroblocks, structural_key
 
 log = logging.getLogger(__name__)
 
@@ -56,11 +56,6 @@ class TrainingBudget:
             if m <= last:
                 raise ValueError("milestones must be strictly increasing")
             last = m
-
-    @classmethod
-    def standard(cls, epochs: int, **kw) -> "TrainingBudget":
-        """Milestones at 50% and 75% of the run, as in common CIFAR recipes."""
-        return cls(epochs=epochs, lr_milestones=(epochs // 2, (3 * epochs) // 4), **kw)
 
     def to_dict(self) -> dict:
         return {"epochs": self.epochs, "lr_initial": self.lr_initial,
@@ -318,7 +313,6 @@ class SurrogateOracle:
         self.spec = spec
         self.params = params
         self.partition = partition_macroblocks(spec)
-        self.nominal = channel_config(spec)
 
     def evaluate(self, config: ChannelConfig, budget: TrainingBudget) -> EvaluationRecord:
         top1 = surrogate_accuracy(config, self.partition, self.params)

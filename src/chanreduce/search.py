@@ -4,12 +4,14 @@ For one block of nominal width n, the multiplier beta is bisected on [0.5, 1]:
 the loop runs while (U - L) * n > 1, probes the midpoint beta' = (L + U) / 2 by
 evaluating the config with the block ceiling-scaled to ceil(beta' * n), and
 tightens U on a feasible probe (accuracy drop strictly below delta) or L otherwise.
-That costs exactly ceil(log2(n / 2)) oracle calls. By default the last proven
+That costs exactly ceil(log2(n / 2)) probes. By default the last proven
 feasible bound U is returned, so the final configuration always meets the budget;
 the raw last midpoint (which may be infeasible) is available behind a flag.
 
 Blocks are visited one at a time and the working config accumulates each block's
-result before the next search starts. Backward order (deepest block first) exploits
+result before the next search starts. Ceil-rounding makes probes repeat channel
+vectors, so one reduction sends each vector to the oracle at most once (failed
+and timed-out evaluations excepted) and can need fewer calls than probes. Backward order (deepest block first) exploits
 the fact that late blocks tolerate far more width reduction than early ones.
 """
 
@@ -34,7 +36,7 @@ class BetaMode(enum.Enum):
 
 @dataclass(frozen=True)
 class SearchProbe:
-    """One oracle call made during a reduction run. ``block`` is None for the
+    """One probe made during a reduction run. ``block`` is None for the
     baseline evaluation; ``feasible`` is None when the probe was not judged."""
 
     block: int | None
@@ -141,6 +143,24 @@ def forward_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
                              backward=False, beta_mode=beta_mode, metric=metric)
 
 
+class _ReductionMemo:
+    """Oracle view for one reduction that trains each channel vector at most once:
+    a config with an ok record gets that record back. Failed and timeout records
+    are not kept, so a repeated probe retries them."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.records: dict[ChannelConfig, EvaluationRecord] = {}
+
+    def evaluate(self, config: ChannelConfig, budget: TrainingBudget) -> EvaluationRecord:
+        record = self.records.get(config)
+        if record is None:
+            record = self.oracle.evaluate(config, budget)
+            if record.ok:
+                self.records[config] = record
+        return record
+
+
 def _greedy_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
                       delta: float, oracle, budget: TrainingBudget,
                       scope: int | None, *, backward: bool, beta_mode: BetaMode,
@@ -161,6 +181,7 @@ def _greedy_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
     diagnostics: list[str] = []
     betas = [1.0] * m
     working = nominal
+    oracle = _ReductionMemo(oracle)
 
     baseline_record = oracle.evaluate(nominal, budget)
     trace.append(SearchProbe(None, 1.0, nominal, baseline_record, True))

@@ -163,7 +163,8 @@ class ExternalTrainerOracle:
     """Dispatch evaluations to external training workers.
 
     ``parallelism`` pipe workers are kept alive and handed out one request at a
-    time. Lesion sweeps and both rate-distortion curves call :meth:`evaluate`
+    time, the idle worker used most recently first, so sequential calls stay on
+    one warm worker and the others start only when calls overlap. Lesion sweeps and both rate-distortion curves call :meth:`evaluate`
     from that many threads concurrently; ``reduce`` stays sequential. Records
     then reach the ledger in completion order, which replay does not depend on:
     it looks records up by digest.
@@ -191,7 +192,7 @@ class ExternalTrainerOracle:
         self._nonce = secrets.token_hex(4)
         self._counter = 0
         self._counter_lock = threading.Lock()
-        self._workers: queue.Queue[_PipeWorker] = queue.Queue()
+        self._workers: queue.LifoQueue[_PipeWorker] = queue.LifoQueue()
         if protocol == PROTOCOL_PIPE:
             for _ in range(parallelism):
                 self._workers.put(_PipeWorker(self.argv))

@@ -104,11 +104,10 @@ def test_build_sequential_rejects_bad_shapes():
 
 def test_partition_by_scale(d15_spec, d15_partition):
     assert d15_partition.num_blocks == 3
-    assert d15_partition.widths == (16, 32, 64)
+    assert [b.search_width for b in d15_partition.blocks] == [16, 32, 64]
     assert d15_partition.macroblock_starts == (1, 6, 11)
     for block in d15_partition.blocks:
-        assert block.uniform_width is not None
-        assert block.search_width == block.uniform_width
+        assert set(block.widths) == {block.search_width}
     # Layer ranges cover the conv trunk without overlap.
     stops = [b.layer_range for b in d15_partition.blocks]
     assert stops[0][1] == stops[1][0] and stops[1][1] == stops[2][0]
@@ -124,16 +123,17 @@ def test_partition_needs_convs():
 def test_partition_resnet34():
     part = cr.partition_macroblocks(cr.resnet34())
     assert part.num_blocks == 5
-    assert part.widths == (64, 64, 128, 256, 512)
-    assert part.widths[-2:] == (256, 512)
+    assert [b.search_width for b in part.blocks] == [64, 64, 128, 256, 512]
+    for block in part.blocks:
+        assert set(block.widths) == {block.search_width}
 
 
 def test_partition_mobilenet():
     part = cr.partition_macroblocks(cr.mobilenet())
     assert part.num_blocks == 5
-    # The stem block mixes widths 32 and 64, so it reports the per-entry tuple.
-    assert part.widths[0] == (32, 64)
-    assert part.widths[1:] == (128, 256, 512, 1024)
+    # The stem block mixes widths 32 and 64.
+    assert part.blocks[0].widths == (32, 64)
+    assert [b.search_width for b in part.blocks[1:]] == [128, 256, 512, 1024]
     assert part.blocks[0].search_width == 64
 
 

@@ -29,11 +29,6 @@ def test_default_budgets():
         assert budget.batch_size == 128
 
 
-def test_standard_budget_milestones():
-    assert TrainingBudget.standard(20).lr_milestones == (10, 15)
-    assert TrainingBudget.standard(90).lr_milestones == (45, 67)
-
-
 def test_budget_validation():
     with pytest.raises(ValueError):
         TrainingBudget(epochs=0)

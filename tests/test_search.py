@@ -163,6 +163,45 @@ def test_alpha_075_reduction_golden(d15_spec):
             for p in result.trace] == ALPHA_075_PROBES
 
 
+def test_reduction_trains_each_config_once(d15_spec):
+    # (12, 24, 33) is probed four times and (12, 24, 48) is the baseline:
+    # 13 probes, 10 distinct vectors, 10 oracle calls.
+    oracle = CountingOracle(cr.SurrogateOracle(d15_spec))
+    result = _alpha_075_reduction(d15_spec, oracle)
+    assert len(result.trace) == 13
+    assert len({p.config for p in result.trace}) == oracle.calls == 10
+    assert result.betas == (0.9375, 0.96875, 0.671875)
+
+
+class _FailFirst:
+    """Answers ``failed`` the first time it is asked for ``target``."""
+
+    def __init__(self, inner, target):
+        self.inner, self.target, self.failed = inner, target, False
+
+    def evaluate(self, config, budget):
+        if config == self.target and not self.failed:
+            self.failed = True
+            return cr.EvaluationRecord(cr.config_digest(config, self.inner.spec), budget,
+                                       None, None, 0.0, cr.STATUS_FAILED)
+        return self.inner.evaluate(config, budget)
+
+
+def test_reduction_retries_a_failed_config():
+    # Width 10 with the knee at 8 probes widths 8, 7, 7: the repeated infeasible
+    # probe is answered from the first record, unless that record had failed.
+    spec, partition = _single_block(10)
+    seven = cr.apply_macroblock_scale(cr.channel_config(spec), partition, 0, 0.7)
+    for inner, calls in ((sharp_surrogate(spec, frontiers=(0.8,)), 3),
+                         (_FailFirst(sharp_surrogate(spec, frontiers=(0.8,)), seven), 4)):
+        oracle = CountingOracle(inner)
+        result = cr.backward_reduction(spec, partition, 0.01, oracle, cr.SEARCH_BUDGET)
+        assert [p.config.channels[1] for p in result.trace] == [10, 8, 7, 7]
+        assert [p.record.ok for p in result.trace] == [True, True, calls == 3, True]
+        assert oracle.calls == calls
+        assert result.betas == (0.75,)
+
+
 def test_backward_reduction_defaults(d15_spec, d15_partition):
     oracle = CountingOracle(cr.SurrogateOracle(d15_spec))
     result = cr.backward_reduction(d15_spec, d15_partition, 0.01, oracle,

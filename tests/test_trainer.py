@@ -297,6 +297,37 @@ def test_parallel_pipe_workers(tmp_path, d15_spec, d15_config):
     assert all(r.ok for r in records)
 
 
+def test_sequential_calls_keep_one_warm_worker(tmp_path, d15_spec, d15_config):
+    # Each worker logs its pid once at start and holds every reply for 20 ms,
+    # so a lesion sweep's two threads overlap and start the second worker.
+    pids = tmp_path / "pids.log"
+    script = _script(tmp_path, "pid_trainer.py", f"""\
+        import json, os, sys, time
+        open({str(pids)!r}, "a").write(f"{{os.getpid()}}\\n")
+        for line in sys.stdin:
+            time.sleep(0.02)
+            req = json.loads(line)
+            print(json.dumps({{"run_id": req["run_id"], "status": "ok", "top1": 0.5}}),
+                  flush=True)
+        """)
+
+    def workers_started(run):
+        pids.unlink(missing_ok=True)
+        oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
+                                       parallelism=2, timeout=30.0)
+        try:
+            assert all(r.ok for r in run(oracle))
+        finally:
+            oracle.close()
+        return len(pids.read_text().split())
+
+    assert workers_started(lambda o: [o.evaluate(d15_config, cr.SEARCH_BUDGET)
+                                      for _ in range(4)]) == 1
+    plan = cr.SweepPlan(kind=cr.SWEEP_CONSTANT, values=(4, 8), indices=(1, 2, 3))
+    assert workers_started(lambda o: [obs.record for obs in
+                                      cr.run_onehot_sweep(d15_spec, plan, o)]) == 2
+
+
 def test_files_round_trip(tmp_path, d15_spec, d15_config):
     script = _script(tmp_path, "file_trainer.py", """\
         import json, sys
