@@ -240,9 +240,7 @@ def _run_reduce(args, cfg, run_dir, spec, oracle) -> int:
     lines.append(f"reduced: params={red.parameter_count} bytes={red.size_bytes} "
                  f"({red.size_mb:.4f} MB)")
     lines.append(f"saving_percent: {result.saving!r}")
-    # A reduction trains each config once; only failed probes are retried.
-    trained = {p.config for p in result.trace if p.record.ok}
-    lines.append(f"oracle_calls: {len(trained) + sum(not p.record.ok for p in result.trace)}")
+    lines.append(f"oracle_calls: {result.oracle_calls}")
     lines.append(f"probes: {len(result.trace)}")
     for d in result.diagnostics:
         lines.append(f"diagnostic: {d}")

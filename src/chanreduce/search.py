@@ -9,9 +9,7 @@ feasible bound U is returned, so the final configuration always meets the budget
 the raw last midpoint (which may be infeasible) is available behind a flag.
 
 Blocks are visited one at a time and the working config accumulates each block's
-result before the next search starts. Ceil-rounding makes probes repeat channel
-vectors, so one reduction sends each vector to the oracle at most once (failed
-and timed-out evaluations excepted) and can need fewer calls than probes. Backward order (deepest block first) exploits
+result before the next search starts. Backward order (deepest block first) exploits
 the fact that late blocks tolerate far more width reduction than early ones.
 """
 
@@ -66,6 +64,12 @@ class ReductionResult:
             if probe.block is None:
                 return probe.record
         return None
+
+    @property
+    def oracle_calls(self) -> int:
+        """Evaluations issued: one per config trained ok, one per probe not ok."""
+        trained = {p.config for p in self.trace if p.record.ok}
+        return len(trained) + sum(not p.record.ok for p in self.trace)
 
     @property
     def saving(self) -> float:
@@ -144,9 +148,8 @@ def forward_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
 
 
 class _ReductionMemo:
-    """Oracle view for one reduction that trains each channel vector at most once:
-    a config with an ok record gets that record back. Failed and timeout records
-    are not kept, so a repeated probe retries them."""
+    """Oracle view for one reduction: a config already trained ok gets its record
+    back untrained. Failed and timeout records are not kept, so repeats retry."""
 
     def __init__(self, oracle):
         self.oracle = oracle

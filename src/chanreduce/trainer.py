@@ -163,11 +163,10 @@ class ExternalTrainerOracle:
     """Dispatch evaluations to external training workers.
 
     ``parallelism`` pipe workers are kept alive and handed out one request at a
-    time, the idle worker used most recently first, so sequential calls stay on
-    one warm worker and the others start only when calls overlap. Lesion sweeps and both rate-distortion curves call :meth:`evaluate`
-    from that many threads concurrently; ``reduce`` stays sequential. Records
-    then reach the ledger in completion order, which replay does not depend on:
-    it looks records up by digest.
+    time, the most recently used idle one first. Lesion sweeps and ``rd``'s curves
+    call :meth:`evaluate` from that many threads concurrently; ``reduce`` stays
+    sequential, on one warm worker. Records then reach the ledger in completion
+    order, which replay does not depend on: it looks records up by digest.
     """
 
     def __init__(self, command: str | list[str], spec: ModelSpec, *,
