@@ -99,6 +99,18 @@ def test_digest_tracks_structure_and_widths(d15_spec):
     assert len(base) == 64 and set(base) <= set("0123456789abcdef")
 
 
+def test_digest_golden(d15_spec):
+    # Ledgers written earlier are looked up by these strings; they must never move.
+    resnet34 = cr.resnet34()
+    assert cr.config_digest(cr.channel_config(d15_spec), d15_spec) == \
+        "d3d1fd7b3956eac53cb42c1fc5f940409d8abc7d6ca33ceb348dc7599732d2b2"
+    assert cr.config_digest(cr.channel_config(resnet34), resnet34) == \
+        "aea2a1293f4342b1d6308383a9a8f09f36d2980e42f3a9410a24bd2a5819d53d"
+    scaled = cr.apply_alpha_scaling(cr.channel_config(d15_spec), 0.75)
+    assert cr.config_digest(scaled, d15_spec) == \
+        "9e208d596f0537dd2cee091842db1d1371f4798063564e351bbf3e16f2131de7"
+
+
 def test_distortion():
     assert cr.distortion(0.9124, 0.9031) == pytest.approx(0.0093)
     assert cr.distortion(0.9124, 0.9046) == pytest.approx(0.0078)
