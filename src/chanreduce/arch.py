@@ -9,9 +9,11 @@ All width transforms are pure functions on :class:`ChannelConfig`.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import ClassVar, Sequence, Union
 
 Rational = Union[int, float, Fraction]
@@ -114,6 +116,11 @@ class ModelSpec:
 
     def convs(self) -> list[tuple[int, Conv]]:
         return [(i, l) for i, l in enumerate(self.layers) if isinstance(l, Conv)]
+
+    @cached_property
+    def structural_json(self) -> str:
+        """:func:`structural_key` as compact, key-sorted JSON, built once per spec."""
+        return json.dumps(structural_key(self), sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)

@@ -121,11 +121,14 @@ def _apply_overrides(cfg: RunConfig, args) -> None:
 
 def _make_oracle(cfg: RunConfig, spec, run_dir: Path, replay_dir: Path | None):
     """Build the evaluation oracle. Outside replay, every call is recorded into
-    the run directory's ledger."""
-    if replay_dir is not None:
-        return ReplayOracle(EvaluationLedger(replay_dir / "ledger.jsonl"), spec), None
-
+    the run directory's ledger. A replay keeps the run's trainer slot count,
+    since a search asks for more configs on more slots."""
     o = cfg.oracle
+    if replay_dir is not None:
+        slots = o.parallelism if o.kind == "external" else 1
+        return ReplayOracle(EvaluationLedger(replay_dir / "ledger.jsonl"), spec,
+                            parallel_slots=slots), None
+
     if o.kind == "surrogate":
         inner = SurrogateOracle(spec, cfg.surrogate_params())
     elif o.kind == "external":

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Protocol
 
-from .arch import ChannelConfig, MacroblockPartition, ModelSpec, partition_macroblocks, structural_key
+from .arch import ChannelConfig, MacroblockPartition, ModelSpec, partition_macroblocks
 
 log = logging.getLogger(__name__)
 
@@ -129,11 +129,13 @@ class EvaluationRecord:
 
 
 def config_digest(config: ChannelConfig, spec: ModelSpec) -> str:
-    """Stable identity of a (channel vector, architecture skeleton) pair."""
-    payload = {"arch": structural_key(spec),
-               "channels": list(config.channels),
-               "macroblock_starts": list(config.macroblock_starts)}
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    """Stable identity of a (channel vector, architecture skeleton) pair: the
+    SHA-256 of ``{"arch", "channels", "macroblock_starts"}`` as compact, key-sorted
+    JSON, where "arch" is the spec's cached structural key."""
+    widths = json.dumps({"channels": list(config.channels),
+                         "macroblock_starts": list(config.macroblock_starts)},
+                        sort_keys=True, separators=(",", ":"))
+    blob = '{"arch":' + spec.structural_json + "," + widths[1:]
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
@@ -172,9 +174,9 @@ def fan_out(oracle, fn, items) -> list:
 class EvaluationLedger:
     """Append-only JSON-lines store of evaluation records.
 
-    Appends are atomic per record and serialized by a lock; lookups return the
-    newest record for a digest. Corrupt lines are skipped with a warning so a
-    damaged file never blocks replay. A crash in the middle of a write leaves an
+    Appends are atomic per record and serialized by a lock; a lookup returns the
+    newest record for a digest, or the n-th in ledger order. Corrupt lines are
+    skipped with a warning so a damaged file never blocks replay. A crash in the middle of a write leaves an
     unterminated last line; the first append terminates it, so the new record
     starts on a line of its own instead of being glued onto the torn one.
     """
@@ -183,7 +185,7 @@ class EvaluationLedger:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._by_digest: dict[str, EvaluationRecord] = {}
-        self._by_key: dict[tuple[str, str], EvaluationRecord] = {}
+        self._by_key: dict[tuple[str, str], list[EvaluationRecord]] = {}
         self._records: list[EvaluationRecord] = []
         self._torn_tail = False
         if self.path.exists():
@@ -211,7 +213,8 @@ class EvaluationLedger:
     def _index(self, record: EvaluationRecord) -> None:
         self._records.append(record)
         self._by_digest[record.config_digest] = record  # newest wins
-        self._by_key[(record.config_digest, self._budget_key(record.budget))] = record
+        key = (record.config_digest, self._budget_key(record.budget))
+        self._by_key.setdefault(key, []).append(record)
 
     def append(self, record: EvaluationRecord) -> None:
         line = json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -223,13 +226,19 @@ class EvaluationLedger:
             self._torn_tail = False
             self._index(record)
 
-    def lookup(self, digest: str, budget: TrainingBudget | None = None) -> EvaluationRecord | None:
+    def lookup(self, digest: str, budget: TrainingBudget | None = None,
+               occurrence: int = -1) -> EvaluationRecord | None:
         """Newest record for a digest; with ``budget`` the match is exact, since
-        the same config evaluated under two budgets is two distinct experiments."""
+        the same config evaluated under two budgets is two distinct experiments,
+        and ``occurrence`` picks the record at that position in ledger order
+        (past the end, the newest)."""
         with self._lock:
             if budget is None:
                 return self._by_digest.get(digest)
-            return self._by_key.get((digest, self._budget_key(budget)))
+            records = self._by_key.get((digest, self._budget_key(budget)))
+            if not records:
+                return None
+            return records[min(occurrence, len(records) - 1)]
 
     def records(self) -> list[EvaluationRecord]:
         with self._lock:
@@ -322,17 +331,28 @@ class SurrogateOracle:
 
 
 class ReplayOracle:
-    """Answers every evaluation from a ledger; issues no training work at all."""
+    """Answers every evaluation from a ledger; issues no training work at all.
 
-    parallel_slots = 1
+    The n-th request for a (config, budget) gets the n-th record written for
+    it, and requests past the last get the last one, so a run that retried a
+    failed evaluation replays the failure and then the retry. ``parallel_slots``
+    should be the slot count of the run being replayed: a search spreads its
+    probes by it, and so decides which configs it asks for.
+    """
 
-    def __init__(self, ledger: EvaluationLedger, spec: ModelSpec):
+    def __init__(self, ledger: EvaluationLedger, spec: ModelSpec, parallel_slots: int = 1):
         self.ledger = ledger
         self.spec = spec
+        self.parallel_slots = parallel_slots
+        self._asked: dict[tuple[str, TrainingBudget], int] = {}
+        self._lock = threading.Lock()
 
     def evaluate(self, config: ChannelConfig, budget: TrainingBudget) -> EvaluationRecord:
         digest = config_digest(config, self.spec)
-        record = self.ledger.lookup(digest, budget)
+        with self._lock:
+            occurrence = self._asked.get((digest, budget), 0)
+            self._asked[(digest, budget)] = occurrence + 1
+        record = self.ledger.lookup(digest, budget, occurrence)
         if record is None:
             raise MissingEvaluationError(
                 f"missing evaluation for digest {digest} under the requested budget")

@@ -14,36 +14,27 @@ from .arch import (BatchNorm, Conv, FullyConnected, GlobalAvgPool, Layer, ModelM
                    ModelSpec, Pool, scale_width, validate_spec)
 
 
-def _basic_stage(layers, entry, in_entry, width, blocks, scale, downsample):
-    """One residual stage of two-conv basic blocks; returns the stream entry."""
+def _basic_stage(layers, entry, stream, in_width, width, blocks, scale, downsample):
+    """Append one residual stage of two-conv basic blocks fed by ``stream`` of
+    ``in_width`` channels; returns (last entry, stage output stream)."""
     for b in range(blocks):
-        stride = 2 if downsample and b == 0 else 1
-        in_ref = in_entry
+        project = downsample and b == 0
         entry += 1
-        layers.append(Conv((3, 3), layers_width(layers, in_ref), width,
-                           in_ref=in_ref, out_ref=entry, stride=stride, scale=scale))
+        layers.append(Conv((3, 3), in_width, width, in_ref=stream, out_ref=entry,
+                           stride=2 if project else 1, scale=scale))
         layers.append(BatchNorm(width, ref=entry))
         entry += 1
         layers.append(Conv((3, 3), width, width, in_ref=entry - 1, out_ref=entry, scale=scale))
         layers.append(BatchNorm(width, ref=entry))
-        stream = entry
-        if downsample and b == 0:
+        out = entry
+        if project:
             # Projection shortcut: 1x1 conv matching the new width and scale.
             entry += 1
-            layers.append(Conv((1, 1), layers_width(layers, in_ref), width,
-                               in_ref=in_ref, out_ref=entry, stride=2, scale=scale))
+            layers.append(Conv((1, 1), in_width, width,
+                               in_ref=stream, out_ref=entry, stride=2, scale=scale))
             layers.append(BatchNorm(width, ref=entry))
-        in_entry = stream
-    return layers, entry, in_entry
-
-
-def layers_width(layers, ref: int):
-    if ref == 0:
-        return 3
-    for layer in layers:
-        if isinstance(layer, Conv) and not layer.depthwise and layer.out_ref == ref:
-            return layer.out_channels
-    raise ValueError(f"unresolved channel ref {ref}")
+        stream, in_width = out, width
+    return entry, stream
 
 
 def _resnet(stage_blocks: list[int], name: str, num_classes: int = 1000) -> ModelSpec:
@@ -53,13 +44,13 @@ def _resnet(stage_blocks: list[int], name: str, num_classes: int = 1000) -> Mode
         BatchNorm(64, ref=1),
         Pool(pool="max", window=3, stride=2),
     ]
-    entry, in_entry = 1, 1
+    entry, stream, in_width = 1, 1, 64
     for s, (width, blocks) in enumerate(zip(widths, stage_blocks)):
-        scale = 4 * 2 ** s
-        layers, entry, in_entry = _basic_stage(layers, entry, in_entry, width, blocks,
-                                               scale, downsample=(s > 0))
+        entry, stream = _basic_stage(layers, entry, stream, in_width, width, blocks,
+                                     scale=4 * 2 ** s, downsample=(s > 0))
+        in_width = width
     layers.append(GlobalAvgPool())
-    layers.append(FullyConnected(widths[-1], num_classes, in_ref=in_entry))
+    layers.append(FullyConnected(widths[-1], num_classes, in_ref=stream))
     meta = ModelMeta(name=name, dataset="imagenet", num_classes=num_classes,
                      input_channels=3, resolution=224)
     spec = ModelSpec(tuple(layers), meta)

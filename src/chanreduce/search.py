@@ -8,6 +8,15 @@ That costs exactly ceil(log2(n / 2)) probes. By default the last proven
 feasible bound U is returned, so the final configuration always meets the budget;
 the raw last midpoint (which may be infeasible) is available behind a flag.
 
+On an oracle with p parallel slots the bisection runs in rounds: each round
+trains the top k = floor(log2(p + 1)) levels of the block's remaining bisection
+tree at once (2^k - 1 midpoints, each distinct channel vector once), then makes
+the one-slot decisions through them. A block thus costs ceil(ceil(log2(n / 2)) / k)
+rounds instead of ceil(log2(n / 2)), for up to 2^k - 1 trainings per round. The
+baseline is trained in the first round of the first block, on one of its slots.
+With one slot (k = 1) this is the plain sequential search, call for call. Betas
+and reduced configs do not depend on p.
+
 Blocks are visited one at a time and the working config accumulates each block's
 result before the next search starts. Backward order (deepest block first) exploits
 the fact that late blocks tolerate far more width reduction than early ones.
@@ -22,7 +31,7 @@ from dataclasses import dataclass
 from .accounting import SizeReport, count_parameters, saving_percent
 from .arch import (ChannelConfig, MacroblockPartition, ModelSpec, apply_macroblock_scale,
                    channel_config, partition_macroblocks, with_config)
-from .oracle import EvaluationRecord, TrainingBudget, distortion
+from .oracle import EvaluationRecord, TrainingBudget, distortion, fan_out
 
 log = logging.getLogger(__name__)
 
@@ -35,17 +44,23 @@ class BetaMode(enum.Enum):
 @dataclass(frozen=True)
 class SearchProbe:
     """One probe made during a reduction run. ``block`` is None for the
-    baseline evaluation; ``feasible`` is None when the probe was not judged."""
+    baseline evaluation; ``feasible`` is None when the probe was not judged.
+    A speculative probe was trained ahead of the bisection path and not used
+    by it; only those carry the key in :meth:`to_dict`."""
 
     block: int | None
     beta: float
     config: ChannelConfig
     record: EvaluationRecord
     feasible: bool | None
+    speculative: bool = False
 
     def to_dict(self) -> dict:
-        return {"block": self.block, "beta": self.beta, "config": self.config.to_dict(),
-                "record": self.record.to_dict(), "feasible": self.feasible}
+        out = {"block": self.block, "beta": self.beta, "config": self.config.to_dict(),
+               "record": self.record.to_dict(), "feasible": self.feasible}
+        if self.speculative:
+            out["speculative"] = True
+        return out
 
 
 @dataclass(frozen=True)
@@ -91,36 +106,109 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must be within [0, 1], got {delta!r}")
 
 
+def _midpoints(lower: float, upper: float, levels: int) -> list[float]:
+    """Midpoints of the top ``levels`` levels of the bisection tree under
+    [lower, upper], level by level."""
+    intervals, out = [(lower, upper)], []
+    for _ in range(levels):
+        mids = [(lo + hi) / 2 for lo, hi in intervals]
+        out += mids
+        intervals = [half for (lo, hi), mid in zip(intervals, mids)
+                     for half in ((lo, mid), (mid, hi))]
+    return out
+
+
+def _probes_left(lower: float, upper: float, n: int) -> int:
+    """Probes the bisection still makes: the cost law, from [lower, upper]."""
+    span, left = upper - lower, 0
+    while span * n > 1:
+        span, left = span / 2, left + 1
+    return left
+
+
 def search_macroblock_multiplier(block: int, config: ChannelConfig,
                                  partition: MacroblockPartition, delta: float,
-                                 oracle, budget: TrainingBudget, baseline: float, *,
+                                 oracle, budget: TrainingBudget, baseline: float | None, *,
                                  beta_mode: BetaMode = BetaMode.FEASIBLE_BOUND,
-                                 metric: str = "top1") -> tuple[float, list[SearchProbe]]:
+                                 metric: str = "top1",
+                                 trained: dict[ChannelConfig, EvaluationRecord] | None = None,
+                                 ) -> tuple[float, list[SearchProbe]]:
     """Bisect one block's width multiplier; returns (beta, probes).
 
-    ``baseline`` is the reference accuracy the drop is measured against. Probes
-    whose record is not ok, or whose metric is missing, count as infeasible; the
-    search itself never raises on oracle soft failures.
+    ``baseline`` is the reference accuracy the drop is measured against. With
+    None, ``config`` itself is evaluated with the first round and its record
+    leads the probes as the baseline probe; if it fails, no probe is judged and
+    beta is 1. Probes whose record is not ok, or whose metric is missing, count
+    as infeasible; the search itself never raises on oracle soft failures.
+
+    Each round evaluates the top k levels of the remaining bisection tree at
+    once, k = floor(log2(slots + 1)) for the oracle's ``parallel_slots`` (one
+    slot fewer while the baseline rides along), then walks them as one slot
+    would. The walk's probes come first; the other configs the round trained
+    follow, marked speculative. ``trained`` maps configs already trained ok in
+    this reduction to their records; they are not trained again, and this
+    search's ok records are added to it.
     """
     _check_delta(delta)
     if not 0 <= block < partition.num_blocks:
         raise ValueError(f"block index {block} out of range 0..{partition.num_blocks - 1}")
     n = partition.blocks[block].search_width
+    slots = getattr(oracle, "parallel_slots", 1)
+    known = {} if trained is None else trained
+    failed_baseline = False
 
     upper, lower = 1.0, 0.5
     midpoint = None
     probes: list[SearchProbe] = []
-    while (upper - lower) * n > 1:
-        midpoint = (lower + upper) / 2
-        candidate = apply_macroblock_scale(config, partition, block, midpoint)
-        record = oracle.evaluate(candidate, budget)
+
+    def judge(record: EvaluationRecord) -> bool:
         value = record.metric(metric) if record.ok else None
-        feasible = value is not None and distortion(baseline, value) < delta
-        probes.append(SearchProbe(block, midpoint, candidate, record, feasible))
-        if feasible:
-            upper = midpoint
-        else:
-            lower = midpoint
+        return value is not None and distortion(baseline, value) < delta
+
+    while True:
+        k = (slots - (baseline is None) + 1).bit_length() - 1  # floor(log2(free slots + 1))
+        levels = min(k, _probes_left(lower, upper, n))
+        at = {m: apply_macroblock_scale(config, partition, block, m)
+              for m in _midpoints(lower, upper, levels)}
+        batch = ([config] if baseline is None else []) + list(at.values())
+        if not batch:
+            break
+        issued = [c for c in dict.fromkeys(batch) if c not in known]
+        records = dict(zip(issued, fan_out(oracle, lambda c: oracle.evaluate(c, budget),
+                                           issued)))
+        if trained is not None:
+            trained.update((c, r) for c, r in records.items() if r.ok)
+        answer = {**known, **records}
+
+        walked: set[ChannelConfig] = set()
+        if baseline is None:
+            record = answer[config]
+            probes.append(SearchProbe(None, 1.0, config, record, True))
+            walked.add(config)
+            baseline = record.metric(metric) if record.ok else None
+            failed_baseline = baseline is None
+        for _ in range(0 if failed_baseline else levels):
+            midpoint = (lower + upper) / 2
+            candidate = at[midpoint]
+            record = answer[candidate]
+            if not record.ok and candidate in walked:
+                break  # one slot would retry it: leave that to the next round
+            walked.add(candidate)
+            feasible = judge(record)
+            probes.append(SearchProbe(block, midpoint, candidate, record, feasible))
+            if feasible:
+                upper = midpoint
+            else:
+                lower = midpoint
+        for m, candidate in at.items():
+            if candidate in records and candidate not in walked:
+                walked.add(candidate)
+                record = records[candidate]
+                probes.append(SearchProbe(block, m, candidate, record,
+                                          None if failed_baseline else judge(record),
+                                          speculative=True))
+        if failed_baseline:
+            return 1.0, probes
 
     if beta_mode is BetaMode.LAST_MIDPOINT and midpoint is not None:
         return midpoint, probes
@@ -147,23 +235,6 @@ def forward_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
                              backward=False, beta_mode=beta_mode, metric=metric)
 
 
-class _ReductionMemo:
-    """Oracle view for one reduction: a config already trained ok gets its record
-    back untrained. Failed and timeout records are not kept, so repeats retry."""
-
-    def __init__(self, oracle):
-        self.oracle = oracle
-        self.records: dict[ChannelConfig, EvaluationRecord] = {}
-
-    def evaluate(self, config: ChannelConfig, budget: TrainingBudget) -> EvaluationRecord:
-        record = self.records.get(config)
-        if record is None:
-            record = self.oracle.evaluate(config, budget)
-            if record.ok:
-                self.records[config] = record
-        return record
-
-
 def _greedy_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
                       delta: float, oracle, budget: TrainingBudget,
                       scope: int | None, *, backward: bool, beta_mode: BetaMode,
@@ -178,34 +249,34 @@ def _greedy_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
         raise ValueError(f"scope must be within 1..{m}, got {scope}")
     order = list(range(m - 1, m - scope - 1, -1)) if backward else list(range(scope))
 
-    nominal = channel_config(spec)
     base_report = count_parameters(spec)
     trace: list[SearchProbe] = []
     diagnostics: list[str] = []
     betas = [1.0] * m
-    working = nominal
-    oracle = _ReductionMemo(oracle)
-
-    baseline_record = oracle.evaluate(nominal, budget)
-    trace.append(SearchProbe(None, 1.0, nominal, baseline_record, True))
-    baseline = baseline_record.metric(metric) if baseline_record.ok else None
+    working = channel_config(spec)
+    trained: dict[ChannelConfig, EvaluationRecord] = {}
+    baseline = None  # measured together with the first block's first round
     searched: set[int] = set()
 
-    if baseline is None:
-        diagnostics.append("baseline evaluation failed; no block was searched")
-        log.warning("baseline evaluation failed (status %s)", baseline_record.status)
-    else:
-        for block in order:
-            beta, probes = search_macroblock_multiplier(
-                block, working, partition, delta, oracle, budget, baseline,
-                beta_mode=beta_mode, metric=metric)
-            trace.extend(probes)
-            searched.add(block)
-            if probes and not any(p.record.ok for p in probes):
-                diagnostics.append(f"block {block}: every probe failed; left at beta=1")
-                beta = 1.0
-            betas[block] = beta
-            working = apply_macroblock_scale(working, partition, block, beta)
+    for block in order:
+        beta, probes = search_macroblock_multiplier(
+            block, working, partition, delta, oracle, budget, baseline,
+            beta_mode=beta_mode, metric=metric, trained=trained)
+        trace.extend(probes)
+        if baseline is None:
+            baseline_record = probes[0].record
+            baseline = baseline_record.metric(metric) if baseline_record.ok else None
+            if baseline is None:
+                diagnostics.append("baseline evaluation failed; no block was searched")
+                log.warning("baseline evaluation failed (status %s)", baseline_record.status)
+                break
+        searched.add(block)
+        path = [p for p in probes if p.block is not None and not p.speculative]
+        if path and not any(p.record.ok for p in path):
+            diagnostics.append(f"block {block}: every probe failed; left at beta=1")
+            beta = 1.0
+        betas[block] = beta
+        working = apply_macroblock_scale(working, partition, block, beta)
 
     reduced_spec = with_config(spec, working)
     return ReductionResult(betas=tuple(betas), reduced_config=working,

@@ -163,10 +163,12 @@ class ExternalTrainerOracle:
     """Dispatch evaluations to external training workers.
 
     ``parallelism`` pipe workers are kept alive and handed out one request at a
-    time, the most recently used idle one first. Lesion sweeps and ``rd``'s curves
-    call :meth:`evaluate` from that many threads concurrently; ``reduce`` stays
-    sequential, on one warm worker. Records then reach the ledger in completion
-    order, which replay does not depend on: it looks records up by digest.
+    time, the most recently used idle one first. Lesion sweeps, ``rd``'s curves
+    and each round of a bisection call :meth:`evaluate` from up to that many
+    threads concurrently; a call waits for an idle worker. At ``parallelism = 2``
+    a bisection overlaps only its baseline, so a second worker starts then and
+    the later rounds stay on one warm worker. Records reach the ledger in
+    completion order, which replay does not depend on: it looks records up by digest.
     """
 
     def __init__(self, command: str | list[str], spec: ModelSpec, *,

@@ -277,9 +277,11 @@ def test_rd_on_three_slots_matches_one_slot(tmp_path, monkeypatch):
     assert made[0].max_inflight >= 2
     for name in ("alpha_curve.csv", "rd_curve.csv"):
         assert (concurrent / name).read_bytes() == (sequential / name).read_bytes()
-    evaluations = _evaluations(concurrent)
-    assert evaluations == _evaluations(sequential)
-    assert (sum(evaluations.values()), len(evaluations)) == (44, 40)
+    # Every one-slot evaluation is made, plus the speculative bisection probes.
+    evaluations, one_slot = _evaluations(concurrent), _evaluations(sequential)
+    assert not one_slot - evaluations
+    assert (sum(one_slot.values()), len(one_slot)) == (44, 40)
+    assert (sum(evaluations.values()), len(evaluations)) == (59, 55)
 
     # The ledger follows completion order; replay looks records up by digest.
     replayed = tmp_path / "replayed"
@@ -289,8 +291,40 @@ def test_rd_on_three_slots_matches_one_slot(tmp_path, monkeypatch):
         assert (replayed / name).read_bytes() == (concurrent / name).read_bytes()
 
 
-class _TwoSlotReplay(cr.ReplayOracle):
-    parallel_slots = 2
+def test_reduce_on_three_slots_matches_one_slot(tmp_path, monkeypatch):
+    # An external oracle at parallelism 3, played by the sleeping surrogate:
+    # resolved.cfg records the three slots, so replay speculates the same way.
+    sequential, concurrent = tmp_path / "sequential", tmp_path / "concurrent"
+    assert run("reduce", "--config", write_cfg(tmp_path), "--out", sequential) == 0
+    cfg = write_cfg(tmp_path, """\
+        [oracle]
+        kind = external
+        trainer_cmd = unused
+        parallelism = 3
+        """, name="slots.cfg")
+    made = []
+    monkeypatch.setattr(cli, "ExternalTrainerOracle",
+                        lambda command, spec, **kw: made.append(_SlowSurrogate(spec))
+                        or made[-1])
+    assert run("reduce", "--config", cfg, "--out", concurrent) == 0
+
+    assert made[0].max_inflight >= 2
+    one, many = (json.loads((d / "reduction.json").read_text())
+                 for d in (sequential, concurrent))
+    assert many["betas"] == one["betas"] == [0.9375, 0.84375, 0.515625]
+    assert many["reduced_config"] == one["reduced_config"]
+    assert [p for p in many["trace"] if not p.get("speculative")] == one["trace"]
+    assert "oracle_calls: 18\nprobes: 18\n" in (concurrent / "summary.txt").read_text()
+    assert len((concurrent / "ledger.jsonl").read_text().splitlines()) == 18 + 1  # + final
+
+    replayed = tmp_path / "replayed"
+    assert run("replay", concurrent, "--out", replayed) == 0
+    for name in ARTIFACTS:
+        assert (replayed / name).read_bytes() == (concurrent / name).read_bytes()
+
+
+def _two_slot_replay(ledger, spec, parallel_slots):
+    return cr.ReplayOracle(ledger, spec, parallel_slots=2)
 
 
 def test_rd_replay_error_in_a_worker_thread_fails_the_run(tmp_path, monkeypatch):
@@ -300,7 +334,7 @@ def test_rd_replay_error_in_a_worker_thread_fails_the_run(tmp_path, monkeypatch)
     ledger = out / "ledger.jsonl"
     ledger.write_text("".join(ledger.read_text().splitlines(keepends=True)[:-1]))
 
-    monkeypatch.setattr(cli, "ReplayOracle", _TwoSlotReplay)
+    monkeypatch.setattr(cli, "ReplayOracle", _two_slot_replay)
     replayed = tmp_path / "replayed"
     assert run("replay", out, "--out", replayed) == 1
     summary = (replayed / "summary.txt").read_text()

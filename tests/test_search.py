@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import math
 import random
+import threading
+import time
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import chanreduce as cr
 from chanreduce import BetaMode
@@ -344,3 +346,148 @@ def test_search_validation(d15_spec, d15_partition):
     with pytest.raises(ValueError):
         cr.backward_reduction(d15_spec, d15_partition, 1.5, oracle,
                               cr.SEARCH_BUDGET)
+
+
+# -- speculative rounds on several slots ---------------------------------------
+
+
+class _Slots:
+    """Thread-safe oracle on ``slots`` slots around a surrogate; logs the
+    (start, end) of every call and can sleep in each."""
+
+    def __init__(self, inner, slots, sleep=0.0):
+        self.inner, self.parallel_slots, self.sleep = inner, slots, sleep
+        self.lock = threading.Lock()
+        self.intervals = []
+
+    def evaluate(self, config, budget):
+        start = time.monotonic()
+        time.sleep(self.sleep)
+        record = self.inner.evaluate(config, budget)
+        with self.lock:
+            self.intervals.append((start, time.monotonic()))
+        return record
+
+
+def _rounds(intervals) -> int:
+    """Longest chain of calls, each starting after the previous one ended."""
+    ordered = sorted(intervals)
+    chain = []
+    for start, _ in ordered:
+        chain.append(1 + max((c for c, (_, end) in zip(chain, ordered) if end <= start),
+                             default=0))
+    return max(chain, default=0)
+
+
+@pytest.mark.parametrize("slots,rounds,calls", [(1, 13, 13), (2, 12, 13), (3, 7, 18),
+                                                (7, 5, 26)])
+def test_d15_rounds_by_slot_count(d15_spec, slots, rounds, calls):
+    # Blocks of 16, 32 and 64 channels bisect in 3, 4 and 5 levels; k levels a
+    # round, with the baseline on one slot of the first round.
+    oracle = _Slots(cr.SurrogateOracle(d15_spec), slots, sleep=0.04)
+    result = cr.backward_reduction(d15_spec, None, 0.01, oracle, cr.SEARCH_BUDGET)
+    assert result.betas == (0.9375, 0.84375, 0.515625)
+    assert _rounds(oracle.intervals) == rounds
+    assert result.oracle_calls == len(oracle.intervals) == calls
+    assert sum(p.speculative for p in result.trace) == calls - 13
+
+
+@settings(max_examples=60, deadline=None)
+@given(widths=st.lists(st.integers(2, 80), min_size=3, max_size=3),
+       frontiers=st.lists(st.floats(0.3, 1.0), min_size=3, max_size=3),
+       weight=st.floats(0.5, 4000.0), delta=st.floats(0.0, 0.1),
+       scope=st.integers(1, 3), slots=st.sampled_from([1, 2, 3, 7]),
+       mode=st.sampled_from(list(BetaMode)), backward=st.booleans())
+def test_speculation_matches_one_slot(widths, frontiers, weight, delta, scope, slots,
+                                      mode, backward):
+    spec = cr.build_sequential_cnn(6, widths)
+    params = cr.SurrogateParams(frontiers=tuple(frontiers), weights=(weight,) * 3)
+    reduce = cr.backward_reduction if backward else cr.forward_reduction
+    one = reduce(spec, None, delta, cr.SurrogateOracle(spec, params), cr.SEARCH_BUDGET,
+                 scope, beta_mode=mode)
+    oracle = _Slots(cr.SurrogateOracle(spec, params), slots)
+    many = reduce(spec, None, delta, oracle, cr.SEARCH_BUDGET, scope, beta_mode=mode)
+    assert many.betas == one.betas
+    assert many.reduced_config == one.reduced_config
+    assert [p for p in many.trace if not p.speculative] == list(one.trace)
+    assert many.oracle_calls == len(oracle.intervals)
+    assert len({p.config for p in many.trace}) == many.oracle_calls
+
+
+def test_speculation_retries_a_failed_config_like_one_slot():
+    # Width 10, knee at 8, first answer for 7 failed. On 3 slots the second
+    # round trains 7 and 6; the path meets the failed 7 twice and leaves the
+    # retry to a third round, as one slot retries it on the next call.
+    spec, partition = _single_block(10)
+    seven = cr.apply_macroblock_scale(cr.channel_config(spec), partition, 0, 0.7)
+    inner = _FailFirst(sharp_surrogate(spec, frontiers=(0.8,)), seven)
+    inner.parallel_slots = 3
+    oracle = CountingOracle(inner)
+    result = cr.backward_reduction(spec, partition, 0.01, oracle, cr.SEARCH_BUDGET)
+    assert result.betas == (0.75,)
+    assert [(p.config.channels[1], p.record.ok, p.speculative) for p in result.trace] == \
+        [(10, True, False), (8, True, False), (7, False, False), (6, True, True),
+         (7, True, False)]
+    assert result.oracle_calls == oracle.calls == 5
+
+
+class _FailWide:
+    """Seven slots; every config wider than ``limit`` channels fails, except
+    the nominal one, so the baseline is ok."""
+
+    parallel_slots = 7
+
+    def __init__(self, spec, limit):
+        self.inner, self.limit = cr.SurrogateOracle(spec), limit
+        self.nominal = cr.channel_config(spec)
+
+    def evaluate(self, config, budget):
+        if config != self.nominal and config.channels[1] > self.limit:
+            return cr.EvaluationRecord(cr.config_digest(config, self.inner.spec), budget,
+                                       None, None, 0.0, cr.STATUS_FAILED)
+        return self.inner.evaluate(config, budget)
+
+
+@pytest.mark.parametrize("mode", [BetaMode.FEASIBLE_BOUND, BetaMode.LAST_MIDPOINT])
+def test_failed_path_is_judged_without_speculative_probes(mode):
+    # Width 64 failing above 40 channels: every probe on the path (48, 56, ...)
+    # fails, while 40, trained beside 48 and 56 in the first round, is ok. The
+    # block is left alone as on one slot.
+    spec, partition = _single_block(64)
+    result = cr.backward_reduction(spec, partition, 0.01, _FailWide(spec, 40),
+                                   cr.SEARCH_BUDGET, beta_mode=mode)
+    assert any(p.speculative and p.record.ok for p in result.trace)
+    assert result.betas == (1.0,)
+    assert result.diagnostics == ("block 0: every probe failed; left at beta=1",)
+
+
+@pytest.mark.parametrize("slots,overlapped", [(2, 1), (3, 1), (7, 3)])
+def test_failed_baseline_keeps_overlapped_probes(d15_spec, d15_partition, slots, overlapped):
+    oracle = _FailingProbes(d15_spec, fail_baseline=True)
+    oracle.parallel_slots = slots
+    result = cr.backward_reduction(d15_spec, d15_partition, 0.01, oracle, cr.SEARCH_BUDGET)
+    assert result.betas == (1.0, 1.0, 1.0) and result.scope == frozenset()
+    assert result.diagnostics == ("baseline evaluation failed; no block was searched",)
+    assert result.trace[0].block is None
+    assert [(p.block, p.feasible, p.speculative) for p in result.trace[1:]] == \
+        [(2, None, True)] * overlapped
+    assert result.oracle_calls == 1 + overlapped
+
+
+@pytest.mark.parametrize("slots", [1, 3])
+def test_replay_of_a_retried_failure_is_identical(tmp_path, slots):
+    # The ledger holds 7's failed record before its retry; replay hands them
+    # out in that order.
+    spec, partition = _single_block(10)
+    seven = cr.apply_macroblock_scale(cr.channel_config(spec), partition, 0, 0.7)
+    inner = _FailFirst(sharp_surrogate(spec, frontiers=(0.8,)), seven)
+    inner.parallel_slots = slots
+    ledger = cr.EvaluationLedger(tmp_path / "ledger.jsonl")
+    recorded = cr.backward_reduction(spec, partition, 0.01,
+                                     cr.RecordingOracle(inner, ledger), cr.SEARCH_BUDGET)
+    assert [p.record.ok for p in recorded.trace if not p.speculative] == \
+        [True, True, False, True]
+    replay = cr.ReplayOracle(cr.EvaluationLedger(tmp_path / "ledger.jsonl"), spec,
+                             parallel_slots=slots)
+    replayed = cr.backward_reduction(spec, partition, 0.01, replay, cr.SEARCH_BUDGET)
+    assert replayed.to_dict() == recorded.to_dict()
