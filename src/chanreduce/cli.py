@@ -121,13 +121,12 @@ def _apply_overrides(cfg: RunConfig, args) -> None:
 
 def _make_oracle(cfg: RunConfig, spec, run_dir: Path, replay_dir: Path | None):
     """Build the evaluation oracle. Outside replay, every call is recorded into
-    the run directory's ledger. A replay keeps the run's trainer slot count,
+    the run directory's ledger. A replay keeps the run's search slot count,
     since a search asks for more configs on more slots."""
     o = cfg.oracle
     if replay_dir is not None:
-        slots = o.parallelism if o.kind == "external" else 1
         return ReplayOracle(EvaluationLedger(replay_dir / "ledger.jsonl"), spec,
-                            parallel_slots=slots), None
+                            parallel_slots=cfg.search_slots or 1), None
 
     if o.kind == "surrogate":
         inner = SurrogateOracle(spec, cfg.surrogate_params())
@@ -154,6 +153,8 @@ def _run(args, command: str, body, evaluates: bool = True) -> int:
     if replay_dir is None:
         _apply_overrides(cfg, args)
         cfg.command = command
+        if evaluates:
+            cfg.search_slots = cfg.oracle.parallelism if cfg.oracle.kind == "external" else 1
     run_dir = cfg.resolve_run_dir(args.out, args.config)
     run_dir.mkdir(parents=True, exist_ok=True)
     if replay_dir is None:

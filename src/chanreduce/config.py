@@ -111,6 +111,11 @@ class RunConfig:
     budget: BudgetConfig = field(default_factory=BudgetConfig)
     run_dir: str | None = field(default=None, metadata={"section": "output"})
     command: str | None = field(default=None, metadata={"section": "run"})
+    # Trainer slots the run's searches had; replay needs them to ask for the
+    # same configs. Runs recorded before searches used more than one slot lack
+    # the key and replay on one.
+    search_slots: int | None = field(default=None,
+                                     metadata={"section": "run", "range": (1, math.inf)})
     base_dir: Path = field(default_factory=Path.cwd)
 
     def _keys(self):

@@ -8,14 +8,15 @@ That costs exactly ceil(log2(n / 2)) probes. By default the last proven
 feasible bound U is returned, so the final configuration always meets the budget;
 the raw last midpoint (which may be infeasible) is available behind a flag.
 
-On an oracle with p parallel slots the bisection runs in rounds: each round
-trains the top k = floor(log2(p + 1)) levels of the block's remaining bisection
-tree at once (2^k - 1 midpoints, each distinct channel vector once), then makes
-the one-slot decisions through them. A block thus costs ceil(ceil(log2(n / 2)) / k)
-rounds instead of ceil(log2(n / 2)), for up to 2^k - 1 trainings per round. The
-baseline is trained in the first round of the first block, on one of its slots.
-With one slot (k = 1) this is the plain sequential search, call for call. Betas
-and reduced configs do not depend on p.
+On p parallel slots (the oracle's, or the share a caller gives the search) the
+bisection runs in rounds: each round trains the top k = floor(log2(p + 1))
+levels of the block's remaining bisection tree at once (2^k - 1 midpoints, each
+distinct channel vector once), then makes the one-slot decisions through them.
+A block thus costs ceil(ceil(log2(n / 2)) / k) rounds instead of
+ceil(log2(n / 2)), for up to 2^k - 1 trainings per round. The baseline is
+trained in the first round of the first block, on one of its slots. With one
+slot (k = 1) this is the plain sequential search, call for call. Betas and
+reduced configs do not depend on p.
 
 Blocks are visited one at a time and the working config accumulates each block's
 result before the next search starts. Backward order (deepest block first) exploits
@@ -132,6 +133,7 @@ def search_macroblock_multiplier(block: int, config: ChannelConfig,
                                  beta_mode: BetaMode = BetaMode.FEASIBLE_BOUND,
                                  metric: str = "top1",
                                  trained: dict[ChannelConfig, EvaluationRecord] | None = None,
+                                 slots: int | None = None,
                                  ) -> tuple[float, list[SearchProbe]]:
     """Bisect one block's width multiplier; returns (beta, probes).
 
@@ -142,10 +144,11 @@ def search_macroblock_multiplier(block: int, config: ChannelConfig,
     as infeasible; the search itself never raises on oracle soft failures.
 
     Each round evaluates the top k levels of the remaining bisection tree at
-    once, k = floor(log2(slots + 1)) for the oracle's ``parallel_slots`` (one
-    slot fewer while the baseline rides along), then walks them as one slot
-    would. The walk's probes come first; the other configs the round trained
-    follow, marked speculative. ``trained`` maps configs already trained ok in
+    once, k = floor(log2(slots + 1)) (one slot fewer while the baseline rides
+    along), then walks them as one slot would; ``slots`` defaults to the
+    oracle's ``parallel_slots`` and bounds the calls a round has in flight.
+    The walk's probes come first; the other configs the round trained follow,
+    marked speculative. ``trained`` maps configs already trained ok in
     this reduction to their records; they are not trained again, and this
     search's ok records are added to it.
     """
@@ -153,7 +156,8 @@ def search_macroblock_multiplier(block: int, config: ChannelConfig,
     if not 0 <= block < partition.num_blocks:
         raise ValueError(f"block index {block} out of range 0..{partition.num_blocks - 1}")
     n = partition.blocks[block].search_width
-    slots = getattr(oracle, "parallel_slots", 1)
+    if slots is None:
+        slots = getattr(oracle, "parallel_slots", 1)
     known = {} if trained is None else trained
     failed_baseline = False
 
@@ -219,26 +223,27 @@ def backward_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
                        delta: float, oracle, budget: TrainingBudget,
                        scope: int | None = None, *,
                        beta_mode: BetaMode = BetaMode.FEASIBLE_BOUND,
-                       metric: str = "top1") -> ReductionResult:
-    """Reduce the deepest ``scope`` macroblocks, last block first."""
+                       metric: str = "top1", slots: int | None = None) -> ReductionResult:
+    """Reduce the deepest ``scope`` macroblocks, last block first, with up to
+    ``slots`` evaluations in flight (default: the oracle's ``parallel_slots``)."""
     return _greedy_reduction(spec, partition, delta, oracle, budget, scope,
-                             backward=True, beta_mode=beta_mode, metric=metric)
+                             backward=True, beta_mode=beta_mode, metric=metric, slots=slots)
 
 
 def forward_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
                       delta: float, oracle, budget: TrainingBudget,
                       scope: int | None = None, *,
                       beta_mode: BetaMode = BetaMode.FEASIBLE_BOUND,
-                      metric: str = "top1") -> ReductionResult:
+                      metric: str = "top1", slots: int | None = None) -> ReductionResult:
     """Same greedy search with the block order reversed: first block first."""
     return _greedy_reduction(spec, partition, delta, oracle, budget, scope,
-                             backward=False, beta_mode=beta_mode, metric=metric)
+                             backward=False, beta_mode=beta_mode, metric=metric, slots=slots)
 
 
 def _greedy_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
                       delta: float, oracle, budget: TrainingBudget,
                       scope: int | None, *, backward: bool, beta_mode: BetaMode,
-                      metric: str) -> ReductionResult:
+                      metric: str, slots: int | None) -> ReductionResult:
     _check_delta(delta)
     if partition is None:
         partition = partition_macroblocks(spec)
@@ -261,7 +266,7 @@ def _greedy_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
     for block in order:
         beta, probes = search_macroblock_multiplier(
             block, working, partition, delta, oracle, budget, baseline,
-            beta_mode=beta_mode, metric=metric, trained=trained)
+            beta_mode=beta_mode, metric=metric, trained=trained, slots=slots)
         trace.extend(probes)
         if baseline is None:
             baseline_record = probes[0].record

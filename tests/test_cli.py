@@ -274,14 +274,13 @@ def test_rd_on_three_slots_matches_one_slot(tmp_path, monkeypatch):
                         lambda *args: made.append(_SlowSurrogate(*args)) or made[-1])
     assert run("rd", "--config", cfg, "--out", concurrent) == 0
 
-    assert made[0].max_inflight >= 2
+    # Four reductions on three slots: each searches on a share of one slot.
+    assert 2 <= made[0].max_inflight <= 3
     for name in ("alpha_curve.csv", "rd_curve.csv"):
         assert (concurrent / name).read_bytes() == (sequential / name).read_bytes()
-    # Every one-slot evaluation is made, plus the speculative bisection probes.
-    evaluations, one_slot = _evaluations(concurrent), _evaluations(sequential)
-    assert not one_slot - evaluations
-    assert (sum(one_slot.values()), len(one_slot)) == (44, 40)
-    assert (sum(evaluations.values()), len(evaluations)) == (59, 55)
+    evaluations = _evaluations(concurrent)
+    assert evaluations == _evaluations(sequential)
+    assert (sum(evaluations.values()), len(evaluations)) == (44, 40)
 
     # The ledger follows completion order; replay looks records up by digest.
     replayed = tmp_path / "replayed"
@@ -321,6 +320,65 @@ def test_reduce_on_three_slots_matches_one_slot(tmp_path, monkeypatch):
     assert run("replay", concurrent, "--out", replayed) == 0
     for name in ARTIFACTS:
         assert (replayed / name).read_bytes() == (concurrent / name).read_bytes()
+
+
+def test_replay_of_a_run_recorded_without_search_slots(tmp_path, monkeypatch):
+    # A resolved.cfg without search_slots comes from a run that searched one
+    # probe at a time at any parallelism; it replays on one slot.
+    cfg = write_cfg(tmp_path, """\
+        [oracle]
+        kind = external
+        trainer_cmd = unused
+        parallelism = 3
+        """)
+    monkeypatch.setattr(cli, "ExternalTrainerOracle",
+                        lambda command, spec, **kw: cr.SurrogateOracle(spec))
+    out = tmp_path / "out"
+    assert run("reduce", "--config", cfg, "--out", out) == 0
+    resolved = out / "resolved.cfg"
+    text = resolved.read_text()
+    assert "\n[run]\ncommand = reduce --budget search --direction backward\n" \
+           "search_slots = 3\n" in text
+    resolved.write_text(text.replace("search_slots = 3\n", ""))
+
+    replayed = tmp_path / "replayed"
+    assert run("replay", out, "--out", replayed) == 0
+    for name in ARTIFACTS:
+        assert (replayed / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_rd_on_three_files_slots_runs_three_trainers_at_once(tmp_path):
+    # Every trainer invocation leaves a mark in running/ while it runs and logs
+    # how many marks it sees: never more than the three slots.
+    running, seen = tmp_path / "running", tmp_path / "seen.log"
+    running.mkdir()
+    script = tmp_path / "trainer.py"
+    script.write_text(textwrap.dedent(f"""\
+        import json, os, sys, time
+        mark = os.path.join({str(running)!r}, str(os.getpid()))
+        open(mark, "w").close()
+        with open({str(seen)!r}, "a") as fh:
+            fh.write(str(len(os.listdir({str(running)!r}))) + "\\n")
+        time.sleep(0.02)
+        req = json.load(open(sys.argv[1]))
+        top1 = 0.9 * min(1.0, sum(req["channels"]) / 200)
+        json.dump({{"run_id": req["run_id"], "status": "ok", "top1": top1,
+                   "top5": top1, "wall_seconds": 1.0}}, open(sys.argv[2], "w"))
+        os.remove(mark)
+        """))
+    cfg = write_cfg(tmp_path, f"""\
+        [oracle]
+        kind = external
+        trainer_cmd = {sys.executable} {script}
+        protocol = files
+        exchange_dir = {tmp_path / "exchange"}
+        parallelism = 3
+        timeout_seconds = 60
+        """)
+    assert run("rd", "--config", cfg, "--out", tmp_path / "out") == 0
+    counts = [int(line) for line in seen.read_text().split()]
+    assert len(counts) == len((tmp_path / "out" / "ledger.jsonl").read_text().splitlines())
+    assert 2 <= max(counts) <= 3
 
 
 def _two_slot_replay(ledger, spec, parallel_slots):

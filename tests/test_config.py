@@ -193,6 +193,7 @@ def test_resolved_text_preset_class_count(tmp_path):
     ("[model]\nfamily = vgg\n", "model.family must be sequential|descriptor|"),
     ("[search]\nmetric = top3\n", "search.metric must be top1|top5"),
     ("[oracle]\nprotocol = smoke\n", "oracle.protocol must be pipe|files"),
+    ("[run]\nsearch_slots = 0\n", "run.search_slots must be within [1, inf], got 0"),
 ])
 def test_invalid_values(tmp_path, text, message):
     with pytest.raises(ConfigError) as err:
@@ -210,5 +211,7 @@ def test_readme_lists_every_key():
             section = m.group(1)
         elif m := re.match(r";?\s*(\w+)\s*=", line):
             documented.add(f"{section}.{m.group(1)}")
-    derived = {f"{section}.{f.name}" for section, f, _ in RunConfig()._keys()}
-    assert documented == derived - {"run.command"}
+    # The [run] keys record what a run did; the CLI writes them, users do not.
+    derived = {f"{section}.{f.name}" for section, f, _ in RunConfig()._keys()
+               if section != "run"}
+    assert documented == derived

@@ -3,6 +3,9 @@ the per-block search."""
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 import chanreduce as cr
@@ -123,3 +126,42 @@ def test_alpha_validation(d15_spec):
     with pytest.raises(ValueError):
         build_alpha_curve(d15_spec, (1.2,), cr.SurrogateOracle(d15_spec),
                           cr.SEARCH_BUDGET)
+
+
+class _InFlight:
+    """Sleeping surrogate on ``slots`` slots; counts calls and the most in
+    flight at once."""
+
+    def __init__(self, spec, slots):
+        self.inner, self.parallel_slots = cr.SurrogateOracle(spec), slots
+        self.lock = threading.Lock()
+        self.calls = self.inflight = self.peak = 0
+
+    def evaluate(self, config, budget):
+        with self.lock:
+            self.calls += 1
+            self.inflight += 1
+            self.peak = max(self.peak, self.inflight)
+        try:
+            time.sleep(0.005)
+            return self.inner.evaluate(config, budget)
+        finally:
+            with self.lock:
+                self.inflight -= 1
+
+
+@pytest.mark.parametrize("slots,alphas,calls", [(3, (1.0, 0.75, 0.5, 0.25), 40),
+                                                (7, (1.0, 0.5), 31)])
+def test_composed_reductions_share_the_slots(d15_spec, slots, alphas, calls):
+    # Each reduction searches on slots // len(alphas) slots, at least one: four
+    # reductions on three slots search one probe at a time (40 calls, as on one
+    # slot); two on seven speculate on three each (31 calls instead of 23).
+    sequential = build_alpha_plus_backward_curve(d15_spec, alphas, 0.01,
+                                                 cr.SurrogateOracle(d15_spec),
+                                                 cr.SEARCH_BUDGET)
+    oracle = _InFlight(d15_spec, slots)
+    shared = build_alpha_plus_backward_curve(d15_spec, alphas, 0.01, oracle,
+                                             cr.SEARCH_BUDGET)
+    assert shared == sequential
+    assert oracle.peak <= slots
+    assert oracle.calls == calls
