@@ -20,9 +20,9 @@ from .lesion import (SWEEP_CONSTANT, SWEEP_MACROBLOCK, SWEEP_PROPORTIONAL,
                      run_onehot_sweep, write_onehot_csv, write_rd_points_csv)
 from .oracle import (FINAL_BUDGET, SEARCH_BUDGET, STATUS_FAILED, STATUS_OK,
                      STATUS_TIMEOUT, EvaluationLedger, EvaluationRecord,
-                     MissingEvaluationError, Oracle, RecordingOracle, ReplayOracle,
-                     SurrogateOracle, SurrogateParams, TrainingBudget, config_digest,
-                     distortion, surrogate_accuracy)
+                     MissingEvaluationError, Oracle, RecordingOracle, SurrogateOracle,
+                     SurrogateParams, TrainingBudget, config_digest, distortion,
+                     surrogate_accuracy)
 from .presets import (load_descriptor, mobilenet, resnet18, resnet34, save_descriptor,
                       spec_from_dict, spec_to_dict)
 from .rdcurve import (RDPoint, build_alpha_curve, build_alpha_plus_backward_curve,
@@ -48,7 +48,7 @@ __all__ = [
     "run_onehot_sweep", "write_onehot_csv", "write_rd_points_csv",
     "FINAL_BUDGET", "SEARCH_BUDGET", "STATUS_FAILED", "STATUS_OK", "STATUS_TIMEOUT",
     "EvaluationLedger", "EvaluationRecord", "MissingEvaluationError", "Oracle",
-    "RecordingOracle", "ReplayOracle", "SurrogateOracle", "SurrogateParams",
+    "RecordingOracle", "SurrogateOracle", "SurrogateParams",
     "TrainingBudget", "config_digest", "distortion", "surrogate_accuracy",
     "load_descriptor", "mobilenet", "resnet18", "resnet34", "save_descriptor",
     "spec_from_dict", "spec_to_dict",

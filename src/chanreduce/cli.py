@@ -2,9 +2,11 @@
 
 Every run gets a directory holding the artifacts needed to reproduce it without
 re-evaluating anything: ``resolved.cfg`` (every effective setting plus the
-command that ran), ``ledger.jsonl`` (one line per oracle call), and the
+command that ran), ``ledger.jsonl`` (one line per trained evaluation), and the
 command's reports. ``chanreduce replay RUNDIR`` re-renders those reports from
 the ledger alone; reports carry no timestamps, so a replay is byte-identical.
+A rerun into the same directory answers from the ledger first and trains only
+what it lacks, so an interrupted run resumes where it stopped.
 
 Exit codes: 0 success, 1 runtime failure (reports may be partial), 2 bad
 configuration or usage.
@@ -29,7 +31,7 @@ from .lesion import (SWEEP_CONSTANT, SWEEP_MACROBLOCK, SWEEP_PROPORTIONAL, Sweep
                      run_macroblock_rd_sweep, run_onehot_sweep, write_onehot_csv,
                      write_rd_points_csv)
 from .oracle import (EvaluationLedger, MissingEvaluationError, RecordingOracle,
-                     ReplayOracle, SurrogateOracle)
+                     SurrogateOracle)
 from .rdcurve import (build_alpha_curve, build_alpha_plus_backward_curve, export_curve,
                       export_gnuplot)
 from .search import backward_reduction, forward_reduction
@@ -119,29 +121,28 @@ def _apply_overrides(cfg: RunConfig, args) -> None:
     cfg._validate()
 
 
-def _make_oracle(cfg: RunConfig, spec, run_dir: Path, replay_dir: Path | None):
-    """Build the evaluation oracle. Outside replay, every call is recorded into
-    the run directory's ledger. A replay keeps the run's search slot count,
-    since a search asks for more configs on more slots."""
+def _make_oracle(cfg: RunConfig, spec, run_dir: Path, replaying: bool):
+    """The run's recorder, on the run's search slots, and its backend's closer.
+    The backend trains what the run's ledger lacks; a replay has none."""
     o = cfg.oracle
-    if replay_dir is not None:
-        return ReplayOracle(EvaluationLedger(replay_dir / "ledger.jsonl"), spec,
-                            parallel_slots=cfg.search_slots or 1), None
-
-    if o.kind == "surrogate":
+    kind = None if replaying else o.kind
+    ledger = run_dir / "ledger.jsonl"
+    inner = closer = None
+    if kind == "surrogate":
         inner = SurrogateOracle(spec, cfg.surrogate_params())
-    elif o.kind == "external":
+    elif kind == "external":
         inner = ExternalTrainerOracle(o.trainer_cmd, spec, parallelism=o.parallelism,
                                       timeout=o.timeout_seconds, protocol=o.protocol,
                                       exchange_dir=cfg._resolve(o.exchange_dir)
                                       if o.exchange_dir else None)
-    else:
+        closer = inner.close
+    elif kind == "replay":
         source = cfg._resolve(o.ledger)
-        inner = ReplayOracle(EvaluationLedger(source), spec)
-        if source.resolve() == (run_dir / "ledger.jsonl").resolve():
-            return inner, None
-    oracle = RecordingOracle(inner, EvaluationLedger(run_dir / "ledger.jsonl"))
-    return oracle, oracle.close
+        if source.resolve() != ledger.resolve():  # its own ledger needs no backend
+            inner = RecordingOracle(None, EvaluationLedger(source), spec)
+    oracle = RecordingOracle(inner, EvaluationLedger(ledger), spec,
+                             parallel_slots=cfg.search_slots or 1)
+    return oracle, closer
 
 
 def _run(args, command: str, body, evaluates: bool = True) -> int:
@@ -163,8 +164,8 @@ def _run(args, command: str, body, evaluates: bool = True) -> int:
         shutil.copyfile(replay_dir / "resolved.cfg", run_dir / "resolved.cfg")
         shutil.copyfile(replay_dir / "ledger.jsonl", run_dir / "ledger.jsonl")
     spec = cfg.build_spec()
-    oracle, closer = (_make_oracle(cfg, spec, run_dir, replay_dir) if evaluates
-                      else (None, None))
+    oracle, closer = (_make_oracle(cfg, spec, run_dir, replay_dir is not None)
+                      if evaluates else (None, None))
     # Even an evaluation-free run leaves a (possibly empty) ledger, so every
     # run directory is replayable.
     (run_dir / "ledger.jsonl").touch(exist_ok=True)

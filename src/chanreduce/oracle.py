@@ -1,11 +1,12 @@
 """Accuracy oracles, training budgets, evaluation records, and the append-only ledger.
 
 An oracle maps (channel config, training budget) to an :class:`EvaluationRecord`.
-Three implementations are provided: a deterministic analytic surrogate for desk-scale
-work, a replay oracle that answers from a previously written ledger, and (in
-:mod:`chanreduce.trainer`) a bridge to an external training worker. Records are keyed
-by a digest over the channel vector and the architecture skeleton, so identical
-configurations always collide and metadata relabeling never does.
+Two backends train: a deterministic analytic surrogate for desk-scale work, and (in
+:mod:`chanreduce.trainer`) a bridge to an external training worker. A command reaches
+them only through :class:`RecordingOracle`, which answers from its run's ledger first
+and records what the backend trains; without a backend it is the replay oracle.
+Records are keyed by a digest over the channel vector and the architecture skeleton,
+so identical configurations always collide and metadata relabeling never does.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import hashlib
 import json
 import logging
 import threading
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -148,7 +150,7 @@ def distortion(baseline: float, candidate: float) -> float:
 
 
 class MissingEvaluationError(LookupError):
-    """Raised by the replay oracle when the ledger has no record for a digest."""
+    """Raised by a recorder without a backend when the ledger has no record for a digest."""
 
 
 class Oracle(Protocol):
@@ -175,7 +177,7 @@ class EvaluationLedger:
     """Append-only JSON-lines store of evaluation records.
 
     Appends are atomic per record and serialized by a lock; a lookup returns the
-    newest record for a digest, or the n-th in ledger order. Corrupt lines are
+    newest record for a (digest, budget), or the n-th in ledger order. Corrupt lines are
     skipped with a warning so a damaged file never blocks replay. A crash in the middle of a write leaves an
     unterminated last line; the first append terminates it, so the new record
     starts on a line of its own instead of being glued onto the torn one.
@@ -184,8 +186,7 @@ class EvaluationLedger:
     def __init__(self, path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._by_digest: dict[str, EvaluationRecord] = {}
-        self._by_key: dict[tuple[str, str], list[EvaluationRecord]] = {}
+        self._by_key: dict[tuple[str, TrainingBudget], list[EvaluationRecord]] = {}
         self._records: list[EvaluationRecord] = []
         self._torn_tail = False
         if self.path.exists():
@@ -206,15 +207,9 @@ class EvaluationLedger:
                 self._index(record)
         self._torn_tail = not line.endswith("\n")
 
-    @staticmethod
-    def _budget_key(budget: TrainingBudget) -> str:
-        return json.dumps(budget.to_dict(), sort_keys=True, separators=(",", ":"))
-
     def _index(self, record: EvaluationRecord) -> None:
         self._records.append(record)
-        self._by_digest[record.config_digest] = record  # newest wins
-        key = (record.config_digest, self._budget_key(record.budget))
-        self._by_key.setdefault(key, []).append(record)
+        self._by_key.setdefault((record.config_digest, record.budget), []).append(record)
 
     def append(self, record: EvaluationRecord) -> None:
         line = json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":"))
@@ -226,19 +221,14 @@ class EvaluationLedger:
             self._torn_tail = False
             self._index(record)
 
-    def lookup(self, digest: str, budget: TrainingBudget | None = None,
+    def lookup(self, digest: str, budget: TrainingBudget,
                occurrence: int = -1) -> EvaluationRecord | None:
-        """Newest record for a digest; with ``budget`` the match is exact, since
-        the same config evaluated under two budgets is two distinct experiments,
-        and ``occurrence`` picks the record at that position in ledger order
-        (past the end, the newest)."""
+        """The newest record for a digest under ``budget``, or the one at
+        ``occurrence`` in ledger order (None past the end). Budgets match exactly:
+        one config trained under two budgets is two distinct experiments."""
         with self._lock:
-            if budget is None:
-                return self._by_digest.get(digest)
-            records = self._by_key.get((digest, self._budget_key(budget)))
-            if not records:
-                return None
-            return records[min(occurrence, len(records) - 1)]
+            records = self._by_key.get((digest, budget), ())
+            return records[occurrence] if -len(records) <= occurrence < len(records) else None
 
     def records(self) -> list[EvaluationRecord]:
         with self._lock:
@@ -316,8 +306,6 @@ def surrogate_accuracy(config: ChannelConfig, partition: MacroblockPartition,
 class SurrogateOracle:
     """Deterministic analytic oracle; the budget only tags the record."""
 
-    parallel_slots = 1
-
     def __init__(self, spec: ModelSpec, params: SurrogateParams = SurrogateParams()):
         self.spec = spec
         self.params = params
@@ -330,52 +318,44 @@ class SurrogateOracle:
                                 wall_seconds=0.0, status=STATUS_OK)
 
 
-class ReplayOracle:
-    """Answers every evaluation from a ledger; issues no training work at all.
+class RecordingOracle:
+    """The one layer between a command and its run's ledger.
 
-    The n-th request for a (config, budget) gets the n-th record written for
-    it, and requests past the last get the last one, so a run that retried a
-    failed evaluation replays the failure and then the retry. ``parallel_slots``
-    should be the slot count of the run being replayed: a search spreads its
+    The n-th request for a (config, budget) gets the n-th record the ledger
+    holds for it. Past those, ``inner`` trains and the record is appended, so a
+    rerun into the same run directory trains only what the ledger lacks. With no
+    ``inner`` (replay) the newest record answers instead, and a config never
+    recorded raises :class:`MissingEvaluationError`. Only records the ledger held
+    when the recorder opened it answer, and an empty one is never consulted.
+    ``parallel_slots`` is the run's search slot count: a search spreads its
     probes by it, and so decides which configs it asks for.
     """
 
-    def __init__(self, ledger: EvaluationLedger, spec: ModelSpec, parallel_slots: int = 1):
+    def __init__(self, inner, ledger: EvaluationLedger, spec: ModelSpec,
+                 parallel_slots: int = 1):
+        self.inner = inner
         self.ledger = ledger
         self.spec = spec
         self.parallel_slots = parallel_slots
-        self._asked: dict[tuple[str, TrainingBudget], int] = {}
+        # Records per (digest, budget) held at open, and requests for each so far.
+        self._held = Counter((r.config_digest, r.budget) for r in ledger.records())
+        self._asked: Counter[tuple[str, TrainingBudget]] = Counter()
         self._lock = threading.Lock()
 
     def evaluate(self, config: ChannelConfig, budget: TrainingBudget) -> EvaluationRecord:
-        digest = config_digest(config, self.spec)
-        with self._lock:
-            occurrence = self._asked.get((digest, budget), 0)
-            self._asked[(digest, budget)] = occurrence + 1
-        record = self.ledger.lookup(digest, budget, occurrence)
-        if record is None:
-            raise MissingEvaluationError(
-                f"missing evaluation for digest {digest} under the requested budget")
-        return record  # stored record verbatim
-
-
-class RecordingOracle:
-    """Wrap any oracle so every evaluation is appended to a ledger."""
-
-    def __init__(self, inner, ledger: EvaluationLedger):
-        self.inner = inner
-        self.ledger = ledger
-
-    @property
-    def parallel_slots(self) -> int:
-        return getattr(self.inner, "parallel_slots", 1)
-
-    def evaluate(self, config: ChannelConfig, budget: TrainingBudget) -> EvaluationRecord:
+        if self._held or self.inner is None:
+            digest = config_digest(config, self.spec)
+            with self._lock:
+                occurrence = self._asked[digest, budget]
+                self._asked[digest, budget] += 1
+            held = self._held[digest, budget]
+            if occurrence < held:
+                return self.ledger.lookup(digest, budget, occurrence)
+            if self.inner is None:
+                if not held:
+                    raise MissingEvaluationError(
+                        f"missing evaluation for digest {digest} under the requested budget")
+                return self.ledger.lookup(digest, budget)  # past its records, the newest
         record = self.inner.evaluate(config, budget)
         self.ledger.append(record)
         return record
-
-    def close(self) -> None:
-        close = getattr(self.inner, "close", None)
-        if close:
-            close()

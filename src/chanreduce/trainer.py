@@ -13,7 +13,9 @@ Response fields:
 Unknown fields in a reply are ignored; the run_id must echo the request. A reply
 that never arrives (dead or unreachable worker, deadline passed) yields a record
 with status ``timeout``; a reply that arrives but cannot be parsed, and a
-``files`` worker that exits non-zero, yield status ``failed``. Neither aborts a caller: failures surface as infeasible probes.
+``files`` worker that exits non-zero, yield status ``failed``. A ``files``
+failure's note ends with the last lines the worker wrote to stderr. Neither
+aborts a caller: failures surface as infeasible probes.
 """
 
 from __future__ import annotations
@@ -101,6 +103,13 @@ def _record_from_reply(reply: dict, digest: str, budget: TrainingBudget,
                             note=reply.get("note") or f"trainer reported {status}")
 
 
+def _stderr_tail(stderr: bytes | None) -> str:
+    """A failure note's suffix: the trainer's last 5 stderr lines, at most 500 characters."""
+    lines = (stderr or b"").decode("utf-8", errors="replace").strip().splitlines()
+    tail = " | ".join(line.strip() for line in lines[-5:])[-500:]
+    return f"; stderr: {tail}" if tail else ""
+
+
 class _PipeWorker:
     """One persistent child process speaking the line protocol."""
 
@@ -163,12 +172,13 @@ class ExternalTrainerOracle:
     """Dispatch evaluations to external training workers.
 
     ``parallelism`` pipe workers are kept alive and handed out one request at a
-    time, the most recently used idle one first. Lesion sweeps, ``rd``'s curves
-    and each round of a bisection call :meth:`evaluate` from up to that many
-    threads concurrently; a call waits for an idle worker. At ``parallelism = 2``
-    a bisection overlaps only its baseline, so a second worker starts then and
-    the later rounds stay on one warm worker. Records reach the ledger in
-    completion order, which replay does not depend on: it looks records up by digest.
+    time, the most recently used idle one first; in ``files`` mode at most that
+    many invocations run at once. Lesion sweeps, ``rd``'s curves and each round
+    of a bisection call :meth:`evaluate` from up to that many threads
+    concurrently; a call waits for an idle slot. At ``parallelism = 2`` a
+    bisection overlaps only its baseline, so a second worker starts then and the
+    later rounds stay on one warm worker. Records reach the ledger in completion
+    order, which replay does not depend on: it looks records up by digest.
     """
 
     def __init__(self, command: str | list[str], spec: ModelSpec, *,
@@ -194,6 +204,7 @@ class ExternalTrainerOracle:
         self._counter = 0
         self._counter_lock = threading.Lock()
         self._workers: queue.LifoQueue[_PipeWorker] = queue.LifoQueue()
+        self._files_slots = threading.BoundedSemaphore(parallelism)
         if protocol == PROTOCOL_PIPE:
             for _ in range(parallelism):
                 self._workers.put(_PipeWorker(self.argv))
@@ -212,7 +223,8 @@ class ExternalTrainerOracle:
             if self.protocol == PROTOCOL_PIPE:
                 record = self._evaluate_pipe(request, digest, budget)
             else:
-                record = self._evaluate_files(request, digest, budget)
+                with self._files_slots:
+                    record = self._evaluate_files(request, digest, budget)
         except _ReplyError as exc:
             log.warning("trainer evaluation %s: %s", run_id, exc.note)
             record = EvaluationRecord(digest, budget, None, None,
@@ -260,15 +272,18 @@ class ExternalTrainerOracle:
         try:
             proc = subprocess.run(self.argv + [str(req_path), str(resp_path)],
                                   timeout=self.timeout, capture_output=True)
-        except subprocess.TimeoutExpired:
-            raise _ReplyError(STATUS_TIMEOUT, f"trainer run exceeded {self.timeout:g}s")
+        except subprocess.TimeoutExpired as exc:
+            raise _ReplyError(STATUS_TIMEOUT, f"trainer run exceeded {self.timeout:g}s"
+                              + _stderr_tail(exc.stderr))
         except OSError as exc:
             raise _ReplyError(STATUS_TIMEOUT, f"trainer unreachable: {exc}")
         elapsed = time.monotonic() - start
         if proc.returncode != 0:
-            raise _ReplyError(STATUS_FAILED, f"trainer exited with code {proc.returncode}")
+            raise _ReplyError(STATUS_FAILED, f"trainer exited with code {proc.returncode}"
+                              + _stderr_tail(proc.stderr))
         if not resp_path.exists():
-            raise _ReplyError(STATUS_FAILED, "trainer wrote no response file")
+            raise _ReplyError(STATUS_FAILED, "trainer wrote no response file"
+                              + _stderr_tail(proc.stderr))
         for line in resp_path.read_text(encoding="utf-8").splitlines():
             if not line.strip():
                 continue

@@ -255,7 +255,7 @@ def test_criterion_8_replay_determinism(capsys, tmp_path):
         ledger = cr.EvaluationLedger(replayed / "ledger.jsonl")
         lines_before = len(ledger)
         result = cr.backward_reduction(spec, None, cfg.search.delta,
-                                       cr.ReplayOracle(ledger, spec),
+                                       cr.RecordingOracle(None, ledger, spec),
                                        cfg.search_budget())
         assert list(result.betas) == betas
         assert len(ledger) == lines_before

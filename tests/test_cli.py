@@ -237,10 +237,8 @@ def test_rd_curves_golden(tmp_path):
 
 
 class _SlowSurrogate(cr.SurrogateOracle):
-    """Surrogate with three slots that sleeps in every call and records the
-    most calls ever in flight at once."""
-
-    parallel_slots = 3
+    """Surrogate that sleeps in every call and records the most calls ever in
+    flight at once; it stands in for an external trainer."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -258,6 +256,25 @@ class _SlowSurrogate(cr.SurrogateOracle):
             with self.lock:
                 self.inflight -= 1
 
+    def close(self):
+        pass
+
+
+def _three_slot_trainer(tmp_path, monkeypatch):
+    """Config of an external oracle at parallelism 3, played by the sleeping
+    surrogate; returns it and the list the surrogates it builds go to."""
+    cfg = write_cfg(tmp_path, """\
+        [oracle]
+        kind = external
+        trainer_cmd = unused
+        parallelism = 3
+        """, name="slots.cfg")
+    made = []
+    monkeypatch.setattr(cli, "ExternalTrainerOracle",
+                        lambda command, spec, **kw: made.append(_SlowSurrogate(spec))
+                        or made[-1])
+    return cfg, made
+
 
 def _evaluations(run_dir):
     lines = (run_dir / "ledger.jsonl").read_text().splitlines()
@@ -269,9 +286,7 @@ def test_rd_on_three_slots_matches_one_slot(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path)
     sequential, concurrent = tmp_path / "sequential", tmp_path / "concurrent"
     assert run("rd", "--config", cfg, "--out", sequential) == 0
-    made = []
-    monkeypatch.setattr(cli, "SurrogateOracle",
-                        lambda *args: made.append(_SlowSurrogate(*args)) or made[-1])
+    cfg, made = _three_slot_trainer(tmp_path, monkeypatch)
     assert run("rd", "--config", cfg, "--out", concurrent) == 0
 
     # Four reductions on three slots: each searches on a share of one slot.
@@ -295,16 +310,7 @@ def test_reduce_on_three_slots_matches_one_slot(tmp_path, monkeypatch):
     # resolved.cfg records the three slots, so replay speculates the same way.
     sequential, concurrent = tmp_path / "sequential", tmp_path / "concurrent"
     assert run("reduce", "--config", write_cfg(tmp_path), "--out", sequential) == 0
-    cfg = write_cfg(tmp_path, """\
-        [oracle]
-        kind = external
-        trainer_cmd = unused
-        parallelism = 3
-        """, name="slots.cfg")
-    made = []
-    monkeypatch.setattr(cli, "ExternalTrainerOracle",
-                        lambda command, spec, **kw: made.append(_SlowSurrogate(spec))
-                        or made[-1])
+    cfg, made = _three_slot_trainer(tmp_path, monkeypatch)
     assert run("reduce", "--config", cfg, "--out", concurrent) == 0
 
     assert made[0].max_inflight >= 2
@@ -329,17 +335,19 @@ def test_replay_of_a_run_recorded_without_search_slots(tmp_path, monkeypatch):
         [oracle]
         kind = external
         trainer_cmd = unused
-        parallelism = 3
+        parallelism = 1
         """)
     monkeypatch.setattr(cli, "ExternalTrainerOracle",
-                        lambda command, spec, **kw: cr.SurrogateOracle(spec))
+                        lambda command, spec, **kw: _SlowSurrogate(spec))
     out = tmp_path / "out"
     assert run("reduce", "--config", cfg, "--out", out) == 0
     resolved = out / "resolved.cfg"
     text = resolved.read_text()
     assert "\n[run]\ncommand = reduce --budget search --direction backward\n" \
-           "search_slots = 3\n" in text
-    resolved.write_text(text.replace("search_slots = 3\n", ""))
+           "search_slots = 1\n" in text
+    assert "parallelism = 1\n" in text
+    resolved.write_text(text.replace("search_slots = 1\n", "")
+                        .replace("parallelism = 1\n", "parallelism = 3\n"))
 
     replayed = tmp_path / "replayed"
     assert run("replay", out, "--out", replayed) == 0
@@ -381,8 +389,8 @@ def test_rd_on_three_files_slots_runs_three_trainers_at_once(tmp_path):
     assert 2 <= max(counts) <= 3
 
 
-def _two_slot_replay(ledger, spec, parallel_slots):
-    return cr.ReplayOracle(ledger, spec, parallel_slots=2)
+def _two_slot_recorder(inner, ledger, spec, parallel_slots):
+    return cr.RecordingOracle(inner, ledger, spec, parallel_slots=2)
 
 
 def test_rd_replay_error_in_a_worker_thread_fails_the_run(tmp_path, monkeypatch):
@@ -392,12 +400,120 @@ def test_rd_replay_error_in_a_worker_thread_fails_the_run(tmp_path, monkeypatch)
     ledger = out / "ledger.jsonl"
     ledger.write_text("".join(ledger.read_text().splitlines(keepends=True)[:-1]))
 
-    monkeypatch.setattr(cli, "ReplayOracle", _two_slot_replay)
+    monkeypatch.setattr(cli, "RecordingOracle", _two_slot_recorder)
     replayed = tmp_path / "replayed"
     assert run("replay", out, "--out", replayed) == 1
     summary = (replayed / "summary.txt").read_text()
     assert "status: failed" in summary
     assert "error: missing evaluation for digest" in summary
+
+
+# -- reruns resume from the run's ledger ---------------------------------------
+
+
+class _CountingSurrogate(cr.SurrogateOracle):
+    """Surrogate that counts its calls and raises once ``crash_after`` are done,
+    as a trainer host lost partway through a run would."""
+
+    def __init__(self, *args, crash_after=None):
+        super().__init__(*args)
+        self.crash_after, self.calls = crash_after, 0
+
+    def evaluate(self, config, budget):
+        if self.calls == self.crash_after:
+            raise RuntimeError("trainer host lost")
+        self.calls += 1
+        return super().evaluate(config, budget)
+
+
+def _counting_surrogates(monkeypatch, crash_after=None):
+    made = []
+    monkeypatch.setattr(cli, "SurrogateOracle", lambda *args: made.append(
+        _CountingSurrogate(*args, crash_after=crash_after)) or made[-1])
+    return made
+
+
+def test_rerun_with_a_noisy_trainer_resumes_and_replays(tmp_path):
+    # A files-mode trainer whose accuracies differ on every call. The rerun
+    # answers every evaluation from the ledger, so it trains nothing and its
+    # artifacts replay byte for byte.
+    script = tmp_path / "noisy.py"
+    script.write_text(textwrap.dedent("""\
+        import json, random, sys
+        req = json.load(open(sys.argv[1]))
+        top1 = 0.9 * min(1.0, sum(req["channels"]) / 200) - random.uniform(0, 1e-3)
+        json.dump({"run_id": req["run_id"], "status": "ok", "top1": top1,
+                   "wall_seconds": 1.0}, open(sys.argv[2], "w"))
+        """))
+    cfg = write_cfg(tmp_path, f"""\
+        [oracle]
+        kind = external
+        trainer_cmd = {sys.executable} {script}
+        protocol = files
+        exchange_dir = {tmp_path / "exchange"}
+        timeout_seconds = 60
+        """)
+    out = tmp_path / "out"
+    assert run("reduce", "--config", cfg, "--out", out) == 0
+    first = (out / "reduction.json").read_bytes()
+    assert run("reduce", "--config", cfg, "--out", out) == 0
+    assert len((out / "ledger.jsonl").read_text().splitlines()) == 13 + 1  # + final
+    assert (out / "reduction.json").read_bytes() == first
+
+    replayed = tmp_path / "replayed"
+    assert run("replay", out, "--out", replayed) == 0
+    for name in ("reduction.json", "summary.txt"):
+        assert (replayed / name).read_bytes() == (out / name).read_bytes()
+
+
+@pytest.mark.parametrize("done", [1, 7])
+def test_interrupted_reduce_resumes_with_the_missing_evaluations(tmp_path, monkeypatch,
+                                                                 done):
+    cfg = write_cfg(tmp_path)
+    whole, out = tmp_path / "whole", tmp_path / "out"
+    assert run("reduce", "--config", cfg, "--out", whole) == 0
+    made = _counting_surrogates(monkeypatch, crash_after=done)
+    with pytest.raises(RuntimeError, match="trainer host lost"):
+        run("reduce", "--config", cfg, "--out", out)
+    assert len((out / "ledger.jsonl").read_text().splitlines()) == done
+
+    made = _counting_surrogates(monkeypatch)
+    assert run("reduce", "--config", cfg, "--out", out) == 0
+    assert made[0].calls == 13 - done
+    for name in ARTIFACTS:
+        assert (out / name).read_bytes() == (whole / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["reduce"], ["rd"],
+                                  ["lesion", "--kind", "constant", "--values", "4", "8"]],
+                         ids=["reduce", "rd", "lesion"])
+def test_rerun_of_a_finished_command_appends_nothing(tmp_path, monkeypatch, argv):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert run(*argv, "--config", cfg, "--out", out) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    made = _counting_surrogates(monkeypatch)
+    assert run(*argv, "--config", cfg, "--out", out) == 0
+    assert made[0].calls == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_replay_kind_appends_nothing_on_a_rerun_or_its_own_ledger(tmp_path):
+    # kind = replay pointed at another run's ledger records what it serves
+    # once; pointed at the run's own ledger it records nothing.
+    source = tmp_path / "source"
+    assert run("reduce", "--config", write_cfg(tmp_path), "--out", source) == 0
+    expected = (source / "reduction.json").read_bytes()
+    out = tmp_path / "out"
+    for ledger in (source / "ledger.jsonl", source / "ledger.jsonl", out / "ledger.jsonl"):
+        cfg = write_cfg(tmp_path, f"""\
+            [oracle]
+            kind = replay
+            ledger = {ledger}
+            """, name="replay.cfg")
+        assert run("reduce", "--config", cfg, "--out", out) == 0
+        assert (out / "ledger.jsonl").read_bytes() == (source / "ledger.jsonl").read_bytes()
+        assert (out / "reduction.json").read_bytes() == expected
 
 
 def test_size(tmp_path, capsys):

@@ -65,7 +65,7 @@ def test_onehot_ledger_appends(d15_spec, tmp_path):
     ledger = cr.EvaluationLedger(tmp_path / "l.jsonl")
     plan = SweepPlan(cr.SWEEP_CONSTANT, (4, 8), indices=(1, 2))
     run_onehot_sweep(d15_spec, plan,
-                     cr.RecordingOracle(cr.SurrogateOracle(d15_spec), ledger))
+                     cr.RecordingOracle(cr.SurrogateOracle(d15_spec), ledger, d15_spec))
     assert len(ledger) == 4
 
 

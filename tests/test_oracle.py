@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -203,16 +204,20 @@ def test_ledger_round_trip(tmp_path):
     reloaded = EvaluationLedger(path)
     assert len(reloaded) == 2
     assert reloaded.records() == [first, second]
-    assert reloaded.lookup("a" * 64) == first
-    assert reloaded.lookup("missing") is None
+    assert reloaded.lookup("a" * 64, first.budget) == first
+    assert reloaded.lookup("missing", first.budget) is None
 
 
 def test_ledger_newest_wins(tmp_path):
     ledger = EvaluationLedger(tmp_path / "l.jsonl")
     ledger.append(_record(digest="a" * 64, top1=0.5))
     ledger.append(_record(digest="a" * 64, top1=0.7))
-    assert ledger.lookup("a" * 64).top1 == 0.7
-    assert EvaluationLedger(tmp_path / "l.jsonl").lookup("a" * 64).top1 == 0.7
+    assert ledger.lookup("a" * 64, cr.SEARCH_BUDGET).top1 == 0.7
+    reloaded = EvaluationLedger(tmp_path / "l.jsonl")
+    assert reloaded.lookup("a" * 64, cr.SEARCH_BUDGET).top1 == 0.7
+    # By position in ledger order, and nothing past the end.
+    assert [reloaded.lookup("a" * 64, cr.SEARCH_BUDGET, n).top1 for n in (0, 1)] == [0.5, 0.7]
+    assert reloaded.lookup("a" * 64, cr.SEARCH_BUDGET, 2) is None
 
 
 def test_ledger_skips_corrupt_lines(tmp_path, caplog):
@@ -224,7 +229,7 @@ def test_ledger_skips_corrupt_lines(tmp_path, caplog):
     with caplog.at_level("WARNING", logger="chanreduce.oracle"):
         ledger = EvaluationLedger(path)
     assert len(ledger) == 2
-    assert ledger.lookup("a" * 64) == good
+    assert ledger.lookup("a" * 64, good.budget) == good
     assert sum("corrupt ledger line" in r.message for r in caplog.records) == 2
 
 
@@ -277,7 +282,7 @@ def test_replay_returns_records_verbatim(tmp_path, d15_spec):
                               wall_seconds=123.0, status="ok")
     ledger = EvaluationLedger(tmp_path / "l.jsonl")
     ledger.append(stored)
-    replay = cr.ReplayOracle(ledger, d15_spec)
+    replay = cr.RecordingOracle(None, ledger, d15_spec)
     # The stored record comes back untouched.
     assert replay.evaluate(cfg, cr.FINAL_BUDGET) == stored
     # A different config, or the same config under a different budget, was
@@ -291,13 +296,42 @@ def test_replay_returns_records_verbatim(tmp_path, d15_spec):
 def test_recording_oracle_appends_every_call(tmp_path, d15_spec):
     ledger = EvaluationLedger(tmp_path / "l.jsonl")
     inner = cr.SurrogateOracle(d15_spec)
-    oracle = cr.RecordingOracle(inner, ledger)
+    oracle = cr.RecordingOracle(inner, ledger, d15_spec)
     cfg = cr.channel_config(d15_spec)
     oracle.evaluate(cfg, cr.SEARCH_BUDGET)
     oracle.evaluate(cfg, cr.SEARCH_BUDGET)
     assert len(ledger) == 2
     assert oracle.parallel_slots == 1
-    oracle.close()
+
+
+def test_recorder_hands_each_stored_record_out_once_under_contention(tmp_path, d15_spec):
+    # Three stored records for one config, then 24 concurrent requests for it:
+    # each stored record answers exactly one request and the backend trains the
+    # other 21. A lost update on the request counter would serve one twice.
+    cfg = cr.channel_config(d15_spec)
+    digest = cr.config_digest(cfg, d15_spec)
+    path = tmp_path / "l.jsonl"
+    stored = [_record(digest=digest, top1=t) for t in (0.1, 0.2, 0.3)]
+    for record in stored:
+        EvaluationLedger(path).append(record)
+    oracle = cr.RecordingOracle(cr.SurrogateOracle(d15_spec), EvaluationLedger(path),
+                                d15_spec)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = []
+        threads = [threading.Thread(target=lambda: results.append(
+            oracle.evaluate(cfg, cr.SEARCH_BUDGET))) for _ in range(24)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 24
+    assert sorted(r.top1 for r in results)[:4] == [0.1, 0.2, 0.3, 0.91]
+    assert len(EvaluationLedger(path)) == 3 + 21
 
 
 # -- fan-out -----------------------------------------------------------------

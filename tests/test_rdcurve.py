@@ -115,7 +115,7 @@ def test_failed_points_are_skipped(d15_spec, caplog):
 def test_curve_ledger_appends(d15_spec, tmp_path):
     ledger = cr.EvaluationLedger(tmp_path / "l.jsonl")
     build_alpha_curve(d15_spec, (0.5, 1.0),
-                      cr.RecordingOracle(cr.SurrogateOracle(d15_spec), ledger),
+                      cr.RecordingOracle(cr.SurrogateOracle(d15_spec), ledger, d15_spec),
                       cr.SEARCH_BUDGET)
     assert len(ledger) == 2
 

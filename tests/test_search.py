@@ -481,13 +481,14 @@ def test_replay_of_a_retried_failure_is_identical(tmp_path, slots):
     spec, partition = _single_block(10)
     seven = cr.apply_macroblock_scale(cr.channel_config(spec), partition, 0, 0.7)
     inner = _FailFirst(sharp_surrogate(spec, frontiers=(0.8,)), seven)
-    inner.parallel_slots = slots
     ledger = cr.EvaluationLedger(tmp_path / "ledger.jsonl")
     recorded = cr.backward_reduction(spec, partition, 0.01,
-                                     cr.RecordingOracle(inner, ledger), cr.SEARCH_BUDGET)
+                                     cr.RecordingOracle(inner, ledger, spec,
+                                                        parallel_slots=slots),
+                                     cr.SEARCH_BUDGET)
     assert [p.record.ok for p in recorded.trace if not p.speculative] == \
         [True, True, False, True]
-    replay = cr.ReplayOracle(cr.EvaluationLedger(tmp_path / "ledger.jsonl"), spec,
-                             parallel_slots=slots)
+    replay = cr.RecordingOracle(None, cr.EvaluationLedger(tmp_path / "ledger.jsonl"), spec,
+                                parallel_slots=slots)
     replayed = cr.backward_reduction(spec, partition, 0.01, replay, cr.SEARCH_BUDGET)
     assert replayed.to_dict() == recorded.to_dict()

@@ -6,6 +6,7 @@ import gc
 import json
 import sys
 import textwrap
+import threading
 import warnings
 
 import pytest
@@ -383,6 +384,67 @@ def test_files_rerun_ignores_stale_response(tmp_path, d15_spec, d15_config):
     assert records[0].ok and records[0].top1 == 0.71
     assert records[1].status == cr.STATUS_FAILED and records[1].top1 is None
     assert "exited with code 3" in records[1].note
+
+
+def test_files_failure_note_keeps_stderr_tail(tmp_path, d15_spec, d15_config):
+    crash = _script(tmp_path, "oom.py", """\
+        import sys
+        for i in range(8):
+            print(f"epoch {i}", file=sys.stderr)
+        print("CUDA error: out of memory", file=sys.stderr)
+        sys.exit(3)
+        """)
+    chatty = _script(tmp_path, "chatty.py", """\
+        import sys
+        print("x" * 5000, file=sys.stderr)
+        """)
+    exchange = tmp_path / "exchange"
+    records = []
+    for script in (crash, chatty):
+        oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
+                                       protocol="files", exchange_dir=exchange,
+                                       timeout=30.0)
+        records.append(oracle.evaluate(d15_config, cr.SEARCH_BUDGET))
+    assert records[0].status == cr.STATUS_FAILED
+    assert records[0].note == ("trainer exited with code 3; stderr: epoch 4 | epoch 5 | "
+                               "epoch 6 | epoch 7 | CUDA error: out of memory")
+    # A long tail is cut to its last 500 characters.
+    assert records[1].note == "trainer wrote no response file; stderr: " + "x" * 500
+
+
+def test_files_mode_runs_at_most_parallelism_trainers(tmp_path, d15_spec, d15_config):
+    # Each invocation leaves a mark in running/ while it runs and logs how many
+    # marks it sees when it starts and before it ends.
+    running, seen = tmp_path / "running", tmp_path / "seen.log"
+    running.mkdir()
+    script = _script(tmp_path, "slow.py", f"""\
+        import json, os, sys, time
+        running, seen = {str(running)!r}, {str(seen)!r}
+        mark = os.path.join(running, str(os.getpid()))
+        open(mark, "w").close()
+        for _ in range(2):
+            with open(seen, "a") as fh:
+                fh.write(str(len(os.listdir(running))) + "\\n")
+            time.sleep(0.2)
+        req = json.load(open(sys.argv[1]))
+        json.dump({{"run_id": req["run_id"], "status": "ok", "top1": 0.5}},
+                  open(sys.argv[2], "w"))
+        os.remove(mark)
+        """)
+    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec, parallelism=2,
+                                   protocol="files", exchange_dir=tmp_path / "exchange",
+                                   timeout=30.0)
+    records = []
+    threads = [threading.Thread(
+        target=lambda: records.append(oracle.evaluate(d15_config, cr.SEARCH_BUDGET)))
+        for _ in range(6)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert [r.status for r in records] == [cr.STATUS_OK] * 6
+    counts = [int(line) for line in seen.read_text().split()]
+    assert len(counts) == 12 and max(counts) <= 2
 
 
 def test_constructor_validation(d15_spec):
