@@ -32,30 +32,3 @@ from .search import (BetaMode, ReductionResult, SearchProbe, backward_reduction,
 from .trainer import ExternalTrainerOracle, build_request
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BYTES_PER_SCALAR", "KB", "MB", "BlockUsage", "SizeReport", "count_parameters",
-    "saving_percent",
-    "BatchNorm", "ChannelConfig", "Conv", "FullyConnected", "GlobalAvgPool",
-    "Macroblock", "MacroblockPartition", "ModelMeta", "ModelSpec", "Pool",
-    "apply_alpha_scaling", "apply_constant_lesion", "apply_macroblock_scale",
-    "apply_proportional_lesion", "build_sequential_cnn", "channel_config",
-    "partition_macroblocks", "scale_width", "structural_key", "validate_spec",
-    "with_config",
-    "ConfigError", "RunConfig",
-    "SWEEP_CONSTANT", "SWEEP_MACROBLOCK", "SWEEP_PROPORTIONAL",
-    "BlockRDPoint", "SweepObservation", "SweepPlan", "run_macroblock_rd_sweep",
-    "run_onehot_sweep", "write_onehot_csv", "write_rd_points_csv",
-    "FINAL_BUDGET", "SEARCH_BUDGET", "STATUS_FAILED", "STATUS_OK", "STATUS_TIMEOUT",
-    "EvaluationLedger", "EvaluationRecord", "MissingEvaluationError", "Oracle",
-    "RecordingOracle", "SurrogateOracle", "SurrogateParams",
-    "TrainingBudget", "config_digest", "distortion", "surrogate_accuracy",
-    "load_descriptor", "mobilenet", "resnet18", "resnet34", "save_descriptor",
-    "spec_from_dict", "spec_to_dict",
-    "RDPoint", "build_alpha_curve", "build_alpha_plus_backward_curve", "export_curve",
-    "export_gnuplot", "import_curve",
-    "BetaMode", "ReductionResult", "SearchProbe", "backward_reduction",
-    "forward_reduction", "search_macroblock_multiplier",
-    "ExternalTrainerOracle", "build_request",
-    "__version__",
-]

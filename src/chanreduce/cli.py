@@ -6,7 +6,8 @@ command that ran), ``ledger.jsonl`` (one line per trained evaluation), and the
 command's reports. ``chanreduce replay RUNDIR`` re-renders those reports from
 the ledger alone; reports carry no timestamps, so a replay is byte-identical.
 A rerun into the same directory answers from the ledger first and trains only
-what it lacks, so an interrupted run resumes where it stopped.
+what it lacks, so an interrupted run resumes where it stopped; a rerun with other
+``[oracle]`` settings is refused.
 
 Exit codes: 0 success, 1 runtime failure (reports may be partial), 2 bad
 configuration or usage.
@@ -142,7 +143,25 @@ def _make_oracle(cfg: RunConfig, spec, run_dir: Path, replaying: bool):
             inner = RecordingOracle(None, EvaluationLedger(source), spec)
     oracle = RecordingOracle(inner, EvaluationLedger(ledger), spec,
                              parallel_slots=cfg.search_slots or 1)
+    if kind == "replay" and inner is not None:
+        # The run's own records are the source's first ones for each config.
+        inner._asked.update(oracle._held)
     return oracle, closer
+
+
+def _check_rerun(cfg: RunConfig, run_dir: Path, resolved: str) -> None:
+    """A rerun answers from the run's ledger first, so it must evaluate as the
+    run did: with the same ``[oracle]`` settings, or as a replay of that ledger."""
+    ledger, old = run_dir / "ledger.jsonl", run_dir / "resolved.cfg"
+    o = cfg.oracle
+    if (not old.exists() or not ledger.exists() or not ledger.stat().st_size
+            or o.kind == "replay" and cfg._resolve(o.ledger).resolve() == ledger.resolve()):
+        return
+    oracles = {text.partition("[oracle]\n")[2].partition("\n\n")[0]
+               for text in (old.read_text(encoding="utf-8"), resolved)}
+    if len(oracles) > 1:
+        raise ConfigError(f"{run_dir} holds evaluations made with other [oracle] "
+                          f"settings; use a fresh --out")
 
 
 def _run(args, command: str, body, evaluates: bool = True) -> int:
@@ -159,7 +178,9 @@ def _run(args, command: str, body, evaluates: bool = True) -> int:
     run_dir = cfg.resolve_run_dir(args.out, args.config)
     run_dir.mkdir(parents=True, exist_ok=True)
     if replay_dir is None:
-        (run_dir / "resolved.cfg").write_text(cfg.resolved_text(), encoding="utf-8")
+        resolved = cfg.resolved_text()
+        _check_rerun(cfg, run_dir, resolved)
+        (run_dir / "resolved.cfg").write_text(resolved, encoding="utf-8")
     elif run_dir.resolve() != replay_dir.resolve():
         shutil.copyfile(replay_dir / "resolved.cfg", run_dir / "resolved.cfg")
         shutil.copyfile(replay_dir / "ledger.jsonl", run_dir / "ledger.jsonl")
@@ -179,6 +200,11 @@ def _run(args, command: str, body, evaluates: bool = True) -> int:
     finally:
         if closer:
             closer()
+        served = oracle.failures_served if oracle else 0
+        if served and replay_dir is None and cfg.oracle.kind != "replay":
+            print(f"note: answered {served} failed or timed-out "
+                  f"evaluation(s) from {run_dir / 'ledger.jsonl'}; rerun with a fresh "
+                  f"--out to train them again", file=sys.stderr)
 
 
 def _pick_budget(cfg: RunConfig, which: str):

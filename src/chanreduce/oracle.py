@@ -328,7 +328,8 @@ class RecordingOracle:
     recorded raises :class:`MissingEvaluationError`. Only records the ledger held
     when the recorder opened it answer, and an empty one is never consulted.
     ``parallel_slots`` is the run's search slot count: a search spreads its
-    probes by it, and so decides which configs it asks for.
+    probes by it, and so decides which configs it asks for. ``failures_served``
+    counts the failed and timed-out records answered from the ledger.
     """
 
     def __init__(self, inner, ledger: EvaluationLedger, spec: ModelSpec,
@@ -341,16 +342,19 @@ class RecordingOracle:
         self._held = Counter((r.config_digest, r.budget) for r in ledger.records())
         self._asked: Counter[tuple[str, TrainingBudget]] = Counter()
         self._lock = threading.Lock()
+        self.failures_served = 0
 
     def evaluate(self, config: ChannelConfig, budget: TrainingBudget) -> EvaluationRecord:
         if self._held or self.inner is None:
             digest = config_digest(config, self.spec)
+            held = self._held[digest, budget]
             with self._lock:
                 occurrence = self._asked[digest, budget]
                 self._asked[digest, budget] += 1
-            held = self._held[digest, budget]
-            if occurrence < held:
-                return self.ledger.lookup(digest, budget, occurrence)
+                if occurrence < held:
+                    record = self.ledger.lookup(digest, budget, occurrence)
+                    self.failures_served += not record.ok
+                    return record
             if self.inner is None:
                 if not held:
                     raise MissingEvaluationError(

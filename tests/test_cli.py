@@ -516,6 +516,105 @@ def test_replay_kind_appends_nothing_on_a_rerun_or_its_own_ledger(tmp_path):
         assert (out / "reduction.json").read_bytes() == expected
 
 
+def test_rerun_with_other_oracle_settings_is_refused(tmp_path, monkeypatch, capsys):
+    # Editing a config and running it again lands in the same default run
+    # directory, whose ledger holds records made under the old settings.
+    monkeypatch.setenv("CHANREDUCE_RUN_ROOT", str(tmp_path / "runs"))
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "runs" / "run"
+    assert run("reduce", "--config", cfg) == 0
+    assert run("reduce", "--config", cfg, "--delta", "0.05") == 0  # [search] may differ
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+
+    write_cfg(tmp_path, "[oracle]\nfrontiers = 0.5, 0.5, 0.5\n")
+    assert run("reduce", "--config", cfg) == 2
+    assert "use a fresh --out" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    fresh = tmp_path / "fresh"
+    assert run("reduce", "--config", cfg, "--out", fresh) == 0
+    assert json.loads((fresh / "reduction.json").read_text())["betas"] == \
+        [0.5625, 0.53125, 0.515625]
+
+
+def test_rerun_reports_the_failures_it_serves(tmp_path, capsys):
+    # A files-mode trainer that fails while its host is down. The rerun after
+    # the host is back serves the recorded failure and says so; a fresh run
+    # directory trains it again.
+    down = tmp_path / "down"
+    down.touch()
+    script = tmp_path / "flaky.py"
+    script.write_text(textwrap.dedent("""\
+        import json, os, sys
+        if os.path.exists(sys.argv[1]):
+            sys.exit("trainer host down")
+        req = json.load(open(sys.argv[2]))
+        top1 = 0.9 * min(1.0, sum(req["channels"]) / 200)
+        json.dump({"run_id": req["run_id"], "status": "ok", "top1": top1,
+                   "wall_seconds": 1.0}, open(sys.argv[3], "w"))
+        """))
+    cfg = write_cfg(tmp_path, f"""\
+        [oracle]
+        kind = external
+        trainer_cmd = {sys.executable} {script} {down}
+        protocol = files
+        exchange_dir = {tmp_path / "exchange"}
+        timeout_seconds = 60
+        """)
+    out = tmp_path / "out"
+    assert run("reduce", "--config", cfg, "--out", out) == 1  # baseline failed
+    ledger = (out / "ledger.jsonl").read_bytes()
+    assert b'"status":"failed"' in ledger
+    assert "note:" not in capsys.readouterr().err
+
+    down.unlink()
+    assert run("reduce", "--config", cfg, "--out", out) == 1
+    assert (out / "ledger.jsonl").read_bytes() == ledger
+    err = capsys.readouterr().err
+    assert "note: answered 1 failed or timed-out evaluation(s) from" in err
+    assert "fresh --out" in err
+    assert run("reduce", "--config", cfg, "--out", tmp_path / "fresh") == 0
+
+
+class _FailFirstSeven(cr.SurrogateOracle):
+    """Surrogate that fails the first evaluation with 7 channels in its last entry."""
+
+    failed = False
+
+    def evaluate(self, config, budget):
+        if config.channels[-1] == 7 and not self.failed:
+            self.failed = True
+            return cr.EvaluationRecord(cr.config_digest(config, self.spec), budget,
+                                       None, None, 0.0, cr.STATUS_FAILED)
+        return super().evaluate(config, budget)
+
+
+def test_interrupted_replay_kind_run_resumes_with_the_sources_next_record(tmp_path,
+                                                                          monkeypatch):
+    # The source ledger holds width 7's failed record and then its ok retry. A
+    # kind = replay run cut off just past the failure resumes with the retry,
+    # as the uninterrupted run got it.
+    model = "[model]\ndepth = 1\nblock_widths = 10\n"
+    monkeypatch.setattr(cli, "SurrogateOracle", _FailFirstSeven)
+    source = tmp_path / "source"
+    assert run("reduce", "--out", source, "--config", write_cfg(
+        tmp_path, model + "[oracle]\nfrontiers = 0.8\nweights = 2000\n")) == 0
+    statuses = [json.loads(line)["status"]
+                for line in (source / "ledger.jsonl").read_text().splitlines()]
+    assert statuses.count("failed") == 1
+
+    cfg = write_cfg(tmp_path, model + f"[oracle]\nkind = replay\nledger = {source}/ledger.jsonl\n",
+                    name="replay.cfg")
+    whole, out = tmp_path / "whole", tmp_path / "out"
+    assert run("reduce", "--config", cfg, "--out", whole) == 0
+    assert run("reduce", "--config", cfg, "--out", out) == 0
+    lines = (out / "ledger.jsonl").read_text().splitlines(keepends=True)
+    (out / "ledger.jsonl").write_text("".join(lines[:statuses.index("failed") + 1]))
+    assert run("reduce", "--config", cfg, "--out", out) == 0
+    for name in ARTIFACTS:
+        assert (out / name).read_bytes() == (whole / name).read_bytes()
+
+
 def test_size(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
