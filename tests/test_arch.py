@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -254,6 +255,18 @@ def test_descriptor_round_trip(tmp_path):
         cr.save_descriptor(spec, path)
         loaded = cr.load_descriptor(path)
         assert loaded == spec
+
+
+def test_descriptor_bytes_golden(tmp_path, d15_spec):
+    # save_descriptor output is a file format; these bytes must not move.
+    for spec, sha in (
+            (d15_spec, "4e0223283f76d734b9d3c495edd244318377c2a7df33a9d2b3c9dc0990c11fd1"),
+            (cr.resnet34(), "30e33bbc35c5e506a6ade6ef2ce1db3c6d5b834f32c3221cb7a0a643ef5670f6"),
+            (cr.mobilenet(0.75),
+             "17855facf8bfc4f81ce963f1c09e5abf8bc8353432a9d585b8c4b0c9d98c854a")):
+        path = tmp_path / "model.json"
+        cr.save_descriptor(spec, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == sha, spec.meta.name
 
 
 def test_descriptor_rejects_garbage(tmp_path):

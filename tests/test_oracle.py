@@ -110,6 +110,13 @@ def test_digest_golden(d15_spec):
     scaled = cr.apply_alpha_scaling(cr.channel_config(d15_spec), 0.75)
     assert cr.config_digest(scaled, d15_spec) == \
         "9e208d596f0537dd2cee091842db1d1371f4798063564e351bbf3e16f2131de7"
+    # MobileNet is the only preset with depthwise convs.
+    for spec, digest in (
+            (cr.resnet18(), "75bcaa04d6316731786696cd97ed041d552b1835fc574faec544a6c09a22c439"),
+            (cr.mobilenet(), "d9b0ce42b91640fb5194d5a73a60c40a1cc20dbd1470597cada67e9edd51326d"),
+            (cr.mobilenet(0.75),
+             "e6aa27b3556f200b74f2bc9832c32211966624a5229eee581d6547b74e67f7b8")):
+        assert cr.config_digest(cr.channel_config(spec), spec) == digest, spec.meta.name
 
 
 def test_distortion():
