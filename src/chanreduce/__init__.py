@@ -6,7 +6,7 @@ network, using binary search over the multiplier and a pluggable evaluation
 oracle (analytic surrogate, recorded ledger, or an external trainer process).
 """
 
-from .accounting import (BYTES_PER_SCALAR, KB, MB, BlockUsage, SizeReport,
+from .accounting import (BYTES_PER_SCALAR, MB, BlockUsage, SizeReport,
                          count_parameters, saving_percent)
 from .arch import (BatchNorm, ChannelConfig, Conv, FullyConnected, GlobalAvgPool,
                    Macroblock, MacroblockPartition, ModelMeta, ModelSpec, Pool,
@@ -20,7 +20,7 @@ from .lesion import (SWEEP_CONSTANT, SWEEP_MACROBLOCK, SWEEP_PROPORTIONAL,
                      run_onehot_sweep, write_onehot_csv, write_rd_points_csv)
 from .oracle import (FINAL_BUDGET, SEARCH_BUDGET, STATUS_FAILED, STATUS_OK,
                      STATUS_TIMEOUT, EvaluationLedger, EvaluationRecord,
-                     MissingEvaluationError, Oracle, RecordingOracle, SurrogateOracle,
+                     MissingEvaluationError, RecordingOracle, SurrogateOracle,
                      SurrogateParams, TrainingBudget, config_digest, distortion,
                      surrogate_accuracy)
 from .presets import (load_descriptor, mobilenet, resnet18, resnet34, save_descriptor,

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arch import (BatchNorm, Conv, FullyConnected, ModelSpec, partition_macroblocks)
+from .arch import (BatchNorm, Conv, FullyConnected, GlobalAvgPool, ModelSpec, Pool,
+                   partition_macroblocks)
 
 BYTES_PER_SCALAR = 4
-KB = 1024
 MB = 1024 * 1024
 
 
@@ -67,7 +67,9 @@ def _layer_params(layer) -> tuple[int, int]:
     if isinstance(layer, FullyConnected):
         return (layer.in_features * layer.out_features
                 + (layer.out_features if layer.has_bias else 0)), 0
-    return 0, 0
+    if isinstance(layer, (Pool, GlobalAvgPool)):
+        return 0, 0
+    raise TypeError(f"unregistered layer kind {type(layer).__name__}")
 
 
 def count_parameters(spec: ModelSpec, *, bytes_per_scalar: int = BYTES_PER_SCALAR,

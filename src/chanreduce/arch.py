@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import ClassVar, Sequence, Union
@@ -44,14 +44,26 @@ def scale_width(width: int, k: Rational) -> int:
     return -((-num * width) // den)
 
 
+class LayerKind:
+    """Base of the layer kinds; each declares these tables once, as class data."""
+
+    kind: ClassVar[str]  # tag in descriptor files and structural keys
+    renamed: ClassVar[dict[str, str]] = {}  # field -> descriptor key, where they differ
+    key_fields: ClassVar[tuple[str, ...] | None] = ()  # structural-key row; None: unkeyed
+    wiring: ClassVar[tuple[tuple[str, str], ...]] = ()  # (width, ref): width = channels[ref]
+
+
 @dataclass(frozen=True)
-class Conv:
+class Conv(LayerKind):
     """2-D convolution. ``scale`` is the output feature map's downsampling factor
     relative to the network input; it determines macroblock membership. ``in_ref``
     and ``out_ref`` index the channel vector; a depthwise conv has out_ref == in_ref
     and in_channels == out_channels."""
 
-    kind: ClassVar[str] = "conv"
+    kind = "conv"
+    renamed = {"in_channels": "in", "out_channels": "out", "has_bias": "bias"}
+    key_fields = ("kernel", "stride", "scale", "depthwise", "has_bias", "in_ref", "out_ref")
+    wiring = (("in_channels", "in_ref"), ("out_channels", "out_ref"))
     kernel: tuple[int, int]
     in_channels: int
     out_channels: int
@@ -64,37 +76,72 @@ class Conv:
 
 
 @dataclass(frozen=True)
-class BatchNorm:
-    kind: ClassVar[str] = "batchnorm"
+class BatchNorm(LayerKind):
+    kind = "batchnorm"
+    key_fields = ("ref",)
+    wiring = (("channels", "ref"),)
     channels: int
     ref: int
 
 
 @dataclass(frozen=True)
-class Pool:
-    """Parameter-free spatial pooling."""
+class Pool(LayerKind):
+    """Parameter-free spatial pooling; the stride defaults to the window."""
 
-    kind: ClassVar[str] = "pool"
+    kind = "pool"
+    key_fields = ("pool", "window", "stride")
     pool: str = "max"
     window: int = 2
-    stride: int = 2
+    stride: int | None = None
+
+    def __post_init__(self):
+        if self.stride is None:
+            object.__setattr__(self, "stride", self.window)
 
 
 @dataclass(frozen=True)
-class GlobalAvgPool:
-    kind: ClassVar[str] = "global_avg_pool"
+class GlobalAvgPool(LayerKind):
+    kind = "global_avg_pool"
 
 
 @dataclass(frozen=True)
-class FullyConnected:
-    kind: ClassVar[str] = "fully_connected"
+class FullyConnected(LayerKind):
+    kind = "fully_connected"
+    renamed = {"in_features": "in", "out_features": "out", "has_bias": "bias"}
+    key_fields = ("out_features", "has_bias", "in_ref")
+    wiring = (("in_features", "in_ref"),)
     in_features: int
     out_features: int
     in_ref: int
     has_bias: bool = True
 
 
-Layer = Union[Conv, BatchNorm, Pool, GlobalAvgPool, FullyConnected]
+LAYER_KINDS = (Conv, BatchNorm, Pool, GlobalAvgPool, FullyConnected)
+Layer = Union[LAYER_KINDS]
+
+
+def _kind_of(layer) -> type:
+    if type(layer) not in LAYER_KINDS:
+        raise TypeError(f"unregistered layer kind {type(layer).__name__}")
+    return type(layer)
+
+
+def layer_to_dict(layer: Layer) -> dict:
+    d = {"kind": _kind_of(layer).kind}
+    for f in fields(layer):
+        value = getattr(layer, f.name)
+        d[layer.renamed.get(f.name, f.name)] = list(value) if isinstance(value, tuple) else value
+    return d
+
+
+def layer_from_dict(d: dict) -> Layer:
+    """Inverse of :func:`layer_to_dict`; a missing key takes its field's default."""
+    cls = {c.kind: c for c in LAYER_KINDS}.get(d.get("kind"))
+    if cls is None:
+        raise ValueError(f"unknown layer kind {d.get('kind')!r}")
+    names = {cls.renamed.get(f.name, f.name): f.name for f in fields(cls)}
+    return cls(**{names[k]: tuple(v) if isinstance(v, list) else v
+                  for k, v in d.items() if k in names})
 
 
 @dataclass(frozen=True)
@@ -257,7 +304,7 @@ def build_sequential_cnn(depth: int, block_widths: Sequence[int], input_channels
 
 
 def validate_spec(spec: ModelSpec) -> None:
-    """Check ref wiring and literal channel consistency; raises ValueError."""
+    """Check ref wiring and literal channel counts; raises ValueError (TypeError: unknown kind)."""
     entries: list[int] = []  # nominal width per entry, index 1-based via offset
     n0 = spec.meta.input_channels
 
@@ -271,37 +318,26 @@ def validate_spec(spec: ModelSpec) -> None:
     fc_seen = 0
     for idx, layer in enumerate(spec.layers):
         if isinstance(layer, Conv):
-            if layer.depthwise:
-                if layer.out_ref != layer.in_ref:
-                    raise ValueError(f"layer {idx}: depthwise conv must share its input entry")
-                if layer.in_channels != layer.out_channels:
-                    raise ValueError(f"layer {idx}: depthwise conv must preserve channel count")
-                if layer.in_channels != resolve(layer.in_ref):
-                    raise ValueError(f"layer {idx}: conv in_channels {layer.in_channels} does not "
-                                     f"match ref {layer.in_ref}")
-            else:
-                if layer.in_channels != resolve(layer.in_ref):
-                    raise ValueError(f"layer {idx}: conv in_channels {layer.in_channels} does not "
-                                     f"match ref {layer.in_ref}")
+            if (layer.out_ref == layer.in_ref) != layer.depthwise:
+                raise ValueError(f"layer {idx}: a conv shares its input entry exactly when "
+                                 f"it is depthwise")
+            if not layer.depthwise:
                 if layer.out_ref != len(entries) + 1:
                     raise ValueError(f"layer {idx}: conv out_ref {layer.out_ref} breaks entry order "
                                      f"(expected {len(entries) + 1})")
                 entries.append(layer.out_channels)
             if layer.out_channels < 1 or layer.in_channels < 1:
                 raise ValueError(f"layer {idx}: channel counts must be >= 1")
-            if layer.stride < 1 or layer.scale < 1:
-                raise ValueError(f"layer {idx}: stride and scale must be >= 1")
-        elif isinstance(layer, BatchNorm):
-            if layer.channels != resolve(layer.ref):
-                raise ValueError(f"layer {idx}: batchnorm channels {layer.channels} does not match "
-                                 f"ref {layer.ref}")
+            if layer.stride < 1 or layer.scale < 1 or len(layer.kernel) != 2:
+                raise ValueError(f"layer {idx}: kernel must be 2-d, stride and scale >= 1")
         elif isinstance(layer, FullyConnected):
             fc_seen += 1
-            if layer.in_features != resolve(layer.in_ref):
-                raise ValueError(f"layer {idx}: fully connected in_features {layer.in_features} "
-                                 f"does not match ref {layer.in_ref}")
             if layer.out_features < 1:
                 raise ValueError(f"layer {idx}: out_features must be >= 1")
+        for width, ref in _kind_of(layer).wiring:
+            if getattr(layer, width) != resolve(getattr(layer, ref)):
+                raise ValueError(f"layer {idx}: {layer.kind} {width} {getattr(layer, width)} "
+                                 f"does not match ref {getattr(layer, ref)}")
     if fc_seen > 1:
         raise ValueError("at most one fully connected classification head is supported")
 
@@ -365,18 +401,9 @@ def with_config(spec: ModelSpec, config: ChannelConfig) -> ModelSpec:
     if config.channels[0] != spec.meta.input_channels:
         raise ValueError(f"input channel entry is immutable "
                          f"({config.channels[0]} != {spec.meta.input_channels})")
-    chans = config.channels
-    layers: list[Layer] = []
-    for layer in spec.layers:
-        if isinstance(layer, Conv):
-            layers.append(replace(layer, in_channels=chans[layer.in_ref],
-                                  out_channels=chans[layer.out_ref]))
-        elif isinstance(layer, BatchNorm):
-            layers.append(replace(layer, channels=chans[layer.ref]))
-        elif isinstance(layer, FullyConnected):
-            layers.append(replace(layer, in_features=chans[layer.in_ref]))
-        else:
-            layers.append(layer)
+    layers = [replace(layer, **{width: config.channels[getattr(layer, ref)]
+                                for width, ref in _kind_of(layer).wiring})
+              for layer in spec.layers]
     rebuilt = ModelSpec(tuple(layers), spec.meta)
     validate_spec(rebuilt)
     return rebuilt
@@ -387,20 +414,17 @@ def structural_key(spec: ModelSpec) -> list:
 
     Feeds the evaluation digest: permuting metadata labels leaves it unchanged,
     while any structural edit (layer kinds, kernels, wiring, head size) moves it.
+    A layer whose class is not in LAYER_KINDS raises TypeError.
     """
     key: list = [["input", spec.meta.input_channels]]
     for layer in spec.layers:
-        if isinstance(layer, Conv):
-            key.append(["conv", layer.kernel[0], layer.kernel[1], layer.stride, layer.scale,
-                        int(layer.depthwise), int(layer.has_bias), layer.in_ref, layer.out_ref])
-        elif isinstance(layer, BatchNorm):
-            key.append(["batchnorm", layer.ref])
-        elif isinstance(layer, Pool):
-            key.append(["pool", layer.pool, layer.window, layer.stride])
-        elif isinstance(layer, GlobalAvgPool):
-            key.append(["global_avg_pool"])
-        elif isinstance(layer, FullyConnected):
-            key.append(["fully_connected", layer.out_features, int(layer.has_bias), layer.in_ref])
+        if _kind_of(layer).key_fields is None:
+            continue
+        row = [layer.kind]
+        for name in layer.key_fields:
+            value = getattr(layer, name)
+            row += value if isinstance(value, tuple) else [value]
+        key.append([int(v) if isinstance(v, bool) else v for v in row])
     return key
 
 

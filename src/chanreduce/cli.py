@@ -29,8 +29,8 @@ from .accounting import count_parameters
 from .arch import channel_config, partition_macroblocks
 from .config import ConfigError, RunConfig
 from .lesion import (SWEEP_CONSTANT, SWEEP_MACROBLOCK, SWEEP_PROPORTIONAL, SweepPlan,
-                     run_macroblock_rd_sweep, run_onehot_sweep, write_onehot_csv,
-                     write_rd_points_csv)
+                     format_value, run_macroblock_rd_sweep, run_onehot_sweep,
+                     write_onehot_csv, write_rd_points_csv)
 from .oracle import (EvaluationLedger, MissingEvaluationError, RecordingOracle,
                      SurrogateOracle)
 from .rdcurve import (build_alpha_curve, build_alpha_plus_backward_curve, export_curve,
@@ -219,12 +219,6 @@ def _fmt_widths(widths) -> str:
     return "[" + " ".join(str(w) for w in widths) + "]"
 
 
-def _fmt_cli_value(v) -> str:
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return repr(v) if isinstance(v, float) else str(v)
-
-
 # -- reduce ------------------------------------------------------------------
 
 
@@ -312,7 +306,7 @@ def _parse_sweep_values(kind: str, raw: list[str]) -> tuple:
 def cmd_lesion(args) -> int:
     values = _parse_sweep_values(args.kind, args.values)
     command = f"lesion --kind {args.kind} --values " + \
-        " ".join(_fmt_cli_value(v) for v in values)
+        " ".join(format_value(v) for v in values)
     if args.indices is not None:
         command += " --indices " + " ".join(str(i) for i in args.indices)
     command += f" --budget {args.budget}"

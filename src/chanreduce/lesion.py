@@ -108,7 +108,7 @@ def run_macroblock_rd_sweep(spec: ModelSpec, partition: MacroblockPartition,
     return points
 
 
-def _format_value(v) -> str:
+def format_value(v) -> str:
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
     return str(v)
@@ -120,7 +120,7 @@ def write_onehot_csv(observations: list[SweepObservation], path) -> None:
         writer.writerow(["index", "parameter", "top1", "status"])
         for obs in observations:
             top1 = "" if obs.record.top1 is None else repr(obs.record.top1)
-            writer.writerow([obs.index, _format_value(obs.parameter), top1, obs.record.status])
+            writer.writerow([obs.index, format_value(obs.parameter), top1, obs.record.status])
 
 
 def write_rd_points_csv(points: list[BlockRDPoint], path) -> None:
@@ -129,4 +129,4 @@ def write_rd_points_csv(points: list[BlockRDPoint], path) -> None:
         writer.writerow(["block_id", "k", "params", "size_bytes", "top1"])
         for p in points:
             top1 = "" if p.record.top1 is None else repr(p.record.top1)
-            writer.writerow([p.block, _format_value(p.k), p.params, p.size_bytes, top1])
+            writer.writerow([p.block, format_value(p.k), p.params, p.size_bytes, top1])

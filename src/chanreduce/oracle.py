@@ -19,7 +19,6 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
 
 from .arch import ChannelConfig, MacroblockPartition, ModelSpec, partition_macroblocks
 
@@ -151,10 +150,6 @@ def distortion(baseline: float, candidate: float) -> float:
 
 class MissingEvaluationError(LookupError):
     """Raised by a recorder without a backend when the ledger has no record for a digest."""
-
-
-class Oracle(Protocol):
-    def evaluate(self, config: ChannelConfig, budget: TrainingBudget) -> EvaluationRecord: ...
 
 
 def fan_out(oracle, fn, items) -> list:

@@ -8,10 +8,12 @@ one) and are never executed.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .arch import (BatchNorm, Conv, FullyConnected, GlobalAvgPool, Layer, ModelMeta,
-                   ModelSpec, Pool, scale_width, validate_spec)
+                   ModelSpec, Pool, layer_from_dict, layer_to_dict, scale_width,
+                   validate_spec)
 
 
 def _basic_stage(layers, entry, stream, in_width, width, blocks, scale, downsample):
@@ -114,56 +116,18 @@ PRESETS = {
 # ---------------------------------------------------------------------------
 # Declarative descriptor files (JSON).
 
-def _layer_to_dict(layer: Layer) -> dict:
-    if isinstance(layer, Conv):
-        return {"kind": "conv", "kernel": list(layer.kernel), "in": layer.in_channels,
-                "out": layer.out_channels, "in_ref": layer.in_ref, "out_ref": layer.out_ref,
-                "stride": layer.stride, "scale": layer.scale,
-                "depthwise": layer.depthwise, "bias": layer.has_bias}
-    if isinstance(layer, BatchNorm):
-        return {"kind": "batchnorm", "channels": layer.channels, "ref": layer.ref}
-    if isinstance(layer, Pool):
-        return {"kind": "pool", "pool": layer.pool, "window": layer.window, "stride": layer.stride}
-    if isinstance(layer, GlobalAvgPool):
-        return {"kind": "global_avg_pool"}
-    if isinstance(layer, FullyConnected):
-        return {"kind": "fully_connected", "in": layer.in_features, "out": layer.out_features,
-                "in_ref": layer.in_ref, "bias": layer.has_bias}
-    raise TypeError(f"unknown layer type {type(layer).__name__}")
-
-
-def _layer_from_dict(d: dict) -> Layer:
-    kind = d.get("kind")
-    if kind == "conv":
-        return Conv(kernel=tuple(d["kernel"]), in_channels=d["in"], out_channels=d["out"],
-                    in_ref=d["in_ref"], out_ref=d["out_ref"], stride=d.get("stride", 1),
-                    scale=d.get("scale", 1), depthwise=d.get("depthwise", False),
-                    has_bias=d.get("bias", False))
-    if kind == "batchnorm":
-        return BatchNorm(channels=d["channels"], ref=d["ref"])
-    if kind == "pool":
-        return Pool(pool=d.get("pool", "max"), window=d.get("window", 2),
-                    stride=d.get("stride", d.get("window", 2)))
-    if kind == "global_avg_pool":
-        return GlobalAvgPool()
-    if kind == "fully_connected":
-        return FullyConnected(in_features=d["in"], out_features=d["out"],
-                              in_ref=d["in_ref"], has_bias=d.get("bias", True))
-    raise ValueError(f"unknown layer kind {kind!r}")
+# Header defaults of a descriptor file; num_classes is required.
+_META_DEFAULTS = {"name": "descriptor", "dataset": "unknown", "input_channels": 3, "resolution": 224}
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:
-    return {"name": spec.meta.name, "dataset": spec.meta.dataset,
-            "num_classes": spec.meta.num_classes, "input_channels": spec.meta.input_channels,
-            "resolution": spec.meta.resolution,
-            "layers": [_layer_to_dict(l) for l in spec.layers]}
+    return {**asdict(spec.meta), "layers": [layer_to_dict(l) for l in spec.layers]}
 
 
 def spec_from_dict(d: dict) -> ModelSpec:
-    meta = ModelMeta(name=d.get("name", "descriptor"), dataset=d.get("dataset", "unknown"),
-                     num_classes=d["num_classes"], input_channels=d.get("input_channels", 3),
-                     resolution=d.get("resolution", 224))
-    spec = ModelSpec(tuple(_layer_from_dict(l) for l in d["layers"]), meta)
+    header = {f.name: d[f.name] for f in fields(ModelMeta) if f.name in d}
+    meta = ModelMeta(**{**_META_DEFAULTS, **header})
+    spec = ModelSpec(tuple(layer_from_dict(l) for l in d["layers"]), meta)
     validate_spec(spec)
     return spec
 

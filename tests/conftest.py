@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from chanreduce import (SurrogateOracle, SurrogateParams, build_sequential_cnn,
@@ -18,18 +20,20 @@ def d15_partition(d15_spec):
 
 
 class CountingOracle:
-    """Wraps an oracle and counts evaluate() calls."""
+    """Wraps an oracle and counts evaluate() calls, also from concurrent slots."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = 0
+        self._lock = threading.Lock()
 
     @property
     def parallel_slots(self):
         return getattr(self.inner, "parallel_slots", 1)
 
     def evaluate(self, config, budget):
-        self.calls += 1
+        with self._lock:
+            self.calls += 1
         return self.inner.evaluate(config, budget)
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import hashlib
+import json
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -277,6 +279,55 @@ def test_descriptor_rejects_garbage(tmp_path):
     path.write_text("not json")
     with pytest.raises(ValueError):
         cr.load_descriptor(path)
+    for kernel in (3, [3, 3, 3]):
+        conv = {"kind": "conv", "kernel": kernel, "in": 3, "out": 4, "in_ref": 0, "out_ref": 1}
+        path.write_text(json.dumps({"num_classes": 10, "layers": [conv]}))
+        with pytest.raises(ValueError):
+            cr.load_descriptor(path)
+
+
+def test_descriptor_defaults():
+    # Keys a descriptor may leave out; the README lists them.
+    spec = cr.spec_from_dict({"num_classes": 10, "layers": [
+        {"kind": "conv", "kernel": [3, 3], "in": 3, "out": 8, "in_ref": 0, "out_ref": 1},
+        {"kind": "batchnorm", "channels": 8, "ref": 1},
+        {"kind": "pool", "window": 3},
+        {"kind": "pool"},
+        {"kind": "global_avg_pool"},
+        {"kind": "fully_connected", "in": 8, "out": 10, "in_ref": 1}]})
+    conv, _, pool3, pool, _, fc = spec.layers
+    assert conv == cr.Conv((3, 3), 3, 8, in_ref=0, out_ref=1, stride=1, scale=1,
+                           depthwise=False, has_bias=False)
+    assert pool3 == cr.Pool("max", window=3, stride=3)
+    assert pool == cr.Pool("max", window=2, stride=2)
+    assert fc.has_bias is True
+    assert spec.meta == cr.ModelMeta("descriptor", "unknown", 10, 3, 224)
+    with pytest.raises(ValueError, match="unknown layer kind 'fire'"):
+        cr.spec_from_dict({"num_classes": 10, "layers": [{"kind": "fire"}]})
+
+
+@dataclass(frozen=True)
+class _Dummy:
+    channels: int = 4
+
+
+def test_unregistered_layer_kind_fails_loudly(d15_spec):
+    # A layer of a class outside LAYER_KINDS must not be dropped from the digest,
+    # passed through width rewrites or counted as parameter-free.
+    layers = d15_spec.layers
+    spec = cr.ModelSpec(layers[:-2] + (_Dummy(),) + layers[-2:], d15_spec.meta)
+    with pytest.raises(TypeError, match="_Dummy"):
+        cr.structural_key(spec)
+    with pytest.raises(TypeError, match="_Dummy"):
+        cr.with_config(spec, cr.channel_config(d15_spec))
+    with pytest.raises(TypeError, match="_Dummy"):
+        cr.count_parameters(spec)
+
+
+def test_kind_leaves_the_structural_key_only_by_declaring_it(d15_spec, monkeypatch):
+    key = cr.structural_key(d15_spec)
+    monkeypatch.setattr(cr.GlobalAvgPool, "key_fields", None)
+    assert cr.structural_key(d15_spec) == [row for row in key if row != ["global_avg_pool"]]
 
 
 def test_mobilenet_width_multiplier():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import threading
 import time
 
@@ -14,6 +15,35 @@ import chanreduce as cr
 from chanreduce import BetaMode
 
 from conftest import CountingOracle, sharp_surrogate
+
+
+def test_counting_oracle_counts_every_concurrent_call():
+    # The multi-slot tests compare CountingOracle.calls with exact counts, so the
+    # counter must not lose increments when slots call it at the same moment.
+    class Null:
+        def evaluate(self, config, budget):
+            return None
+
+    oracle = CountingOracle(Null())
+    start = threading.Barrier(24, timeout=30)
+
+    def hammer():
+        start.wait()
+        for _ in range(500):
+            oracle.evaluate(None, None)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer) for _ in range(24)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert oracle.calls == 24 * 500
 
 
 def expected_calls(n: int) -> int:
