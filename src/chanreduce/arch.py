@@ -136,6 +136,8 @@ def layer_to_dict(layer: Layer) -> dict:
 
 def layer_from_dict(d: dict) -> Layer:
     """Inverse of :func:`layer_to_dict`; a missing key takes its field's default."""
+    if not isinstance(d, dict):
+        raise ValueError(f"layer must be a JSON object, got {d!r}")
     cls = {c.kind: c for c in LAYER_KINDS}.get(d.get("kind"))
     if cls is None:
         raise ValueError(f"unknown layer kind {d.get('kind')!r}")

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .accounting import count_parameters
-from .arch import (ChannelConfig, MacroblockPartition, ModelSpec, Rational,
+from .arch import (ChannelConfig, MacroblockPartition, ModelSpec,
                    apply_constant_lesion, apply_macroblock_scale,
                    apply_proportional_lesion, channel_config, with_config)
 from .oracle import EvaluationRecord, TrainingBudget, fan_out

@@ -152,16 +152,27 @@ class MissingEvaluationError(LookupError):
     """Raised by a recorder without a backend when the ledger has no record for a digest."""
 
 
+_share = threading.local()
+
+
+def slots(oracle) -> int:
+    """Evaluations the calling thread may have in flight: its share of an
+    enclosing :func:`fan_out`, else ``oracle.parallel_slots`` (1 if absent)."""
+    return getattr(_share, "slots", None) or getattr(oracle, "parallel_slots", 1)
+
+
 def fan_out(oracle, fn, items) -> list:
-    """``[fn(item) for item in items]``, spread over up to ``oracle.parallel_slots``
-    threads; results come back in item order. With one slot the calls run in
+    """``[fn(item) for item in items]`` on up to ``slots(oracle)`` threads, in
+    item order. Each call gets an equal share of the slots, at least one, so
+    fan-outs nested in it stay within them. With one slot the calls run in
     order on the calling thread. An exception raised by any call reaches the
     caller, and items not yet started are then dropped."""
     items = list(items)
-    slots = min(getattr(oracle, "parallel_slots", 1), len(items))
-    if slots <= 1:
+    p = slots(oracle)
+    if min(p, len(items)) <= 1:
         return [fn(item) for item in items]
-    pool = ThreadPoolExecutor(max_workers=slots)
+    pool = ThreadPoolExecutor(min(p, len(items)), initializer=setattr,
+                              initargs=(_share, "slots", max(1, p // len(items))))
     try:
         return list(pool.map(fn, items))
     finally:

@@ -72,17 +72,15 @@ def build_alpha_plus_backward_curve(spec: ModelSpec, alphas, delta: float, oracl
     """Compose uniform scaling with backward reduction: for each alpha, scale the
     model, then greedily reduce its macroblocks within the accuracy budget delta
     (measured against the scaled model's own accuracy). The reductions are
-    independent and are started in alpha order on the oracle's slots; each
-    searches on its share of them, so no more than ``parallel_slots``
-    evaluations are in flight."""
+    independent and are started in alpha order by :func:`fan_out`, so each
+    searches on its share of the oracle's slots."""
     alphas = _check_alphas(alphas)
-    share = max(1, getattr(oracle, "parallel_slots", 1) // len(alphas))
 
     def reduce_at(alpha):
         scaled = with_config(spec, apply_alpha_scaling(channel_config(spec), alpha))
         partition = partition_macroblocks(scaled)
         result = backward_reduction(scaled, partition, delta, oracle, budget, scope,
-                                    beta_mode=beta_mode, metric=metric, slots=share)
+                                    beta_mode=beta_mode, metric=metric)
         digest = config_digest(result.reduced_config, spec)
         record = next((p.record for p in result.trace
                        if p.record.config_digest == digest and p.record.ok), None)

@@ -8,8 +8,8 @@ That costs exactly ceil(log2(n / 2)) probes. By default the last proven
 feasible bound U is returned, so the final configuration always meets the budget;
 the raw last midpoint (which may be infeasible) is available behind a flag.
 
-On p parallel slots (the oracle's, or the share a caller gives the search) the
-bisection runs in rounds: each round trains the top k = floor(log2(p + 1))
+On p = ``slots(oracle)`` slots (the oracle's, or an enclosing fan-out's share)
+the bisection runs in rounds: each round trains the top k = floor(log2(p + 1))
 levels of the block's remaining bisection tree at once (2^k - 1 midpoints, each
 distinct channel vector once), then makes the one-slot decisions through them.
 A block thus costs ceil(ceil(log2(n / 2)) / k) rounds instead of
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from .accounting import SizeReport, count_parameters, saving_percent
 from .arch import (ChannelConfig, MacroblockPartition, ModelSpec, apply_macroblock_scale,
                    channel_config, partition_macroblocks, with_config)
-from .oracle import EvaluationRecord, TrainingBudget, distortion, fan_out
+from .oracle import EvaluationRecord, TrainingBudget, distortion, fan_out, slots
 
 log = logging.getLogger(__name__)
 
@@ -133,7 +133,6 @@ def search_macroblock_multiplier(block: int, config: ChannelConfig,
                                  beta_mode: BetaMode = BetaMode.FEASIBLE_BOUND,
                                  metric: str = "top1",
                                  trained: dict[ChannelConfig, EvaluationRecord] | None = None,
-                                 slots: int | None = None,
                                  ) -> tuple[float, list[SearchProbe]]:
     """Bisect one block's width multiplier; returns (beta, probes).
 
@@ -144,9 +143,8 @@ def search_macroblock_multiplier(block: int, config: ChannelConfig,
     as infeasible; the search itself never raises on oracle soft failures.
 
     Each round evaluates the top k levels of the remaining bisection tree at
-    once, k = floor(log2(slots + 1)) (one slot fewer while the baseline rides
-    along), then walks them as one slot would; ``slots`` defaults to the
-    oracle's ``parallel_slots`` and bounds the calls a round has in flight.
+    once, k = floor(log2(p + 1)) on p = ``slots(oracle)`` (one slot fewer while
+    the baseline rides along), then walks them as one slot would.
     The walk's probes come first; the other configs the round trained follow,
     marked speculative. ``trained`` maps configs already trained ok in
     this reduction to their records; they are not trained again, and this
@@ -156,8 +154,6 @@ def search_macroblock_multiplier(block: int, config: ChannelConfig,
     if not 0 <= block < partition.num_blocks:
         raise ValueError(f"block index {block} out of range 0..{partition.num_blocks - 1}")
     n = partition.blocks[block].search_width
-    if slots is None:
-        slots = getattr(oracle, "parallel_slots", 1)
     known = {} if trained is None else trained
     failed_baseline = False
 
@@ -170,7 +166,7 @@ def search_macroblock_multiplier(block: int, config: ChannelConfig,
         return value is not None and distortion(baseline, value) < delta
 
     while True:
-        k = (slots - (baseline is None) + 1).bit_length() - 1  # floor(log2(free slots + 1))
+        k = (slots(oracle) - (baseline is None) + 1).bit_length() - 1  # floor(log2(free + 1))
         levels = min(k, _probes_left(lower, upper, n))
         at = {m: apply_macroblock_scale(config, partition, block, m)
               for m in _midpoints(lower, upper, levels)}
@@ -223,27 +219,26 @@ def backward_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
                        delta: float, oracle, budget: TrainingBudget,
                        scope: int | None = None, *,
                        beta_mode: BetaMode = BetaMode.FEASIBLE_BOUND,
-                       metric: str = "top1", slots: int | None = None) -> ReductionResult:
-    """Reduce the deepest ``scope`` macroblocks, last block first, with up to
-    ``slots`` evaluations in flight (default: the oracle's ``parallel_slots``)."""
+                       metric: str = "top1") -> ReductionResult:
+    """Reduce the deepest ``scope`` macroblocks, last block first."""
     return _greedy_reduction(spec, partition, delta, oracle, budget, scope,
-                             backward=True, beta_mode=beta_mode, metric=metric, slots=slots)
+                             backward=True, beta_mode=beta_mode, metric=metric)
 
 
 def forward_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
                       delta: float, oracle, budget: TrainingBudget,
                       scope: int | None = None, *,
                       beta_mode: BetaMode = BetaMode.FEASIBLE_BOUND,
-                      metric: str = "top1", slots: int | None = None) -> ReductionResult:
+                      metric: str = "top1") -> ReductionResult:
     """Same greedy search with the block order reversed: first block first."""
     return _greedy_reduction(spec, partition, delta, oracle, budget, scope,
-                             backward=False, beta_mode=beta_mode, metric=metric, slots=slots)
+                             backward=False, beta_mode=beta_mode, metric=metric)
 
 
 def _greedy_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
                       delta: float, oracle, budget: TrainingBudget,
                       scope: int | None, *, backward: bool, beta_mode: BetaMode,
-                      metric: str, slots: int | None) -> ReductionResult:
+                      metric: str) -> ReductionResult:
     _check_delta(delta)
     if partition is None:
         partition = partition_macroblocks(spec)
@@ -266,7 +261,7 @@ def _greedy_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
     for block in order:
         beta, probes = search_macroblock_multiplier(
             block, working, partition, delta, oracle, budget, baseline,
-            beta_mode=beta_mode, metric=metric, trained=trained, slots=slots)
+            beta_mode=beta_mode, metric=metric, trained=trained)
         trace.extend(probes)
         if baseline is None:
             baseline_record = probes[0].record

@@ -171,14 +171,15 @@ class _PipeWorker:
 class ExternalTrainerOracle:
     """Dispatch evaluations to external training workers.
 
-    ``parallelism`` pipe workers are kept alive and handed out one request at a
-    time, the most recently used idle one first; in ``files`` mode at most that
-    many invocations run at once. Lesion sweeps, ``rd``'s curves and each round
-    of a bisection call :meth:`evaluate` from up to that many threads
-    concurrently; a call waits for an idle slot. At ``parallelism = 2`` a
-    bisection overlaps only its baseline, so a second worker starts then and the
-    later rounds stay on one warm worker. Records reach the ledger in completion
-    order, which replay does not depend on: it looks records up by digest.
+    ``parallelism`` workers are handed out one request at a time, the most
+    recently used idle one first: a ``pipe`` worker is a child kept alive, a
+    ``files`` one is never started and only caps the invocations at once. Lesion
+    sweeps, ``rd``'s curves and each round of a bisection call :meth:`evaluate`
+    from up to that many threads; a call waits for an idle worker. At
+    ``parallelism = 2`` a bisection overlaps only its baseline, so a second
+    worker starts then and the later rounds stay on one warm worker. Records
+    reach the ledger in completion order, which replay does not depend on: it
+    looks records up by digest.
     """
 
     def __init__(self, command: str | list[str], spec: ModelSpec, *,
@@ -204,10 +205,8 @@ class ExternalTrainerOracle:
         self._counter = 0
         self._counter_lock = threading.Lock()
         self._workers: queue.LifoQueue[_PipeWorker] = queue.LifoQueue()
-        self._files_slots = threading.BoundedSemaphore(parallelism)
-        if protocol == PROTOCOL_PIPE:
-            for _ in range(parallelism):
-                self._workers.put(_PipeWorker(self.argv))
+        for _ in range(parallelism):
+            self._workers.put(_PipeWorker(self.argv))
 
     def _next_run_id(self, digest: str) -> str:
         with self._counter_lock:
@@ -219,45 +218,44 @@ class ExternalTrainerOracle:
         run_id = self._next_run_id(digest)
         request = build_request(run_id, config, self.spec, budget)
         start = time.monotonic()
+        worker = self._workers.get()
         try:
             if self.protocol == PROTOCOL_PIPE:
-                record = self._evaluate_pipe(request, digest, budget)
+                record = self._evaluate_pipe(worker, request, digest, budget)
             else:
-                with self._files_slots:
-                    record = self._evaluate_files(request, digest, budget)
+                record = self._evaluate_files(request, digest, budget)
         except _ReplyError as exc:
             log.warning("trainer evaluation %s: %s", run_id, exc.note)
             record = EvaluationRecord(digest, budget, None, None,
                                       time.monotonic() - start, exc.status, note=exc.note)
+        finally:
+            self._workers.put(worker)
         return record
 
-    def _evaluate_pipe(self, request: dict, digest: str, budget: TrainingBudget) -> EvaluationRecord:
-        worker = self._workers.get()
+    def _evaluate_pipe(self, worker: _PipeWorker, request: dict, digest: str,
+                       budget: TrainingBudget) -> EvaluationRecord:
         start = time.monotonic()
         deadline = start + self.timeout
         try:
+            worker.ensure_running()
+            worker.send(request)
+        except (OSError, ValueError) as exc:
+            worker.kill()
+            raise _ReplyError(STATUS_TIMEOUT, f"trainer unreachable: {exc}")
+        while True:
             try:
-                worker.ensure_running()
-                worker.send(request)
-            except (OSError, ValueError) as exc:
-                worker.kill()
-                raise _ReplyError(STATUS_TIMEOUT, f"trainer unreachable: {exc}")
-            while True:
-                try:
-                    line = worker.read_line(deadline)
-                    if line is None:
-                        raise _ReplyError(STATUS_TIMEOUT,
-                                          f"no trainer reply within {self.timeout:g}s")
-                    reply = _parse_reply(line, request["run_id"])
-                except _ReplyError:
-                    worker.kill()  # stream state unknown after silence, exit or garbage
-                    raise
-                if reply is None:
-                    log.warning("ignoring stale trainer reply line %r", line[:80])
-                    continue
-                return _record_from_reply(reply, digest, budget, time.monotonic() - start)
-        finally:
-            self._workers.put(worker)
+                line = worker.read_line(deadline)
+                if line is None:
+                    raise _ReplyError(STATUS_TIMEOUT,
+                                      f"no trainer reply within {self.timeout:g}s")
+                reply = _parse_reply(line, request["run_id"])
+            except _ReplyError:
+                worker.kill()  # stream state unknown after silence, exit or garbage
+                raise
+            if reply is None:
+                log.warning("ignoring stale trainer reply line %r", line[:80])
+                continue
+            return _record_from_reply(reply, digest, budget, time.monotonic() - start)
 
     def _evaluate_files(self, request: dict, digest: str, budget: TrainingBudget) -> EvaluationRecord:
         self.exchange_dir.mkdir(parents=True, exist_ok=True)
@@ -293,8 +291,6 @@ class ExternalTrainerOracle:
         raise _ReplyError(STATUS_FAILED, "no response line with matching run_id")
 
     def close(self) -> None:
-        if self.protocol != PROTOCOL_PIPE:
-            return
         while True:
             try:
                 self._workers.get_nowait().kill()

@@ -286,6 +286,14 @@ def test_descriptor_rejects_garbage(tmp_path):
             cr.load_descriptor(path)
 
 
+@pytest.mark.parametrize("layers", [["conv"], "conv"])
+def test_descriptor_layer_must_be_an_object(tmp_path, layers):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"num_classes": 10, "layers": layers}))
+    with pytest.raises(ValueError, match="layer must be a JSON object"):
+        cr.load_descriptor(path)
+
+
 def test_descriptor_defaults():
     # Keys a descriptor may leave out; the README lists them.
     spec = cr.spec_from_dict({"num_classes": 10, "layers": [

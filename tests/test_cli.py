@@ -644,6 +644,19 @@ def test_size_builds_no_oracle(tmp_path):
     assert (out / "ledger.jsonl").read_text() == ""
 
 
+@pytest.mark.parametrize("layers", [["conv"], "conv"])
+def test_size_rejects_a_malformed_descriptor(tmp_path, capsys, layers):
+    descriptor = tmp_path / "model.json"
+    descriptor.write_text(json.dumps({"num_classes": 10, "layers": layers}))
+    cfg = write_cfg(tmp_path, f"""\
+        [model]
+        family = descriptor
+        descriptor = {descriptor}
+        """)
+    assert run("size", "--config", cfg, "--out", tmp_path / "out") == 2
+    assert "layer must be a JSON object" in capsys.readouterr().err
+
+
 def test_override_checked_like_the_file(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"

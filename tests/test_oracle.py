@@ -11,7 +11,7 @@ import pytest
 
 import chanreduce as cr
 from chanreduce import EvaluationLedger, EvaluationRecord, TrainingBudget
-from chanreduce.oracle import fan_out
+from chanreduce.oracle import fan_out, slots
 
 
 # -- budgets -----------------------------------------------------------------
@@ -374,3 +374,27 @@ def test_fan_out_keeps_item_order_and_raises_worker_errors():
 
     with pytest.raises(cr.MissingEvaluationError, match="no record for 2"):
         fan_out(_Slots(2), missing, range(6))
+
+
+def test_nested_fan_out_splits_the_slots():
+    # Two items on four slots, each fanning out four sleeping calls: each item
+    # gets two of the slots, so no more than four calls are ever in flight.
+    oracle, lock = _Slots(4), threading.Lock()
+    inflight = peak = 0
+
+    def call(x):
+        nonlocal inflight, peak
+        with lock:
+            inflight += 1
+            peak = max(peak, inflight)
+        time.sleep(0.01)
+        with lock:
+            inflight -= 1
+        return x
+
+    def item(i):
+        return slots(oracle), fan_out(oracle, call, range(4 * i, 4 * i + 4))
+
+    assert fan_out(oracle, item, range(2)) == [(2, [0, 1, 2, 3]), (2, [4, 5, 6, 7])]
+    assert peak <= 4
+    assert slots(oracle) == 4

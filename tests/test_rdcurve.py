@@ -7,6 +7,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import chanreduce as cr
 from chanreduce.rdcurve import (CURVE_HEADER, RDPoint, build_alpha_curve,
@@ -165,3 +166,21 @@ def test_composed_reductions_share_the_slots(d15_spec, slots, alphas, calls):
     assert shared == sequential
     assert oracle.peak <= slots
     assert oracle.calls == calls
+
+
+@settings(max_examples=12, deadline=None)
+@given(slots=st.sampled_from([1, 2, 3, 7]),
+       alphas=st.lists(st.sampled_from([1.0, 0.875, 0.75, 0.5, 0.25]),
+                       min_size=1, max_size=5, unique=True))
+def test_composed_curve_matches_one_slot_within_its_slots(slots, alphas):
+    # fan_out alone splits the slots among the reductions, and their searches
+    # fan out again inside their shares: the curve is the one-slot curve, and
+    # the nesting never has more calls in flight than there are slots.
+    d15_spec = cr.build_sequential_cnn(15, [16, 32, 64])
+    sequential = build_alpha_plus_backward_curve(d15_spec, alphas, 0.01,
+                                                 cr.SurrogateOracle(d15_spec),
+                                                 cr.SEARCH_BUDGET)
+    oracle = _InFlight(d15_spec, slots)
+    assert build_alpha_plus_backward_curve(d15_spec, alphas, 0.01, oracle,
+                                           cr.SEARCH_BUDGET) == sequential
+    assert oracle.peak <= slots
