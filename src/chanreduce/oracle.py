@@ -11,14 +11,21 @@ so identical configurations always collide and metadata relabeling never does.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
+try:  # the interpreter's builtin SHA-256, so no process maps OpenSSL for one digest
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .arch import ChannelConfig, MacroblockPartition, ModelSpec, partition_macroblocks
 
@@ -95,9 +102,8 @@ class EvaluationRecord:
     def __post_init__(self):
         if self.status not in _STATUSES:
             raise ValueError(f"status must be one of {_STATUSES}, got {self.status!r}")
-        if self.status == STATUS_OK:
-            if self.top1 is None:
-                raise ValueError("ok records must carry a top1 accuracy")
+        if self.status == STATUS_OK and self.top1 is None:
+            raise ValueError("ok records must carry a top1 accuracy")
         for v in (self.top1, self.top5):
             if v is not None and not 0.0 <= v <= 1.0:
                 raise ValueError(f"accuracy {v} outside [0, 1]")
@@ -129,6 +135,12 @@ class EvaluationRecord:
                    status=d["status"], note=d.get("note"))
 
 
+@lru_cache(maxsize=32)
+def _arch_hash(structural_json: str):
+    """SHA-256 state after the blob's architecture prefix; config_digest copies it."""
+    return sha256(('{"arch":' + structural_json + ",").encode("utf-8"))
+
+
 def config_digest(config: ChannelConfig, spec: ModelSpec) -> str:
     """Stable identity of a (channel vector, architecture skeleton) pair: the
     SHA-256 of ``{"arch", "channels", "macroblock_starts"}`` as compact, key-sorted
@@ -136,8 +148,9 @@ def config_digest(config: ChannelConfig, spec: ModelSpec) -> str:
     widths = json.dumps({"channels": list(config.channels),
                          "macroblock_starts": list(config.macroblock_starts)},
                         sort_keys=True, separators=(",", ":"))
-    blob = '{"arch":' + spec.structural_json + "," + widths[1:]
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    h = _arch_hash(spec.structural_json).copy()
+    h.update(widths[1:].encode("utf-8"))
+    return h.hexdigest()
 
 
 def distortion(baseline: float, candidate: float) -> float:

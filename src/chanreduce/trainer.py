@@ -25,7 +25,6 @@ import json
 import logging
 import os
 import queue
-import secrets
 import select
 import shlex
 import subprocess
@@ -201,7 +200,7 @@ class ExternalTrainerOracle:
             raise ValueError("files protocol needs an exchange directory")
         # Run ids carry a nonce drawn per oracle, so a rerun in the same
         # exchange_dir never reuses an earlier run's file names.
-        self._nonce = secrets.token_hex(4)
+        self._nonce = os.urandom(4).hex()
         self._counter = 0
         self._counter_lock = threading.Lock()
         self._workers: queue.LifoQueue[_PipeWorker] = queue.LifoQueue()
@@ -282,7 +281,7 @@ class ExternalTrainerOracle:
         if not resp_path.exists():
             raise _ReplyError(STATUS_FAILED, "trainer wrote no response file"
                               + _stderr_tail(proc.stderr))
-        for line in resp_path.read_text(encoding="utf-8").splitlines():
+        for line in resp_path.read_text(encoding="utf-8", errors="replace").splitlines():
             if not line.strip():
                 continue
             reply = _parse_reply(line, run_id)
