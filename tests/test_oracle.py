@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
 import json
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +123,78 @@ def test_digest_golden(d15_spec):
             (cr.mobilenet(0.75),
              "e6aa27b3556f200b74f2bc9832c32211966624a5229eee581d6547b74e67f7b8")):
         assert cr.config_digest(cr.channel_config(spec), spec) == digest, spec.meta.name
+
+
+def _sha256_of_blob(cfg, spec):
+    """The digest's definition: a one-shot SHA-256 of the compact, key-sorted blob."""
+    blob = json.dumps({"arch": json.loads(spec.structural_json),
+                       "channels": list(cfg.channels),
+                       "macroblock_starts": list(cfg.macroblock_starts)},
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_digest_is_sha256_of_the_whole_blob(d15_spec):
+    # The digest resumes a cached hash state of the architecture prefix.
+    resnet34 = cr.resnet34()
+    scaled = cr.apply_alpha_scaling(cr.channel_config(d15_spec), 0.75)
+    for cfg, spec in ((cr.channel_config(d15_spec), d15_spec),
+                      (cr.channel_config(resnet34), resnet34), (scaled, d15_spec)):
+        assert cr.config_digest(cfg, spec) == _sha256_of_blob(cfg, spec)
+
+
+def test_threaded_digests_equal_the_serial_ones():
+    # Architectures no other test digests, so the threads race to fill the
+    # prefix cache and then resume copies of the same cached states.
+    specs = [cr.build_sequential_cnn(depth, [12, 24, 48]) for depth in (9, 21)]
+    pairs = [(cr.apply_alpha_scaling(cr.channel_config(spec), alpha), spec)
+             for spec in specs for alpha in (1.0, 0.75, 0.5, 0.25)]
+    serial = [_sha256_of_blob(cfg, spec) for cfg, spec in pairs]
+    barrier = threading.Barrier(8)
+    results = [None] * 8
+
+    def worker(i):
+        barrier.wait(timeout=10)
+        results[i] = [[cr.config_digest(cfg, spec) for cfg, spec in pairs]
+                      for _ in range(50)]
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[serial] * 50] * 8
+
+
+@pytest.mark.skipif(not any(importlib.util.find_spec(m) for m in ("_sha2", "_sha256")),
+                    reason="this interpreter has no builtin SHA-256 module")
+def test_no_openssl_in_a_chanreduce_process(tmp_path):
+    # A fresh interpreter runs a reduce and builds a trainer oracle; neither
+    # the digest nor the run-id nonce may load OpenSSL's hash bindings.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("")
+    script = textwrap.dedent("""\
+        import sys
+        import chanreduce.cli as cli
+        from chanreduce import build_sequential_cnn
+        from chanreduce.trainer import ExternalTrainerOracle
+        assert cli.main(["reduce", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+        ExternalTrainerOracle("true", build_sequential_cnn(15, [16, 32, 64])).close()
+        print(sorted({"_hashlib", "hmac"} & set(sys.modules)))
+        """)
+    src = str(Path(cr.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script, str(cfg), str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_distortion():

@@ -12,6 +12,7 @@ import warnings
 import pytest
 
 import chanreduce as cr
+from chanreduce import cli
 from chanreduce.trainer import ExternalTrainerOracle, build_request
 
 REQUEST_KEYS = {"run_id", "channels", "macroblock_starts", "dataset", "num_classes",
@@ -384,6 +385,47 @@ def test_files_rerun_ignores_stale_response(tmp_path, d15_spec, d15_config):
     assert records[0].ok and records[0].top1 == 0.71
     assert records[1].status == cr.STATUS_FAILED and records[1].top1 is None
     assert "exited with code 3" in records[1].note
+
+
+def _non_utf8_trainer(tmp_path):
+    """Files-mode trainer whose response starts with a UTF-16 byte-order mark."""
+    return _script(tmp_path, "bom_trainer.py", """\
+        import json, sys
+        req = json.load(open(sys.argv[1]))
+        reply = json.dumps({"run_id": req["run_id"], "status": "ok", "top1": 0.9})
+        open(sys.argv[2], "wb").write(b"\\xff\\xfe" + reply.encode())
+        """)
+
+
+def test_files_non_utf8_response_fails(tmp_path, d15_spec, d15_config):
+    oracle = ExternalTrainerOracle([sys.executable, str(_non_utf8_trainer(tmp_path))],
+                                   d15_spec, protocol="files",
+                                   exchange_dir=tmp_path / "exchange", timeout=30.0)
+    try:
+        rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
+    finally:
+        oracle.close()
+    assert rec.status == cr.STATUS_FAILED and rec.top1 is None
+    assert rec.note.startswith("unparseable trainer reply")
+
+
+def test_files_non_utf8_response_is_a_failed_baseline_in_the_cli(tmp_path):
+    # The undecodable reply is a failed baseline (exit 1) with its record in
+    # the ledger, not a configuration error (exit 2).
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(textwrap.dedent(f"""\
+        [oracle]
+        kind = external
+        trainer_cmd = {sys.executable} {_non_utf8_trainer(tmp_path)}
+        protocol = files
+        exchange_dir = {tmp_path / "exchange"}
+        timeout_seconds = 60
+        """))
+    out = tmp_path / "out"
+    assert cli.main(["reduce", "--config", str(cfg), "--out", str(out)]) == 1
+    records = [json.loads(line) for line in (out / "ledger.jsonl").read_text().splitlines()]
+    assert [r["status"] for r in records] == ["failed"]
+    assert records[0]["note"].startswith("unparseable trainer reply")
 
 
 def test_files_failure_note_keeps_stderr_tail(tmp_path, d15_spec, d15_config):
