@@ -66,16 +66,12 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, budget=True):
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", default=None, help="run directory (default derived from config)")
-        p.add_argument("--oracle", choices=("surrogate", "replay", "external"), default=None,
-                       help="override the configured oracle kind")
         if budget:
             p.add_argument("--budget", choices=("search", "final"), default="search",
                            help="training budget used for evaluations")
 
     p = sub.add_parser("reduce", help="greedy per-macroblock width reduction")
     common(p)
-    p.add_argument("--delta", type=float, default=None, help="accuracy drop tolerance")
-    p.add_argument("--scope", type=int, default=None, help="number of macroblocks to search")
     p.add_argument("--direction", choices=("backward", "forward"), default="backward")
     p.set_defaults(func=cmd_reduce)
 
@@ -92,8 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("rd", help="size/accuracy trade-off curves")
     common(p)
     p.add_argument("--alphas", nargs="+", type=float, default=[1.0, 0.75, 0.5, 0.25])
-    p.add_argument("--delta", type=float, default=None, help="accuracy drop tolerance")
-    p.add_argument("--scope", type=int, default=None, help="number of macroblocks to search")
     p.add_argument("--gnuplot", action="store_true", help="also write .dat plot files")
     p.set_defaults(func=cmd_rd)
 
@@ -109,17 +103,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 # -- run setup ---------------------------------------------------------------
-
-
-def _apply_overrides(cfg: RunConfig, args) -> None:
-    """Command line flags win over the file and pass the same checks."""
-    if getattr(args, "delta", None) is not None:
-        cfg.search.delta = args.delta
-    if getattr(args, "scope", None) is not None:
-        cfg.search.scope = args.scope
-    if args.oracle is not None:
-        cfg.oracle.kind = args.oracle
-    cfg._validate()
 
 
 def _make_oracle(cfg: RunConfig, spec, run_dir: Path, replaying: bool):
@@ -171,7 +154,6 @@ def _run(args, command: str, body, evaluates: bool = True) -> int:
     replay_dir = getattr(args, "replay_dir", None)
     cfg = RunConfig.from_file(args.config)
     if replay_dir is None:
-        _apply_overrides(cfg, args)
         cfg.command = command
         if evaluates:
             cfg.search_slots = cfg.oracle.parallelism if cfg.oracle.kind == "external" else 1

@@ -1,9 +1,11 @@
 """Run configuration: a flat, sectioned text file driving every CLI command.
 
-Sections: [model], [oracle], [search], [budget], [output], [run]. Unknown keys
-warn but do not fail; genuinely invalid values raise :class:`ConfigError`. The resolved
-configuration (every effective value made explicit) is written into the run
-directory so a run can be replayed from its own artifacts.
+Sections: [model], [oracle], [search], [budget], [output], [run]. The file is the
+only way to set a key; the recipe and surrogate defaults come from
+:mod:`chanreduce.oracle`. Unknown keys warn but do not fail; genuinely invalid
+values raise :class:`ConfigError`. The resolved configuration (every effective
+value made explicit) is written into the run directory so a run can be replayed
+from its own artifacts.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .arch import ModelSpec, build_sequential_cnn
-from .oracle import SurrogateParams, TrainingBudget
+from .oracle import FINAL_BUDGET, SEARCH_BUDGET, SurrogateParams, TrainingBudget
 from .presets import PRESETS, load_descriptor
 from .search import BetaMode
 
@@ -69,10 +71,10 @@ class ModelConfig:
 @dataclass
 class OracleConfig:
     kind: str = _word("surrogate", "replay", "external")
-    a_max: float = 0.91
-    exponent: float = 2.0
-    frontiers: tuple[float, ...] = (0.95, 0.85, 0.55)
-    weights: tuple[float, ...] = (4.0, 4.0, 4.0)
+    a_max: float = SurrogateParams.a_max
+    exponent: float = SurrogateParams.exponent
+    frontiers: tuple[float, ...] = SurrogateParams.frontiers
+    weights: tuple[float, ...] = SurrogateParams.weights
     parallelism: int = 1
     timeout_seconds: float = 3600.0
     protocol: str = _word("pipe", "files")
@@ -85,22 +87,22 @@ class OracleConfig:
 class SearchConfig:
     delta: float = _bounded(0.01, 0.0, 1.0)
     beta_return_mode: str = _word("feasible_bound", "last_midpoint")
-    seed: int = 0
+    seed: int = TrainingBudget.seed
     metric: str = _word("top1", "top5")
     scope: int | None = _bounded(None, 1)   # None: all macroblocks
 
 
 @dataclass
 class BudgetConfig:
-    search_epochs: int = 20
-    search_milestones: tuple[int, ...] = (8, 16)
-    final_epochs: int = 90
-    final_milestones: tuple[int, ...] = (30, 60)
-    lr_initial: float = 0.1
-    lr_divisor: float = 10.0
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    batch_size: int = 128
+    search_epochs: int = SEARCH_BUDGET.epochs
+    search_milestones: tuple[int, ...] = SEARCH_BUDGET.lr_milestones
+    final_epochs: int = FINAL_BUDGET.epochs
+    final_milestones: tuple[int, ...] = FINAL_BUDGET.lr_milestones
+    lr_initial: float = TrainingBudget.lr_initial
+    lr_divisor: float = TrainingBudget.lr_divisor
+    momentum: float = TrainingBudget.momentum
+    weight_decay: float = TrainingBudget.weight_decay
+    batch_size: int = TrainingBudget.batch_size
 
 
 @dataclass
@@ -133,12 +135,12 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file {path} does not exist")
         parser = configparser.ConfigParser(interpolation=None,
                                            inline_comment_prefixes=("#", ";"))
-        try:
-            parser.read(path)
+        try:  # ConfigParser.read would skip a file it cannot open or decode
+            parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
@@ -296,7 +298,7 @@ def _parse(name: str, f, raw: str):
     """The typed value of key ``name`` (declared by field ``f``) from its raw text."""
     if "choices" in f.metadata:
         raw = raw.lower()
-    if not raw and f.type == "str | None":
+    if not raw and f.type.endswith(" | None"):
         return None
     parse, expected = _TYPES[f.type.removesuffix(" | None")]
     try:

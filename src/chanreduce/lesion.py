@@ -18,7 +18,7 @@ from .accounting import count_parameters
 from .arch import (ChannelConfig, MacroblockPartition, ModelSpec,
                    apply_constant_lesion, apply_macroblock_scale,
                    apply_proportional_lesion, channel_config, with_config)
-from .oracle import EvaluationRecord, TrainingBudget, fan_out
+from .oracle import SEARCH_BUDGET, EvaluationRecord, TrainingBudget, fan_out
 
 log = logging.getLogger(__name__)
 
@@ -33,7 +33,7 @@ class SweepPlan:
     kind: str
     values: tuple
     indices: tuple[int, ...] | None = None   # None: every channel entry / block
-    budget: TrainingBudget = TrainingBudget(epochs=20, lr_milestones=(8, 16))
+    budget: TrainingBudget = SEARCH_BUDGET
 
     def __post_init__(self):
         if self.kind not in _SWEEP_KINDS:

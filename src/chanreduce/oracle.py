@@ -16,7 +16,7 @@ import logging
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 try:  # the interpreter's builtin SHA-256, so no process maps OpenSSL for one digest
@@ -66,20 +66,14 @@ class TrainingBudget:
             last = m
 
     def to_dict(self) -> dict:
-        return {"epochs": self.epochs, "lr_initial": self.lr_initial,
-                "lr_milestones": list(self.lr_milestones), "lr_divisor": self.lr_divisor,
-                "optimizer": self.optimizer, "momentum": self.momentum,
-                "weight_decay": self.weight_decay, "batch_size": self.batch_size,
-                "seed": self.seed}
+        return dict(vars(self), lr_milestones=list(self.lr_milestones))
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainingBudget":
-        return cls(epochs=d["epochs"], lr_initial=d.get("lr_initial", 0.1),
-                   lr_milestones=tuple(d.get("lr_milestones", ())),
-                   lr_divisor=d.get("lr_divisor", 10.0),
-                   optimizer=d.get("optimizer", "sgd"), momentum=d.get("momentum", 0.9),
-                   weight_decay=d.get("weight_decay", 1e-4),
-                   batch_size=d.get("batch_size", 128), seed=d.get("seed", 0))
+        """The budget ``to_dict`` wrote; a missing key takes its field default."""
+        given = {f.name: d[f.name] for f in fields(cls) if f.name in d}
+        given["lr_milestones"] = tuple(given.get("lr_milestones", ()))
+        return cls(**given)
 
 
 # Default budgets: a short schedule for search probes, a long one for final runs.

@@ -63,10 +63,13 @@ def test_reduce_forward_direction(tmp_path):
 
 
 def test_reduce_overrides_recorded_and_replayed(tmp_path):
-    cfg = write_cfg(tmp_path)
+    cfg = write_cfg(tmp_path, """\
+        [search]
+        delta = 0.5
+        scope = 1
+        """)
     out = tmp_path / "out"
-    assert run("reduce", "--config", cfg, "--out", out,
-               "--delta", "0.5", "--scope", "1") == 0
+    assert run("reduce", "--config", cfg, "--out", out) == 0
     resolved = (out / "resolved.cfg").read_text()
     assert "delta = 0.5" in resolved
     assert "scope = 1" in resolved
@@ -523,7 +526,8 @@ def test_rerun_with_other_oracle_settings_is_refused(tmp_path, monkeypatch, caps
     cfg = write_cfg(tmp_path)
     out = tmp_path / "runs" / "run"
     assert run("reduce", "--config", cfg) == 0
-    assert run("reduce", "--config", cfg, "--delta", "0.05") == 0  # [search] may differ
+    write_cfg(tmp_path, "[search]\ndelta = 0.05\n")
+    assert run("reduce", "--config", cfg) == 0  # [search] may differ
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     capsys.readouterr()
 
@@ -658,11 +662,34 @@ def test_size_rejects_a_malformed_descriptor(tmp_path, capsys, layers):
 
 
 def test_override_checked_like_the_file(tmp_path):
-    cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
-    assert run("reduce", "--config", cfg, "--out", out, "--scope", "0") == 2
-    assert run("rd", "--config", cfg, "--out", out, "--delta", "-0.1") == 2
-    assert run("size", "--config", cfg, "--out", out, "--oracle", "replay") == 2
+    cfg = write_cfg(tmp_path, "[search]\nscope = 0\n")
+    assert run("reduce", "--config", cfg, "--out", out) == 2
+    cfg = write_cfg(tmp_path, "[search]\ndelta = -0.1\n")
+    assert run("rd", "--config", cfg, "--out", out) == 2
+    cfg = write_cfg(tmp_path, "[oracle]\nkind = replay\n")
+    assert run("size", "--config", cfg, "--out", out) == 2
+
+
+@pytest.mark.parametrize("command", [["reduce"], ["rd"], ["size"],
+                                     ["lesion", "--kind", "constant", "--values", "4"]])
+@pytest.mark.parametrize("flag", [["--delta", "0.5"], ["--scope", "1"],
+                                  ["--oracle", "surrogate"]])
+def test_settings_come_only_from_the_config_file(tmp_path, command, flag):
+    with pytest.raises(SystemExit) as exit_:
+        run(*command, "--config", write_cfg(tmp_path), "--out", tmp_path / "out", *flag)
+    assert exit_.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    (tmp_path / "cfgdir").mkdir()
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes("[model]\nname = Gr\xfcn\n".encode("latin-1"))
+    for cfg in (tmp_path / "cfgdir", latin1):
+        assert run("size", "--config", cfg, "--out", tmp_path / "out") == 2
+        assert "cannot read" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_dir_from_env(tmp_path, monkeypatch):
@@ -757,9 +784,12 @@ def test_external_oracle_end_to_end(tmp_path):
         kind = external
         trainer_cmd = {sys.executable} {script}
         timeout_seconds = 60
+
+        [search]
+        delta = 0.05
         """)
     out = tmp_path / "out"
-    assert run("reduce", "--config", cfg, "--out", out, "--delta", "0.05") == 0
+    assert run("reduce", "--config", cfg, "--out", out) == 0
 
     payload = json.loads((out / "reduction.json").read_text())
     final = payload["final_evaluation"]
@@ -778,10 +808,12 @@ def test_usage_errors_exit_2(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
     assert run("reduce", "--config", tmp_path / "missing.cfg", "--out", out) == 2
-    assert run("reduce", "--config", cfg, "--out", out, "--delta", "1.5") == 2
+    bad_delta = write_cfg(tmp_path, "[search]\ndelta = 1.5\n", name="delta.cfg")
+    assert run("reduce", "--config", bad_delta, "--out", out) == 2
     assert run("lesion", "--config", cfg, "--out", out,
                "--kind", "constant", "--values", "1/2") == 2
-    assert run("reduce", "--config", cfg, "--out", out, "--oracle", "external") == 2
+    no_trainer = write_cfg(tmp_path, "[oracle]\nkind = external\n", name="ext.cfg")
+    assert run("reduce", "--config", no_trainer, "--out", out) == 2
     bad_kind = write_cfg(tmp_path, "[oracle]\nkind = quantum\n", name="bad.cfg")
     assert run("reduce", "--config", bad_kind, "--out", out) == 2
     replay_no_ledger = write_cfg(

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from chanreduce.config import ConfigError, RunConfig
+from chanreduce.oracle import FINAL_BUDGET, SEARCH_BUDGET, SurrogateParams
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -199,6 +200,25 @@ def test_invalid_values(tmp_path, text, message):
     with pytest.raises(ConfigError) as err:
         _load(tmp_path, text)
     assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("text, section, key", [
+    ("[search]\nscope =\n", "search", "scope"),
+    ("[model]\nnum_classes =\n", "model", "num_classes"),
+    ("[run]\nsearch_slots =\n", "run", "search_slots"),
+])
+def test_empty_value_unsets_an_optional_key(tmp_path, text, section, key):
+    cfg = _load(tmp_path, text)
+    assert getattr(cfg if section == "run" else getattr(cfg, section), key) is None
+    assert cfg.resolved_text() == DEFAULT_RESOLVED
+
+
+def test_defaults_are_the_library_defaults():
+    """The config's defaults are read from the oracle module's declarations."""
+    cfg = RunConfig()
+    assert cfg.search_budget() == SEARCH_BUDGET
+    assert cfg.final_budget() == FINAL_BUDGET
+    assert cfg.surrogate_params() == SurrogateParams()
 
 
 def test_readme_lists_every_key():

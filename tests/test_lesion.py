@@ -21,6 +21,10 @@ def test_plan_validation():
     SweepPlan(cr.SWEEP_MACROBLOCK, (Fraction(1, 2),))   # valid kind per se
 
 
+def test_plan_budget_defaults_to_the_search_budget():
+    assert SweepPlan(cr.SWEEP_CONSTANT, (4,)).budget == cr.SEARCH_BUDGET
+
+
 def test_onehot_constant_sweep_order_and_values(d15_spec):
     plan = SweepPlan(cr.SWEEP_CONSTANT, (4, 8), indices=(1, 11))
     obs = run_onehot_sweep(d15_spec, plan, cr.SurrogateOracle(d15_spec))

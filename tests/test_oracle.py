@@ -54,6 +54,10 @@ def test_budget_round_trip():
     assert TrainingBudget.from_dict(budget.to_dict()) == budget
 
 
+def test_budget_from_dict_fills_missing_keys_with_field_defaults():
+    assert TrainingBudget.from_dict({"epochs": 20}) == TrainingBudget(20)
+
+
 # -- records -----------------------------------------------------------------
 
 
