@@ -153,13 +153,12 @@ def _run(args, command: str, body, evaluates: bool = True) -> int:
     a command that ``evaluates`` nothing gets no oracle."""
     replay_dir = getattr(args, "replay_dir", None)
     cfg = RunConfig.from_file(args.config)
+    run_dir = cfg.resolve_run_dir(args.out, args.config)
+    run_dir.mkdir(parents=True, exist_ok=True)
     if replay_dir is None:
         cfg.command = command
         if evaluates:
             cfg.search_slots = cfg.oracle.parallelism if cfg.oracle.kind == "external" else 1
-    run_dir = cfg.resolve_run_dir(args.out, args.config)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    if replay_dir is None:
         resolved = cfg.resolved_text()
         _check_rerun(cfg, run_dir, resolved)
         (run_dir / "resolved.cfg").write_text(resolved, encoding="utf-8")
@@ -286,6 +285,8 @@ def _parse_sweep_values(kind: str, raw: list[str]) -> tuple:
 
 
 def cmd_lesion(args) -> int:
+    if args.kind == SWEEP_MACROBLOCK and args.indices is not None:
+        raise ConfigError(f"--indices picks channel entries; {SWEEP_MACROBLOCK} scales blocks")
     values = _parse_sweep_values(args.kind, args.values)
     command = f"lesion --kind {args.kind} --values " + \
         " ".join(format_value(v) for v in values)

@@ -11,6 +11,7 @@ from its own artifacts.
 from __future__ import annotations
 
 import configparser
+import inspect
 import io
 import logging
 import math
@@ -20,7 +21,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .arch import ModelSpec, build_sequential_cnn
-from .oracle import FINAL_BUDGET, SEARCH_BUDGET, SurrogateParams, TrainingBudget
+from .oracle import FINAL_BUDGET, METRICS, SEARCH_BUDGET, SurrogateParams, TrainingBudget
 from .presets import PRESETS, load_descriptor
 from .search import BetaMode
 
@@ -31,6 +32,14 @@ RUN_ROOT_ENV = "CHANREDUCE_RUN_ROOT"
 
 class ConfigError(Exception):
     """A configuration problem the user must fix (CLI exit code 2)."""
+
+
+# Each family's builder; build_spec sets each parameter from its [model] key.
+BUILDERS = {"sequential": build_sequential_cnn, **PRESETS}
+
+
+def _default(family: str, name: str):
+    return inspect.signature(BUILDERS[family]).parameters[name].default
 
 
 def _word(*choices: str):
@@ -59,11 +68,11 @@ class ModelConfig:
     family: str = _word("sequential", "descriptor", *PRESETS)
     depth: int = 15
     block_widths: tuple[int, ...] = (16, 32, 64)
-    input_channels: int = 3
-    dataset: str = "cifar10"
-    resolution: int = 32
-    width_mult: float = 1.0
-    num_classes: int | None = None   # family default when unset
+    input_channels: int = _default("sequential", "input_channels")
+    dataset: str = _default("sequential", "dataset")
+    resolution: int = _default("sequential", "resolution")
+    width_mult: float = _default("mobilenet", "width_mult")
+    num_classes: int | None = None   # the family builder's default when unset
     descriptor: str | None = _path()
     name: str | None = None
 
@@ -86,9 +95,9 @@ class OracleConfig:
 @dataclass
 class SearchConfig:
     delta: float = _bounded(0.01, 0.0, 1.0)
-    beta_return_mode: str = _word("feasible_bound", "last_midpoint")
+    beta_return_mode: str = _word(*(mode.value for mode in BetaMode))
     seed: int = TrainingBudget.seed
-    metric: str = _word("top1", "top5")
+    metric: str = _word(*METRICS)
     scope: int | None = _bounded(None, 1)   # None: all macroblocks
 
 
@@ -193,30 +202,26 @@ class RunConfig:
     def build_spec(self) -> ModelSpec:
         m = self.model
         try:
-            if m.family == "sequential":
-                return build_sequential_cnn(m.depth, list(m.block_widths), m.input_channels,
-                                            self.effective_classes(), dataset=m.dataset,
-                                            resolution=m.resolution, name=m.name)
             if m.family == "descriptor":
                 return load_descriptor(self._resolve(m.descriptor))
-            if m.family == "mobilenet":
-                return PRESETS[m.family](m.width_mult, self.effective_classes())
-            return PRESETS[m.family](self.effective_classes())
+            builder = BUILDERS[m.family]
+            params = inspect.signature(builder).parameters
+            return builder(**{p: getattr(m, p) for p in params if getattr(m, p) is not None})
         except ValueError as exc:
             raise ConfigError(f"cannot build model: {exc}") from exc
 
-    def effective_classes(self) -> int:
-        """Class count actually used: explicit setting, else 10 for the small
-        sequential models and 1000 for the presets."""
+    def effective_classes(self) -> int | None:
+        """The set class count, else the family builder's; None for a descriptor."""
+        if self.model.family == "descriptor":
+            return None
         if self.model.num_classes is not None:
             return self.model.num_classes
-        return 10 if self.model.family == "sequential" else 1000
+        return _default(self.model.family, "num_classes")
 
     def surrogate_params(self) -> SurrogateParams:
-        o = self.oracle
         try:
-            return SurrogateParams(a_max=o.a_max, exponent=o.exponent,
-                                   frontiers=o.frontiers, weights=o.weights)
+            return SurrogateParams(**{f.name: getattr(self.oracle, f.name)
+                                      for f in fields(SurrogateParams)})
         except ValueError as exc:
             raise ConfigError(f"bad surrogate parameters: {exc}") from exc
 
@@ -256,7 +261,7 @@ class RunConfig:
         for section, f, part in self._keys():
             value = getattr(part, f.name)
             if f.name == "num_classes":
-                value = None if self.model.family == "descriptor" else self.effective_classes()
+                value = self.effective_classes()
             elif value is not None and f.metadata.get("path"):
                 value = self._resolve(value)
             if value is not None:

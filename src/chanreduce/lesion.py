@@ -32,7 +32,7 @@ _SWEEP_KINDS = (SWEEP_CONSTANT, SWEEP_PROPORTIONAL, SWEEP_MACROBLOCK)
 class SweepPlan:
     kind: str
     values: tuple
-    indices: tuple[int, ...] | None = None   # None: every channel entry / block
+    indices: tuple[int, ...] | None = None   # None: every channel entry
     budget: TrainingBudget = SEARCH_BUDGET
 
     def __post_init__(self):
@@ -67,17 +67,10 @@ def run_onehot_sweep(spec: ModelSpec, plan: SweepPlan, oracle) -> list[SweepObse
         raise ValueError("macroblock sweeps are driven by run_macroblock_rd_sweep")
     nominal = channel_config(spec)
     indices = plan.indices if plan.indices is not None else tuple(range(1, nominal.num_entries + 1))
-    for i in indices:
-        if not 1 <= i <= nominal.num_entries:
-            raise ValueError(f"channel index {i} out of range 1..{nominal.num_entries}")
 
     keys: list[tuple[int, object]] = [(i, v) for i in indices for v in plan.values]
-    configs = []
-    for i, v in keys:
-        if plan.kind == SWEEP_CONSTANT:
-            configs.append(apply_constant_lesion(nominal, i, v))
-        else:
-            configs.append(apply_proportional_lesion(nominal, i, v))
+    lesion = apply_constant_lesion if plan.kind == SWEEP_CONSTANT else apply_proportional_lesion
+    configs = [lesion(nominal, i, v) for i, v in keys]
 
     records = fan_out(oracle, lambda cfg: oracle.evaluate(cfg, plan.budget), configs)
     observations = [SweepObservation(i, v, cfg, rec)

@@ -35,6 +35,8 @@ STATUS_OK = "ok"
 STATUS_FAILED = "failed"
 STATUS_TIMEOUT = "timeout"
 _STATUSES = (STATUS_OK, STATUS_FAILED, STATUS_TIMEOUT)
+# Accuracies a record carries, by field name; a search ranks configs by one.
+METRICS = ("top1", "top5")
 
 
 @dataclass(frozen=True)
@@ -108,17 +110,13 @@ class EvaluationRecord:
     def ok(self) -> bool:
         return self.status == STATUS_OK
 
-    def metric(self, name: str = "top1") -> float | None:
-        if name == "top1":
-            return self.top1
-        if name == "top5":
-            return self.top5
-        raise ValueError(f"unknown metric {name!r}")
+    def metric(self, name: str = METRICS[0]) -> float | None:
+        if name not in METRICS:
+            raise ValueError(f"unknown metric {name!r}")
+        return getattr(self, name)
 
     def to_dict(self) -> dict:
-        return {"config_digest": self.config_digest, "budget": self.budget.to_dict(),
-                "top1": self.top1, "top5": self.top5, "wall_seconds": self.wall_seconds,
-                "status": self.status, "note": self.note}
+        return dict(vars(self), budget=self.budget.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvaluationRecord":

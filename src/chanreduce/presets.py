@@ -133,11 +133,12 @@ def spec_from_dict(d: dict) -> ModelSpec:
 
 
 def save_descriptor(spec: ModelSpec, path) -> None:
-    Path(path).write_text(json.dumps(spec_to_dict(spec), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(spec_to_dict(spec), indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")
 
 
 def load_descriptor(path) -> ModelSpec:
     try:
-        return spec_from_dict(json.loads(Path(path).read_text()))
+        return spec_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model descriptor {path}: {exc}") from exc

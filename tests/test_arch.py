@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -269,6 +274,26 @@ def test_descriptor_bytes_golden(tmp_path, d15_spec):
         path = tmp_path / "model.json"
         cr.save_descriptor(spec, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha, spec.meta.name
+
+
+def test_descriptor_files_are_utf8_whatever_the_locale(tmp_path):
+    # A descriptor written on one machine must load on another: both ends name
+    # their encoding, so an interpreter warning on the locale default stays quiet.
+    script = textwrap.dedent("""\
+        import sys
+        import chanreduce as cr
+        spec = cr.build_sequential_cnn(6, [8, 12])
+        cr.save_descriptor(spec, sys.argv[1])
+        assert cr.load_descriptor(sys.argv[1]) == spec
+        """)
+    path = tmp_path / "model.json"
+    src = str(Path(cr.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                           "-W", "error::EncodingWarning", "-c", script, str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_descriptor_rejects_garbage(tmp_path):

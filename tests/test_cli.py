@@ -186,6 +186,16 @@ def test_lesion_macroblock(tmp_path):
     assert len(rows) == 7
 
 
+def test_lesion_macroblock_refuses_indices(tmp_path, capsys):
+    # A macroblock sweep scales whole blocks; an --indices it would ignore while
+    # recording it in resolved.cfg is a usage error.
+    out = tmp_path / "out"
+    assert run("lesion", "--config", write_cfg(tmp_path), "--out", out,
+               "--kind", "macroblock_scale", "--values", "1/2", "--indices", "1") == 2
+    assert "--indices" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_lesion_replay_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
@@ -739,6 +749,22 @@ def test_preset_model(tmp_path):
     out = tmp_path / "out"
     assert run("size", "--config", cfg, "--out", out) == 0
     assert "parameters: 21797672" in (out / "summary.txt").read_text()
+
+
+def test_mobilenet_width_mult_from_the_config(tmp_path):
+    cfg = write_cfg(tmp_path, """\
+        [model]
+        family = mobilenet
+        width_mult = 1/2
+        """)
+    out = tmp_path / "out"
+    assert run("size", "--config", cfg, "--out", out) == 0
+    expected = cr.count_parameters(cr.mobilenet(0.5)).parameter_count
+    assert json.loads((out / "size.json").read_text())["parameter_count"] == expected
+    assert "model: mobilenet-0.5 dataset=imagenet classes=1000" in (
+        out / "summary.txt").read_text()
+    resolved = (out / "resolved.cfg").read_text()
+    assert "width_mult = 0.5\n" in resolved and "num_classes = 1000\n" in resolved
 
 
 def test_percent_in_config_value_is_literal(tmp_path):

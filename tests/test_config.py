@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import inspect
 import re
 import textwrap
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from chanreduce.config import ConfigError, RunConfig
-from chanreduce.oracle import FINAL_BUDGET, SEARCH_BUDGET, SurrogateParams
+from chanreduce.config import BUILDERS, ConfigError, ModelConfig, RunConfig
+from chanreduce.oracle import (FINAL_BUDGET, METRICS, SEARCH_BUDGET, EvaluationRecord,
+                               SurrogateParams)
+from chanreduce.search import BetaMode
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -221,6 +225,33 @@ def test_defaults_are_the_library_defaults():
     assert cfg.surrogate_params() == SurrogateParams()
 
 
+def test_model_defaults_are_the_builder_defaults():
+    """Every builder parameter is a [model] key; where a builder declares a
+    default, the key's default is that value, and an unset class count is the
+    family builder's own."""
+    keys = {f.name: f.default for f in fields(ModelConfig)}
+    for family, builder in BUILDERS.items():
+        for p in inspect.signature(builder).parameters.values():
+            assert p.name in keys, (family, p.name)
+            if p.default is not p.empty and p.name != "num_classes":
+                assert keys[p.name] == p.default, (family, p.name)
+        cfg = RunConfig()
+        cfg.model.family = family
+        assert cfg.effective_classes() == \
+            inspect.signature(builder).parameters["num_classes"].default
+    assert keys["num_classes"] is None
+
+
+def test_search_choices_are_the_library_choices(tmp_path):
+    choices = {f.name: f.metadata.get("choices") for f in fields(RunConfig().search)}
+    assert choices["beta_return_mode"] == tuple(mode.value for mode in BetaMode)
+    assert choices["metric"] == METRICS
+    cfg = _load(tmp_path, "[search]\nmetric = top5\nbeta_return_mode = last_midpoint\n")
+    assert cfg.beta_mode() is BetaMode.LAST_MIDPOINT
+    record = EvaluationRecord("d" * 64, SEARCH_BUDGET, 0.5, 0.75, 0.0, "ok")
+    assert [record.metric(m) for m in METRICS] == [0.5, 0.75]
+
+
 def test_readme_lists_every_key():
     """The README's configuration block documents exactly the parsed key set."""
     text = README.read_text(encoding="utf-8")
@@ -235,3 +266,19 @@ def test_readme_lists_every_key():
     derived = {f"{section}.{f.name}" for section, f, _ in RunConfig()._keys()
                if section != "run"}
     assert documented == derived
+
+
+def test_readme_names_the_families_reading_each_model_key():
+    """Each [model] key's README comment names the families whose builder takes
+    it as a parameter; only ``descriptor`` reads the descriptor path."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("```ini\n[model]\n", 1)[1].split("\n\n", 1)[0]
+    for line in block.splitlines():
+        key, comment = re.match(r";?\s*(\w+)\s*=[^;]*;\s*([^;:]*)", line).groups()
+        if key == "family":
+            continue
+        readers = {family for family, builder in BUILDERS.items()
+                   if key in inspect.signature(builder).parameters}
+        if key == "descriptor":
+            readers.add("descriptor")
+        assert set(re.split(r",\s*", comment.strip())) == readers, key

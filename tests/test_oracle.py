@@ -382,6 +382,23 @@ def test_replay_returns_records_verbatim(tmp_path, d15_spec):
         replay.evaluate(cfg, cr.SEARCH_BUDGET)
 
 
+def test_replay_past_the_held_records_answers_with_the_newest(tmp_path, d15_spec):
+    # Two records for one config; a replay asking four times gets them in
+    # ledger order, then the newest for every further request.
+    cfg = cr.channel_config(d15_spec)
+    digest = cr.config_digest(cfg, d15_spec)
+    ledger = EvaluationLedger(tmp_path / "l.jsonl")
+    older = _record(digest, top1=None, status="failed", note="crashed")
+    newer = _record(digest, top1=0.8)
+    ledger.append(older)
+    ledger.append(newer)
+    replay = cr.RecordingOracle(None, ledger, d15_spec)
+    answers = [replay.evaluate(cfg, cr.SEARCH_BUDGET) for _ in range(4)]
+    assert answers == [older, newer, newer, newer]
+    assert replay.failures_served == 1
+    assert len(ledger) == 2
+
+
 def test_recording_oracle_appends_every_call(tmp_path, d15_spec):
     ledger = EvaluationLedger(tmp_path / "l.jsonl")
     inner = cr.SurrogateOracle(d15_spec)

@@ -113,6 +113,52 @@ def test_failed_points_are_skipped(d15_spec, caplog):
     assert any("alpha=0.5" in r.message for r in caplog.records)
 
 
+class _FailsOneConfig:
+    """Fails the first ``times`` evaluations of the config with ``digest``."""
+
+    parallel_slots = 1
+
+    def __init__(self, spec, digest, times):
+        self._inner = cr.SurrogateOracle(spec)
+        self.spec = spec
+        self.digest = digest
+        self.times = times
+        self.asked = 0
+
+    def evaluate(self, config, budget):
+        if cr.config_digest(config, self.spec) == self.digest:
+            self.asked += 1
+            if self.asked <= self.times:
+                return cr.EvaluationRecord(self.digest, budget, None, None, 0.0, "failed")
+        return self._inner.evaluate(config, budget)
+
+
+@pytest.mark.parametrize("times", [1, 2])
+def test_composed_point_ending_on_a_failed_record_is_evaluated_again(d15_spec, caplog,
+                                                                      times):
+    # Under last_midpoint a reduction returns its last probe even when that probe
+    # failed; the point then evaluates the config again and is kept only if that
+    # second record is ok.
+    mode = cr.BetaMode.LAST_MIDPOINT
+    scaled = cr.with_config(d15_spec, cr.apply_alpha_scaling(cr.channel_config(d15_spec), 0.5))
+    reduced = cr.backward_reduction(scaled, cr.partition_macroblocks(scaled), 0.01,
+                                    cr.SurrogateOracle(d15_spec), cr.SEARCH_BUDGET,
+                                    beta_mode=mode).reduced_config
+    oracle = _FailsOneConfig(d15_spec, cr.config_digest(reduced, d15_spec), times)
+    with caplog.at_level("WARNING", logger="chanreduce.rdcurve"):
+        points = build_alpha_plus_backward_curve(d15_spec, (0.5,), 0.01, oracle,
+                                                 cr.SEARCH_BUDGET, beta_mode=mode)
+    assert oracle.asked == 2
+    if times == 1:
+        expected = cr.SurrogateOracle(d15_spec).evaluate(reduced, cr.SEARCH_BUDGET)
+        assert [(p.label, p.top1) for p in points] == [("alpha=0.5+backward",
+                                                        expected.top1)]
+    else:
+        assert points == []
+        assert any("alpha=0.5 composed point status failed" in r.message
+                   for r in caplog.records)
+
+
 def test_curve_ledger_appends(d15_spec, tmp_path):
     ledger = cr.EvaluationLedger(tmp_path / "l.jsonl")
     build_alpha_curve(d15_spec, (0.5, 1.0),

@@ -454,6 +454,21 @@ def test_files_failure_note_keeps_stderr_tail(tmp_path, d15_spec, d15_config):
     assert records[1].note == "trainer wrote no response file; stderr: " + "x" * 500
 
 
+def test_files_timeout_note_keeps_stderr_tail(tmp_path, d15_spec, d15_config):
+    hang = _script(tmp_path, "hang.py", """\
+        import sys, time
+        print("epoch 0", file=sys.stderr)
+        print("waiting for a GPU", file=sys.stderr, flush=True)
+        time.sleep(30)
+        """)
+    oracle = ExternalTrainerOracle([sys.executable, str(hang)], d15_spec,
+                                   protocol="files", exchange_dir=tmp_path / "exchange",
+                                   timeout=1.0)
+    rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
+    assert rec.status == cr.STATUS_TIMEOUT
+    assert rec.note == "trainer run exceeded 1s; stderr: epoch 0 | waiting for a GPU"
+
+
 def test_files_mode_runs_at_most_parallelism_trainers(tmp_path, d15_spec, d15_config):
     # Each invocation leaves a mark in running/ while it runs and logs how many
     # marks it sees when it starts and before it ends.
