@@ -511,3 +511,74 @@ def test_constructor_validation(d15_spec):
         ExternalTrainerOracle("x", d15_spec, protocol="smoke-signals")
     with pytest.raises(ValueError):
         ExternalTrainerOracle("x", d15_spec, protocol="files")   # no exchange_dir
+
+
+def test_constructor_rejects_a_zero_timeout(d15_spec):
+    with pytest.raises(ValueError, match="timeout must be positive"):
+        ExternalTrainerOracle("x", d15_spec, timeout=0)
+
+
+def test_pipe_reply_that_is_not_an_object_fails(tmp_path, d15_spec, d15_config):
+    script = _script(tmp_path, "list.py", """\
+        import sys
+        for line in sys.stdin:
+            print("[1, 2]", flush=True)
+        """)
+    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec, timeout=30.0)
+    try:
+        rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
+    finally:
+        oracle.close()
+    assert rec.status == cr.STATUS_FAILED and rec.top1 is None
+    assert rec.note == "trainer reply is not an object"
+
+
+@pytest.mark.parametrize("status", [cr.STATUS_FAILED, cr.STATUS_TIMEOUT])
+@pytest.mark.parametrize("note", [None, "CUDA error: out of memory"])
+def test_pipe_failure_reported_by_the_trainer(tmp_path, d15_spec, d15_config, status, note):
+    extra = {} if note is None else {"note": note}
+    script = _script(tmp_path, "reporter.py", f"""\
+        import json, sys
+        for line in sys.stdin:
+            req = json.loads(line)
+            out = dict(run_id=req["run_id"], status={status!r}, wall_seconds=7.0,
+                       **{extra!r})
+            print(json.dumps(out), flush=True)
+        """)
+    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec, timeout=30.0)
+    try:
+        rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
+    finally:
+        oracle.close()
+    assert rec.status == status and rec.top1 is None and rec.top5 is None
+    assert rec.wall_seconds == 7.0
+    assert rec.note == (note or f"trainer reported {status}")
+
+
+def test_files_unreachable_command(tmp_path, d15_spec, d15_config):
+    oracle = ExternalTrainerOracle("/nonexistent/trainer-binary", d15_spec,
+                                   protocol="files", exchange_dir=tmp_path / "exchange",
+                                   timeout=2.0)
+    try:
+        rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
+    finally:
+        oracle.close()
+    assert rec.status == cr.STATUS_TIMEOUT and rec.top1 is None
+    assert rec.note.startswith("trainer unreachable: ")
+
+
+def test_files_response_without_a_matching_line_fails(tmp_path, d15_spec, d15_config):
+    script = _script(tmp_path, "other_run.py", """\
+        import json, sys
+        reply = json.dumps({"run_id": "someone-else-0001", "status": "ok", "top1": 0.9})
+        open(sys.argv[2], "w").write("\\n  \\n" + reply + "\\n\\n")
+        """)
+    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
+                                   protocol="files", exchange_dir=tmp_path / "exchange",
+                                   timeout=30.0)
+    try:
+        rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
+    finally:
+        oracle.close()
+    assert rec.status == cr.STATUS_FAILED and rec.top1 is None
+    assert rec.note == "no response line with matching run_id"
