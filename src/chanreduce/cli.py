@@ -148,36 +148,38 @@ def _check_rerun(cfg: RunConfig, run_dir: Path, resolved: str) -> None:
 
 
 def _run(args, command: str, body, evaluates: bool = True) -> int:
-    """Set up the run directory and return ``body(cfg, run_dir, spec, oracle)``.
-    A replay that finds no ledger record for an evaluation ends as a failed run;
-    a command that ``evaluates`` nothing gets no oracle."""
+    """Set up the run directory, run ``body(cfg, run_dir, spec, oracle)`` and
+    write the summary lines it returns with its exit code. Nothing is written
+    before the model and the oracle are built. A replay that finds no ledger
+    record for an evaluation ends as a failed run; a command that ``evaluates``
+    nothing gets no oracle."""
     replay_dir = getattr(args, "replay_dir", None)
     cfg = RunConfig.from_file(args.config)
     run_dir = cfg.resolve_run_dir(args.out, args.config)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    spec = cfg.build_spec()
     if replay_dir is None:
         cfg.command = command
         if evaluates:
             cfg.search_slots = cfg.oracle.parallelism if cfg.oracle.kind == "external" else 1
-        resolved = cfg.resolved_text()
-        _check_rerun(cfg, run_dir, resolved)
-        (run_dir / "resolved.cfg").write_text(resolved, encoding="utf-8")
     elif run_dir.resolve() != replay_dir.resolve():
+        run_dir.mkdir(parents=True, exist_ok=True)
         shutil.copyfile(replay_dir / "resolved.cfg", run_dir / "resolved.cfg")
         shutil.copyfile(replay_dir / "ledger.jsonl", run_dir / "ledger.jsonl")
-    spec = cfg.build_spec()
     oracle, closer = (_make_oracle(cfg, spec, run_dir, replay_dir is not None)
                       if evaluates else (None, None))
+    if replay_dir is None:
+        resolved = cfg.resolved_text()
+        _check_rerun(cfg, run_dir, resolved)
+        run_dir.mkdir(parents=True, exist_ok=True)
+        (run_dir / "resolved.cfg").write_text(resolved, encoding="utf-8")
     # Even an evaluation-free run leaves a (possibly empty) ledger, so every
     # run directory is replayable.
     (run_dir / "ledger.jsonl").touch(exist_ok=True)
     try:
-        return body(cfg, run_dir, spec, oracle)
+        code, lines = body(cfg, run_dir, spec, oracle)
     except MissingEvaluationError as exc:
-        (run_dir / "summary.txt").write_text(
-            f"command: {cfg.command}\nstatus: failed\nerror: {exc}\n", encoding="utf-8")
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, lines = 1, ["status: failed", f"error: {exc}"]
     finally:
         if closer:
             closer()
@@ -186,6 +188,12 @@ def _run(args, command: str, body, evaluates: bool = True) -> int:
             print(f"note: answered {served} failed or timed-out "
                   f"evaluation(s) from {run_dir / 'ledger.jsonl'}; rerun with a fresh "
                   f"--out to train them again", file=sys.stderr)
+    (run_dir / "summary.txt").write_text(_summary(cfg, lines), encoding="utf-8")
+    return code
+
+
+def _summary(cfg: RunConfig, lines: list[str]) -> str:
+    return "\n".join([f"command: {cfg.command}", *lines]) + "\n"
 
 
 def _pick_budget(cfg: RunConfig, which: str):
@@ -208,7 +216,7 @@ def cmd_reduce(args) -> int:
     return _run(args, command, partial(_run_reduce, args))
 
 
-def _run_reduce(args, cfg, run_dir, spec, oracle) -> int:
+def _run_reduce(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
     partition = partition_macroblocks(spec)
     budget = _pick_budget(cfg, args.budget)
     op = backward_reduction if args.direction == "backward" else forward_reduction
@@ -224,8 +232,7 @@ def _run_reduce(args, cfg, run_dir, spec, oracle) -> int:
     payload["final_evaluation"] = None if final_record is None else final_record.to_dict()
     _write_json(run_dir / "reduction.json", payload)
 
-    lines = [f"command: {cfg.command}",
-             f"model: {spec.meta.name} dataset={spec.meta.dataset} "
+    lines = [f"model: {spec.meta.name} dataset={spec.meta.dataset} "
              f"classes={spec.meta.num_classes}",
              f"oracle: {cfg.oracle.kind}",
              f"delta: {cfg.search.delta!r}  metric: {cfg.search.metric}",
@@ -254,12 +261,11 @@ def _run_reduce(args, cfg, run_dir, spec, oracle) -> int:
         final = (final_record.status if not final_record.ok
                  else repr(final_record.metric(cfg.search.metric)))
         lines.append(f"final {cfg.search.metric} (full budget): {final}")
-    (run_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     ok = baseline is not None and baseline.ok
     print(f"{'reduction' if ok else 'reduction (baseline failed)'}: "
           f"betas {list(result.betas)} -> {run_dir}")
-    return 0 if ok else 1
+    return 0 if ok else 1, lines
 
 
 # -- lesion ------------------------------------------------------------------
@@ -296,10 +302,9 @@ def cmd_lesion(args) -> int:
     return _run(args, command, partial(_run_lesion, args, values))
 
 
-def _run_lesion(args, values, cfg, run_dir, spec, oracle) -> int:
+def _run_lesion(args, values, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
     budget = _pick_budget(cfg, args.budget)
-    lines = [f"command: {cfg.command}",
-             f"model: {spec.meta.name}", f"oracle: {cfg.oracle.kind}"]
+    lines = [f"model: {spec.meta.name}", f"oracle: {cfg.oracle.kind}"]
     if args.kind == SWEEP_MACROBLOCK:
         partition = partition_macroblocks(spec)
         points = run_macroblock_rd_sweep(spec, partition, values, oracle, budget)
@@ -317,9 +322,8 @@ def _run_lesion(args, values, cfg, run_dir, spec, oracle) -> int:
         lines += [f"observations: {len(observations)}", f"failed: {failed}",
                   "csv: onehot.csv"]
         all_failed = bool(observations) and failed == len(observations)
-    (run_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"lesion sweep written to {run_dir}")
-    return 1 if all_failed else 0
+    return 1 if all_failed else 0, lines
 
 
 # -- rd ----------------------------------------------------------------------
@@ -333,7 +337,7 @@ def cmd_rd(args) -> int:
     return _run(args, command, partial(_run_rd, args))
 
 
-def _run_rd(args, cfg, run_dir, spec, oracle) -> int:
+def _run_rd(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
     budget = _pick_budget(cfg, args.budget)
     alpha_points = build_alpha_curve(spec, args.alphas, oracle, budget)
     composed_points = build_alpha_plus_backward_curve(
@@ -345,16 +349,14 @@ def _run_rd(args, cfg, run_dir, spec, oracle) -> int:
         export_gnuplot(alpha_points, run_dir / "alpha_curve.dat")
         export_gnuplot(composed_points, run_dir / "rd_curve.dat")
 
-    lines = [f"command: {cfg.command}", f"model: {spec.meta.name}",
-             f"oracle: {cfg.oracle.kind}",
+    lines = [f"model: {spec.meta.name}", f"oracle: {cfg.oracle.kind}",
              f"delta: {cfg.search.delta!r}  metric: {cfg.search.metric}"]
     for title, points in (("alpha", alpha_points), ("alpha+backward", composed_points)):
         lines.append(f"curve {title}: {len(points)} points")
         for pt in points:
             lines.append(f"  {pt.label}: size_bytes={pt.size_bytes} top1={pt.top1!r}")
-    (run_dir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"trade-off curves written to {run_dir}")
-    return 1 if not alpha_points and not composed_points else 0
+    return 1 if not alpha_points and not composed_points else 0, lines
 
 
 # -- size --------------------------------------------------------------------
@@ -364,10 +366,9 @@ def cmd_size(args) -> int:
     return _run(args, "size", _run_size, evaluates=False)
 
 
-def _run_size(cfg, run_dir, spec, oracle) -> int:
+def _run_size(cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
     report = count_parameters(spec)
-    lines = [f"command: {cfg.command}",
-             f"model: {spec.meta.name} dataset={spec.meta.dataset} "
+    lines = [f"model: {spec.meta.name} dataset={spec.meta.dataset} "
              f"classes={spec.meta.num_classes}",
              f"parameters: {report.parameter_count}",
              f"buffers: {report.buffer_count}",
@@ -375,11 +376,9 @@ def _run_size(cfg, run_dir, spec, oracle) -> int:
              f"size_mb: {report.size_mb:.4f}"]
     for b in report.per_block_breakdown:
         lines.append(f"block {b.block_id}: params={b.params} bytes={b.bytes}")
-    text = "\n".join(lines) + "\n"
-    (run_dir / "summary.txt").write_text(text, encoding="utf-8")
     _write_json(run_dir / "size.json", report.to_dict())
-    print(text, end="")
-    return 0
+    print(_summary(cfg, lines), end="")
+    return 0, lines
 
 
 # -- replay ------------------------------------------------------------------

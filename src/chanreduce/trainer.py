@@ -2,7 +2,7 @@
 
 One request per line on the worker's stdin, one reply per line on its stdout
 (``pipe`` mode), or a request file handed to a fresh worker invocation together
-with the response path to write (``files`` mode).
+with the response path to write (``files`` mode: one invocation per request).
 
 Request fields:
     run_id, channels, macroblock_starts, dataset, num_classes, epochs, lr_initial,
@@ -15,7 +15,9 @@ that never arrives (dead or unreachable worker, deadline passed) yields a record
 with status ``timeout``; a reply that arrives but cannot be parsed, and a
 ``files`` worker that exits non-zero, yield status ``failed``. A ``files``
 failure's note ends with the last lines the worker wrote to stderr. Neither
-aborts a caller: failures surface as infeasible probes.
+aborts a caller: failures surface as infeasible probes. A record's
+``wall_seconds`` is the trainer's own figure, else the time since a worker took
+the request; waiting for a busy worker never counts as trainer time.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import shlex
 import subprocess
 import threading
 import time
+from functools import partial
 from pathlib import Path
 
 from .arch import ChannelConfig, ModelSpec
@@ -110,18 +113,39 @@ def _stderr_tail(stderr: bytes | None) -> str:
 
 
 class _PipeWorker:
-    """One persistent child process speaking the line protocol."""
+    """One persistent child process speaking the line protocol, started on its
+    first request and again after it dies or is killed."""
 
     def __init__(self, argv: list[str]):
         self.argv = argv
         self.proc: subprocess.Popen | None = None
         self._buffer = b""
 
-    def ensure_running(self) -> None:
-        if self.proc is None or self.proc.poll() is not None:
+    def call(self, request: dict, timeout: float) -> dict:
+        """Send one request and return its reply, skipping stale lines. A dead,
+        silent or garbled worker is killed, so the next call starts a fresh one."""
+        deadline = time.monotonic() + timeout
+        try:
+            if self.proc is None or self.proc.poll() is not None:
+                self.kill()
+                self.proc = subprocess.Popen(self.argv, stdin=subprocess.PIPE,
+                                             stdout=subprocess.PIPE)
+            assert self.proc.stdin is not None
+            self.proc.stdin.write((json.dumps(request, sort_keys=True) + "\n").encode("utf-8"))
+            self.proc.stdin.flush()
+        except (OSError, ValueError) as exc:
             self.kill()
-            self.proc = subprocess.Popen(self.argv, stdin=subprocess.PIPE,
-                                         stdout=subprocess.PIPE)
+            raise _ReplyError(STATUS_TIMEOUT, f"trainer unreachable: {exc}")
+        try:
+            while (line := self.read_line(deadline)) is not None:
+                reply = _parse_reply(line, request["run_id"])
+                if reply is not None:
+                    return reply
+                log.warning("ignoring stale trainer reply line %r", line[:80])
+            raise _ReplyError(STATUS_TIMEOUT, f"no trainer reply within {timeout:g}s")
+        except _ReplyError:
+            self.kill()  # stream state unknown after silence, exit or garbage
+            raise
 
     def kill(self) -> None:
         """Stop the worker, reap it and close both pipes."""
@@ -134,12 +158,6 @@ class _PipeWorker:
                 self.proc.stdin.close()
         self.proc = None
         self._buffer = b""
-
-    def send(self, request: dict) -> None:
-        line = json.dumps(request, sort_keys=True) + "\n"
-        assert self.proc is not None and self.proc.stdin is not None
-        self.proc.stdin.write(line.encode("utf-8"))
-        self.proc.stdin.flush()
 
     def read_line(self, deadline: float) -> str | None:
         """Next stdout line, or None once the deadline passes. A closed pipe
@@ -167,18 +185,59 @@ class _PipeWorker:
         return line.decode("utf-8", errors="replace")
 
 
+class _FilesWorker:
+    """One trainer invocation at a time, given the paths of a request file it
+    reads and a response file it writes as its last two arguments."""
+
+    def __init__(self, argv: list[str], exchange_dir: Path):
+        self.argv = argv
+        self.exchange_dir = exchange_dir
+
+    def call(self, request: dict, timeout: float) -> dict:
+        self.exchange_dir.mkdir(parents=True, exist_ok=True)
+        run_id = request["run_id"]
+        req_path = self.exchange_dir / f"{run_id}.request.json"
+        resp_path = self.exchange_dir / f"{run_id}.response.json"
+        tmp = req_path.with_suffix(".tmp")
+        tmp.write_text(json.dumps(request, sort_keys=True) + "\n", encoding="utf-8")
+        tmp.rename(req_path)
+        resp_path.unlink(missing_ok=True)
+        try:
+            proc = subprocess.run(self.argv + [str(req_path), str(resp_path)],
+                                  timeout=timeout, capture_output=True)
+        except subprocess.TimeoutExpired as exc:
+            raise _ReplyError(STATUS_TIMEOUT, f"trainer run exceeded {timeout:g}s"
+                              + _stderr_tail(exc.stderr))
+        except OSError as exc:
+            raise _ReplyError(STATUS_TIMEOUT, f"trainer unreachable: {exc}")
+        if proc.returncode != 0:
+            raise _ReplyError(STATUS_FAILED, f"trainer exited with code {proc.returncode}"
+                              + _stderr_tail(proc.stderr))
+        if not resp_path.exists():
+            raise _ReplyError(STATUS_FAILED, "trainer wrote no response file"
+                              + _stderr_tail(proc.stderr))
+        for line in resp_path.read_text(encoding="utf-8", errors="replace").splitlines():
+            reply = _parse_reply(line, run_id) if line.strip() else None
+            if reply is not None:
+                return reply
+        raise _ReplyError(STATUS_FAILED, "no response line with matching run_id")
+
+    def kill(self) -> None:
+        """Nothing runs between calls."""
+
+
 class ExternalTrainerOracle:
     """Dispatch evaluations to external training workers.
 
-    ``parallelism`` workers are handed out one request at a time, the most
-    recently used idle one first: a ``pipe`` worker is a child kept alive, a
-    ``files`` one is never started and only caps the invocations at once. Lesion
-    sweeps, ``rd``'s curves and each round of a bisection call :meth:`evaluate`
-    from up to that many threads; a call waits for an idle worker. At
-    ``parallelism = 2`` a bisection overlaps only its baseline, so a second
-    worker starts then and the later rounds stay on one warm worker. Records
-    reach the ledger in completion order, which replay does not depend on: it
-    looks records up by digest.
+    ``parallelism`` workers of one protocol are handed out one request at a
+    time, the most recently used idle one first: a ``pipe`` worker is a child
+    kept alive between requests, a ``files`` one starts the trainer once per
+    request, so at most ``parallelism`` trainers run at once. Lesion sweeps,
+    ``rd``'s curves and each round of a bisection call :meth:`evaluate` from up
+    to that many threads; a call waits for an idle worker. At ``parallelism = 2``
+    a bisection overlaps only its baseline, so a second worker starts then and
+    the later rounds stay on one warm worker. Records reach the ledger in
+    completion order, which replay does not depend on: it looks records up by digest.
     """
 
     def __init__(self, command: str | list[str], spec: ModelSpec, *,
@@ -190,22 +249,22 @@ class ExternalTrainerOracle:
             raise ValueError("timeout must be positive")
         if protocol not in (PROTOCOL_PIPE, PROTOCOL_FILES):
             raise ValueError(f"unknown trainer protocol {protocol!r}")
-        self.argv = shlex.split(command) if isinstance(command, str) else list(command)
+        if protocol == PROTOCOL_FILES and not exchange_dir:
+            raise ValueError("files protocol needs an exchange directory")
+        argv = shlex.split(command) if isinstance(command, str) else list(command)
         self.spec = spec
         self.timeout = timeout
-        self.protocol = protocol
         self.parallel_slots = parallelism
-        self.exchange_dir = Path(exchange_dir) if exchange_dir else None
-        if protocol == PROTOCOL_FILES and self.exchange_dir is None:
-            raise ValueError("files protocol needs an exchange directory")
         # Run ids carry a nonce drawn per oracle, so a rerun in the same
         # exchange_dir never reuses an earlier run's file names.
         self._nonce = os.urandom(4).hex()
         self._counter = 0
         self._counter_lock = threading.Lock()
-        self._workers: queue.LifoQueue[_PipeWorker] = queue.LifoQueue()
+        worker = (partial(_PipeWorker, argv) if protocol == PROTOCOL_PIPE
+                  else partial(_FilesWorker, argv, Path(exchange_dir)))
+        self._workers: queue.LifoQueue[_PipeWorker | _FilesWorker] = queue.LifoQueue()
         for _ in range(parallelism):
-            self._workers.put(_PipeWorker(self.argv))
+            self._workers.put(worker())
 
     def _next_run_id(self, digest: str) -> str:
         with self._counter_lock:
@@ -216,78 +275,17 @@ class ExternalTrainerOracle:
         digest = config_digest(config, self.spec)
         run_id = self._next_run_id(digest)
         request = build_request(run_id, config, self.spec, budget)
-        start = time.monotonic()
         worker = self._workers.get()
+        start = time.monotonic()  # after the wait for a worker, which is not trainer time
         try:
-            if self.protocol == PROTOCOL_PIPE:
-                record = self._evaluate_pipe(worker, request, digest, budget)
-            else:
-                record = self._evaluate_files(request, digest, budget)
+            reply = worker.call(request, self.timeout)
+            return _record_from_reply(reply, digest, budget, time.monotonic() - start)
         except _ReplyError as exc:
             log.warning("trainer evaluation %s: %s", run_id, exc.note)
-            record = EvaluationRecord(digest, budget, None, None,
-                                      time.monotonic() - start, exc.status, note=exc.note)
+            return EvaluationRecord(digest, budget, None, None,
+                                    time.monotonic() - start, exc.status, note=exc.note)
         finally:
             self._workers.put(worker)
-        return record
-
-    def _evaluate_pipe(self, worker: _PipeWorker, request: dict, digest: str,
-                       budget: TrainingBudget) -> EvaluationRecord:
-        start = time.monotonic()
-        deadline = start + self.timeout
-        try:
-            worker.ensure_running()
-            worker.send(request)
-        except (OSError, ValueError) as exc:
-            worker.kill()
-            raise _ReplyError(STATUS_TIMEOUT, f"trainer unreachable: {exc}")
-        while True:
-            try:
-                line = worker.read_line(deadline)
-                if line is None:
-                    raise _ReplyError(STATUS_TIMEOUT,
-                                      f"no trainer reply within {self.timeout:g}s")
-                reply = _parse_reply(line, request["run_id"])
-            except _ReplyError:
-                worker.kill()  # stream state unknown after silence, exit or garbage
-                raise
-            if reply is None:
-                log.warning("ignoring stale trainer reply line %r", line[:80])
-                continue
-            return _record_from_reply(reply, digest, budget, time.monotonic() - start)
-
-    def _evaluate_files(self, request: dict, digest: str, budget: TrainingBudget) -> EvaluationRecord:
-        self.exchange_dir.mkdir(parents=True, exist_ok=True)
-        run_id = request["run_id"]
-        req_path = self.exchange_dir / f"{run_id}.request.json"
-        resp_path = self.exchange_dir / f"{run_id}.response.json"
-        tmp = req_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(request, sort_keys=True) + "\n", encoding="utf-8")
-        tmp.rename(req_path)
-        resp_path.unlink(missing_ok=True)
-        start = time.monotonic()
-        try:
-            proc = subprocess.run(self.argv + [str(req_path), str(resp_path)],
-                                  timeout=self.timeout, capture_output=True)
-        except subprocess.TimeoutExpired as exc:
-            raise _ReplyError(STATUS_TIMEOUT, f"trainer run exceeded {self.timeout:g}s"
-                              + _stderr_tail(exc.stderr))
-        except OSError as exc:
-            raise _ReplyError(STATUS_TIMEOUT, f"trainer unreachable: {exc}")
-        elapsed = time.monotonic() - start
-        if proc.returncode != 0:
-            raise _ReplyError(STATUS_FAILED, f"trainer exited with code {proc.returncode}"
-                              + _stderr_tail(proc.stderr))
-        if not resp_path.exists():
-            raise _ReplyError(STATUS_FAILED, "trainer wrote no response file"
-                              + _stderr_tail(proc.stderr))
-        for line in resp_path.read_text(encoding="utf-8", errors="replace").splitlines():
-            if not line.strip():
-                continue
-            reply = _parse_reply(line, run_id)
-            if reply is not None:
-                return _record_from_reply(reply, digest, budget, elapsed)
-        raise _ReplyError(STATUS_FAILED, "no response line with matching run_id")
 
     def close(self) -> None:
         while True:

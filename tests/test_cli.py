@@ -845,3 +845,30 @@ def test_usage_errors_exit_2(tmp_path):
     replay_no_ledger = write_cfg(
         tmp_path, "[oracle]\nkind = replay\n", name="rp.cfg")
     assert run("reduce", "--config", replay_no_ledger, "--out", out) == 2
+
+
+@pytest.mark.parametrize("command,text,error", [
+    ("size", "[model]\nfamily = mobilenet\nwidth_mult = 1.5\n", "cannot build model"),
+    ("reduce", "[oracle]\nkind = external\ntrainer_cmd = t\nparallelism = 0\n",
+     "parallelism must be >= 1"),
+    ("reduce", "[oracle]\nkind = external\ntrainer_cmd = t\nprotocol = files\n",
+     "files protocol needs an exchange directory"),
+], ids=["unbuildable-model", "no-trainer-slots", "files-without-exchange-dir"])
+def test_a_run_that_cannot_start_leaves_no_directory(tmp_path, capsys, command, text, error):
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "out"
+    assert run(command, "--config", cfg, "--out", out) == 2
+    assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_summary_of_a_replay_missing_an_evaluation(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert run("reduce", "--config", cfg, "--out", out) == 0
+    (out / "ledger.jsonl").write_text("")
+    assert run("replay", out) == 1
+    error = capsys.readouterr().err.strip().splitlines()[-1]
+    assert (out / "summary.txt").read_text() == (
+        "command: reduce --budget search --direction backward\nstatus: failed\n"
+        f"{error}\n")

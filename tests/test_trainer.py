@@ -7,6 +7,7 @@ import json
 import sys
 import textwrap
 import threading
+import time
 import warnings
 
 import pytest
@@ -582,3 +583,35 @@ def test_files_response_without_a_matching_line_fails(tmp_path, d15_spec, d15_co
         oracle.close()
     assert rec.status == cr.STATUS_FAILED and rec.top1 is None
     assert rec.note == "no response line with matching run_id"
+
+
+def test_waiting_for_a_busy_worker_is_not_trainer_time(tmp_path, d15_spec, d15_config):
+    # One worker: the first request holds it for 0.6 s and its reply names no
+    # wall_seconds; the second request waits for it, then the worker exits.
+    script = _script(tmp_path, "slow_then_crash.py", """\
+        import json, sys, time
+        req = json.loads(sys.stdin.readline())
+        time.sleep(0.6)
+        print(json.dumps({"run_id": req["run_id"], "status": "ok", "top1": 0.5}),
+              flush=True)
+        sys.stdin.readline()
+        sys.exit(3)
+        """)
+    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
+                                   parallelism=1, timeout=30.0)
+    records = {}
+
+    def evaluate(key):
+        records[key] = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
+
+    first = threading.Thread(target=evaluate, args=("first",))
+    try:
+        first.start()
+        time.sleep(0.1)
+        evaluate("second")
+        first.join()
+    finally:
+        oracle.close()
+    assert records["first"].ok and records["first"].wall_seconds >= 0.6
+    assert records["second"].note == "trainer exited with code 3 before replying"
+    assert records["second"].wall_seconds < 0.3
