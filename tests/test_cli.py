@@ -186,6 +186,39 @@ def test_lesion_macroblock(tmp_path):
     assert len(rows) == 7
 
 
+# The macroblock sweep of d15 through the surrogate, pinned byte for byte: the
+# per-row parameter and byte counts and the summary of a real sweep.
+RD_POINTS_D15 = """\
+block_id,k,params,size_bytes,top1
+0,1/2,209266,841224,0.1000000000000002
+0,3/4,213446,858104,0.7500000000000001
+0,1,218778,879592,0.91
+1,1/2,179450,721640,0.4200000000000001
+1,3/4,196810,791400,0.8700000000000001
+1,1,218778,879592,0.91
+2,1/2,98330,396520,0.9
+2,3/4,149338,601192,0.91
+2,1,218778,879592,0.91
+"""
+MACROBLOCK_SUMMARY_D15 = """\
+command: lesion --kind macroblock_scale --values 1/2 3/4 1 --budget search
+model: sequential-d15-16-32-64
+oracle: surrogate
+points: 9
+failed: 0
+csv: rd_points.csv
+"""
+
+
+def test_lesion_macroblock_golden(tmp_path):
+    out = tmp_path / "out"
+    assert run("lesion", "--config", write_cfg(tmp_path), "--out", out,
+               "--kind", "macroblock_scale", "--values", "1/2", "3/4", "1") == 0
+    assert (out / "rd_points.csv").read_bytes() == \
+        RD_POINTS_D15.replace("\n", "\r\n").encode()  # csv line ends
+    assert (out / "summary.txt").read_bytes() == MACROBLOCK_SUMMARY_D15.encode()
+
+
 def test_lesion_macroblock_refuses_indices(tmp_path, capsys):
     # A macroblock sweep scales whole blocks; an --indices it would ignore while
     # recording it in resolved.cfg is a usage error.
