@@ -15,9 +15,8 @@ from .arch import (BatchNorm, ChannelConfig, Conv, FullyConnected, GlobalAvgPool
                    partition_macroblocks, scale_width, structural_key, validate_spec,
                    with_config)
 from .config import ConfigError, RunConfig
-from .lesion import (SWEEP_CONSTANT, SWEEP_MACROBLOCK, SWEEP_PROPORTIONAL,
-                     BlockRDPoint, SweepObservation, SweepPlan, run_macroblock_rd_sweep,
-                     run_onehot_sweep, write_onehot_csv, write_rd_points_csv)
+from .lesion import (SWEEP_CONSTANT, SWEEP_MACROBLOCK, SWEEP_PROPORTIONAL, SweepObservation,
+                     SweepPlan, run_onehot_sweep, write_onehot_csv, write_rd_points_csv)
 from .oracle import (FINAL_BUDGET, SEARCH_BUDGET, STATUS_FAILED, STATUS_OK,
                      STATUS_TIMEOUT, EvaluationLedger, EvaluationRecord,
                      MissingEvaluationError, RecordingOracle, SurrogateOracle,

@@ -21,6 +21,7 @@ import logging
 import shlex
 import shutil
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -29,8 +30,7 @@ from .accounting import count_parameters
 from .arch import channel_config, partition_macroblocks
 from .config import ConfigError, RunConfig
 from .lesion import (SWEEP_CONSTANT, SWEEP_MACROBLOCK, SWEEP_PROPORTIONAL, SweepPlan,
-                     format_value, run_macroblock_rd_sweep, run_onehot_sweep,
-                     write_onehot_csv, write_rd_points_csv)
+                     format_value, run_onehot_sweep, write_onehot_csv, write_rd_points_csv)
 from .oracle import (EvaluationLedger, MissingEvaluationError, RecordingOracle,
                      SurrogateOracle)
 from .rdcurve import (build_alpha_curve, build_alpha_plus_backward_curve, export_curve,
@@ -271,7 +271,7 @@ def _run_reduce(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
 # -- lesion ------------------------------------------------------------------
 
 
-def _parse_sweep_values(kind: str, raw: list[str]) -> tuple:
+def _parse_sweep_values(raw: list[str]) -> tuple:
     values = []
     for text in raw:
         try:
@@ -283,47 +283,35 @@ def _parse_sweep_values(kind: str, raw: list[str]) -> tuple:
                 values.append(int(text))
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"cannot parse sweep value {text!r}")
-    if kind == SWEEP_CONSTANT:
-        bad = [v for v in values if not isinstance(v, int)]
-        if bad:
-            raise ConfigError(f"constant sweeps take integer widths, got {bad}")
     return tuple(values)
 
 
 def cmd_lesion(args) -> int:
     if args.kind == SWEEP_MACROBLOCK and args.indices is not None:
         raise ConfigError(f"--indices picks channel entries; {SWEEP_MACROBLOCK} scales blocks")
-    values = _parse_sweep_values(args.kind, args.values)
+    plan = SweepPlan(args.kind, _parse_sweep_values(args.values),
+                     None if args.indices is None else tuple(args.indices))
     command = f"lesion --kind {args.kind} --values " + \
-        " ".join(format_value(v) for v in values)
+        " ".join(format_value(v) for v in plan.values)
     if args.indices is not None:
         command += " --indices " + " ".join(str(i) for i in args.indices)
     command += f" --budget {args.budget}"
-    return _run(args, command, partial(_run_lesion, args, values))
+    return _run(args, command, partial(_run_lesion, args, plan))
 
 
-def _run_lesion(args, values, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
-    budget = _pick_budget(cfg, args.budget)
-    lines = [f"model: {spec.meta.name}", f"oracle: {cfg.oracle.kind}"]
-    if args.kind == SWEEP_MACROBLOCK:
-        partition = partition_macroblocks(spec)
-        points = run_macroblock_rd_sweep(spec, partition, values, oracle, budget)
-        write_rd_points_csv(points, run_dir / "rd_points.csv")
-        failed = sum(1 for p in points if not p.record.ok)
-        lines += [f"points: {len(points)}", f"failed: {failed}", "csv: rd_points.csv"]
-        all_failed = bool(points) and failed == len(points)
+def _run_lesion(args, plan, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
+    plan = replace(plan, budget=_pick_budget(cfg, args.budget))
+    observations = run_onehot_sweep(spec, plan, oracle)
+    if plan.kind == SWEEP_MACROBLOCK:
+        noun, csv_name, write = "points", "rd_points.csv", partial(write_rd_points_csv, spec)
     else:
-        plan = SweepPlan(kind=args.kind, values=values,
-                         indices=None if args.indices is None else tuple(args.indices),
-                         budget=budget)
-        observations = run_onehot_sweep(spec, plan, oracle)
-        write_onehot_csv(observations, run_dir / "onehot.csv")
-        failed = sum(1 for o in observations if not o.record.ok)
-        lines += [f"observations: {len(observations)}", f"failed: {failed}",
-                  "csv: onehot.csv"]
-        all_failed = bool(observations) and failed == len(observations)
+        noun, csv_name, write = "observations", "onehot.csv", write_onehot_csv
+    write(observations, run_dir / csv_name)
+    failed = sum(1 for o in observations if not o.record.ok)
     print(f"lesion sweep written to {run_dir}")
-    return 1 if all_failed else 0, lines
+    lines = [f"model: {spec.meta.name}", f"oracle: {cfg.oracle.kind}",
+             f"{noun}: {len(observations)}", f"failed: {failed}", f"csv: {csv_name}"]
+    return 1 if observations and failed == len(observations) else 0, lines
 
 
 # -- rd ----------------------------------------------------------------------

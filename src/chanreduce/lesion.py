@@ -1,9 +1,10 @@
 """Width lesion sweeps: probe a model's sensitivity to channel narrowing.
 
-A one-hot sweep narrows a single channel entry at a time (to a constant width or by
-a proportional factor) and evaluates every variant. The macroblock sweep scales one
-whole block per point over a grid of factors, yielding per-block size/accuracy
-trade-off points. Failures are recorded and never abort a sweep.
+A sweep varies one unit of the network at a time over a grid of values and
+evaluates every variant. A unit is a channel entry (numbered from 1), set to a
+constant width or scaled by a proportional factor, or a whole macroblock
+(numbered from 0), scaled by a factor. Failures are recorded and never abort a
+sweep.
 """
 
 from __future__ import annotations
@@ -12,12 +13,13 @@ import csv
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 from .accounting import count_parameters
-from .arch import (ChannelConfig, MacroblockPartition, ModelSpec,
-                   apply_constant_lesion, apply_macroblock_scale,
-                   apply_proportional_lesion, channel_config, with_config)
+from .arch import (ChannelConfig, ModelSpec, apply_constant_lesion, apply_macroblock_scale,
+                   apply_proportional_lesion, channel_config, partition_macroblocks,
+                   scale_width, with_config)
 from .oracle import SEARCH_BUDGET, EvaluationRecord, TrainingBudget, fan_out
 
 log = logging.getLogger(__name__)
@@ -40,65 +42,51 @@ class SweepPlan:
             raise ValueError(f"sweep kind must be one of {_SWEEP_KINDS}, got {self.kind!r}")
         if not self.values:
             raise ValueError("sweep needs a non-empty value grid")
+        if self.kind == SWEEP_MACROBLOCK and self.indices is not None:
+            raise ValueError(f"{SWEEP_MACROBLOCK} sweeps scale every block; "
+                             "indices pick channel entries")
+        for v in self.values:
+            if self.kind != SWEEP_CONSTANT:
+                scale_width(1, v)   # raises outside (0, 1]
+            elif not isinstance(v, int) or v < 1:
+                raise ValueError(f"constant sweeps take positive integer widths, got {v!r}")
 
 
 @dataclass(frozen=True)
 class SweepObservation:
-    index: int
+    index: int   # the unit varied: a channel entry (from 1) or a macroblock (from 0)
     parameter: object
     config: ChannelConfig
     record: EvaluationRecord
 
 
-@dataclass(frozen=True)
-class BlockRDPoint:
-    block: int
-    k: object
-    params: int
-    size_bytes: int
-    record: EvaluationRecord
-
-
 def run_onehot_sweep(spec: ModelSpec, plan: SweepPlan, oracle) -> list[SweepObservation]:
-    """One-hot channel lesions in index-major order (all values of entry 1, then
-    entry 2, ...). Constant plans set entries to fixed widths; proportional plans
-    ceiling-scale them."""
-    if plan.kind == SWEEP_MACROBLOCK:
-        raise ValueError("macroblock sweeps are driven by run_macroblock_rd_sweep")
+    """Vary one unit at a time, unit-major (all values of the first unit, then
+    the next). Constant plans set a channel entry to fixed widths, proportional
+    plans ceiling-scale it; entries are ``plan.indices``, else all of them.
+    Macroblock plans ceiling-scale every entry of one block, for each block."""
     nominal = channel_config(spec)
-    indices = plan.indices if plan.indices is not None else tuple(range(1, nominal.num_entries + 1))
+    if plan.kind == SWEEP_MACROBLOCK:
+        partition = partition_macroblocks(spec)
+        units, noun = range(partition.num_blocks), "block"
+        lesion = partial(apply_macroblock_scale, nominal, partition)
+    else:
+        units, noun = plan.indices, "entry"
+        if units is None:
+            units = range(1, nominal.num_entries + 1)
+        lesion = partial(apply_constant_lesion if plan.kind == SWEEP_CONSTANT
+                         else apply_proportional_lesion, nominal)
 
-    keys: list[tuple[int, object]] = [(i, v) for i in indices for v in plan.values]
-    lesion = apply_constant_lesion if plan.kind == SWEEP_CONSTANT else apply_proportional_lesion
-    configs = [lesion(nominal, i, v) for i, v in keys]
-
+    keys = [(u, v) for u in units for v in plan.values]
+    configs = [lesion(u, v) for u, v in keys]
     records = fan_out(oracle, lambda cfg: oracle.evaluate(cfg, plan.budget), configs)
-    observations = [SweepObservation(i, v, cfg, rec)
-                    for (i, v), cfg, rec in zip(keys, configs, records)]
+    observations = [SweepObservation(u, v, cfg, rec)
+                    for (u, v), cfg, rec in zip(keys, configs, records)]
     for obs in observations:
         if not obs.record.ok:
-            log.warning("lesion (entry %d, %s) evaluation status %s",
-                        obs.index, obs.parameter, obs.record.status)
+            log.warning("lesion (%s %d, %s) evaluation status %s",
+                        noun, obs.index, obs.parameter, obs.record.status)
     return observations
-
-
-def run_macroblock_rd_sweep(spec: ModelSpec, partition: MacroblockPartition,
-                            k_values, oracle, budget: TrainingBudget) -> list[BlockRDPoint]:
-    """Scale each macroblock through the factor grid; one trade-off point per
-    (block, k), block-major."""
-    ks = tuple(k_values)
-    if not ks:
-        raise ValueError("need a non-empty factor grid")
-    nominal = channel_config(spec)
-    keys = [(b, k) for b in range(partition.num_blocks) for k in ks]
-    configs = [apply_macroblock_scale(nominal, partition, b, k) for b, k in keys]
-    records = fan_out(oracle, lambda cfg: oracle.evaluate(cfg, budget), configs)
-
-    points = []
-    for (b, k), cfg, rec in zip(keys, configs, records):
-        report = count_parameters(with_config(spec, cfg))
-        points.append(BlockRDPoint(b, k, report.parameter_count, report.size_bytes, rec))
-    return points
 
 
 def format_value(v) -> str:
@@ -116,10 +104,13 @@ def write_onehot_csv(observations: list[SweepObservation], path) -> None:
             writer.writerow([obs.index, format_value(obs.parameter), top1, obs.record.status])
 
 
-def write_rd_points_csv(points: list[BlockRDPoint], path) -> None:
+def write_rd_points_csv(spec: ModelSpec, observations: list[SweepObservation], path) -> None:
+    """One size/accuracy point per observation, sized by recounting its network."""
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["block_id", "k", "params", "size_bytes", "top1"])
-        for p in points:
-            top1 = "" if p.record.top1 is None else repr(p.record.top1)
-            writer.writerow([p.block, format_value(p.k), p.params, p.size_bytes, top1])
+        for obs in observations:
+            report = count_parameters(with_config(spec, obs.config))
+            top1 = "" if obs.record.top1 is None else repr(obs.record.top1)
+            writer.writerow([obs.index, format_value(obs.parameter), report.parameter_count,
+                             report.size_bytes, top1])

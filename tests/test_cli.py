@@ -895,6 +895,21 @@ def test_a_run_that_cannot_start_leaves_no_directory(tmp_path, capsys, command, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind,value,error", [
+    ("proportional", "2", "scale factor must be in (0, 1]"),
+    ("proportional", "0", "scale factor must be in (0, 1]"),
+    ("constant", "0", "positive integer widths"),
+    ("constant", "1/2", "positive integer widths"),
+    ("macroblock_scale", "3/2", "scale factor must be in (0, 1]"),
+], ids=["proportional-2", "proportional-0", "constant-0", "constant-1/2", "macroblock-3/2"])
+def test_a_bad_sweep_value_leaves_no_directory(tmp_path, capsys, kind, value, error):
+    out = tmp_path / "out"
+    assert run("lesion", "--config", write_cfg(tmp_path), "--out", out,
+               "--kind", kind, "--values", value) == 2
+    assert error in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_summary_of_a_replay_missing_an_evaluation(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"

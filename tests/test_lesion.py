@@ -1,4 +1,4 @@
-"""One-hot lesion sweeps, per-block trade-off sweeps, and their CSV formats."""
+"""Lesion sweeps over channel entries and macroblocks, and their CSV formats."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ import pytest
 
 import chanreduce as cr
 from chanreduce import SweepPlan
-from chanreduce.lesion import (BlockRDPoint, SweepObservation, run_macroblock_rd_sweep,
-                               run_onehot_sweep, write_onehot_csv, write_rd_points_csv)
+from chanreduce.lesion import (SweepObservation, run_onehot_sweep, write_onehot_csv,
+                               write_rd_points_csv)
 
 
 def test_plan_validation():
@@ -18,7 +18,9 @@ def test_plan_validation():
         SweepPlan("typo", (4,))
     with pytest.raises(ValueError):
         SweepPlan(cr.SWEEP_CONSTANT, ())
-    SweepPlan(cr.SWEEP_MACROBLOCK, (Fraction(1, 2),))   # valid kind per se
+    with pytest.raises(ValueError):
+        SweepPlan(cr.SWEEP_MACROBLOCK, ())
+    SweepPlan(cr.SWEEP_MACROBLOCK, (Fraction(1, 2),))
 
 
 def test_plan_budget_defaults_to_the_search_budget():
@@ -56,8 +58,8 @@ def test_onehot_defaults_to_every_entry(d15_spec):
 
 def test_onehot_rejections(d15_spec):
     oracle = cr.SurrogateOracle(d15_spec)
-    with pytest.raises(ValueError):
-        run_onehot_sweep(d15_spec, SweepPlan(cr.SWEEP_MACROBLOCK, (1,)), oracle)
+    with pytest.raises(ValueError):   # a block sweep would ignore the indices
+        SweepPlan(cr.SWEEP_MACROBLOCK, (1,), indices=(1,))
     for bad in (0, 16):
         with pytest.raises(ValueError):
             run_onehot_sweep(d15_spec,
@@ -73,31 +75,27 @@ def test_onehot_ledger_appends(d15_spec, tmp_path):
     assert len(ledger) == 4
 
 
-def test_macroblock_rd_sweep_block_major(d15_spec, d15_partition):
+def test_macroblock_rd_sweep_block_major(d15_spec, d15_partition, tmp_path):
     ks = (Fraction(1, 2), 1)
-    points = run_macroblock_rd_sweep(d15_spec, d15_partition, ks,
-                                     cr.SurrogateOracle(d15_spec), cr.SEARCH_BUDGET)
-    assert [(p.block, p.k) for p in points] == [(0, Fraction(1, 2)), (0, 1),
-                                               (1, Fraction(1, 2)), (1, 1),
-                                               (2, Fraction(1, 2)), (2, 1)]
-    nominal = cr.count_parameters(d15_spec)
-    for p in points:
-        if p.k == 1:
-            assert p.params == nominal.parameter_count
-            assert p.size_bytes == nominal.size_bytes
-        else:
-            assert p.params < nominal.parameter_count
-    # Per-point accounting agrees with a direct recount of the lesioned spec.
-    cfg = cr.apply_macroblock_scale(cr.channel_config(d15_spec), d15_partition,
-                                    2, Fraction(1, 2))
-    report = cr.count_parameters(cr.with_config(d15_spec, cfg))
-    assert points[4].params == report.parameter_count
-
-
-def test_macroblock_rd_sweep_rejects_empty_grid(d15_spec, d15_partition):
-    with pytest.raises(ValueError):
-        run_macroblock_rd_sweep(d15_spec, d15_partition, (),
-                                cr.SurrogateOracle(d15_spec), cr.SEARCH_BUDGET)
+    obs = run_onehot_sweep(d15_spec, SweepPlan(cr.SWEEP_MACROBLOCK, ks),
+                           cr.SurrogateOracle(d15_spec))
+    assert [(o.index, o.parameter) for o in obs] == [(0, Fraction(1, 2)), (0, 1),
+                                                    (1, Fraction(1, 2)), (1, 1),
+                                                    (2, Fraction(1, 2)), (2, 1)]
+    nominal = cr.channel_config(d15_spec)
+    for o in obs:
+        assert o.config == cr.apply_macroblock_scale(nominal, d15_partition,
+                                                     o.index, o.parameter)
+    # Each CSV row is sized by a direct recount of the lesioned spec.
+    path = tmp_path / "rd.csv"
+    write_rd_points_csv(d15_spec, obs, path)
+    rows = path.read_text().splitlines()[1:]
+    for o, row in zip(obs, rows, strict=True):
+        report = cr.count_parameters(cr.with_config(d15_spec, o.config))
+        assert row.split(",")[2:4] == [str(report.parameter_count), str(report.size_bytes)]
+    full = cr.count_parameters(d15_spec)
+    assert rows[1].split(",")[2:4] == [str(full.parameter_count), str(full.size_bytes)]
+    assert int(rows[4].split(",")[2]) < full.parameter_count
 
 
 class _ThreadTaggingOracle:
@@ -150,15 +148,17 @@ def test_onehot_csv_bytes(d15_spec, tmp_path):
                                  b"3,1/2,,failed\r\n")
 
 
-def test_rd_points_csv_bytes(tmp_path):
-    points = [
-        BlockRDPoint(0, Fraction(1, 2), 1234, 8000, _stub_record("a" * 64, 0.5)),
-        BlockRDPoint(2, 1, 218778, 879592, _stub_record("b" * 64, None, "timeout")),
+def test_rd_points_csv_bytes(d15_spec, d15_partition, tmp_path):
+    nominal = cr.channel_config(d15_spec)
+    half = cr.apply_macroblock_scale(nominal, d15_partition, 0, Fraction(1, 2))
+    obs = [
+        SweepObservation(0, Fraction(1, 2), half, _stub_record("a" * 64, 0.5)),
+        SweepObservation(2, 1, nominal, _stub_record("b" * 64, None, "timeout")),
     ]
     path = tmp_path / "rd.csv"
-    write_rd_points_csv(points, path)
+    write_rd_points_csv(d15_spec, obs, path)
     assert path.read_bytes() == (b"block_id,k,params,size_bytes,top1\r\n"
-                                 b"0,1/2,1234,8000,0.5\r\n"
+                                 b"0,1/2,209266,841224,0.5\r\n"
                                  b"2,1,218778,879592,\r\n")
 
 
