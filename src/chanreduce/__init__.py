@@ -25,7 +25,7 @@ from .oracle import (FINAL_BUDGET, SEARCH_BUDGET, STATUS_FAILED, STATUS_OK,
 from .presets import (load_descriptor, mobilenet, resnet18, resnet34, save_descriptor,
                       spec_from_dict, spec_to_dict)
 from .rdcurve import (RDPoint, build_alpha_curve, build_alpha_plus_backward_curve,
-                      export_curve, export_gnuplot, import_curve)
+                      export_curve, export_gnuplot)
 from .search import (BetaMode, ReductionResult, SearchProbe, backward_reduction,
                      forward_reduction, search_macroblock_multiplier)
 from .trainer import ExternalTrainerOracle, build_request

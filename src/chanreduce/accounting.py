@@ -8,8 +8,8 @@ Counting rules:
   fully conn.    in_features * out_features (+ out_features bias terms).
   pooling        parameter-free.
 
-Sizes are stored-scalar counts (learnable + buffers) times bytes per scalar, plus a
-flat serialization overhead. 1 MB = 2**20 bytes, 1 KB = 1024 bytes.
+Sizes are stored-scalar counts (learnable + buffers) times bytes per scalar.
+1 MB = 2**20 bytes, 1 KB = 1024 bytes.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ class SizeReport:
     buffer_count: int
     size_bytes: int
     per_block_breakdown: tuple[BlockUsage, ...] = ()
-
-    @property
-    def stored_scalars(self) -> int:
-        return self.parameter_count + self.buffer_count
 
     @property
     def size_mb(self) -> float:
@@ -72,8 +68,7 @@ def _layer_params(layer) -> tuple[int, int]:
     raise TypeError(f"unregistered layer kind {type(layer).__name__}")
 
 
-def count_parameters(spec: ModelSpec, *, bytes_per_scalar: int = BYTES_PER_SCALAR,
-                     overhead: int = 0) -> SizeReport:
+def count_parameters(spec: ModelSpec) -> SizeReport:
     """Count every layer exactly; breakdown rows cover the conv macroblocks, with
     head layers (classifier) accounted in the totals only."""
     per_layer = [_layer_params(layer) for layer in spec.layers]
@@ -91,9 +86,9 @@ def count_parameters(spec: ModelSpec, *, bytes_per_scalar: int = BYTES_PER_SCALA
             params = sum(p for p, _ in per_layer[start:stop])
             buffers = sum(b for _, b in per_layer[start:stop])
             breakdown.append(BlockUsage(block.index, params,
-                                        (params + buffers) * bytes_per_scalar))
+                                        (params + buffers) * BYTES_PER_SCALAR))
 
-    size = (total_params + total_buffers) * bytes_per_scalar + overhead
+    size = (total_params + total_buffers) * BYTES_PER_SCALAR
     return SizeReport(total_params, total_buffers, size, tuple(breakdown))
 
 

@@ -434,10 +434,13 @@ def structural_key(spec: ModelSpec) -> list:
 # Width transforms. All pure: they return a new ChannelConfig.
 
 def apply_constant_lesion(config: ChannelConfig, index: int, value: int) -> ChannelConfig:
-    """Set channel entry ``index`` to the constant ``value`` (one-hot lesion)."""
-    if not isinstance(value, int) or value < 1:
-        raise ValueError(f"lesion value must be a positive integer, got {value!r}")
-    return config.replace_entries({index: value})
+    """Set channel entry ``index`` to the constant ``value`` (one-hot lesion). A
+    lesion narrows: ``value`` is at most the entry's width in ``config``."""
+    lesioned = config.replace_entries({index: value})   # checks index and value
+    if value > config.channels[index]:
+        raise ValueError(f"lesion width {value} exceeds entry {index}'s "
+                         f"{config.channels[index]} channels")
+    return lesioned
 
 
 def apply_proportional_lesion(config: ChannelConfig, index: int, k: Rational) -> ChannelConfig:

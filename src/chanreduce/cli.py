@@ -27,10 +27,11 @@ from functools import partial
 from pathlib import Path
 
 from .accounting import count_parameters
-from .arch import channel_config, partition_macroblocks
+from .arch import channel_config, partition_macroblocks, scale_width
 from .config import ConfigError, RunConfig
 from .lesion import (SWEEP_CONSTANT, SWEEP_MACROBLOCK, SWEEP_PROPORTIONAL, SweepPlan,
-                     format_value, run_onehot_sweep, write_onehot_csv, write_rd_points_csv)
+                     format_value, run_onehot_sweep, sweep_configs, write_onehot_csv,
+                     write_rd_points_csv)
 from .oracle import (EvaluationLedger, MissingEvaluationError, RecordingOracle,
                      SurrogateOracle)
 from .rdcurve import (build_alpha_curve, build_alpha_plus_backward_curve, export_curve,
@@ -147,16 +148,18 @@ def _check_rerun(cfg: RunConfig, run_dir: Path, resolved: str) -> None:
                           f"settings; use a fresh --out")
 
 
-def _run(args, command: str, body, evaluates: bool = True) -> int:
+def _run(args, command: str, body, evaluates: bool = True, check=None) -> int:
     """Set up the run directory, run ``body(cfg, run_dir, spec, oracle)`` and
     write the summary lines it returns with its exit code. Nothing is written
-    before the model and the oracle are built. A replay that finds no ledger
-    record for an evaluation ends as a failed run; a command that ``evaluates``
-    nothing gets no oracle."""
+    before the model is built, ``check(cfg, spec)`` passes and the oracle is
+    built. A replay that finds no ledger record for an evaluation ends as a
+    failed run; a command that ``evaluates`` nothing gets no oracle."""
     replay_dir = getattr(args, "replay_dir", None)
     cfg = RunConfig.from_file(args.config)
     run_dir = cfg.resolve_run_dir(args.out, args.config)
     spec = cfg.build_spec()
+    if check:
+        check(cfg, spec)
     if replay_dir is None:
         cfg.command = command
         if evaluates:
@@ -208,12 +211,18 @@ def _fmt_widths(widths) -> str:
     return "[" + " ".join(str(w) for w in widths) + "]"
 
 
+def _check_scope(cfg: RunConfig, spec) -> None:
+    scope = cfg.search.scope
+    if scope is not None and scope > (blocks := partition_macroblocks(spec).num_blocks):
+        raise ConfigError(f"search.scope must be within [1, {blocks}], got {scope}")
+
+
 # -- reduce ------------------------------------------------------------------
 
 
 def cmd_reduce(args) -> int:
     command = f"reduce --budget {args.budget} --direction {args.direction}"
-    return _run(args, command, partial(_run_reduce, args))
+    return _run(args, command, partial(_run_reduce, args), check=_check_scope)
 
 
 def _run_reduce(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
@@ -296,7 +305,8 @@ def cmd_lesion(args) -> int:
     if args.indices is not None:
         command += " --indices " + " ".join(str(i) for i in args.indices)
     command += f" --budget {args.budget}"
-    return _run(args, command, partial(_run_lesion, args, plan))
+    return _run(args, command, partial(_run_lesion, args, plan),
+                check=lambda cfg, spec: sweep_configs(spec, plan))
 
 
 def _run_lesion(args, plan, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
@@ -318,11 +328,13 @@ def _run_lesion(args, plan, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]
 
 
 def cmd_rd(args) -> int:
+    for alpha in args.alphas:
+        scale_width(1, alpha)   # raises outside (0, 1]
     command = "rd --alphas " + " ".join(repr(a) for a in args.alphas) + \
         f" --budget {args.budget}"
     if args.gnuplot:
         command += " --gnuplot"
-    return _run(args, command, partial(_run_rd, args))
+    return _run(args, command, partial(_run_rd, args), check=_check_scope)
 
 
 def _run_rd(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:

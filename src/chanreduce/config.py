@@ -192,6 +192,8 @@ class RunConfig:
                 raise ConfigError("oracle.kind=replay needs oracle.ledger=<path>")
             if not self._resolve(self.oracle.ledger).exists():
                 raise ConfigError(f"replay ledger {self.oracle.ledger} does not exist")
+        self.search_budget()   # each raises ConfigError on a bad training recipe
+        self.final_budget()
 
     def _resolve(self, p) -> Path:
         p = Path(p)
@@ -244,14 +246,12 @@ class RunConfig:
     def beta_mode(self) -> BetaMode:
         return BetaMode(self.search.beta_return_mode)
 
-    def resolve_run_dir(self, override=None, config_path=None) -> Path:
+    def resolve_run_dir(self, override, config_path) -> Path:
         if override:
             return Path(override)
         if self.run_dir:
             return self._resolve(self.run_dir)
-        root = os.environ.get(RUN_ROOT_ENV, "runs")
-        stem = Path(config_path).stem if config_path else "run"
-        return Path(root) / stem
+        return Path(os.environ.get(RUN_ROOT_ENV, "runs")) / Path(config_path).stem
 
     # -- resolved dump ------------------------------------------------------
 

@@ -60,32 +60,34 @@ class SweepObservation:
     record: EvaluationRecord
 
 
-def run_onehot_sweep(spec: ModelSpec, plan: SweepPlan, oracle) -> list[SweepObservation]:
-    """Vary one unit at a time, unit-major (all values of the first unit, then
-    the next). Constant plans set a channel entry to fixed widths, proportional
-    plans ceiling-scale it; entries are ``plan.indices``, else all of them.
-    Macroblock plans ceiling-scale every entry of one block, for each block."""
+def sweep_configs(spec: ModelSpec, plan: SweepPlan) -> list[tuple[int, object, ChannelConfig]]:
+    """``(unit, value, config)`` of each variant, unit-major (all values of the
+    first unit, then the next). Constant plans set a channel entry to fixed
+    widths, proportional plans ceiling-scale it; entries are ``plan.indices``,
+    else all of them. Macroblock plans ceiling-scale every entry of one block,
+    for each block. A missing unit or a widening constant raises ValueError."""
     nominal = channel_config(spec)
     if plan.kind == SWEEP_MACROBLOCK:
         partition = partition_macroblocks(spec)
-        units, noun = range(partition.num_blocks), "block"
+        units = range(partition.num_blocks)
         lesion = partial(apply_macroblock_scale, nominal, partition)
     else:
-        units, noun = plan.indices, "entry"
-        if units is None:
-            units = range(1, nominal.num_entries + 1)
+        units = range(1, nominal.num_entries + 1) if plan.indices is None else plan.indices
         lesion = partial(apply_constant_lesion if plan.kind == SWEEP_CONSTANT
                          else apply_proportional_lesion, nominal)
+    return [(u, v, lesion(u, v)) for u in units for v in plan.values]
 
-    keys = [(u, v) for u in units for v in plan.values]
-    configs = [lesion(u, v) for u, v in keys]
-    records = fan_out(oracle, lambda cfg: oracle.evaluate(cfg, plan.budget), configs)
-    observations = [SweepObservation(u, v, cfg, rec)
-                    for (u, v), cfg, rec in zip(keys, configs, records)]
+
+def run_onehot_sweep(spec: ModelSpec, plan: SweepPlan, oracle) -> list[SweepObservation]:
+    """Evaluate the variants of :func:`sweep_configs` on the oracle's slots."""
+    variants = sweep_configs(spec, plan)
+    records = fan_out(oracle, lambda cfg: oracle.evaluate(cfg, plan.budget),
+                      [cfg for _, _, cfg in variants])
+    observations = [SweepObservation(*variant, rec) for variant, rec in zip(variants, records)]
     for obs in observations:
         if not obs.record.ok:
-            log.warning("lesion (%s %d, %s) evaluation status %s",
-                        noun, obs.index, obs.parameter, obs.record.status)
+            log.warning("%s lesion (%d, %s) evaluation status %s",
+                        plan.kind, obs.index, obs.parameter, obs.record.status)
     return observations
 
 

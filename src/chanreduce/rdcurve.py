@@ -2,7 +2,8 @@
 
 Two curve families: uniform width scaling alone (one point per multiplier alpha),
 and the same scaling composed with greedy backward block reduction, which dominates
-the plain curve point-for-point in size at a bounded accuracy cost.
+the plain curve point-for-point in size at a bounded accuracy cost. Curves are
+written, as CSV and as gnuplot data, and never read back.
 """
 
 from __future__ import annotations
@@ -29,12 +30,6 @@ class RDPoint:
     params: int
     top1: float
     config_digest: str
-
-    def __post_init__(self):
-        if not 0.0 <= self.top1 <= 1.0:
-            raise ValueError(f"top1 {self.top1} outside [0, 1]")
-        if self.size_bytes < 0 or self.params < 0:
-            raise ValueError("sizes must be non-negative")
 
 
 def _check_alphas(alphas) -> list:
@@ -109,16 +104,6 @@ def export_curve(points: list[RDPoint], path) -> None:
         writer.writerow(CURVE_HEADER)
         for p in points:
             writer.writerow([p.label, p.size_bytes, p.params, repr(p.top1), p.config_digest])
-
-
-def import_curve(path) -> list[RDPoint]:
-    with Path(path).open("r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CURVE_HEADER:
-            raise ValueError(f"unexpected curve header {header!r}")
-        return [RDPoint(label, int(size), int(params), float(top1), digest)
-                for label, size, params, top1, digest in reader]
 
 
 def export_gnuplot(points: list[RDPoint], path) -> None:

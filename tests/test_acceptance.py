@@ -5,6 +5,8 @@ enumeration (not from the code under test) or are frozen table values."""
 from __future__ import annotations
 
 import contextlib
+import csv
+import dataclasses
 import json
 import math
 import random
@@ -16,8 +18,8 @@ import pytest
 import chanreduce as cr
 from chanreduce import cli
 from chanreduce.arch import BatchNorm, Conv, FullyConnected
-from chanreduce.rdcurve import (build_alpha_curve, build_alpha_plus_backward_curve,
-                                export_curve, import_curve)
+from chanreduce.rdcurve import (CURVE_HEADER, build_alpha_curve,
+                                build_alpha_plus_backward_curve, export_curve)
 
 from conftest import CountingOracle, sharp_surrogate
 
@@ -228,7 +230,12 @@ def test_criterion_7_curve_properties(capsys, d15_spec, tmp_path):
 
         path = tmp_path / "curve.csv"
         export_curve(alpha_points, path)
-        assert import_curve(path) == alpha_points
+        with path.open(newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == CURVE_HEADER
+        assert [(label, int(size), int(params), float(top1), digest)
+                for label, size, params, top1, digest in rows] == \
+            [dataclasses.astuple(p) for p in alpha_points]
 
 
 # -- 8: replay determinism ---------------------------------------------------

@@ -119,13 +119,6 @@ def test_per_block_breakdown_sums_to_trunk(d15_spec):
     assert trunk_bytes + (650) * 4 == report.size_bytes
 
 
-def test_bytes_per_scalar_and_overhead(d15_spec):
-    half = cr.count_parameters(d15_spec, bytes_per_scalar=2)
-    assert half.size_bytes == 219898 * 2
-    padded = cr.count_parameters(d15_spec, overhead=1000)
-    assert padded.size_bytes == 879592 + 1000
-
-
 def test_saving_percent_examples():
     # Ratios only: 83.24 MB vs 56.52 MB and 16.25 MB vs 10.15 MB.
     a = cr.SizeReport(0, 0, 8324)
@@ -144,7 +137,7 @@ def test_report_serialization(d15_spec):
     d = report.to_dict()
     assert d["parameter_count"] == 218778
     assert len(d["per_block_breakdown"]) == 3
-    assert report.stored_scalars == 219898
+    assert report.parameter_count + report.buffer_count == 219898
 
 
 # -- properties --------------------------------------------------------------

@@ -209,6 +209,19 @@ def test_constant_lesion_rows(d15_spec):
     assert cfg.channels[1] == 16 and cfg.channels[14] == 64
 
 
+def test_constant_lesion_only_narrows(d15_spec):
+    cfg = cr.channel_config(d15_spec)
+    assert cr.apply_constant_lesion(cfg, 1, 16) == cfg
+    with pytest.raises(ValueError, match="lesion width 17 exceeds entry 1's 16 channels"):
+        cr.apply_constant_lesion(cfg, 1, 17)
+    narrowed = cr.apply_constant_lesion(cfg, 14, 4)
+    with pytest.raises(ValueError, match="exceeds entry 14's 4 channels"):
+        cr.apply_constant_lesion(narrowed, 14, 8)
+    for bad in (0, 16):
+        with pytest.raises(ValueError, match="out of range 1..15"):
+            cr.apply_constant_lesion(cfg, bad, 4)
+
+
 def test_proportional_lesion(d15_spec):
     cfg = cr.channel_config(d15_spec)
     assert cr.apply_proportional_lesion(cfg, 12, Fraction(1, 16)).channels[12] == 4

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import os
 import shutil
+import subprocess
 import sys
 import textwrap
 import threading
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -886,11 +890,21 @@ def test_usage_errors_exit_2(tmp_path):
      "parallelism must be >= 1"),
     ("reduce", "[oracle]\nkind = external\ntrainer_cmd = t\nprotocol = files\n",
      "files protocol needs an exchange directory"),
-], ids=["unbuildable-model", "no-trainer-slots", "files-without-exchange-dir"])
+    ("lesion --kind proportional --values 1/2 --indices 99", "",
+     "channel index 99 out of range 1..15"),
+    ("rd --alphas 1.5", "", "scale factor must be in (0, 1]"),
+    ("reduce", "[search]\nscope = 4\n", "search.scope must be within [1, 3]"),
+    ("rd", "[search]\nscope = 4\n", "search.scope must be within [1, 3]"),
+    ("reduce", "[budget]\nsearch_milestones = 30\n", "milestone 30 outside 1..19"),
+    ("size", "[budget]\nfinal_milestones = 60, 30\n", "strictly increasing"),
+], ids=["unbuildable-model", "no-trainer-slots", "files-without-exchange-dir",
+        "lesion-index-past-the-last", "rd-alpha-above-1", "reduce-scope-past-the-blocks",
+        "rd-scope-past-the-blocks", "search-milestone-past-the-epochs",
+        "final-milestones-decreasing"])
 def test_a_run_that_cannot_start_leaves_no_directory(tmp_path, capsys, command, text, error):
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
-    assert run(command, "--config", cfg, "--out", out) == 2
+    assert run(*command.split(), "--config", cfg, "--out", out) == 2
     assert error in capsys.readouterr().err
     assert not out.exists()
 
@@ -901,13 +915,34 @@ def test_a_run_that_cannot_start_leaves_no_directory(tmp_path, capsys, command, 
     ("constant", "0", "positive integer widths"),
     ("constant", "1/2", "positive integer widths"),
     ("macroblock_scale", "3/2", "scale factor must be in (0, 1]"),
-], ids=["proportional-2", "proportional-0", "constant-0", "constant-1/2", "macroblock-3/2"])
+    ("constant", "999", "lesion width 999 exceeds entry 1's 16 channels"),
+], ids=["proportional-2", "proportional-0", "constant-0", "constant-1/2", "macroblock-3/2",
+        "constant-above-the-nominal-width"])
 def test_a_bad_sweep_value_leaves_no_directory(tmp_path, capsys, kind, value, error):
     out = tmp_path / "out"
     assert run("lesion", "--config", write_cfg(tmp_path), "--out", out,
                "--kind", kind, "--values", value) == 2
     assert error in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("module", ["chanreduce", "chanreduce.cli"])
+def test_import_loads_every_traced_module(module):
+    # The benchmark's tracer replaces a function only in the chanreduce modules
+    # loaded when it installs, so a module that an import leaves for later
+    # (a lazy package) would call the untraced function.
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    traced = {module_name for _, module_name, _, _ in tracing.TARGETS}
+    src = str(Path(cr.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", f"import sys, {module}; print(*sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert traced - set(proc.stdout.split()) == set()
 
 
 def test_summary_of_a_replay_missing_an_evaluation(tmp_path, capsys):

@@ -12,6 +12,8 @@ from chanreduce import SweepPlan
 from chanreduce.lesion import (SweepObservation, run_onehot_sweep, write_onehot_csv,
                                write_rd_points_csv)
 
+from conftest import CountingOracle
+
 
 def test_plan_validation():
     with pytest.raises(ValueError):
@@ -65,6 +67,16 @@ def test_onehot_rejections(d15_spec):
             run_onehot_sweep(d15_spec,
                              SweepPlan(cr.SWEEP_CONSTANT, (4,), indices=(bad,)),
                              oracle)
+
+
+def test_constant_sweep_above_an_entry_width_evaluates_nothing(d15_spec):
+    # Entry 1 has 16 channels and entry 11 has 32: a width of 24 would widen
+    # entry 1, so the sweep refuses before its first evaluation.
+    oracle = CountingOracle(cr.SurrogateOracle(d15_spec))
+    with pytest.raises(ValueError, match="lesion width 24 exceeds entry 1's 16 channels"):
+        run_onehot_sweep(d15_spec, SweepPlan(cr.SWEEP_CONSTANT, (8, 24), indices=(11, 1)),
+                         oracle)
+    assert oracle.calls == 0
 
 
 def test_onehot_ledger_appends(d15_spec, tmp_path):

@@ -3,6 +3,7 @@ the per-block search."""
 
 from __future__ import annotations
 
+import csv
 import threading
 import time
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import chanreduce as cr
 from chanreduce.rdcurve import (CURVE_HEADER, RDPoint, build_alpha_curve,
                                 build_alpha_plus_backward_curve, export_curve,
-                                export_gnuplot, import_curve)
+                                export_gnuplot)
 
 ALPHAS = (0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -52,7 +53,10 @@ def test_curve_round_trip_and_bytes(d15_spec, tmp_path):
                                cr.SEARCH_BUDGET)
     path = tmp_path / "curve.csv"
     export_curve(points, path)
-    again = import_curve(path)
+    with path.open(newline="", encoding="utf-8") as fh:
+        _, *rows = csv.reader(fh)
+    again = [RDPoint(label, int(size), int(params), float(top1), digest)
+             for label, size, params, top1, digest in rows]
     assert again == points
     twice = tmp_path / "curve2.csv"
     export_curve(again, twice)
@@ -60,13 +64,6 @@ def test_curve_round_trip_and_bytes(d15_spec, tmp_path):
 
     first_line = path.read_text().splitlines()[0]
     assert first_line == ",".join(CURVE_HEADER)
-
-
-def test_import_rejects_wrong_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("label,size\nx,1\n")
-    with pytest.raises(ValueError):
-        import_curve(path)
 
 
 def test_gnuplot_format(tmp_path):
@@ -77,13 +74,6 @@ def test_gnuplot_format(tmp_path):
     assert path.read_text() == ("# size_kb top1_percent\n"
                                 "858.9765625 91\n"
                                 "219.9023438 0\n")
-
-
-def test_rdpoint_validation():
-    with pytest.raises(ValueError):
-        RDPoint("x", -1, 10, 0.5, "a" * 64)
-    with pytest.raises(ValueError):
-        RDPoint("x", 10, 10, 1.5, "a" * 64)
 
 
 class _FailsSmallConfigs:
