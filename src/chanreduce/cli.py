@@ -27,15 +27,15 @@ from functools import partial
 from pathlib import Path
 
 from .accounting import count_parameters
-from .arch import channel_config, partition_macroblocks, scale_width
+from .arch import channel_config, partition_macroblocks
 from .config import ConfigError, RunConfig
 from .lesion import (SWEEP_CONSTANT, SWEEP_MACROBLOCK, SWEEP_PROPORTIONAL, SweepPlan,
                      format_value, run_onehot_sweep, sweep_configs, write_onehot_csv,
                      write_rd_points_csv)
 from .oracle import (EvaluationLedger, MissingEvaluationError, RecordingOracle,
                      SurrogateOracle)
-from .rdcurve import (build_alpha_curve, build_alpha_plus_backward_curve, export_curve,
-                      export_gnuplot)
+from .rdcurve import (build_alpha_curve, build_alpha_plus_backward_curve, check_alphas,
+                      export_curve, export_gnuplot)
 from .search import backward_reduction, forward_reduction
 from .trainer import ExternalTrainerOracle
 
@@ -328,8 +328,7 @@ def _run_lesion(args, plan, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]
 
 
 def cmd_rd(args) -> int:
-    for alpha in args.alphas:
-        scale_width(1, alpha)   # raises outside (0, 1]
+    check_alphas(args.alphas)
     command = "rd --alphas " + " ".join(repr(a) for a in args.alphas) + \
         f" --budget {args.budget}"
     if args.gnuplot:

@@ -32,7 +32,8 @@ class RDPoint:
     config_digest: str
 
 
-def _check_alphas(alphas) -> list:
+def check_alphas(alphas) -> list:
+    """The multiplier grid as a list; empty, or with an alpha outside (0, 1], raises."""
     out = list(alphas)
     if not out:
         raise ValueError("need a non-empty multiplier grid")
@@ -45,7 +46,7 @@ def _check_alphas(alphas) -> list:
 def build_alpha_curve(spec: ModelSpec, alphas, oracle, budget: TrainingBudget) -> list[RDPoint]:
     """One point per multiplier, sorted by size ascending, evaluated on the
     oracle's slots. Failed evaluations are logged but produce no point."""
-    alphas = _check_alphas(alphas)
+    alphas = check_alphas(alphas)
     configs = [apply_alpha_scaling(channel_config(spec), alpha) for alpha in alphas]
     records = fan_out(oracle, lambda config: oracle.evaluate(config, budget), configs)
     points = []
@@ -69,7 +70,7 @@ def build_alpha_plus_backward_curve(spec: ModelSpec, alphas, delta: float, oracl
     (measured against the scaled model's own accuracy). The reductions are
     independent and are started in alpha order by :func:`fan_out`, so each
     searches on its share of the oracle's slots."""
-    alphas = _check_alphas(alphas)
+    alphas = check_alphas(alphas)
 
     def reduce_at(alpha):
         scaled = with_config(spec, apply_alpha_scaling(channel_config(spec), alpha))

@@ -892,7 +892,7 @@ def test_usage_errors_exit_2(tmp_path):
      "files protocol needs an exchange directory"),
     ("lesion --kind proportional --values 1/2 --indices 99", "",
      "channel index 99 out of range 1..15"),
-    ("rd --alphas 1.5", "", "scale factor must be in (0, 1]"),
+    ("rd --alphas 1.5", "", "width multiplier 1.5 outside (0, 1]"),
     ("reduce", "[search]\nscope = 4\n", "search.scope must be within [1, 3]"),
     ("rd", "[search]\nscope = 4\n", "search.scope must be within [1, 3]"),
     ("reduce", "[budget]\nsearch_milestones = 30\n", "milestone 30 outside 1..19"),
