@@ -161,6 +161,46 @@ def test_validate_rejects_inconsistent_channels():
         cr.validate_spec(cr.ModelSpec(tuple(broken), spec.meta))
 
 
+def _conv(in_channels, out_channels, in_ref, out_ref, **extra):
+    return {"kind": "conv", "kernel": [3, 3], "in": in_channels, "out": out_channels,
+            "in_ref": in_ref, "out_ref": out_ref, **extra}
+
+
+def _fc(in_features, out_features, in_ref):
+    return {"kind": "fully_connected", "in": in_features, "out": out_features,
+            "in_ref": in_ref}
+
+
+@pytest.mark.parametrize("layers,error", [
+    ([_conv(3, 8, 0, 1), {"kind": "batchnorm", "channels": 8, "ref": 2}],
+     "channel ref 2 not yet defined"),
+    ([_conv(3, 3, 0, 1, depthwise=True)],
+     "layer 0: a conv shares its input entry exactly when it is depthwise"),
+    ([_conv(3, 8, 0, 1), _conv(8, 8, 1, 1)],
+     "layer 1: a conv shares its input entry exactly when it is depthwise"),
+    ([_conv(3, 8, 0, 2)], "layer 0: conv out_ref 2 breaks entry order (expected 1)"),
+    ([_conv(3, 0, 0, 1)], "layer 0: channel counts must be >= 1"),
+    ([_conv(3, 8, 0, 1), _fc(8, 0, 1)], "layer 1: out_features must be >= 1"),
+    ([_conv(3, 8, 0, 1), _fc(8, 10, 1), _fc(8, 10, 1)],
+     "at most one fully connected classification head is supported"),
+], ids=["undefined-ref", "depthwise-with-a-new-entry", "plain-conv-on-its-input-entry",
+        "entry-out-of-order", "zero-channels", "zero-out-features", "second-fc-head"])
+def test_descriptor_refusals(layers, error):
+    with pytest.raises(ValueError) as err:
+        cr.spec_from_dict({"num_classes": 10, "layers": layers})
+    assert str(err.value) == error
+
+
+def test_partition_refuses_a_block_of_only_depthwise_convs():
+    # Valid wiring, but the scale-2 run owns no channel entry to scale.
+    spec = cr.spec_from_dict({"num_classes": 10, "layers": [
+        _conv(3, 8, 0, 1), _conv(8, 8, 1, 1, depthwise=True, scale=2),
+        {"kind": "global_avg_pool"}, _fc(8, 10, 1)]})
+    with pytest.raises(ValueError,
+                       match="^macroblock with only depthwise convs has no channel entries$"):
+        cr.partition_macroblocks(spec)
+
+
 # -- config round trips ------------------------------------------------------
 
 
@@ -192,6 +232,29 @@ def test_channel_config_validation():
         cr.ChannelConfig((3, 16, 0), (1,))        # positive widths
     with pytest.raises(ValueError):
         cr.ChannelConfig((3,), (1,))
+    with pytest.raises(ValueError, match="^macroblock_starts must not be empty$"):
+        cr.ChannelConfig((3, 16), ())
+    with pytest.raises(ValueError, match="^macroblock start 3 beyond last channel index 2$"):
+        cr.ChannelConfig((3, 16, 16), (1, 3))
+
+
+def test_with_config_refuses_a_wrong_entry_count(d15_spec):
+    with pytest.raises(ValueError, match="^config has 2 entries, model needs 15$"):
+        cr.with_config(d15_spec, cr.ChannelConfig((3, 16, 16), (1,)))
+
+
+def test_block_channels_for_every_block_index(d15_spec):
+    cfg = cr.channel_config(cr.mobilenet(0.5))
+    blocks = [cfg.block_channels(b) for b in range(len(cfg.macroblock_starts))]
+    assert blocks == [(16, 32), (64, 64), (128, 128), (256,) * 6, (512, 512)]
+    for b in range(1, len(blocks) + 1):
+        assert cfg.block_channels(-b) == blocks[-b]
+    for b in (5, -6):
+        with pytest.raises(IndexError):
+            cfg.block_channels(b)
+    d15 = cr.channel_config(d15_spec)
+    assert [d15.block_channels(b) for b in (-3, -2, -1)] == \
+        [(16,) * 5, (32,) * 5, (64,) * 5]
 
 
 # -- transforms --------------------------------------------------------------
@@ -237,6 +300,16 @@ def test_macroblock_scale(d15_spec, d15_partition):
     assert b2.block_channels(0) == (16,) * 5
     b1 = cr.apply_macroblock_scale(cfg, d15_partition, 1, Fraction(11, 16))
     assert b1.block_channels(1) == (22,) * 5
+
+
+def test_macroblock_scale_refusals(d15_spec, d15_partition):
+    cfg = cr.channel_config(d15_spec)
+    for block in (3, -1):
+        with pytest.raises(ValueError, match=rf"^block index {block} out of range 0\.\.2$"):
+            cr.apply_macroblock_scale(cfg, d15_partition, block, Fraction(1, 2))
+    resnet = cr.partition_macroblocks(cr.resnet34())
+    with pytest.raises(ValueError, match="^partition does not match this channel vector$"):
+        cr.apply_macroblock_scale(cfg, resnet, 4, Fraction(1, 2))
 
 
 def test_alpha_scaling(d15_spec):

@@ -153,6 +153,23 @@ def test_replay_rejects_non_run_dir(tmp_path):
     assert run("replay", empty) == 2
 
 
+def test_replay_refuses_a_run_directory_missing_its_ledger_or_command(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("size", "--config", write_cfg(tmp_path), "--out", out) == 0
+    (out / "ledger.jsonl").unlink()
+    capsys.readouterr()
+    assert run("replay", out, "--out", tmp_path / "a") == 2
+    assert f"{out} has no ledger.jsonl; nothing to replay from" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists()
+
+    (out / "ledger.jsonl").touch()
+    resolved = out / "resolved.cfg"
+    resolved.write_text(resolved.read_text().replace("command = size\n", ""))
+    assert run("replay", out, "--out", tmp_path / "b") == 2
+    assert f"{resolved} does not record the command" in capsys.readouterr().err
+    assert not (tmp_path / "b").exists()
+
+
 def test_lesion_constant(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
@@ -178,6 +195,19 @@ def test_lesion_proportional_fraction_values(tmp_path):
     rows = (out / "onehot.csv").read_text().splitlines()
     assert rows[1].startswith("2,1/2,")
     assert rows[2].startswith("2,11/16,")
+
+
+def test_lesion_records_a_decimal_value_as_given(tmp_path):
+    cfg = write_cfg(tmp_path, "[model]\ndepth = 2\nblock_widths = 8, 16\n")
+    out = tmp_path / "out"
+    assert run("lesion", "--config", cfg, "--out", out,
+               "--kind", "proportional", "--values", "0.5") == 0
+    command = "lesion --kind proportional --values 0.5 --budget search"
+    assert (out / "summary.txt").read_text().splitlines()[0] == f"command: {command}"
+    assert f"command = {command}\n" in (out / "resolved.cfg").read_text()
+    replayed = tmp_path / "replayed"
+    assert run("replay", out, "--out", replayed) == 0
+    assert (replayed / "onehot.csv").read_bytes() == (out / "onehot.csv").read_bytes()
 
 
 def test_lesion_macroblock(tmp_path):
@@ -897,10 +927,12 @@ def test_usage_errors_exit_2(tmp_path):
     ("rd", "[search]\nscope = 4\n", "search.scope must be within [1, 3]"),
     ("reduce", "[budget]\nsearch_milestones = 30\n", "milestone 30 outside 1..19"),
     ("size", "[budget]\nfinal_milestones = 60, 30\n", "strictly increasing"),
+    ("reduce", "[oracle]\nfrontiers = 1.5\n", "bad surrogate parameters: frontiers and "
+     "weights must be non-empty and equally long"),
 ], ids=["unbuildable-model", "no-trainer-slots", "files-without-exchange-dir",
         "lesion-index-past-the-last", "rd-alpha-above-1", "reduce-scope-past-the-blocks",
         "rd-scope-past-the-blocks", "search-milestone-past-the-epochs",
-        "final-milestones-decreasing"])
+        "final-milestones-decreasing", "surrogate-frontiers-unmatched"])
 def test_a_run_that_cannot_start_leaves_no_directory(tmp_path, capsys, command, text, error):
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
@@ -916,8 +948,9 @@ def test_a_run_that_cannot_start_leaves_no_directory(tmp_path, capsys, command, 
     ("constant", "1/2", "positive integer widths"),
     ("macroblock_scale", "3/2", "scale factor must be in (0, 1]"),
     ("constant", "999", "lesion width 999 exceeds entry 1's 16 channels"),
+    ("proportional", "abc", "cannot parse sweep value 'abc'"),
 ], ids=["proportional-2", "proportional-0", "constant-0", "constant-1/2", "macroblock-3/2",
-        "constant-above-the-nominal-width"])
+        "constant-above-the-nominal-width", "proportional-abc"])
 def test_a_bad_sweep_value_leaves_no_directory(tmp_path, capsys, kind, value, error):
     out = tmp_path / "out"
     assert run("lesion", "--config", write_cfg(tmp_path), "--out", out,
