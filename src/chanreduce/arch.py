@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 from typing import ClassVar, Sequence, Union
 
 Rational = Union[int, float, Fraction]
@@ -206,18 +207,9 @@ class ChannelConfig:
     def num_entries(self) -> int:
         return len(self.channels) - 1
 
-    @property
-    def num_blocks(self) -> int:
-        return len(self.macroblock_starts)
-
-    def block_ranges(self) -> list[tuple[int, int]]:
-        """Half-open [start, stop) channel-index ranges, one per macroblock."""
-        bounds = list(self.macroblock_starts) + [self.num_entries + 1]
-        return [(bounds[i], bounds[i + 1]) for i in range(len(self.macroblock_starts))]
-
     def block_channels(self, block: int) -> tuple[int, ...]:
-        start, stop = self.block_ranges()[block]
-        return self.channels[start:stop]
+        stops = self.macroblock_starts[1:] + (len(self.channels),)
+        return self.channels[self.macroblock_starts[block]:stops[block]]
 
     def replace_entries(self, updates: dict[int, int]) -> "ChannelConfig":
         for i in updates:
@@ -228,10 +220,6 @@ class ChannelConfig:
 
     def to_dict(self) -> dict:
         return {"channels": list(self.channels), "macroblock_starts": list(self.macroblock_starts)}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ChannelConfig":
-        return cls(tuple(d["channels"]), tuple(d["macroblock_starts"]))
 
 
 @dataclass(frozen=True)
@@ -348,43 +336,28 @@ def partition_macroblocks(spec: ModelSpec) -> MacroblockPartition:
     """Group consecutive conv layers whose outputs share a spatial scale.
 
     Every conv (depthwise included) belongs to the macroblock of its output scale;
-    batchnorm/pool layers attach to the block of the preceding conv. Raises
-    ValueError when the model has no conv layers.
+    batchnorm/pool layers attach to the block of the preceding conv, and the last
+    block ends at the head. Raises ValueError when the model has no conv layers
+    or a block owns no channel entry.
     """
     validate_spec(spec)
-    conv_positions = spec.convs()
-    if not conv_positions:
+    convs = spec.convs()
+    if not convs:
         raise ValueError("model has no convolution layers to partition")
-
-    head_start = len(spec.layers)
-    for idx, layer in enumerate(spec.layers):
-        if isinstance(layer, (GlobalAvgPool, FullyConnected)):
-            head_start = idx
-            break
-
-    # Consecutive runs of equal conv scale. Entry ownership comes from
-    # non-depthwise convs only.
-    runs: list[dict] = []
-    for idx, conv in conv_positions:
-        if runs and conv.scale == runs[-1]["scale"]:
-            runs[-1]["last_layer"] = idx
-            if not conv.depthwise:
-                runs[-1]["entries"].append((conv.out_ref, conv.out_channels))
-        else:
-            runs.append({"scale": conv.scale, "first_layer": idx, "last_layer": idx,
-                         "entries": [] if conv.depthwise else [(conv.out_ref, conv.out_channels)]})
+    head = next((idx for idx, layer in enumerate(spec.layers)
+                 if isinstance(layer, (GlobalAvgPool, FullyConnected))), len(spec.layers))
+    runs = [list(run) for _, run in groupby(convs, key=lambda pos: pos[1].scale)]
+    stops = [run[0][0] for run in runs[1:]] + [head]
 
     blocks: list[Macroblock] = []
-    for i, run in enumerate(runs):
-        if not run["entries"]:
+    for i, (run, stop) in enumerate(zip(runs, stops)):
+        # Entry ownership comes from non-depthwise convs only.
+        owned = [conv for _, conv in run if not conv.depthwise]
+        if not owned:
             raise ValueError("macroblock with only depthwise convs has no channel entries")
-        layer_stop = runs[i + 1]["first_layer"] if i + 1 < len(runs) else head_start
-        entry_indexes = [e for e, _ in run["entries"]]
-        blocks.append(Macroblock(
-            index=i,
-            layer_range=(run["first_layer"], layer_stop),
-            entry_range=(entry_indexes[0], entry_indexes[-1] + 1),
-            widths=tuple(w for _, w in run["entries"])))
+        blocks.append(Macroblock(index=i, layer_range=(run[0][0], stop),
+                                 entry_range=(owned[0].out_ref, owned[-1].out_ref + 1),
+                                 widths=tuple(conv.out_channels for conv in owned)))
     return MacroblockPartition(tuple(blocks))
 
 

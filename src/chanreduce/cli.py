@@ -122,7 +122,10 @@ def _make_oracle(cfg: RunConfig, spec, run_dir: Path, replaying: bool):
                                       if o.exchange_dir else None)
         closer = inner.close
     elif kind == "replay":
+        # Only a fresh run reads the source; its directory then replays alone.
         source = cfg._resolve(o.ledger)
+        if not source.exists():
+            raise ConfigError(f"replay ledger {o.ledger} does not exist")
         if source.resolve() != ledger.resolve():  # its own ledger needs no backend
             inner = RecordingOracle(None, EvaluationLedger(source), spec)
     oracle = RecordingOracle(inner, EvaluationLedger(ledger), spec,

@@ -187,11 +187,8 @@ class RunConfig:
                 raise ConfigError(f"model descriptor {self.model.descriptor} does not exist")
         if self.oracle.kind == "external" and not self.oracle.trainer_cmd:
             raise ConfigError("oracle.kind=external needs oracle.trainer_cmd")
-        if self.oracle.kind == "replay":
-            if not self.oracle.ledger:
-                raise ConfigError("oracle.kind=replay needs oracle.ledger=<path>")
-            if not self._resolve(self.oracle.ledger).exists():
-                raise ConfigError(f"replay ledger {self.oracle.ledger} does not exist")
+        if self.oracle.kind == "replay" and not self.oracle.ledger:
+            raise ConfigError("oracle.kind=replay needs oracle.ledger=<path>")
         self.search_budget()   # each raises ConfigError on a bad training recipe
         self.final_budget()
 

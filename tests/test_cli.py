@@ -596,6 +596,29 @@ def test_replay_kind_appends_nothing_on_a_rerun_or_its_own_ledger(tmp_path):
         assert (out / "reduction.json").read_bytes() == expected
 
 
+def test_replay_kind_run_replays_after_its_source_is_gone(tmp_path, capsys):
+    # What the source serves is copied into the run's own ledger, so only a
+    # command that evaluates needs the source; replay and size never read it.
+    source = tmp_path / "source"
+    assert run("reduce", "--config", write_cfg(tmp_path), "--out", source) == 0
+    cfg = write_cfg(tmp_path, f"[oracle]\nkind = replay\nledger = {source}/ledger.jsonl\n",
+                    name="replay.cfg")
+    out = tmp_path / "out"
+    assert run("reduce", "--config", cfg, "--out", out) == 0
+    source.rename(tmp_path / "moved")
+
+    replayed = tmp_path / "replayed"
+    assert run("replay", out, "--out", replayed) == 0
+    for name in ARTIFACTS:
+        assert (replayed / name).read_bytes() == (out / name).read_bytes()
+    assert run("size", "--config", cfg, "--out", tmp_path / "size") == 0
+    capsys.readouterr()
+    fresh = tmp_path / "fresh"
+    assert run("reduce", "--config", cfg, "--out", fresh) == 2
+    assert f"replay ledger {source}/ledger.jsonl does not exist" in capsys.readouterr().err
+    assert not fresh.exists()
+
+
 def test_rerun_with_other_oracle_settings_is_refused(tmp_path, monkeypatch, capsys):
     # Editing a config and running it again lands in the same default run
     # directory, whose ledger holds records made under the old settings.
@@ -916,6 +939,8 @@ def test_usage_errors_exit_2(tmp_path):
 
 @pytest.mark.parametrize("command,text,error", [
     ("size", "[model]\nfamily = mobilenet\nwidth_mult = 1.5\n", "cannot build model"),
+    ("size", "[model]\nnum_classes = 0\n",
+     "cannot build model: input_channels and num_classes must be >= 1"),
     ("reduce", "[oracle]\nkind = external\ntrainer_cmd = t\nparallelism = 0\n",
      "parallelism must be >= 1"),
     ("reduce", "[oracle]\nkind = external\ntrainer_cmd = t\nprotocol = files\n",
@@ -929,7 +954,7 @@ def test_usage_errors_exit_2(tmp_path):
     ("size", "[budget]\nfinal_milestones = 60, 30\n", "strictly increasing"),
     ("reduce", "[oracle]\nfrontiers = 1.5\n", "bad surrogate parameters: frontiers and "
      "weights must be non-empty and equally long"),
-], ids=["unbuildable-model", "no-trainer-slots", "files-without-exchange-dir",
+], ids=["unbuildable-model", "no-classes", "no-trainer-slots", "files-without-exchange-dir",
         "lesion-index-past-the-last", "rd-alpha-above-1", "reduce-scope-past-the-blocks",
         "rd-scope-past-the-blocks", "search-milestone-past-the-epochs",
         "final-milestones-decreasing", "surrogate-frontiers-unmatched"])

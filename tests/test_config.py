@@ -199,6 +199,10 @@ def test_resolved_text_preset_class_count(tmp_path):
     ("[search]\nmetric = top3\n", "search.metric must be top1|top5"),
     ("[oracle]\nprotocol = smoke\n", "oracle.protocol must be pipe|files"),
     ("[run]\nsearch_slots = 0\n", "run.search_slots must be within [1, inf], got 0"),
+    ("[model]\nfamily = descriptor\n", "model.family=descriptor needs model.descriptor=<path>"),
+    ("[model]\nfamily = descriptor\ndescriptor = none.json\n",
+     "model descriptor none.json does not exist"),
+    ("family = sequential\n", "cannot parse "),
 ])
 def test_invalid_values(tmp_path, text, message):
     with pytest.raises(ConfigError) as err:
