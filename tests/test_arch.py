@@ -356,7 +356,16 @@ def test_descriptor_bytes_golden(tmp_path, d15_spec):
             (d15_spec, "4e0223283f76d734b9d3c495edd244318377c2a7df33a9d2b3c9dc0990c11fd1"),
             (cr.resnet34(), "30e33bbc35c5e506a6ade6ef2ce1db3c6d5b834f32c3221cb7a0a643ef5670f6"),
             (cr.mobilenet(0.75),
-             "17855facf8bfc4f81ce963f1c09e5abf8bc8353432a9d585b8c4b0c9d98c854a")):
+             "17855facf8bfc4f81ce963f1c09e5abf8bc8353432a9d585b8c4b0c9d98c854a"),
+            (cr.resnet18(), "e91657a86e1ffec99c6907053a609f7112571b2e692a538fffa2e4310c0d175d"),
+            (cr.resnet34(num_classes=10),
+             "f33a7ebae1dccb967dde090e4ef177f21bea821392eabcda5a2dbe083968d826"),
+            (cr.mobilenet(1.0),
+             "dcd8e599e60308da8386b3623772dee54c813756bc65a212e302496afec2cbbf"),
+            (cr.mobilenet(0.5),
+             "f9c27cc8769330b7b27a5d8ae5b31cea2a053e26ef242dfb71ca31c6c01a282d"),
+            (cr.build_sequential_cnn(6, [4, 4, 4], 1, 2, dataset="x", resolution=64),
+             "ed4f97467a5ba5a14ffe22241e31aedf1481aede51363a904905fc2d36169033")):
         path = tmp_path / "model.json"
         cr.save_descriptor(spec, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == sha, spec.meta.name

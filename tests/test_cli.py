@@ -884,6 +884,32 @@ def test_unknown_config_key_warns(tmp_path, caplog):
     assert any("search.deltas" in r.message for r in caplog.records)
 
 
+def test_unknown_config_section_warns_and_is_ignored(tmp_path, caplog):
+    cfg = write_cfg(tmp_path, """\
+        [outputs]
+        run_dir = elsewhere
+        """)
+    out = tmp_path / "out"
+    with caplog.at_level("WARNING", logger="chanreduce.config"):
+        assert run("size", "--config", cfg, "--out", out) == 0
+    assert any("[outputs]" in r.message for r in caplog.records)
+    assert "outputs" not in (out / "resolved.cfg").read_text()
+    assert not (tmp_path / "elsewhere").exists()
+
+
+def test_output_run_dir_is_relative_to_the_config_and_out_overrides_it(tmp_path,
+                                                                         monkeypatch):
+    cfg_dir = tmp_path / "configs"
+    cfg_dir.mkdir()
+    cfg = write_cfg(cfg_dir, "[output]\nrun_dir = myrun\n")
+    monkeypatch.chdir(tmp_path)
+    assert run("size", "--config", cfg) == 0
+    assert (cfg_dir / "myrun" / "summary.txt").exists()
+    assert run("size", "--config", cfg, "--out", tmp_path / "out") == 0
+    assert (tmp_path / "out" / "summary.txt").exists()
+    assert not (tmp_path / "myrun").exists()
+
+
 def test_external_oracle_end_to_end(tmp_path):
     script = tmp_path / "trainer.py"
     script.write_text(textwrap.dedent("""\
@@ -918,6 +944,85 @@ def test_external_oracle_end_to_end(tmp_path):
     assert run("replay", out, "--out", replayed) == 0
     for name in ARTIFACTS:
         assert (replayed / name).read_bytes() == (out / name).read_bytes()
+
+
+# The summary of a reduce whose baseline evaluation fails: no block is searched
+# and no final evaluation is asked for.
+FAILED_BASELINE_SUMMARY = """\
+command: reduce --budget search --direction backward
+model: sequential-d2-8-16 dataset=cifar10 classes=10
+oracle: external
+delta: 0.01  metric: top1
+budget: epochs=20 milestones=[8, 16]
+macroblocks: 2  scope: []
+baseline top1: unavailable
+base: params=1586 bytes=6536 (0.0062 MB)
+reduced: params=1586 bytes=6536 (0.0062 MB)
+saving_percent: 0.0
+oracle_calls: 1
+probes: 1
+diagnostic: baseline evaluation failed; no block was searched
+"""
+
+
+def test_reduce_with_a_failed_baseline(tmp_path):
+    script = tmp_path / "trainer.py"
+    script.write_text(textwrap.dedent("""\
+        import json, sys
+        for line in sys.stdin:
+            req = json.loads(line)
+            print(json.dumps({"run_id": req["run_id"], "status": "failed"}), flush=True)
+        """))
+    cfg = write_cfg(tmp_path, f"""\
+        [model]
+        depth = 2
+        block_widths = 8, 16
+        [oracle]
+        kind = external
+        trainer_cmd = {sys.executable} {script}
+        timeout_seconds = 60
+        """)
+    out = tmp_path / "out"
+    assert run("reduce", "--config", cfg, "--out", out) == 1
+    assert (out / "summary.txt").read_bytes() == FAILED_BASELINE_SUMMARY.encode()
+    assert json.loads((out / "reduction.json").read_text())["final_evaluation"] is None
+    assert len((out / "ledger.jsonl").read_text().splitlines()) == 1
+
+    replayed = tmp_path / "replayed"
+    assert run("replay", out, "--out", replayed) == 1
+    for name in ARTIFACTS:
+        assert (replayed / name).read_bytes() == (out / name).read_bytes()
+
+
+class _FailNarrowLast(cr.SurrogateOracle):
+    """Surrogate that fails every config whose last entry is below its nominal 16."""
+
+    def evaluate(self, config, budget):
+        if config.channels[-1] < 16:
+            return cr.EvaluationRecord(cr.config_digest(config, self.spec), budget,
+                                       None, None, 0.0, cr.STATUS_FAILED)
+        return super().evaluate(config, budget)
+
+
+def test_lesion_with_some_failed_evaluations(tmp_path, monkeypatch, caplog):
+    monkeypatch.setattr(cli, "SurrogateOracle", _FailNarrowLast)
+    cfg = write_cfg(tmp_path, "[model]\ndepth = 2\nblock_widths = 8, 16\n")
+    out = tmp_path / "out"
+    with caplog.at_level("WARNING", logger="chanreduce.lesion"):
+        assert run("lesion", "--config", cfg, "--out", out, "--kind", "constant",
+                   "--values", "2", "4", "8", "--indices", "1", "2") == 0
+    assert "failed: 3\n" in (out / "summary.txt").read_text()
+    rows = (out / "onehot.csv").read_text().splitlines()
+    assert rows[4:] == ["2,2,,failed", "2,4,,failed", "2,8,,failed"]
+    assert all(row.endswith(",ok") for row in rows[1:4])
+    warnings = [r.message for r in caplog.records if r.name == "chanreduce.lesion"]
+    assert len(warnings) == 3
+    assert all("status failed" in w for w in warnings)
+
+    # Every evaluation failing is a failed run.
+    assert run("lesion", "--config", cfg, "--out", tmp_path / "all", "--kind", "constant",
+               "--values", "2", "4", "--indices", "2") == 1
+    assert "failed: 2\n" in (tmp_path / "all" / "summary.txt").read_text()
 
 
 def test_usage_errors_exit_2(tmp_path):

@@ -258,6 +258,11 @@ def test_surrogate_params_resolved_profiles():
     assert weights == pytest.approx((4.0,) * 5)
 
 
+def test_surrogate_params_single_value_profile_applies_to_every_block():
+    p = cr.SurrogateParams(frontiers=(0.9,), weights=(4.0,))
+    assert p.resolved(3) == ((0.9,) * 3, (4.0,) * 3)
+
+
 def test_surrogate_params_validation():
     with pytest.raises(ValueError):
         cr.SurrogateParams(a_max=0.0)
