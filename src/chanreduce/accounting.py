@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arch import (BatchNorm, Conv, FullyConnected, GlobalAvgPool, ModelSpec, Pool,
-                   partition_macroblocks)
+                   partition_macroblocks, validate_spec)
 
 BYTES_PER_SCALAR = 4
 MB = 1024 * 1024
@@ -70,23 +70,23 @@ def _layer_params(layer) -> tuple[int, int]:
 
 def count_parameters(spec: ModelSpec) -> SizeReport:
     """Count every layer exactly; breakdown rows cover the conv macroblocks, with
-    head layers (classifier) accounted in the totals only."""
+    head layers (classifier) accounted in the totals only. An invalid spec raises
+    ValueError; a valid one with no macroblocks gets an empty breakdown."""
+    validate_spec(spec)
     per_layer = [_layer_params(layer) for layer in spec.layers]
     total_params = sum(p for p, _ in per_layer)
     total_buffers = sum(b for _, b in per_layer)
 
-    breakdown: list[BlockUsage] = []
     try:
-        partition = partition_macroblocks(spec)
+        blocks = partition_macroblocks(spec).blocks
     except ValueError:
-        partition = None
-    if partition is not None:
-        for block in partition.blocks:
-            start, stop = block.layer_range
-            params = sum(p for p, _ in per_layer[start:stop])
-            buffers = sum(b for _, b in per_layer[start:stop])
-            breakdown.append(BlockUsage(block.index, params,
-                                        (params + buffers) * BYTES_PER_SCALAR))
+        blocks = ()
+    breakdown: list[BlockUsage] = []
+    for block in blocks:
+        start, stop = block.layer_range
+        params = sum(p for p, _ in per_layer[start:stop])
+        buffers = sum(b for _, b in per_layer[start:stop])
+        breakdown.append(BlockUsage(block.index, params, (params + buffers) * BYTES_PER_SCALAR))
 
     size = (total_params + total_buffers) * BYTES_PER_SCALAR
     return SizeReport(total_params, total_buffers, size, tuple(breakdown))

@@ -248,6 +248,40 @@ class MacroblockPartition:
         return tuple(b.entry_range[0] for b in self.blocks)
 
 
+class SpecBuilder:
+    """Writes a model conv by conv and numbers its channel entries.
+
+    ``widths`` holds the width of each entry, entry 0 being the input. Callers
+    may append parameter-free layers (pools) to ``layers`` directly.
+    """
+
+    def __init__(self, meta: ModelMeta):
+        self.meta = meta
+        self.layers: list[Layer] = []
+        self.widths = [meta.input_channels]
+
+    def conv(self, kernel: tuple[int, int], src: int, width: int | None = None, *,
+             scale: int, stride: int = 1, depthwise: bool = False) -> int:
+        """Append a conv reading entry ``src`` and its batchnorm; return the entry
+        written: a new one of ``width`` channels, or ``src`` for a depthwise conv."""
+        out = src if depthwise else len(self.widths)
+        if not depthwise:
+            self.widths.append(width)
+        width = self.widths[out]
+        self.layers += [Conv(kernel, self.widths[src], width, in_ref=src, out_ref=out,
+                             stride=stride, scale=scale, depthwise=depthwise),
+                        BatchNorm(width, ref=out)]
+        return out
+
+    def build(self, src: int) -> ModelSpec:
+        """Close with global average pooling and a classifier reading entry ``src``."""
+        self.layers += [GlobalAvgPool(),
+                        FullyConnected(self.widths[src], self.meta.num_classes, in_ref=src)]
+        spec = ModelSpec(tuple(self.layers), self.meta)
+        validate_spec(spec)
+        return spec
+
+
 def build_sequential_cnn(depth: int, block_widths: Sequence[int], input_channels: int = 3,
                          num_classes: int = 10, *, dataset: str = "cifar10",
                          resolution: int = 32, name: str | None = None) -> ModelSpec:
@@ -267,30 +301,15 @@ def build_sequential_cnn(depth: int, block_widths: Sequence[int], input_channels
     if input_channels < 1 or num_classes < 1:
         raise ValueError("input_channels and num_classes must be >= 1")
 
-    per_block = depth // blocks
-    layers: list[Layer] = []
+    name = name or "sequential-d{}-{}".format(depth, "-".join(str(w) for w in block_widths))
+    builder = SpecBuilder(ModelMeta(name, dataset, num_classes, input_channels, resolution))
     entry = 0
-    prev_width = input_channels
     for b, width in enumerate(block_widths):
-        for _ in range(per_block):
-            in_ref, entry = entry, entry + 1
-            layers.append(Conv(kernel=(3, 3), in_channels=prev_width, out_channels=width,
-                               in_ref=in_ref, out_ref=entry, scale=2 ** b))
-            layers.append(BatchNorm(channels=width, ref=entry))
-            prev_width = width
-        if b < blocks - 1:
-            layers.append(Pool(pool="max", window=2, stride=2))
-    layers.append(GlobalAvgPool())
-    layers.append(FullyConnected(in_features=block_widths[-1], out_features=num_classes,
-                                 in_ref=entry))
-
-    meta = ModelMeta(
-        name=name or "sequential-d{}-{}".format(depth, "-".join(str(w) for w in block_widths)),
-        dataset=dataset, num_classes=num_classes,
-        input_channels=input_channels, resolution=resolution)
-    spec = ModelSpec(tuple(layers), meta)
-    validate_spec(spec)
-    return spec
+        if b:
+            builder.layers.append(Pool(pool="max", window=2, stride=2))
+        for _ in range(depth // blocks):
+            entry = builder.conv((3, 3), entry, width, scale=2 ** b)
+    return builder.build(entry)
 
 
 def validate_spec(spec: ModelSpec) -> None:

@@ -237,7 +237,7 @@ def _run_reduce(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
 
     final_record = None
     baseline = result.baseline_record
-    if cfg.oracle.kind == "external" and baseline is not None and baseline.ok:
+    if cfg.oracle.kind == "external" and baseline.ok:
         final_record = oracle.evaluate(result.reduced_config, cfg.final_budget())
 
     payload = result.to_dict()
@@ -251,7 +251,7 @@ def _run_reduce(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
              f"budget: epochs={budget.epochs} milestones={list(budget.lr_milestones)}",
              f"macroblocks: {partition.num_blocks}  "
              f"scope: {sorted(result.scope)}"]
-    value = None if baseline is None else baseline.metric(cfg.search.metric)
+    value = baseline.metric(cfg.search.metric)
     lines.append(f"baseline {cfg.search.metric}: "
                  f"{'unavailable' if value is None else repr(value)}")
     nominal = channel_config(spec)
@@ -274,10 +274,9 @@ def _run_reduce(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
                  else repr(final_record.metric(cfg.search.metric)))
         lines.append(f"final {cfg.search.metric} (full budget): {final}")
 
-    ok = baseline is not None and baseline.ok
-    print(f"{'reduction' if ok else 'reduction (baseline failed)'}: "
+    print(f"{'reduction' if baseline.ok else 'reduction (baseline failed)'}: "
           f"betas {list(result.betas)} -> {run_dir}")
-    return 0 if ok else 1, lines
+    return 0 if baseline.ok else 1, lines
 
 
 # -- lesion ------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""Hand-written descriptors for reference architectures, plus JSON descriptor files.
+"""Descriptors of reference architectures, plus JSON descriptor files.
 
-These exist purely for channel bookkeeping and parameter accounting; residual
-shortcuts are recorded as data (a projection conv where the reference network has
-one) and are never executed.
+The presets are written through :class:`~chanreduce.arch.SpecBuilder`, which
+numbers the channel entries. They exist purely for channel bookkeeping and
+parameter accounting; residual shortcuts are recorded as data (a projection conv
+where the reference network has one) and are never executed.
 """
 
 from __future__ import annotations
@@ -11,53 +12,28 @@ import json
 from dataclasses import asdict, fields
 from pathlib import Path
 
-from .arch import (BatchNorm, Conv, FullyConnected, GlobalAvgPool, Layer, ModelMeta,
-                   ModelSpec, Pool, layer_from_dict, layer_to_dict, scale_width,
-                   validate_spec)
+from .arch import (ModelMeta, ModelSpec, Pool, SpecBuilder, layer_from_dict,
+                   layer_to_dict, scale_width, validate_spec)
 
-
-def _basic_stage(layers, entry, stream, in_width, width, blocks, scale, downsample):
-    """Append one residual stage of two-conv basic blocks fed by ``stream`` of
-    ``in_width`` channels; returns (last entry, stage output stream)."""
-    for b in range(blocks):
-        project = downsample and b == 0
-        entry += 1
-        layers.append(Conv((3, 3), in_width, width, in_ref=stream, out_ref=entry,
-                           stride=2 if project else 1, scale=scale))
-        layers.append(BatchNorm(width, ref=entry))
-        entry += 1
-        layers.append(Conv((3, 3), width, width, in_ref=entry - 1, out_ref=entry, scale=scale))
-        layers.append(BatchNorm(width, ref=entry))
-        out = entry
-        if project:
-            # Projection shortcut: 1x1 conv matching the new width and scale.
-            entry += 1
-            layers.append(Conv((1, 1), in_width, width,
-                               in_ref=stream, out_ref=entry, stride=2, scale=scale))
-            layers.append(BatchNorm(width, ref=entry))
-        stream, in_width = out, width
-    return entry, stream
+_IMAGENET = dict(dataset="imagenet", input_channels=3, resolution=224)
 
 
 def _resnet(stage_blocks: list[int], name: str, num_classes: int = 1000) -> ModelSpec:
-    widths = [64, 128, 256, 512]
-    layers: list[Layer] = [
-        Conv((7, 7), 3, 64, in_ref=0, out_ref=1, stride=2, scale=2),
-        BatchNorm(64, ref=1),
-        Pool(pool="max", window=3, stride=2),
-    ]
-    entry, stream, in_width = 1, 1, 64
-    for s, (width, blocks) in enumerate(zip(widths, stage_blocks)):
-        entry, stream = _basic_stage(layers, entry, stream, in_width, width, blocks,
-                                     scale=4 * 2 ** s, downsample=(s > 0))
-        in_width = width
-    layers.append(GlobalAvgPool())
-    layers.append(FullyConnected(widths[-1], num_classes, in_ref=stream))
-    meta = ModelMeta(name=name, dataset="imagenet", num_classes=num_classes,
-                     input_channels=3, resolution=224)
-    spec = ModelSpec(tuple(layers), meta)
-    validate_spec(spec)
-    return spec
+    """Two-conv basic blocks; the first block of every stage after the first
+    downsamples and records its 1x1 projection shortcut."""
+    builder = SpecBuilder(ModelMeta(name, num_classes=num_classes, **_IMAGENET))
+    stream = builder.conv((7, 7), 0, 64, scale=2, stride=2)
+    builder.layers.append(Pool(pool="max", window=3, stride=2))
+    for s, (width, blocks) in enumerate(zip([64, 128, 256, 512], stage_blocks)):
+        scale = 4 * 2 ** s
+        for b in range(blocks):
+            project = s > 0 and b == 0
+            mid = builder.conv((3, 3), stream, width, scale=scale, stride=2 if project else 1)
+            out = builder.conv((3, 3), mid, width, scale=scale)
+            if project:
+                builder.conv((1, 1), stream, width, scale=scale, stride=2)
+            stream = out
+    return builder.build(stream)
 
 
 def resnet18(num_classes: int = 1000) -> ModelSpec:
@@ -78,32 +54,15 @@ def mobilenet(width_mult: float = 1.0, num_classes: int = 1000) -> ModelSpec:
     """Depthwise-separable CNN with an optional uniform width multiplier."""
     if not 0 < width_mult <= 1:
         raise ValueError(f"width multiplier must be in (0, 1], got {width_mult!r}")
-
-    def w(nominal: int) -> int:
-        return scale_width(nominal, width_mult)
-
-    stem = w(32)
-    layers: list[Layer] = [
-        Conv((3, 3), 3, stem, in_ref=0, out_ref=1, stride=2, scale=2),
-        BatchNorm(stem, ref=1),
-    ]
-    entry, stream, width, scale = 1, 1, stem, 2
+    builder = SpecBuilder(ModelMeta(f"mobilenet-{width_mult:g}", num_classes=num_classes,
+                                    **_IMAGENET))
+    scale = 2
+    stream = builder.conv((3, 3), 0, scale_width(32, width_mult), scale=scale, stride=2)
     for out, stride in _MOBILENET_BLOCKS:
         scale *= stride
-        layers.append(Conv((3, 3), width, width, in_ref=stream, out_ref=stream,
-                           stride=stride, scale=scale, depthwise=True))
-        layers.append(BatchNorm(width, ref=stream))
-        entry += 1
-        layers.append(Conv((1, 1), width, w(out), in_ref=stream, out_ref=entry, scale=scale))
-        layers.append(BatchNorm(w(out), ref=entry))
-        stream, width = entry, w(out)
-    layers.append(GlobalAvgPool())
-    layers.append(FullyConnected(width, num_classes, in_ref=stream))
-    meta = ModelMeta(name=f"mobilenet-{width_mult:g}", dataset="imagenet",
-                     num_classes=num_classes, input_channels=3, resolution=224)
-    spec = ModelSpec(tuple(layers), meta)
-    validate_spec(spec)
-    return spec
+        builder.conv((3, 3), stream, scale=scale, stride=stride, depthwise=True)
+        stream = builder.conv((1, 1), stream, scale_width(out, width_mult), scale=scale)
+    return builder.build(stream)
 
 
 PRESETS = {

@@ -75,11 +75,9 @@ class ReductionResult:
     diagnostics: tuple[str, ...] = ()
 
     @property
-    def baseline_record(self) -> EvaluationRecord | None:
-        for probe in self.trace:
-            if probe.block is None:
-                return probe.record
-        return None
+    def baseline_record(self) -> EvaluationRecord:
+        """Every reduction's trace opens with its baseline probe."""
+        return self.trace[0].record
 
     @property
     def oracle_calls(self) -> int:

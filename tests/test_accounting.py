@@ -119,6 +119,17 @@ def test_per_block_breakdown_sums_to_trunk(d15_spec):
     assert trunk_bytes + (650) * 4 == report.size_bytes
 
 
+def test_invalid_spec_is_refused_and_a_convless_one_has_totals_only():
+    meta = cr.ModelMeta("m", "d", num_classes=10, input_channels=3, resolution=8)
+    dangling = cr.ModelSpec((cr.Conv((3, 3), 3, 8, in_ref=0, out_ref=1),
+                             cr.BatchNorm(8, ref=2), cr.GlobalAvgPool(),
+                             cr.FullyConnected(8, 10, in_ref=1)), meta)
+    with pytest.raises(ValueError, match="channel ref 2 not yet defined"):
+        cr.count_parameters(dangling)
+    head_only = cr.ModelSpec((cr.GlobalAvgPool(), cr.FullyConnected(3, 10, in_ref=0)), meta)
+    assert cr.count_parameters(head_only) == cr.SizeReport(40, 0, 160, ())
+
+
 def test_saving_percent_examples():
     # Ratios only: 83.24 MB vs 56.52 MB and 16.25 MB vs 10.15 MB.
     a = cr.SizeReport(0, 0, 8324)
