@@ -197,17 +197,31 @@ def test_lesion_proportional_fraction_values(tmp_path):
     assert rows[2].startswith("2,11/16,")
 
 
-def test_lesion_records_a_decimal_value_as_given(tmp_path):
-    cfg = write_cfg(tmp_path, "[model]\ndepth = 2\nblock_widths = 8, 16\n")
+# A run records its command with every flag the command takes, defaults
+# included, in one fixed order; replay parses that line back.
+@pytest.mark.parametrize("argv,command", [
+    ("lesion --kind proportional --values 0.5",
+     "lesion --kind proportional --values 0.5 --budget search"),
+    ("reduce --direction forward --budget final", "reduce --budget final --direction forward"),
+    ("lesion --kind constant --values 4 8 --indices 1 3 5",
+     "lesion --kind constant --values 4 8 --indices 1 3 5 --budget search"),
+    ("lesion --kind proportional --values 1/2 0.75 2/8",
+     "lesion --kind proportional --values 1/2 0.75 1/4 --budget search"),
+    ("rd --alphas 1 0.5 --gnuplot", "rd --alphas 1.0 0.5 --budget search --gnuplot"),
+    ("rd", "rd --alphas 1.0 0.75 0.5 0.25 --budget search"),
+    ("size", "size"),
+], ids=["lesion-decimal", "reduce-forward-final", "lesion-constant-indices",
+        "lesion-fractions", "rd-gnuplot", "rd-defaults", "size"])
+def test_lesion_records_a_decimal_value_as_given(tmp_path, argv, command):
+    cfg = write_cfg(tmp_path, "[model]\ndepth = 8\nblock_widths = 8, 16\n")
     out = tmp_path / "out"
-    assert run("lesion", "--config", cfg, "--out", out,
-               "--kind", "proportional", "--values", "0.5") == 0
-    command = "lesion --kind proportional --values 0.5 --budget search"
+    assert run(*argv.split(), "--config", cfg, "--out", out) == 0
     assert (out / "summary.txt").read_text().splitlines()[0] == f"command: {command}"
     assert f"command = {command}\n" in (out / "resolved.cfg").read_text()
     replayed = tmp_path / "replayed"
     assert run("replay", out, "--out", replayed) == 0
-    assert (replayed / "onehot.csv").read_bytes() == (out / "onehot.csv").read_bytes()
+    assert ({p.name: p.read_bytes() for p in replayed.iterdir()}
+            == {p.name: p.read_bytes() for p in out.iterdir()})
 
 
 def test_lesion_macroblock(tmp_path):
