@@ -21,7 +21,6 @@ import logging
 import shlex
 import shutil
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -44,12 +43,12 @@ log = logging.getLogger(__name__)
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    if not hasattr(args, "func"):
-        parser.print_help(sys.stderr)
-        return 2
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     try:
+        args = parser.parse_args(argv)
+        if not hasattr(args, "func"):
+            parser.print_help(sys.stderr)
+            return 2
+        logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -60,41 +59,36 @@ def main(argv=None) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Each run command is declared once: its help, its body, its pre-flight
+    check, and its own flags in the order the run records them."""
     parser = argparse.ArgumentParser(prog="chanreduce",
                                      description="Greedy per-macroblock channel reduction for CNNs.")
     sub = parser.add_subparsers(dest="cmd")
-
-    def common(p, budget=True):
+    budget = ("--budget", dict(choices=("search", "final"), default="search",
+                               help="training budget used for evaluations"))
+    for name, about, body, check, flags in (
+        ("reduce", "greedy per-macroblock width reduction", _run_reduce, _check_partition,
+         [budget, ("--direction", dict(choices=("backward", "forward"), default="backward"))]),
+        ("lesion", "channel lesion sweeps", _run_lesion,
+         lambda args, cfg, spec: sweep_configs(spec, _sweep_plan(args, cfg)),
+         [("--kind", dict(choices=(SWEEP_CONSTANT, SWEEP_PROPORTIONAL, SWEEP_MACROBLOCK),
+                          required=True)),
+          ("--values", dict(nargs="+", type=_sweep_value, required=True,
+                            help="widths, or scale factors like 11/16 or 0.5")),
+          ("--indices", dict(nargs="+", type=int, default=None,
+                             help="channel entries to lesion (default: all)")),
+          budget]),
+        ("rd", "size/accuracy trade-off curves", _run_rd, _check_rd,
+         [("--alphas", dict(nargs="+", type=float, default=[1.0, 0.75, 0.5, 0.25])),
+          budget, ("--gnuplot", dict(action="store_true", help="also write .dat plot files"))]),
+        ("size", "parameter and size accounting", _run_size, None, []),
+    ):
+        p = sub.add_parser(name, help=about)
         p.add_argument("--config", required=True, help="run configuration file")
         p.add_argument("--out", default=None, help="run directory (default derived from config)")
-        if budget:
-            p.add_argument("--budget", choices=("search", "final"), default="search",
-                           help="training budget used for evaluations")
-
-    p = sub.add_parser("reduce", help="greedy per-macroblock width reduction")
-    common(p)
-    p.add_argument("--direction", choices=("backward", "forward"), default="backward")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("lesion", help="channel lesion sweeps")
-    common(p)
-    p.add_argument("--kind", choices=(SWEEP_CONSTANT, SWEEP_PROPORTIONAL, SWEEP_MACROBLOCK),
-                   required=True)
-    p.add_argument("--values", nargs="+", required=True,
-                   help="widths, or scale factors like 11/16 or 0.5")
-    p.add_argument("--indices", nargs="+", type=int, default=None,
-                   help="channel entries to lesion (default: all)")
-    p.set_defaults(func=cmd_lesion)
-
-    p = sub.add_parser("rd", help="size/accuracy trade-off curves")
-    common(p)
-    p.add_argument("--alphas", nargs="+", type=float, default=[1.0, 0.75, 0.5, 0.25])
-    p.add_argument("--gnuplot", action="store_true", help="also write .dat plot files")
-    p.set_defaults(func=cmd_rd)
-
-    p = sub.add_parser("size", help="parameter and size accounting")
-    common(p, budget=False)
-    p.set_defaults(func=cmd_size)
+        for flag, options in flags:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=_run, body=body, check=check, flags=[flag for flag, _ in flags])
 
     p = sub.add_parser("replay", help="re-render a run's reports from its ledger")
     p.add_argument("run_dir", help="directory of a previous run")
@@ -151,20 +145,22 @@ def _check_rerun(cfg: RunConfig, run_dir: Path, resolved: str) -> None:
                           f"settings; use a fresh --out")
 
 
-def _run(args, command: str, body, evaluates: bool = True, check=None) -> int:
-    """Set up the run directory, run ``body(cfg, run_dir, spec, oracle)`` and
-    write the summary lines it returns with its exit code. Nothing is written
-    before the model is built, ``check(cfg, spec)`` passes and the oracle is
-    built. A replay that finds no ledger record for an evaluation ends as a
-    failed run; a command that ``evaluates`` nothing gets no oracle."""
+def _run(args) -> int:
+    """Set up the run directory, run ``args.body(args, cfg, run_dir, spec, oracle)``
+    and write the summary lines it returns with its exit code. Nothing is written
+    before the model is built, ``args.check(args, cfg, spec)`` passes and the
+    oracle is built. A replay that finds no ledger record for an evaluation ends
+    as a failed run; a command without a training budget evaluates nothing and
+    gets no oracle."""
     replay_dir = getattr(args, "replay_dir", None)
+    evaluates = "--budget" in args.flags
     cfg = RunConfig.from_file(args.config)
     run_dir = cfg.resolve_run_dir(args.out, args.config)
     spec = cfg.build_spec()
-    if check:
-        check(cfg, spec)
+    if args.check:
+        args.check(args, cfg, spec)
     if replay_dir is None:
-        cfg.command = command
+        cfg.command = _command_line(args)
         if evaluates:
             cfg.search_slots = cfg.oracle.parallelism if cfg.oracle.kind == "external" else 1
     elif run_dir.resolve() != replay_dir.resolve():
@@ -182,7 +178,7 @@ def _run(args, command: str, body, evaluates: bool = True, check=None) -> int:
     # run directory is replayable.
     (run_dir / "ledger.jsonl").touch(exist_ok=True)
     try:
-        code, lines = body(cfg, run_dir, spec, oracle)
+        code, lines = args.body(args, cfg, run_dir, spec, oracle)
     except MissingEvaluationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code, lines = 1, ["status: failed", f"error: {exc}"]
@@ -196,6 +192,19 @@ def _run(args, command: str, body, evaluates: bool = True, check=None) -> int:
                   f"--out to train them again", file=sys.stderr)
     (run_dir / "summary.txt").write_text(_summary(cfg, lines), encoding="utf-8")
     return code
+
+
+def _command_line(args) -> str:
+    """The command name, then each set flag with its values; replay parses it back."""
+    words = [args.cmd]
+    for flag in args.flags:
+        value = getattr(args, flag[2:])
+        if value is None or value is False:
+            continue
+        words.append(flag)
+        if value is not True:
+            words += map(format_value, value if isinstance(value, list) else [value])
+    return " ".join(words)
 
 
 def _summary(cfg: RunConfig, lines: list[str]) -> str:
@@ -214,18 +223,14 @@ def _fmt_widths(widths) -> str:
     return "[" + " ".join(str(w) for w in widths) + "]"
 
 
-def _check_scope(cfg: RunConfig, spec) -> None:
-    scope = cfg.search.scope
-    if scope is not None and scope > (blocks := partition_macroblocks(spec).num_blocks):
-        raise ConfigError(f"search.scope must be within [1, {blocks}], got {scope}")
+def _check_partition(args, cfg: RunConfig, spec) -> None:
+    """The model partitions into macroblocks and the search scope fits them."""
+    blocks = partition_macroblocks(spec).num_blocks
+    if cfg.search.scope is not None and cfg.search.scope > blocks:
+        raise ConfigError(f"search.scope must be within [1, {blocks}], got {cfg.search.scope}")
 
 
 # -- reduce ------------------------------------------------------------------
-
-
-def cmd_reduce(args) -> int:
-    command = f"reduce --budget {args.budget} --direction {args.direction}"
-    return _run(args, command, partial(_run_reduce, args), check=_check_scope)
 
 
 def _run_reduce(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
@@ -282,37 +287,27 @@ def _run_reduce(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
 # -- lesion ------------------------------------------------------------------
 
 
-def _parse_sweep_values(raw: list[str]) -> tuple:
-    values = []
-    for text in raw:
-        try:
-            if "/" in text:
-                values.append(Fraction(text))
-            elif "." in text or "e" in text.lower():
-                values.append(float(text))
-            else:
-                values.append(int(text))
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"cannot parse sweep value {text!r}")
-    return tuple(values)
+def _sweep_value(text: str):
+    try:
+        if "/" in text:
+            return Fraction(text)
+        if "." in text or "e" in text.lower():
+            return float(text)
+        return int(text)
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"cannot parse sweep value {text!r}")
 
 
-def cmd_lesion(args) -> int:
+def _sweep_plan(args, cfg: RunConfig) -> SweepPlan:
     if args.kind == SWEEP_MACROBLOCK and args.indices is not None:
         raise ConfigError(f"--indices picks channel entries; {SWEEP_MACROBLOCK} scales blocks")
-    plan = SweepPlan(args.kind, _parse_sweep_values(args.values),
-                     None if args.indices is None else tuple(args.indices))
-    command = f"lesion --kind {args.kind} --values " + \
-        " ".join(format_value(v) for v in plan.values)
-    if args.indices is not None:
-        command += " --indices " + " ".join(str(i) for i in args.indices)
-    command += f" --budget {args.budget}"
-    return _run(args, command, partial(_run_lesion, args, plan),
-                check=lambda cfg, spec: sweep_configs(spec, plan))
+    return SweepPlan(args.kind, tuple(args.values),
+                     None if args.indices is None else tuple(args.indices),
+                     _pick_budget(cfg, args.budget))
 
 
-def _run_lesion(args, plan, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
-    plan = replace(plan, budget=_pick_budget(cfg, args.budget))
+def _run_lesion(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
+    plan = _sweep_plan(args, cfg)
     observations = run_onehot_sweep(spec, plan, oracle)
     if plan.kind == SWEEP_MACROBLOCK:
         noun, csv_name, write = "points", "rd_points.csv", partial(write_rd_points_csv, spec)
@@ -329,13 +324,9 @@ def _run_lesion(args, plan, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]
 # -- rd ----------------------------------------------------------------------
 
 
-def cmd_rd(args) -> int:
+def _check_rd(args, cfg: RunConfig, spec) -> None:
     check_alphas(args.alphas)
-    command = "rd --alphas " + " ".join(repr(a) for a in args.alphas) + \
-        f" --budget {args.budget}"
-    if args.gnuplot:
-        command += " --gnuplot"
-    return _run(args, command, partial(_run_rd, args), check=_check_scope)
+    _check_partition(args, cfg, spec)
 
 
 def _run_rd(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
@@ -363,11 +354,7 @@ def _run_rd(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
 # -- size --------------------------------------------------------------------
 
 
-def cmd_size(args) -> int:
-    return _run(args, "size", _run_size, evaluates=False)
-
-
-def _run_size(cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
+def _run_size(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
     report = count_parameters(spec)
     lines = [f"model: {spec.meta.name} dataset={spec.meta.dataset} "
              f"classes={spec.meta.num_classes}",

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .accounting import count_parameters
-from .arch import ModelSpec, apply_alpha_scaling, channel_config, partition_macroblocks, with_config
+from .arch import (ModelSpec, apply_alpha_scaling, channel_config, partition_macroblocks,
+                   scale_width, with_config)
 from .oracle import TrainingBudget, config_digest, fan_out
 from .search import BetaMode, backward_reduction
 
@@ -33,13 +34,15 @@ class RDPoint:
 
 
 def check_alphas(alphas) -> list:
-    """The multiplier grid as a list; empty, or with an alpha outside (0, 1], raises."""
+    """The multiplier grid as a list; empty, or with an alpha outside (0, 1] or
+    too small to scale a width (see :func:`scale_width`), raises."""
     out = list(alphas)
     if not out:
         raise ValueError("need a non-empty multiplier grid")
     for a in out:
         if not 0 < float(a) <= 1:
             raise ValueError(f"width multiplier {a!r} outside (0, 1]")
+        scale_width(1, a)
     return out
 
 

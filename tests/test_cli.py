@@ -775,6 +775,25 @@ def test_size_rejects_a_malformed_descriptor(tmp_path, capsys, layers):
     assert "layer must be a JSON object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["reduce", "rd"])
+@pytest.mark.parametrize("oracle", ["surrogate", "external\ntrainer_cmd = no-such-trainer",
+                                    "replay\nledger = empty.jsonl"],
+                         ids=["surrogate", "external", "replay"])
+def test_a_model_without_a_macroblock_leaves_no_directory(tmp_path, capsys, command, oracle):
+    # Both commands search over macroblocks, so they check for one before
+    # writing, whatever backend would answer the evaluations.
+    meta = cr.ModelMeta("head", "d", num_classes=10, input_channels=3, resolution=8)
+    cr.save_descriptor(cr.ModelSpec((cr.GlobalAvgPool(), cr.FullyConnected(3, 10, in_ref=0)),
+                                    meta), tmp_path / "model.json")
+    (tmp_path / "empty.jsonl").touch()
+    cfg = write_cfg(tmp_path, f"[model]\nfamily = descriptor\ndescriptor = model.json\n"
+                              f"[oracle]\nkind = {oracle}\n")
+    out = tmp_path / "out"
+    assert run(command, "--config", cfg, "--out", out) == 2
+    assert "model has no convolution layers to partition" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_override_checked_like_the_file(tmp_path):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, "[search]\nscope = 0\n")
@@ -1067,6 +1086,7 @@ def test_usage_errors_exit_2(tmp_path):
     ("lesion --kind proportional --values 1/2 --indices 99", "",
      "channel index 99 out of range 1..15"),
     ("rd --alphas 1.5", "", "width multiplier 1.5 outside (0, 1]"),
+    ("rd --alphas 1e-7", "", "scale factor must be in (0, 1]"),
     ("reduce", "[search]\nscope = 4\n", "search.scope must be within [1, 3]"),
     ("rd", "[search]\nscope = 4\n", "search.scope must be within [1, 3]"),
     ("reduce", "[budget]\nsearch_milestones = 30\n", "milestone 30 outside 1..19"),
@@ -1074,8 +1094,9 @@ def test_usage_errors_exit_2(tmp_path):
     ("reduce", "[oracle]\nfrontiers = 1.5\n", "bad surrogate parameters: frontiers and "
      "weights must be non-empty and equally long"),
 ], ids=["unbuildable-model", "no-classes", "no-trainer-slots", "files-without-exchange-dir",
-        "lesion-index-past-the-last", "rd-alpha-above-1", "reduce-scope-past-the-blocks",
-        "rd-scope-past-the-blocks", "search-milestone-past-the-epochs",
+        "lesion-index-past-the-last", "rd-alpha-above-1", "rd-alpha-too-small-to-scale",
+        "reduce-scope-past-the-blocks", "rd-scope-past-the-blocks",
+        "search-milestone-past-the-epochs",
         "final-milestones-decreasing", "surrogate-frontiers-unmatched"])
 def test_a_run_that_cannot_start_leaves_no_directory(tmp_path, capsys, command, text, error):
     cfg = write_cfg(tmp_path, text)
