@@ -12,8 +12,7 @@ from .arch import (BatchNorm, ChannelConfig, Conv, FullyConnected, GlobalAvgPool
                    Macroblock, MacroblockPartition, ModelMeta, ModelSpec, Pool,
                    apply_alpha_scaling, apply_constant_lesion, apply_macroblock_scale,
                    apply_proportional_lesion, build_sequential_cnn, channel_config,
-                   partition_macroblocks, scale_width, structural_key, validate_spec,
-                   with_config)
+                   partition_macroblocks, scale_width, structural_key, with_config)
 from .config import ConfigError, RunConfig
 from .lesion import (SWEEP_CONSTANT, SWEEP_MACROBLOCK, SWEEP_PROPORTIONAL, SweepObservation,
                      SweepPlan, run_onehot_sweep, write_onehot_csv, write_rd_points_csv)

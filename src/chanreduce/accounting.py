@@ -1,13 +1,6 @@
 """Exact parameter and storage-size accounting for model descriptors.
 
-Counting rules:
-  conv           kh * kw * in_ch * out_ch weights (+ out_ch bias terms if present);
-                 depthwise convs hold one kh * kw filter per channel.
-  batchnorm      2 * channels learnable scale/shift, plus 2 * channels running
-                 statistics kept as non-learnable buffers.
-  fully conn.    in_features * out_features (+ out_features bias terms).
-  pooling        parameter-free.
-
+Each layer kind counts its own (learnable, buffer) scalars in ``scalars()``.
 Sizes are stored-scalar counts (learnable + buffers) times bytes per scalar.
 1 MB = 2**20 bytes, 1 KB = 1024 bytes.
 """
@@ -16,8 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arch import (BatchNorm, Conv, FullyConnected, GlobalAvgPool, ModelSpec, Pool,
-                   partition_macroblocks, validate_spec)
+from .arch import ModelSpec, partition_macroblocks
 
 BYTES_PER_SCALAR = 4
 MB = 1024 * 1024
@@ -49,31 +41,11 @@ class SizeReport:
                                         for b in self.per_block_breakdown]}
 
 
-def _layer_params(layer) -> tuple[int, int]:
-    """(learnable, buffers) for one layer."""
-    if isinstance(layer, Conv):
-        kh, kw = layer.kernel
-        if layer.depthwise:
-            weights = kh * kw * layer.out_channels
-        else:
-            weights = kh * kw * layer.in_channels * layer.out_channels
-        return weights + (layer.out_channels if layer.has_bias else 0), 0
-    if isinstance(layer, BatchNorm):
-        return 2 * layer.channels, 2 * layer.channels
-    if isinstance(layer, FullyConnected):
-        return (layer.in_features * layer.out_features
-                + (layer.out_features if layer.has_bias else 0)), 0
-    if isinstance(layer, (Pool, GlobalAvgPool)):
-        return 0, 0
-    raise TypeError(f"unregistered layer kind {type(layer).__name__}")
-
-
 def count_parameters(spec: ModelSpec) -> SizeReport:
     """Count every layer exactly; breakdown rows cover the conv macroblocks, with
-    head layers (classifier) accounted in the totals only. An invalid spec raises
-    ValueError; a valid one with no macroblocks gets an empty breakdown."""
-    validate_spec(spec)
-    per_layer = [_layer_params(layer) for layer in spec.layers]
+    head layers (classifier) accounted in the totals only. A spec with no
+    macroblocks gets an empty breakdown."""
+    per_layer = [layer.scalars() for layer in spec.layers]
     total_params = sum(p for p, _ in per_layer)
     total_buffers = sum(b for _, b in per_layer)
 

@@ -46,7 +46,9 @@ def scale_width(width: int, k: Rational) -> int:
 
 
 class LayerKind:
-    """Base of the layer kinds; each declares these tables once, as class data."""
+    """Base of the layer kinds; each declares these tables once, as class data.
+    Each kind also counts its stored scalars in ``scalars() -> (learnable,
+    buffers)``; there is no default, so a kind without one fails when counted."""
 
     kind: ClassVar[str]  # tag in descriptor files and structural keys
     renamed: ClassVar[dict[str, str]] = {}  # field -> descriptor key, where they differ
@@ -75,6 +77,13 @@ class Conv(LayerKind):
     depthwise: bool = False
     has_bias: bool = False
 
+    def scalars(self) -> tuple[int, int]:
+        """kh * kw * in * out weights, or one kh * kw filter per channel when
+        depthwise, plus out bias terms if present; no buffers."""
+        kh, kw = self.kernel
+        taps = kh * kw * (1 if self.depthwise else self.in_channels)
+        return taps * self.out_channels + (self.out_channels if self.has_bias else 0), 0
+
 
 @dataclass(frozen=True)
 class BatchNorm(LayerKind):
@@ -83,6 +92,10 @@ class BatchNorm(LayerKind):
     wiring = (("channels", "ref"),)
     channels: int
     ref: int
+
+    def scalars(self) -> tuple[int, int]:
+        """2 * channels learnable scale/shift, and 2 * channels running statistics."""
+        return 2 * self.channels, 2 * self.channels
 
 
 @dataclass(frozen=True)
@@ -99,10 +112,16 @@ class Pool(LayerKind):
         if self.stride is None:
             object.__setattr__(self, "stride", self.window)
 
+    def scalars(self) -> tuple[int, int]:
+        return 0, 0
+
 
 @dataclass(frozen=True)
 class GlobalAvgPool(LayerKind):
     kind = "global_avg_pool"
+
+    def scalars(self) -> tuple[int, int]:
+        return 0, 0
 
 
 @dataclass(frozen=True)
@@ -115,6 +134,11 @@ class FullyConnected(LayerKind):
     out_features: int
     in_ref: int
     has_bias: bool = True
+
+    def scalars(self) -> tuple[int, int]:
+        """in * out weights, plus out bias terms if present."""
+        return (self.in_features * self.out_features
+                + (self.out_features if self.has_bias else 0)), 0
 
 
 LAYER_KINDS = (Conv, BatchNorm, Pool, GlobalAvgPool, FullyConnected)
@@ -161,8 +185,14 @@ class ModelMeta:
 
 @dataclass(frozen=True)
 class ModelSpec:
+    """A layer list whose wiring :func:`validate_spec` has checked; a spec that
+    fails the check cannot be constructed."""
+
     layers: tuple[Layer, ...]
     meta: ModelMeta
+
+    def __post_init__(self):
+        validate_spec(self)
 
     def convs(self) -> list[tuple[int, Conv]]:
         return [(i, l) for i, l in enumerate(self.layers) if isinstance(l, Conv)]
@@ -277,9 +307,7 @@ class SpecBuilder:
         """Close with global average pooling and a classifier reading entry ``src``."""
         self.layers += [GlobalAvgPool(),
                         FullyConnected(self.widths[src], self.meta.num_classes, in_ref=src)]
-        spec = ModelSpec(tuple(self.layers), self.meta)
-        validate_spec(spec)
-        return spec
+        return ModelSpec(tuple(self.layers), self.meta)
 
 
 def build_sequential_cnn(depth: int, block_widths: Sequence[int], input_channels: int = 3,
@@ -313,7 +341,8 @@ def build_sequential_cnn(depth: int, block_widths: Sequence[int], input_channels
 
 
 def validate_spec(spec: ModelSpec) -> None:
-    """Check ref wiring and literal channel counts; raises ValueError (TypeError: unknown kind)."""
+    """Check ref wiring and literal channel counts; every :class:`ModelSpec` runs
+    it once, when constructed. Raises ValueError (TypeError: unknown kind)."""
     entries: list[int] = []  # nominal width per entry, index 1-based via offset
     n0 = spec.meta.input_channels
 
@@ -359,7 +388,6 @@ def partition_macroblocks(spec: ModelSpec) -> MacroblockPartition:
     block ends at the head. Raises ValueError when the model has no conv layers
     or a block owns no channel entry.
     """
-    validate_spec(spec)
     convs = spec.convs()
     if not convs:
         raise ValueError("model has no convolution layers to partition")
@@ -396,11 +424,9 @@ def with_config(spec: ModelSpec, config: ChannelConfig) -> ModelSpec:
         raise ValueError(f"input channel entry is immutable "
                          f"({config.channels[0]} != {spec.meta.input_channels})")
     layers = [replace(layer, **{width: config.channels[getattr(layer, ref)]
-                                for width, ref in _kind_of(layer).wiring})
+                                for width, ref in layer.wiring})
               for layer in spec.layers]
-    rebuilt = ModelSpec(tuple(layers), spec.meta)
-    validate_spec(rebuilt)
-    return rebuilt
+    return ModelSpec(tuple(layers), spec.meta)
 
 
 def structural_key(spec: ModelSpec) -> list:
@@ -408,11 +434,10 @@ def structural_key(spec: ModelSpec) -> list:
 
     Feeds the evaluation digest: permuting metadata labels leaves it unchanged,
     while any structural edit (layer kinds, kernels, wiring, head size) moves it.
-    A layer whose class is not in LAYER_KINDS raises TypeError.
     """
     key: list = [["input", spec.meta.input_channels]]
     for layer in spec.layers:
-        if _kind_of(layer).key_fields is None:
+        if layer.key_fields is None:
             continue
         row = [layer.kind]
         for name in layer.key_fields:

@@ -234,10 +234,9 @@ def _check_partition(args, cfg: RunConfig, spec) -> None:
 
 
 def _run_reduce(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
-    partition = partition_macroblocks(spec)
     budget = _pick_budget(cfg, args.budget)
     op = backward_reduction if args.direction == "backward" else forward_reduction
-    result = op(spec, partition, cfg.search.delta, oracle, budget, cfg.search.scope,
+    result = op(spec, None, cfg.search.delta, oracle, budget, cfg.search.scope,
                 beta_mode=cfg.beta_mode(), metric=cfg.search.metric)
 
     final_record = None
@@ -254,7 +253,7 @@ def _run_reduce(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
              f"oracle: {cfg.oracle.kind}",
              f"delta: {cfg.search.delta!r}  metric: {cfg.search.metric}",
              f"budget: epochs={budget.epochs} milestones={list(budget.lr_milestones)}",
-             f"macroblocks: {partition.num_blocks}  "
+             f"macroblocks: {len(result.betas)}  "
              f"scope: {sorted(result.scope)}"]
     value = baseline.metric(cfg.search.metric)
     lines.append(f"baseline {cfg.search.metric}: "

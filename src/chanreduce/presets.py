@@ -13,7 +13,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .arch import (ModelMeta, ModelSpec, Pool, SpecBuilder, layer_from_dict,
-                   layer_to_dict, scale_width, validate_spec)
+                   layer_to_dict, scale_width)
 
 _IMAGENET = dict(dataset="imagenet", input_channels=3, resolution=224)
 
@@ -86,9 +86,7 @@ def spec_to_dict(spec: ModelSpec) -> dict:
 def spec_from_dict(d: dict) -> ModelSpec:
     header = {f.name: d[f.name] for f in fields(ModelMeta) if f.name in d}
     meta = ModelMeta(**{**_META_DEFAULTS, **header})
-    spec = ModelSpec(tuple(layer_from_dict(l) for l in d["layers"]), meta)
-    validate_spec(spec)
-    return spec
+    return ModelSpec(tuple(layer_from_dict(l) for l in d["layers"]), meta)
 
 
 def save_descriptor(spec: ModelSpec, path) -> None:

@@ -14,9 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .accounting import count_parameters
-from .arch import (ModelSpec, apply_alpha_scaling, channel_config, partition_macroblocks,
-                   scale_width, with_config)
-from .oracle import TrainingBudget, config_digest, fan_out
+from .arch import ModelSpec, apply_alpha_scaling, channel_config, scale_width, with_config
+from .oracle import TrainingBudget, fan_out
 from .search import BetaMode, backward_reduction
 
 log = logging.getLogger(__name__)
@@ -59,8 +58,7 @@ def build_alpha_curve(spec: ModelSpec, alphas, oracle, budget: TrainingBudget) -
             continue
         report = count_parameters(with_config(spec, config))
         points.append(RDPoint(f"alpha={float(alpha):g}", report.size_bytes,
-                              report.parameter_count, record.top1,
-                              config_digest(config, spec)))
+                              report.parameter_count, record.top1, record.config_digest))
     return sorted(points, key=lambda p: p.size_bytes)
 
 
@@ -77,18 +75,16 @@ def build_alpha_plus_backward_curve(spec: ModelSpec, alphas, delta: float, oracl
 
     def reduce_at(alpha):
         scaled = with_config(spec, apply_alpha_scaling(channel_config(spec), alpha))
-        partition = partition_macroblocks(scaled)
-        result = backward_reduction(scaled, partition, delta, oracle, budget, scope,
+        result = backward_reduction(scaled, None, delta, oracle, budget, scope,
                                     beta_mode=beta_mode, metric=metric)
-        digest = config_digest(result.reduced_config, spec)
         record = next((p.record for p in result.trace
-                       if p.record.config_digest == digest and p.record.ok), None)
+                       if p.config == result.reduced_config and p.record.ok), None)
         if record is None:
             record = oracle.evaluate(result.reduced_config, budget)
-        return result, digest, record
+        return result, record
 
     points = []
-    for alpha, (result, digest, record) in zip(alphas, fan_out(oracle, reduce_at, alphas)):
+    for alpha, (result, record) in zip(alphas, fan_out(oracle, reduce_at, alphas)):
         if not record.ok:
             log.warning("alpha=%g composed point status %s; point skipped",
                         alpha, record.status)
@@ -96,7 +92,7 @@ def build_alpha_plus_backward_curve(spec: ModelSpec, alphas, delta: float, oracl
         points.append(RDPoint(f"alpha={float(alpha):g}+backward",
                               result.reduced_report.size_bytes,
                               result.reduced_report.parameter_count,
-                              record.top1, digest))
+                              record.top1, record.config_digest))
     return sorted(points, key=lambda p: p.size_bytes)
 
 

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 import chanreduce as cr
 
 
-def enumerate_scalars(spec):
-    """Reference count: (learnable, buffers), walking filters one by one."""
+def enumerate_scalars(layers):
+    """Reference count of a layer list: (learnable, buffers), walking filters
+    one by one."""
     learnable = 0
     buffers = 0
-    for layer in spec.layers:
+    for layer in layers:
         if isinstance(layer, cr.Conv):
             kh, kw = layer.kernel
             taps = kh * kw * (1 if layer.depthwise else layer.in_channels)
@@ -39,8 +40,7 @@ def enumerate_scalars(spec):
 
 
 def test_depth15_exact_counts(d15_spec):
-    conv_learnable = sum(enumerate_scalars(cr.ModelSpec((l,), d15_spec.meta))[0]
-                         for l in d15_spec.layers if isinstance(l, cr.Conv))
+    conv_learnable = enumerate_scalars(l for l in d15_spec.layers if isinstance(l, cr.Conv))[0]
     fc_learnable = 64 * 10 + 10
     bn_learnable = 2 * (5 * 16 + 5 * 32 + 5 * 64)
     assert conv_learnable == 217008
@@ -56,7 +56,7 @@ def test_depth15_exact_counts(d15_spec):
 
 
 def test_depth15_matches_enumerator(d15_spec):
-    learnable, buffers = enumerate_scalars(d15_spec)
+    learnable, buffers = enumerate_scalars(d15_spec.layers)
     report = cr.count_parameters(d15_spec)
     assert (report.parameter_count, report.buffer_count) == (learnable, buffers)
 
@@ -68,8 +68,8 @@ def test_resnet_parameter_totals():
     r18 = cr.count_parameters(cr.resnet18())
     assert r18.parameter_count == 11689512
     for spec in (cr.resnet18(), cr.resnet34()):
-        assert enumerate_scalars(spec) == (cr.count_parameters(spec).parameter_count,
-                                           cr.count_parameters(spec).buffer_count)
+        assert enumerate_scalars(spec.layers) == (cr.count_parameters(spec).parameter_count,
+                                                  cr.count_parameters(spec).buffer_count)
 
 
 def test_mobilenet_parameter_total():
@@ -121,11 +121,10 @@ def test_per_block_breakdown_sums_to_trunk(d15_spec):
 
 def test_invalid_spec_is_refused_and_a_convless_one_has_totals_only():
     meta = cr.ModelMeta("m", "d", num_classes=10, input_channels=3, resolution=8)
-    dangling = cr.ModelSpec((cr.Conv((3, 3), 3, 8, in_ref=0, out_ref=1),
-                             cr.BatchNorm(8, ref=2), cr.GlobalAvgPool(),
-                             cr.FullyConnected(8, 10, in_ref=1)), meta)
     with pytest.raises(ValueError, match="channel ref 2 not yet defined"):
-        cr.count_parameters(dangling)
+        cr.ModelSpec((cr.Conv((3, 3), 3, 8, in_ref=0, out_ref=1),
+                      cr.BatchNorm(8, ref=2), cr.GlobalAvgPool(),
+                      cr.FullyConnected(8, 10, in_ref=1)), meta)
     head_only = cr.ModelSpec((cr.GlobalAvgPool(), cr.FullyConnected(3, 10, in_ref=0)), meta)
     assert cr.count_parameters(head_only) == cr.SizeReport(40, 0, 160, ())
 
@@ -161,7 +160,7 @@ def test_report_serialization(d15_spec):
 def test_enumerator_equivalence_and_monotonicity(depth_per_block, widths, data):
     spec = cr.build_sequential_cnn(depth_per_block * len(widths), widths)
     report = cr.count_parameters(spec)
-    assert enumerate_scalars(spec) == (report.parameter_count, report.buffer_count)
+    assert enumerate_scalars(spec.layers) == (report.parameter_count, report.buffer_count)
 
     cfg = cr.channel_config(spec)
     entry = data.draw(st.integers(1, cfg.num_entries))

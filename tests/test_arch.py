@@ -158,7 +158,7 @@ def test_validate_rejects_inconsistent_channels():
     broken = list(spec.layers)
     broken[2] = cr.Conv((3, 3), 99, 8, in_ref=1, out_ref=2, scale=1)
     with pytest.raises(ValueError):
-        cr.validate_spec(cr.ModelSpec(tuple(broken), spec.meta))
+        cr.ModelSpec(tuple(broken), spec.meta)
 
 
 def _conv(in_channels, out_channels, in_ref, out_ref, **extra):
@@ -213,7 +213,6 @@ def test_with_config_rewrites_all_literals(d15_spec):
     reduced = cr.with_config(d15_spec, cfg.replace_entries({i: 33 for i in range(11, 16)}))
     assert cr.channel_config(reduced).channels[11:] == (33,) * 5
     assert reduced.layers[-1].in_features == 33
-    cr.validate_spec(reduced)
 
 
 def test_with_config_input_entry_immutable(d15_spec):
@@ -441,15 +440,18 @@ class _Dummy:
 
 def test_unregistered_layer_kind_fails_loudly(d15_spec):
     # A layer of a class outside LAYER_KINDS must not be dropped from the digest,
-    # passed through width rewrites or counted as parameter-free.
+    # passed through width rewrites or counted as parameter-free, so a spec
+    # holding one cannot be constructed.
     layers = d15_spec.layers
-    spec = cr.ModelSpec(layers[:-2] + (_Dummy(),) + layers[-2:], d15_spec.meta)
     with pytest.raises(TypeError, match="_Dummy"):
-        cr.structural_key(spec)
-    with pytest.raises(TypeError, match="_Dummy"):
-        cr.with_config(spec, cr.channel_config(d15_spec))
-    with pytest.raises(TypeError, match="_Dummy"):
-        cr.count_parameters(spec)
+        cr.ModelSpec(layers[:-2] + (_Dummy(),) + layers[-2:], d15_spec.meta)
+
+
+def test_every_layer_kind_counts_its_own_scalars():
+    # No inherited default: a kind that forgot scalars() would count as parameter-free.
+    assert not hasattr(cr.arch.LayerKind, "scalars")
+    for kind in cr.arch.LAYER_KINDS:
+        assert "scalars" in vars(kind), kind.__name__
 
 
 def test_kind_leaves_the_structural_key_only_by_declaring_it(d15_spec, monkeypatch):

@@ -1075,6 +1075,23 @@ def test_usage_errors_exit_2(tmp_path):
     assert run("reduce", "--config", replay_no_ledger, "--out", out) == 2
 
 
+def test_no_command_prints_usage_and_exits_2(capsys):
+    assert run() == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err.startswith("usage: chanreduce")
+
+
+def test_a_run_directory_under_a_regular_file_fails_and_writes_nothing(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    assert run("reduce", "--config", cfg, "--out", blocker / "run") == 1
+    assert "error: [Errno 20] Not a directory" in capsys.readouterr().err
+    assert blocker.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "run.cfg"]
+
+
 @pytest.mark.parametrize("command,text,error", [
     ("size", "[model]\nfamily = mobilenet\nwidth_mult = 1.5\n", "cannot build model"),
     ("size", "[model]\nnum_classes = 0\n",
