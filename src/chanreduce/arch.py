@@ -24,24 +24,24 @@ Rational = Union[int, float, Fraction]
 _FLOAT_SNAP_DENOMINATOR = 10 ** 6
 
 
-def _as_fraction(k: Rational) -> Fraction:
-    if isinstance(k, Fraction):
-        return k
-    if isinstance(k, int):
-        return Fraction(k)
+def _scale_ratio(k: Rational) -> tuple[int, int]:
+    """k as an exact (numerator, denominator), checked once to lie in (0, 1]."""
     if isinstance(k, float):
         if not math.isfinite(k):
             raise ValueError(f"scale factor must be finite, got {k!r}")
-        return Fraction(k).limit_denominator(_FLOAT_SNAP_DENOMINATOR)
-    raise TypeError(f"scale factor must be int, float, or Fraction, got {type(k).__name__}")
+        frac = Fraction(k).limit_denominator(_FLOAT_SNAP_DENOMINATOR)
+    elif isinstance(k, (int, Fraction)):
+        frac = Fraction(k)
+    else:
+        raise TypeError(f"scale factor must be int, float, or Fraction, got {type(k).__name__}")
+    if not 0 < frac <= 1:
+        raise ValueError(f"scale factor must be in (0, 1], got {k!r}")
+    return frac.numerator, frac.denominator
 
 
 def scale_width(width: int, k: Rational) -> int:
     """Ceiling-scale a channel width: ceil(k * width), computed exactly."""
-    frac = _as_fraction(k)
-    if not 0 < frac <= 1:
-        raise ValueError(f"scale factor must be in (0, 1], got {k!r}")
-    num, den = frac.numerator, frac.denominator
+    num, den = _scale_ratio(k)
     return -((-num * width) // den)
 
 
@@ -475,12 +475,15 @@ def apply_macroblock_scale(config: ChannelConfig, partition: MacroblockPartition
     start, stop = partition.blocks[block].entry_range
     if stop > config.num_entries + 1:
         raise ValueError("partition does not match this channel vector")
-    updates = {i: scale_width(config.channels[i], k) for i in range(start, stop)}
-    return config.replace_entries(updates)
+    return _scale_entries(config, range(start, stop), k)
 
 
 def apply_alpha_scaling(config: ChannelConfig, alpha: Rational) -> ChannelConfig:
     """Uniformly ceiling-scale every output channel entry by the width multiplier."""
-    updates = {i: scale_width(config.channels[i], alpha)
-               for i in range(1, config.num_entries + 1)}
-    return config.replace_entries(updates)
+    return _scale_entries(config, range(1, config.num_entries + 1), alpha)
+
+
+def _scale_entries(config: ChannelConfig, entries: range, k: Rational) -> ChannelConfig:
+    """Ceiling-scale the given entries by k, as scale_width does, checking k once."""
+    num, den = _scale_ratio(k)
+    return config.replace_entries({i: -((-num * config.channels[i]) // den) for i in entries})

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -187,11 +188,11 @@ def fan_out(oracle, fn, items) -> list:
 class EvaluationLedger:
     """Append-only JSON-lines store of evaluation records.
 
-    Appends are atomic per record and serialized by a lock; a lookup returns the
-    newest record for a (digest, budget), or the n-th in ledger order. Corrupt lines are
-    skipped with a warning so a damaged file never blocks replay. A crash in the middle of a write leaves an
-    unterminated last line; the first append terminates it, so the new record
-    starts on a line of its own instead of being glued onto the torn one.
+    Each record is one append-mode write, serialized by a lock; the first append creates
+    the file and its directory. A lookup returns the newest record for a (digest, budget),
+    or the n-th in ledger order. Corrupt lines are skipped with a warning so a damaged file
+    never blocks replay. A crash in the middle of a write leaves an unterminated last line;
+    the first append terminates it, so the new record starts on a line of its own.
     """
 
     def __init__(self, path):
@@ -225,10 +226,17 @@ class EvaluationLedger:
     def append(self, record: EvaluationRecord) -> None:
         line = json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":"))
         with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as fh:
-                fh.write(("\n" if self._torn_tail else "") + line + "\n")
-                fh.flush()
+            data = memoryview((("\n" if self._torn_tail else "") + line + "\n").encode())
+            try:
+                fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            except FileNotFoundError:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+                fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
             self._torn_tail = False
             self._index(record)
 

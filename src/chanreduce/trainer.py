@@ -92,9 +92,11 @@ def _record_from_reply(reply: dict, digest: str, budget: TrainingBudget,
                                 note=f"unknown trainer status {status!r}")
     top1, top5 = reply.get("top1"), reply.get("top5")
     wall = reply.get("wall_seconds")
-    wall = float(wall) if isinstance(wall, (int, float)) else elapsed
+    wall = float(wall) if type(wall) in (int, float) else elapsed  # a JSON number, not a bool
     if status == STATUS_OK:
         try:
+            if {type(top1), type(top5)} - {int, float, type(None)}:
+                raise TypeError(f"accuracies must be JSON numbers, got {top1!r} and {top5!r}")
             return EvaluationRecord(digest, budget, float(top1),
                                     None if top5 is None else float(top5),
                                     wall, STATUS_OK)

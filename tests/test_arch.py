@@ -337,6 +337,41 @@ def test_alpha_scaling_bounds(alpha):
         assert scaled == cfg
 
 
+TRANSFORM_MODELS = [lambda: cr.build_sequential_cnn(15, [16, 32, 64]), cr.resnet34,
+                    lambda: cr.mobilenet(0.5)]
+
+
+@pytest.mark.parametrize("build", TRANSFORM_MODELS, ids=["d15", "resnet34", "mobilenet-0.5"])
+def test_block_and_alpha_scaling_equal_per_entry_scale_width(build):
+    spec = build()
+    cfg = cr.channel_config(spec)
+    partition = cr.partition_macroblocks(spec)
+    for k in (1, 0.7, 0.125, Fraction(1, 3), Fraction(11, 16), 3 / 4):
+        scaled = tuple(cr.scale_width(c, k) for c in cfg.channels)
+        assert cr.apply_alpha_scaling(cfg, k).channels == cfg.channels[:1] + scaled[1:]
+        for b, block in enumerate(partition.blocks):
+            start, stop = block.entry_range
+            expected = cfg.channels[:start] + scaled[start:stop] + cfg.channels[stop:]
+            assert cr.apply_macroblock_scale(cfg, partition, b, k).channels == expected
+
+
+@pytest.mark.parametrize("build", TRANSFORM_MODELS, ids=["d15", "resnet34", "mobilenet-0.5"])
+@pytest.mark.parametrize("k", [0, 1.5, -0.5, float("nan"), float("inf"), "0.5"])
+def test_block_and_alpha_scaling_refuse_a_factor_as_scale_width_does(build, k):
+    spec = build()
+    cfg = cr.channel_config(spec)
+    partition = cr.partition_macroblocks(spec)
+    with pytest.raises((TypeError, ValueError)) as want:
+        cr.scale_width(cfg.channels[1], k)
+    transforms = [lambda: cr.apply_alpha_scaling(cfg, k)]
+    transforms += [lambda b=b: cr.apply_macroblock_scale(cfg, partition, b, k)
+                   for b in range(partition.num_blocks)]
+    for transform in transforms:
+        with pytest.raises(type(want.value)) as got:
+            transform()
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value)
+
+
 # -- presets and descriptor files --------------------------------------------
 
 

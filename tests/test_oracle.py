@@ -366,6 +366,38 @@ def test_ledger_threaded_appends(tmp_path):
     assert len(EvaluationLedger(tmp_path / "l.jsonl")) == 100
 
 
+def test_ledger_first_append_creates_its_directory(tmp_path):
+    path = tmp_path / "new" / "deeper" / "ledger.jsonl"
+    record = _record(digest="a" * 64)
+    EvaluationLedger(path).append(record)
+    assert EvaluationLedger(path).records() == [record]
+    (tmp_path / "reference").touch()
+    assert path.stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+
+def test_ledger_line_is_the_canonical_json_of_its_record(tmp_path):
+    path = tmp_path / "l.jsonl"
+    records = [_record(digest="a" * 64, top1=0.8, top5=0.95),
+               _record(digest="b" * 64, top1=None, status="failed", note="out of memory")]
+    ledger = EvaluationLedger(path)
+    for record in records:
+        ledger.append(record)
+    assert path.read_bytes() == b"".join(
+        (json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":")) + "\n").encode()
+        for r in records)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_ledger_appends_leave_no_descriptor_open(tmp_path):
+    # A raw descriptor left open raises no ResourceWarning, so count them.
+    ledger = EvaluationLedger(tmp_path / "l.jsonl")
+    before = len(os.listdir("/proc/self/fd"))
+    for i in range(1000):
+        ledger.append(_record(digest=f"{i:064d}"))
+    assert len(os.listdir("/proc/self/fd")) == before
+    assert len(EvaluationLedger(tmp_path / "l.jsonl")) == 1000
+
+
 # -- replay and recording ----------------------------------------------------
 
 

@@ -14,7 +14,7 @@ import pytest
 
 import chanreduce as cr
 from chanreduce import cli
-from chanreduce.trainer import ExternalTrainerOracle, build_request
+from chanreduce.trainer import ExternalTrainerOracle, _record_from_reply, build_request
 
 REQUEST_KEYS = {"run_id", "channels", "macroblock_starts", "dataset", "num_classes",
                 "epochs", "lr_initial", "lr_milestones", "lr_divisor", "momentum",
@@ -131,6 +131,9 @@ def test_pipe_garbage_reply_fails(tmp_path, d15_spec, d15_config):
     ({"status": "weird", "top1": 0.5}, "unknown trainer status"),
     ({"status": "ok", "top1": 0.9, "top5": 0.5}, "bad accuracy fields"),
     ({"status": "ok"}, "bad accuracy fields"),
+    ({"status": "ok", "top1": True}, "bad accuracy fields"),
+    ({"status": "ok", "top1": "0.9"}, "bad accuracy fields"),
+    ({"status": "ok", "top1": 0.8, "top5": True}, "bad accuracy fields"),
 ])
 def test_pipe_bad_replies_fail(tmp_path, d15_spec, d15_config, reply, expect):
     script = _script(tmp_path, "bad.py", f"""\
@@ -150,6 +153,11 @@ def test_pipe_bad_replies_fail(tmp_path, d15_spec, d15_config, reply, expect):
         oracle.close()
     assert rec.status == cr.STATUS_FAILED
     assert expect in rec.note
+
+
+def test_a_bool_wall_seconds_falls_back_to_the_measured_time():
+    reply = {"status": "ok", "top1": 0.8, "wall_seconds": True}
+    assert _record_from_reply(reply, "d" * 64, cr.SEARCH_BUDGET, 0.25).wall_seconds == 0.25
 
 
 def test_pipe_timeout(tmp_path, d15_spec, d15_config):
