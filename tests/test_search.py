@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 import sys
@@ -12,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chanreduce as cr
-from chanreduce import BetaMode
+from chanreduce import BetaMode, search
+from chanreduce.oracle import fan_out
 
 from conftest import CountingOracle, sharp_surrogate
 
@@ -383,43 +386,106 @@ def test_search_validation(d15_spec, d15_partition):
 
 class _Slots:
     """Thread-safe oracle on ``slots`` slots around a surrogate; logs the
-    (start, end) of every call and can sleep in each."""
+    (start, end) of every call."""
 
-    def __init__(self, inner, slots, sleep=0.0):
-        self.inner, self.parallel_slots, self.sleep = inner, slots, sleep
+    def __init__(self, inner, slots):
+        self.inner, self.parallel_slots = inner, slots
         self.lock = threading.Lock()
         self.intervals = []
 
     def evaluate(self, config, budget):
         start = time.monotonic()
-        time.sleep(self.sleep)
         record = self.inner.evaluate(config, budget)
         with self.lock:
             self.intervals.append((start, time.monotonic()))
         return record
 
 
-def _rounds(intervals) -> int:
-    """Longest chain of calls, each starting after the previous one ended."""
-    ordered = sorted(intervals)
-    chain = []
-    for start, _ in ordered:
-        chain.append(1 + max((c for c, (_, end) in zip(chain, ordered) if end <= start),
-                             default=0))
-    return max(chain, default=0)
+def _reduce_counting_rounds(monkeypatch, spec, slots):
+    """Backward reduction on ``slots`` slots; returns the result and the number
+    of configs each round issued. A round is one of the search's ``fan_out``
+    calls that trains at least one config."""
+    issued = []
+
+    def counting(oracle, fn, items):
+        items = list(items)
+        if items:
+            issued.append(len(items))
+        return fan_out(oracle, fn, items)
+
+    monkeypatch.setattr(search, "fan_out", counting)
+    oracle = _Slots(cr.SurrogateOracle(spec), slots)
+    result = cr.backward_reduction(spec, None, 0.01, oracle, cr.SEARCH_BUDGET)
+    assert result.oracle_calls == len(oracle.intervals) == sum(issued)
+    return result, issued
 
 
 @pytest.mark.parametrize("slots,rounds,calls", [(1, 13, 13), (2, 12, 13), (3, 7, 18),
                                                 (7, 5, 26)])
-def test_d15_rounds_by_slot_count(d15_spec, slots, rounds, calls):
+def test_d15_rounds_by_slot_count(monkeypatch, d15_spec, slots, rounds, calls):
     # Blocks of 16, 32 and 64 channels bisect in 3, 4 and 5 levels; k levels a
     # round, with the baseline on one slot of the first round.
-    oracle = _Slots(cr.SurrogateOracle(d15_spec), slots, sleep=0.04)
-    result = cr.backward_reduction(d15_spec, None, 0.01, oracle, cr.SEARCH_BUDGET)
+    result, issued = _reduce_counting_rounds(monkeypatch, d15_spec, slots)
     assert result.betas == (0.9375, 0.84375, 0.515625)
-    assert _rounds(oracle.intervals) == rounds
-    assert result.oracle_calls == len(oracle.intervals) == calls
+    assert (len(issued), sum(issued)) == (rounds, calls)
     assert sum(p.speculative for p in result.trace) == calls - 13
+
+
+@pytest.mark.parametrize("model,slots,rounds,calls", [
+    ("resnet34", 1, 32, 32), ("resnet34", 2, 31, 32), ("resnet34", 3, 18, 45),
+    ("resnet34", 7, 12, 67),
+    ("mobilenet", 1, 36, 36), ("mobilenet", 2, 35, 36), ("mobilenet", 3, 19, 52),
+    ("mobilenet", 7, 14, 75)])
+def test_preset_rounds_by_slot_count(monkeypatch, model, slots, rounds, calls):
+    result, issued = _reduce_counting_rounds(monkeypatch, getattr(cr, model)(), slots)
+    assert (len(issued), sum(issued)) == (rounds, calls)
+    assert sum(p.speculative for p in result.trace) == calls - {"resnet34": 32,
+                                                                "mobilenet": 36}[model]
+
+
+# sha256 of ``json.dumps(result.to_dict(), indent=2, sort_keys=True)`` for a
+# backward reduction returning the feasible bound and a forward one returning
+# the last midpoint, at delta 0.01 on the default surrogate.
+MULTI_SLOT_REDUCTION_SHA256 = {
+    ("d15", True, 1): "3e8b2edc03329357417a014c25c083fa697cdbe95b23900df417fe9a0f31b300",
+    ("d15", True, 2): "3e8b2edc03329357417a014c25c083fa697cdbe95b23900df417fe9a0f31b300",
+    ("d15", True, 3): "67d85dc3633a150c486ffe23cc205ccaf6466742e3f4e4c5f4cce63db2e3f0d6",
+    ("d15", True, 7): "9f340d5f4c2d269b08a59722351105346c9fcb1cea19b0fbb92653458961b422",
+    ("d15", False, 1): "855c43d8c4ec11eb5392a6e81920a89291bc00777197a27c863a69d74a5b55ff",
+    ("d15", False, 2): "855c43d8c4ec11eb5392a6e81920a89291bc00777197a27c863a69d74a5b55ff",
+    ("d15", False, 3): "7dd113b38ba79ca6b9c6aeca84501b9c7d3aa4e1e1b4b513cc6f12ddb0e13716",
+    ("d15", False, 7): "0600ce682221ae1ce5315f218ff70f9fbb1bcf44d1cda7e67e2f8af74b680a87",
+    ("resnet34", True, 1): "da5ec22e69b4db2682c36fee4ee14e5620d0e1be21b49ffabb57ff8d644cdafb",
+    ("resnet34", True, 2): "da5ec22e69b4db2682c36fee4ee14e5620d0e1be21b49ffabb57ff8d644cdafb",
+    ("resnet34", True, 3): "8de28408def07cfea13817ba19f97e3d17b76d44ded07e1bb947d7b4bcad3a05",
+    ("resnet34", True, 7): "4d5189757f5aa4b2f240f4062d2097ad21e9de6291e119b6d35ce48fc465555d",
+    ("resnet34", False, 1): "8e476e04929892848a914ef02cedbfdc26f3fd2c181a3daa3d3cf3481b39da8d",
+    ("resnet34", False, 2): "8e476e04929892848a914ef02cedbfdc26f3fd2c181a3daa3d3cf3481b39da8d",
+    ("resnet34", False, 3): "37994f5c5a61d25198452b6a28bd6c98d9fabc150a3b255e4943182b31718549",
+    ("resnet34", False, 7): "19ec18bcb358ed62182d87fc18cb9ae1c75bc6124055437877e22ba7c1851985",
+    ("mobilenet", True, 1): "f5dcc30918c293fadb301999216d9d56a163559ae394440dd396a3f2269fc34b",
+    ("mobilenet", True, 2): "f5dcc30918c293fadb301999216d9d56a163559ae394440dd396a3f2269fc34b",
+    ("mobilenet", True, 3): "6b59eb1b970cf5c8bb01a0143c306c9832d58e1122c770d34717f821ac544993",
+    ("mobilenet", True, 7): "646f07fc0382feece9a363ba700fe6854a497907189d1f6b1c9cca59b7036109",
+    ("mobilenet", False, 1): "902b863bf0876b2402ea20cf64b9f358a77ae953895cbe050564871b6615e88c",
+    ("mobilenet", False, 2): "902b863bf0876b2402ea20cf64b9f358a77ae953895cbe050564871b6615e88c",
+    ("mobilenet", False, 3): "29c77ce810eff1c0c8e28285f7681b113454c3aed99a4d1ddd8df5df4f6a6f1f",
+    ("mobilenet", False, 7): "810d1e3b7e0b9b1ecf22bd7cee4b1b56136e8fd2bdb76f4bcc204e0a3d35866e",
+}
+
+
+@pytest.mark.parametrize("model,backward,slots", sorted(MULTI_SLOT_REDUCTION_SHA256))
+def test_multi_slot_reduction_golden(model, backward, slots):
+    # Pins every probe, speculative ones included, and its place in the trace.
+    spec = (cr.build_sequential_cnn(15, [16, 32, 64]) if model == "d15"
+            else getattr(cr, model)())
+    reduce, mode = ((cr.backward_reduction, BetaMode.FEASIBLE_BOUND) if backward
+                    else (cr.forward_reduction, BetaMode.LAST_MIDPOINT))
+    result = reduce(spec, None, 0.01, _Slots(cr.SurrogateOracle(spec), slots),
+                    cr.SEARCH_BUDGET, beta_mode=mode)
+    text = json.dumps(result.to_dict(), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        MULTI_SLOT_REDUCTION_SHA256[model, backward, slots]
 
 
 @settings(max_examples=60, deadline=None)
