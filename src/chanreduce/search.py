@@ -16,7 +16,8 @@ A block thus costs ceil(ceil(log2(n / 2)) / k) rounds instead of
 ceil(log2(n / 2)), for up to 2^k - 1 trainings per round. The baseline is
 trained in the first round of the first block, on one of its slots. With one
 slot (k = 1) this is the plain sequential search, call for call. Betas and
-reduced configs do not depend on p.
+reduced configs do not depend on p. A frozen :class:`Bisection` holds a block's
+state and does no I/O; :func:`search_macroblock_multiplier` drives its rounds.
 
 Blocks are visited one at a time and the working config accumulates each block's
 result before the next search starts. Backward order (deepest block first) exploits
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .accounting import SizeReport, count_parameters, saving_percent
 from .arch import (ChannelConfig, MacroblockPartition, ModelSpec, apply_macroblock_scale,
@@ -100,29 +101,39 @@ class ReductionResult:
                 "trace": [p.to_dict() for p in self.trace]}
 
 
-def _check_delta(delta: float) -> None:
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must be within [0, 1], got {delta!r}")
+@dataclass(frozen=True)
+class Bisection:
+    """One block's bisection: its multiplier lies in [lower, upper], for a
+    nominal width of n channels. Stepped with each decision, never mutated."""
 
+    n: int
+    lower: float = 0.5
+    upper: float = 1.0
 
-def _midpoints(lower: float, upper: float, levels: int) -> list[float]:
-    """Midpoints of the top ``levels`` levels of the bisection tree under
-    [lower, upper], level by level."""
-    intervals, out = [(lower, upper)], []
-    for _ in range(levels):
-        mids = [(lo + hi) / 2 for lo, hi in intervals]
-        out += mids
-        intervals = [half for (lo, hi), mid in zip(intervals, mids)
-                     for half in ((lo, mid), (mid, hi))]
-    return out
+    @property
+    def midpoint(self) -> float:
+        return (self.lower + self.upper) / 2
 
+    def left(self) -> int:
+        """Probes the bisection still makes: the cost law, from [lower, upper]."""
+        span, left = self.upper - self.lower, 0
+        while span * self.n > 1:
+            span, left = span / 2, left + 1
+        return left
 
-def _probes_left(lower: float, upper: float, n: int) -> int:
-    """Probes the bisection still makes: the cost law, from [lower, upper]."""
-    span, left = upper - lower, 0
-    while span * n > 1:
-        span, left = span / 2, left + 1
-    return left
+    def step(self, feasible: bool) -> Bisection:
+        """A feasible midpoint becomes the upper bound, an infeasible one the lower."""
+        if feasible:
+            return replace(self, upper=self.midpoint)
+        return replace(self, lower=self.midpoint)
+
+    def tree(self, levels: int) -> list[float]:
+        """Midpoints the next ``levels`` steps can visit, level by level, lower half first."""
+        states, out = [self], []
+        for _ in range(levels):
+            out += [s.midpoint for s in states]
+            states = [s.step(feasible) for s in states for feasible in (True, False)]
+        return out
 
 
 def search_macroblock_multiplier(block: int, config: ChannelConfig,
@@ -140,37 +151,34 @@ def search_macroblock_multiplier(block: int, config: ChannelConfig,
     beta is 1. Probes whose record is not ok, or whose metric is missing, count
     as infeasible; the search itself never raises on oracle soft failures.
 
-    Each round evaluates the top k levels of the remaining bisection tree at
-    once, k = floor(log2(p + 1)) on p = ``slots(oracle)`` (one slot fewer while
-    the baseline rides along), then walks them as one slot would.
-    The walk's probes come first; the other configs the round trained follow,
-    marked speculative. ``trained`` maps configs already trained ok in
-    this reduction to their records; they are not trained again, and this
-    search's ok records are added to it.
+    Each round trains the top k levels of the remaining :class:`Bisection` tree
+    at once, k = floor(log2(p + 1)) on p = ``slots(oracle)`` (one slot fewer
+    while the baseline rides along), then steps the state through them as one
+    slot would. The walk's probes come first; the other configs the round
+    trained follow, marked speculative. ``trained`` maps configs already
+    trained ok in this reduction to their records; they are not trained again,
+    and this search's ok records are added to it.
     """
-    _check_delta(delta)
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"delta must be within [0, 1], got {delta!r}")
     if not 0 <= block < partition.num_blocks:
         raise ValueError(f"block index {block} out of range 0..{partition.num_blocks - 1}")
-    n = partition.blocks[block].search_width
+    state = Bisection(partition.blocks[block].search_width)
     known = {} if trained is None else trained
-    failed_baseline = False
+    midpoint, probes = None, []
 
-    upper, lower = 1.0, 0.5
-    midpoint = None
-    probes: list[SearchProbe] = []
-
-    def judge(record: EvaluationRecord) -> bool:
+    def judge(record: EvaluationRecord) -> bool | None:
+        """Whether the probe meets the budget; None without a baseline."""
+        if baseline is None:
+            return None
         value = record.metric(metric) if record.ok else None
         return value is not None and distortion(baseline, value) < delta
 
-    while True:
+    while baseline is None or state.left():
         k = (slots(oracle) - (baseline is None) + 1).bit_length() - 1  # floor(log2(free + 1))
-        levels = min(k, _probes_left(lower, upper, n))
         at = {m: apply_macroblock_scale(config, partition, block, m)
-              for m in _midpoints(lower, upper, levels)}
+              for m in state.tree(min(k, state.left()))}
         batch = ([config] if baseline is None else []) + list(at.values())
-        if not batch:
-            break
         issued = [c for c in dict.fromkeys(batch) if c not in known]
         records = dict(zip(issued, fan_out(oracle, lambda c: oracle.evaluate(c, budget),
                                            issued)))
@@ -184,33 +192,26 @@ def search_macroblock_multiplier(block: int, config: ChannelConfig,
             probes.append(SearchProbe(None, 1.0, config, record, True))
             walked.add(config)
             baseline = record.metric(metric) if record.ok else None
-            failed_baseline = baseline is None
-        for _ in range(0 if failed_baseline else levels):
-            midpoint = (lower + upper) / 2
-            candidate = at[midpoint]
+        while baseline is not None and state.midpoint in at:
+            candidate = at[state.midpoint]
             record = answer[candidate]
             if not record.ok and candidate in walked:
                 break  # one slot would retry it: leave that to the next round
             walked.add(candidate)
             feasible = judge(record)
-            probes.append(SearchProbe(block, midpoint, candidate, record, feasible))
-            if feasible:
-                upper = midpoint
-            else:
-                lower = midpoint
+            probes.append(SearchProbe(block, state.midpoint, candidate, record, feasible))
+            midpoint, state = state.midpoint, state.step(feasible)
         for m, candidate in at.items():
             if candidate in records and candidate not in walked:
                 walked.add(candidate)
-                record = records[candidate]
-                probes.append(SearchProbe(block, m, candidate, record,
-                                          None if failed_baseline else judge(record),
-                                          speculative=True))
-        if failed_baseline:
+                probes.append(SearchProbe(block, m, candidate, records[candidate],
+                                          judge(records[candidate]), speculative=True))
+        if baseline is None:
             return 1.0, probes
 
     if beta_mode is BetaMode.LAST_MIDPOINT and midpoint is not None:
         return midpoint, probes
-    return upper, probes
+    return state.upper, probes
 
 
 def backward_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
@@ -237,7 +238,6 @@ def _greedy_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
                       delta: float, oracle, budget: TrainingBudget,
                       scope: int | None, *, backward: bool, beta_mode: BetaMode,
                       metric: str) -> ReductionResult:
-    _check_delta(delta)
     if partition is None:
         partition = partition_macroblocks(spec)
     m = partition.num_blocks
@@ -254,7 +254,6 @@ def _greedy_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
     working = channel_config(spec)
     trained: dict[ChannelConfig, EvaluationRecord] = {}
     baseline = None  # measured together with the first block's first round
-    searched: set[int] = set()
 
     for block in order:
         beta, probes = search_macroblock_multiplier(
@@ -268,7 +267,6 @@ def _greedy_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
                 diagnostics.append("baseline evaluation failed; no block was searched")
                 log.warning("baseline evaluation failed (status %s)", baseline_record.status)
                 break
-        searched.add(block)
         path = [p for p in probes if p.block is not None and not p.speculative]
         if path and not any(p.record.ok for p in path):
             diagnostics.append(f"block {block}: every probe failed; left at beta=1")
@@ -280,5 +278,6 @@ def _greedy_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
     return ReductionResult(betas=tuple(betas), reduced_config=working,
                            base_report=base_report,
                            reduced_report=count_parameters(reduced_spec),
-                           trace=tuple(trace), scope=frozenset(searched),
+                           trace=tuple(trace),
+                           scope=frozenset(order if baseline is not None else ()),
                            diagnostics=tuple(diagnostics))

@@ -10,9 +10,10 @@ Request fields:
 Response fields:
     run_id, status, top1, top5, wall_seconds
 
-Unknown fields in a reply are ignored; the run_id must echo the request. A reply
+Unknown fields in a reply are ignored; the run_id must echo the request. A line
+that does not start with ``{`` is the worker's own output and is skipped. A reply
 that never arrives (dead or unreachable worker, deadline passed) yields a record
-with status ``timeout``; a reply that arrives but cannot be parsed, and a
+with status ``timeout``; a ``{`` line that cannot be parsed, and a
 ``files`` worker that exits non-zero, yield status ``failed``. A ``files``
 failure's note ends with the last lines the worker wrote to stderr. Neither
 aborts a caller: failures surface as infeasible probes. A record's
@@ -72,14 +73,16 @@ class _ReplyError(Exception):
 
 
 def _parse_reply(line: str, run_id: str) -> dict | None:
-    """Parsed reply for our run_id, None for a stale (different run_id) line."""
+    """Parsed reply for our run_id; None for a line to skip: the trainer's own
+    log output (a line not starting with ``{``) or a stale (other run_id) reply."""
+    if not line.lstrip().startswith("{"):
+        return None
     try:
         reply = json.loads(line)
     except json.JSONDecodeError as exc:
         raise _ReplyError(STATUS_FAILED, f"unparseable trainer reply: {exc}")
-    if not isinstance(reply, dict):
-        raise _ReplyError(STATUS_FAILED, "trainer reply is not an object")
     if reply.get("run_id") != run_id:
+        log.warning("ignoring stale trainer reply line %r", line[:80])
         return None
     return reply
 
@@ -124,7 +127,7 @@ class _PipeWorker:
         self._buffer = b""
 
     def call(self, request: dict, timeout: float) -> dict:
-        """Send one request and return its reply, skipping stale lines. A dead,
+        """Send one request and return its reply, skipping log and stale lines. A dead,
         silent or garbled worker is killed, so the next call starts a fresh one."""
         deadline = time.monotonic() + timeout
         try:
@@ -143,7 +146,6 @@ class _PipeWorker:
                 reply = _parse_reply(line, request["run_id"])
                 if reply is not None:
                     return reply
-                log.warning("ignoring stale trainer reply line %r", line[:80])
             raise _ReplyError(STATUS_TIMEOUT, f"no trainer reply within {timeout:g}s")
         except _ReplyError:
             self.kill()  # stream state unknown after silence, exit or garbage
@@ -219,7 +221,7 @@ class _FilesWorker:
             raise _ReplyError(STATUS_FAILED, "trainer wrote no response file"
                               + _stderr_tail(proc.stderr))
         for line in resp_path.read_text(encoding="utf-8", errors="replace").splitlines():
-            reply = _parse_reply(line, run_id) if line.strip() else None
+            reply = _parse_reply(line, run_id)
             if reply is not None:
                 return reply
         raise _ReplyError(STATUS_FAILED, "no response line with matching run_id")

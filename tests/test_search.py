@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -16,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 import chanreduce as cr
 from chanreduce import BetaMode, search
 from chanreduce.oracle import fan_out
+from chanreduce.search import Bisection
 
 from conftest import CountingOracle, sharp_surrogate
 
@@ -118,6 +120,48 @@ def test_call_count_is_log2_of_half_width(n):
     cr.search_macroblock_multiplier(0, cr.channel_config(spec), partition,
                                     0.5, oracle, cr.SEARCH_BUDGET, 0.91)
     assert oracle.calls == (n - 1).bit_length() - 1
+
+
+# -- the bisection state alone ----------------------------------------------
+
+
+@given(st.integers(min_value=2, max_value=4096))
+def test_bisection_left_is_the_cost_law(n):
+    assert Bisection(n).left() == (n - 1).bit_length() - 1
+
+
+@given(st.data())
+def test_any_decisions_close_the_interval(data):
+    n = data.draw(st.integers(min_value=2, max_value=4096))
+    state = Bisection(n)
+    decisions = data.draw(st.lists(st.booleans(), min_size=state.left(),
+                                   max_size=state.left()))
+    for left, feasible in zip(range(state.left(), 0, -1), decisions):
+        assert state.left() == left
+        state = state.step(feasible)
+    assert state.left() == 0
+    assert 0.5 <= state.lower < state.upper <= 1
+    assert (state.upper - state.lower) * n <= 1
+
+
+@given(st.integers(min_value=2, max_value=4096), st.data())
+def test_tree_lists_the_midpoints_steps_can_visit(n, data):
+    state = Bisection(n)
+    levels = data.draw(st.integers(min_value=0, max_value=state.left()))
+
+    def walk(decisions):
+        end = state
+        for feasible in decisions:
+            end = end.step(feasible)
+        return end.midpoint
+
+    # Level by level; within a level, the feasible (lower) half first.
+    expected = [walk(decisions) for depth in range(levels)
+                for decisions in itertools.product((True, False), repeat=depth)]
+    assert state.tree(levels) == expected
+    for depth in range(levels):
+        level = expected[2 ** depth - 1:2 ** (depth + 1) - 1]
+        assert level == sorted(set(level))
 
 
 # -- agreement with an exhaustive scan ---------------------------------------
