@@ -11,14 +11,14 @@ Response fields:
     run_id, status, top1, top5, wall_seconds
 
 Unknown fields in a reply are ignored; the run_id must echo the request. A line
-that does not start with ``{`` is the worker's own output and is skipped. A reply
-that never arrives (dead or unreachable worker, deadline passed) yields a record
-with status ``timeout``; a ``{`` line that cannot be parsed, and a
-``files`` worker that exits non-zero, yield status ``failed``. A ``files``
-failure's note ends with the last lines the worker wrote to stderr. Neither
-aborts a caller: failures surface as infeasible probes. A record's
-``wall_seconds`` is the trainer's own figure, else the time since a worker took
-the request; waiting for a busy worker never counts as trainer time.
+not starting with ``{`` is the worker's own output and is skipped. A reply that
+never arrives (dead or unreachable worker, deadline passed) yields status
+``timeout``; a ``{`` line that cannot be parsed, and a ``files`` worker that
+exits non-zero, yield status ``failed``. A ``files`` failure's note ends with
+the last lines the worker wrote to stderr. Neither aborts a caller: failures
+surface as infeasible probes. A record's ``wall_seconds`` is the trainer's own
+figure, else the time since a worker took the request; waiting for a busy
+worker never counts as trainer time.
 """
 
 from __future__ import annotations
@@ -73,8 +73,7 @@ class _ReplyError(Exception):
 
 
 def _parse_reply(line: str, run_id: str) -> dict | None:
-    """Parsed reply for our run_id; None for a line to skip: the trainer's own
-    log output (a line not starting with ``{``) or a stale (other run_id) reply."""
+    """Parsed reply for our run_id; None for a stale reply or a line not starting with ``{``."""
     if not line.lstrip().startswith("{"):
         return None
     try:
