@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import sys
 import textwrap
@@ -63,6 +64,29 @@ def test_build_request_fields(d15_spec, d15_config):
     assert (req["momentum"], req["weight_decay"]) == (0.9, 1e-4)
     assert req["batch_size"] == 128
     assert req["seed"] == 0
+
+
+# sha256 of the wire form of nine requests, one per line: each budget below at
+# alpha 1, 0.75 and 0.3 of the nominal widths.
+REQUEST_BUDGETS = [cr.SEARCH_BUDGET, cr.FINAL_BUDGET,
+                   cr.TrainingBudget(epochs=7, lr_initial=0.05, lr_milestones=(3,),
+                                     batch_size=32, seed=4)]
+REQUEST_SHA256 = {
+    "d15": "e92620877615dbf61cbf61602bf95318d3865c7c19cb9318df6c60aa78d2b398",
+    "resnet34": "05c3c8197b96796e65d00e27871898c7a547ba836dc7621e7cb6fcb69dc17948",
+    "mobilenet-0.5": "5e160adb166e03f5c55ba12038ab089c2e1f7b9b64e3a3ad72968d28aefbea09",
+}
+
+
+@pytest.mark.parametrize("model", sorted(REQUEST_SHA256))
+def test_build_request_bytes_golden(model):
+    spec = {"d15": lambda: cr.build_sequential_cnn(15, [16, 32, 64]), "resnet34": cr.resnet34,
+            "mobilenet-0.5": lambda: cr.mobilenet(0.5)}[model]()
+    lines = [json.dumps(build_request("x-1", cr.apply_alpha_scaling(cr.channel_config(spec),
+                                                                    alpha), spec, budget),
+                        sort_keys=True)
+             for budget in REQUEST_BUDGETS for alpha in (1, 0.75, 0.3)]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == REQUEST_SHA256[model]
 
 
 def test_pipe_round_trip(tmp_path, d15_spec, d15_config):
