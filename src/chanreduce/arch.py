@@ -183,6 +183,31 @@ class ModelMeta:
     resolution: int
 
 
+# Declared field type -> (the exact type a value must have, item by item for a
+# tuple, and what an error calls it), so an int is never a bool. An optional
+# field is checked as its base type: __post_init__ has filled it in by then.
+_DECLARED_TYPES = {
+    "int": (int, "an integer"),
+    "bool": (bool, "a boolean"),
+    "str": (str, "a string"),
+    "tuple[int, int]": ((int, int), "a pair of integers"),
+}
+# Each layer kind's and ModelMeta's fields, with the types declared for them.
+_TYPED_FIELDS = {cls: tuple((f.name, *_DECLARED_TYPES[f.type.removesuffix(" | None")])
+                            for f in fields(cls))
+                 for cls in (*LAYER_KINDS, ModelMeta)}
+
+
+def _type_error(obj) -> str | None:
+    """What is wrong with the first field of ``obj`` whose value lacks its
+    declared type; None when every field has it."""
+    for name, want, expected in _TYPED_FIELDS[type(obj)]:
+        value = getattr(obj, name)
+        if (tuple(map(type, value)) if type(value) is tuple else type(value)) != want:
+            return f"{name} must be {expected}, got {value!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """A layer list whose wiring :func:`validate_spec` has checked; a spec that
@@ -341,8 +366,11 @@ def build_sequential_cnn(depth: int, block_widths: Sequence[int], input_channels
 
 
 def validate_spec(spec: ModelSpec) -> None:
-    """Check ref wiring and literal channel counts; every :class:`ModelSpec` runs
-    it once, when constructed. Raises ValueError (TypeError: unknown kind)."""
+    """Check each field's declared type, ref wiring and literal channel counts;
+    every :class:`ModelSpec` runs it once, when constructed. Raises ValueError
+    (TypeError: unknown kind)."""
+    if error := _type_error(spec.meta):
+        raise ValueError(f"model {error}")
     entries: list[int] = []  # nominal width per entry, index 1-based via offset
     n0 = spec.meta.input_channels
 
@@ -355,6 +383,9 @@ def validate_spec(spec: ModelSpec) -> None:
 
     fc_seen = 0
     for idx, layer in enumerate(spec.layers):
+        kind = _kind_of(layer)
+        if error := _type_error(layer):
+            raise ValueError(f"layer {idx}: {kind.kind} {error}")
         if isinstance(layer, Conv):
             if (layer.out_ref == layer.in_ref) != layer.depthwise:
                 raise ValueError(f"layer {idx}: a conv shares its input entry exactly when "
@@ -372,7 +403,7 @@ def validate_spec(spec: ModelSpec) -> None:
             fc_seen += 1
             if layer.out_features < 1:
                 raise ValueError(f"layer {idx}: out_features must be >= 1")
-        for width, ref in _kind_of(layer).wiring:
+        for width, ref in kind.wiring:
             if getattr(layer, width) != resolve(getattr(layer, ref)):
                 raise ValueError(f"layer {idx}: {layer.kind} {width} {getattr(layer, width)} "
                                  f"does not match ref {getattr(layer, ref)}")

@@ -225,12 +225,13 @@ class RunConfig:
             raise ConfigError(f"bad surrogate parameters: {exc}") from exc
 
     def _budget(self, epochs: int, milestones: tuple[int, ...]) -> TrainingBudget:
-        b = self.budget
+        """The recipe: each [budget] key named after a TrainingBudget field, plus
+        the schedule given and the search seed."""
+        recipe = {f.name: getattr(self.budget, f.name) for f in fields(TrainingBudget)
+                  if hasattr(self.budget, f.name)}
         try:
-            return TrainingBudget(epochs=epochs, lr_initial=b.lr_initial,
-                                  lr_milestones=milestones, lr_divisor=b.lr_divisor,
-                                  momentum=b.momentum, weight_decay=b.weight_decay,
-                                  batch_size=b.batch_size, seed=self.search.seed)
+            return TrainingBudget(**recipe, epochs=epochs, lr_milestones=milestones,
+                                  seed=self.search.seed)
         except ValueError as exc:
             raise ConfigError(f"bad training budget: {exc}") from exc
 
@@ -277,7 +278,11 @@ def _fmt(value) -> str:
 
 
 def _number(raw: str) -> float:
-    return float(Fraction(raw)) if "/" in raw else float(raw)
+    """A finite float; nan would never equal itself in a ledger key."""
+    value = float(Fraction(raw)) if "/" in raw else float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {raw!r}")
+    return value
 
 
 # annotation -> (parser of one value, what an error calls the expected value)

@@ -5,8 +5,8 @@ One request per line on the worker's stdin, one reply per line on its stdout
 with the response path to write (``files`` mode: one invocation per request).
 
 Request fields:
-    run_id, channels, macroblock_starts, dataset, num_classes, epochs, lr_initial,
-    lr_milestones, lr_divisor, momentum, weight_decay, batch_size, seed
+    run_id, channels, macroblock_starts, dataset, num_classes, and the fields
+    of the budget the ledger records with the evaluation, except optimizer
 Response fields:
     run_id, status, top1, top5, wall_seconds
 
@@ -26,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import math
 import os
 import queue
 import select
@@ -49,21 +50,10 @@ PROTOCOL_FILES = "files"
 def build_request(run_id: str, config: ChannelConfig, spec: ModelSpec,
                   budget: TrainingBudget) -> dict:
     """Assemble one protocol request. Field names are part of the wire format."""
-    return {
-        "run_id": run_id,
-        "channels": list(config.channels),
-        "macroblock_starts": list(config.macroblock_starts),
-        "dataset": spec.meta.dataset,
-        "num_classes": spec.meta.num_classes,
-        "epochs": budget.epochs,
-        "lr_initial": budget.lr_initial,
-        "lr_milestones": list(budget.lr_milestones),
-        "lr_divisor": budget.lr_divisor,
-        "momentum": budget.momentum,
-        "weight_decay": budget.weight_decay,
-        "batch_size": budget.batch_size,
-        "seed": budget.seed,
-    }
+    request = {"run_id": run_id, **config.to_dict(), "dataset": spec.meta.dataset,
+               "num_classes": spec.meta.num_classes, **budget.to_dict()}
+    del request["optimizer"]  # not part of the protocol
+    return request
 
 
 class _ReplyError(Exception):
@@ -94,7 +84,8 @@ def _record_from_reply(reply: dict, digest: str, budget: TrainingBudget,
                                 note=f"unknown trainer status {status!r}")
     top1, top5 = reply.get("top1"), reply.get("top5")
     wall = reply.get("wall_seconds")
-    wall = float(wall) if type(wall) in (int, float) else elapsed  # a JSON number, not a bool
+    # A finite JSON number, not a bool, NaN or Infinity; else the measured time.
+    wall = float(wall) if type(wall) in (int, float) and math.isfinite(wall) else elapsed
     if status == STATUS_OK:
         try:
             if {type(top1), type(top5)} - {int, float, type(None)}:

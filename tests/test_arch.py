@@ -191,6 +191,38 @@ def test_descriptor_refusals(layers, error):
     assert str(err.value) == error
 
 
+def _head(width, **conv):
+    """A one-conv descriptor of ``width`` channels and its classifier."""
+    return [_conv(3, width, 0, 1, **conv), {"kind": "batchnorm", "channels": width, "ref": 1},
+            {"kind": "global_avg_pool"}, _fc(width, 10, 1)]
+
+
+@pytest.mark.parametrize("header,layers,error", [
+    ({}, _head(8.5), "layer 0: conv out_channels must be an integer, got 8.5"),
+    ({}, _head(8, kernel="33"), "layer 0: conv kernel must be a pair of integers, got '33'"),
+    ({}, _head(True), "layer 0: conv out_channels must be an integer, got True"),
+    ({"num_classes": "10"}, _head(8), "model num_classes must be an integer, got '10'"),
+    ({}, _head(8, depthwise=0), "layer 0: conv depthwise must be a boolean, got 0"),
+    ({}, _head(8)[:2] + [{"kind": "pool", "window": 2.0}], "layer 2: pool window must be an "
+     "integer, got 2.0"),
+    ({}, _head(8)[:2] + [{"kind": "pool", "pool": 1}], "layer 2: pool pool must be a string, "
+     "got 1"),
+    ({"name": None}, _head(8), "model name must be a string, got None"),
+], ids=["fractional-width", "string-kernel", "boolean-width", "string-class-count",
+        "integer-depthwise", "float-pool-window", "numeric-pool-kind", "null-name"])
+def test_descriptor_numbers_have_their_declared_types(header, layers, error):
+    with pytest.raises(ValueError) as err:
+        cr.spec_from_dict({"num_classes": 10, **header, "layers": layers})
+    assert str(err.value) == error
+
+
+def test_a_pool_stride_left_out_is_the_window():
+    pool = cr.spec_from_dict({"num_classes": 10, "layers": [{"kind": "pool", "window": 3}]})
+    assert pool.layers[0].stride == 3
+    with pytest.raises(ValueError, match="^layer 0: pool stride must be an integer, got 1.5$"):
+        cr.spec_from_dict({"num_classes": 10, "layers": [{"kind": "pool", "stride": 1.5}]})
+
+
 def test_partition_refuses_a_block_of_only_depthwise_convs():
     # Valid wiring, but the scale-2 run owns no channel entry to scale.
     spec = cr.spec_from_dict({"num_classes": 10, "layers": [

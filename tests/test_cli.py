@@ -794,6 +794,34 @@ def test_a_model_without_a_macroblock_leaves_no_directory(tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["size", "reduce", "rd", "lesion --kind proportional "
+                                                            "--values 1/2"])
+def test_a_fractional_width_descriptor_leaves_no_directory(tmp_path, capsys, command):
+    (tmp_path / "model.json").write_text(json.dumps({"num_classes": 10, "layers": [
+        {"kind": "conv", "kernel": [3, 3], "in": 3, "out": 8.5, "in_ref": 0, "out_ref": 1},
+        {"kind": "batchnorm", "channels": 8.5, "ref": 1}, {"kind": "global_avg_pool"},
+        {"kind": "fully_connected", "in": 8.5, "out": 10, "in_ref": 1}]}))
+    cfg = write_cfg(tmp_path, "[model]\nfamily = descriptor\ndescriptor = model.json\n")
+    out = tmp_path / "out"
+    assert run(*command.split(), "--config", cfg, "--out", out) == 2
+    assert ("cannot build model: layer 0: conv out_channels must be an integer, got 8.5"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["reduce", "size"])
+@pytest.mark.parametrize("text", ["[budget]\nlr_initial = nan\n",
+                                  "[budget]\nmomentum = inf\n",
+                                  "[oracle]\nkind = external\ntrainer_cmd = t\n"
+                                  "timeout_seconds = nan\n"],
+                         ids=["nan-lr", "inf-momentum", "nan-timeout"])
+def test_a_non_finite_number_leaves_no_directory(tmp_path, capsys, command, text):
+    out = tmp_path / "out"
+    assert run(command, "--config", write_cfg(tmp_path, text), "--out", out) == 2
+    assert "must be a number, got " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_override_checked_like_the_file(tmp_path):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, "[search]\nscope = 0\n")

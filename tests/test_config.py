@@ -210,6 +210,18 @@ def test_invalid_values(tmp_path, text, message):
     assert str(err.value).startswith(message)
 
 
+@pytest.mark.parametrize("key", ["budget.lr_initial", "budget.weight_decay",
+                                 "oracle.timeout_seconds", "oracle.frontiers"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN"])
+def test_a_non_finite_number_is_refused(tmp_path, key, value):
+    # nan never equals itself, so a nan in the recipe would never match a
+    # ledger record, and select() refuses a nan timeout mid-run.
+    section, name = key.split(".")
+    with pytest.raises(ConfigError) as err:
+        _load(tmp_path, f"[{section}]\n{name} = {value}\n")
+    assert str(err.value).startswith(f"{key} must be a ")
+
+
 @pytest.mark.parametrize("text, section, key", [
     ("[search]\nscope =\n", "search", "scope"),
     ("[model]\nnum_classes =\n", "model", "num_classes"),

@@ -212,6 +212,27 @@ def test_a_bool_wall_seconds_falls_back_to_the_measured_time():
     assert _record_from_reply(reply, "d" * 64, cr.SEARCH_BUDGET, 0.25).wall_seconds == 0.25
 
 
+@pytest.mark.parametrize("wall", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_finite_wall_seconds_falls_back_to_the_measured_time(tmp_path, d15_spec,
+                                                                   d15_config, wall):
+    # Python's json reads and writes these tokens; no ledger line may carry one.
+    script = _script(tmp_path, "nan.py", f"""\
+        import json, sys
+        for line in sys.stdin:
+            run_id = json.dumps(json.loads(line)["run_id"])
+            print('{{"run_id": ' + run_id + ', "status": "ok", "top1": 0.8, '
+                  '"wall_seconds": {wall}}}', flush=True)
+        """)
+    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec, timeout=30.0)
+    try:
+        rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
+    finally:
+        oracle.close()
+    assert rec.ok and rec.top1 == 0.8
+    assert 0 <= rec.wall_seconds < 30
+    json.dumps(rec.to_dict(), allow_nan=False)
+
+
 def test_pipe_timeout(tmp_path, d15_spec, d15_config):
     script = _script(tmp_path, "sleeper.py", """\
         import sys, time
