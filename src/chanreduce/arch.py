@@ -243,12 +243,14 @@ class ChannelConfig:
     def __post_init__(self):
         if len(self.channels) < 2:
             raise ValueError("channel vector needs the input entry plus at least one conv entry")
-        for i, c in enumerate(self.channels):
-            if not isinstance(c, int) or c < 1:
+        for i, c in enumerate(self.channels):  # a bool equals 1 but is sent as true
+            if type(c) is not int or c < 1:
                 raise ValueError(f"channel entry {i} must be a positive integer, got {c!r}")
         starts = self.macroblock_starts
         if not starts:
             raise ValueError("macroblock_starts must not be empty")
+        if any(type(s) is not int for s in starts):
+            raise ValueError(f"macroblock_starts must be integers, got {starts!r}")
         if starts[0] != 1:
             raise ValueError(f"first macroblock must start at channel 1, got {starts[0]}")
         n = self.num_entries

@@ -197,19 +197,29 @@ class _FilesWorker:
         tmp.rename(req_path)
         resp_path.unlink(missing_ok=True)
         try:
-            proc = subprocess.run(self.argv + [str(req_path), str(resp_path)],
-                                  timeout=timeout, capture_output=True)
-        except subprocess.TimeoutExpired as exc:
-            raise _ReplyError(STATUS_TIMEOUT, f"trainer run exceeded {timeout:g}s"
-                              + _stderr_tail(exc.stderr))
+            proc = subprocess.Popen(self.argv + [str(req_path), str(resp_path)],
+                                    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
         except OSError as exc:
             raise _ReplyError(STATUS_TIMEOUT, f"trainer unreachable: {exc}")
+        deadline = time.monotonic() + timeout
+        with proc:
+            while True:  # waits of at most 0.5 s: one long wait overflows the poll
+                try:
+                    stderr = proc.communicate(
+                        timeout=min(max(deadline - time.monotonic(), 0.0), 0.5))[1]
+                    break
+                except subprocess.TimeoutExpired as exc:
+                    if time.monotonic() >= deadline:
+                        proc.kill()
+                        proc.wait()
+                        raise _ReplyError(STATUS_TIMEOUT, f"trainer run exceeded {timeout:g}s"
+                                          + _stderr_tail(exc.stderr)) from None
         if proc.returncode != 0:
             raise _ReplyError(STATUS_FAILED, f"trainer exited with code {proc.returncode}"
-                              + _stderr_tail(proc.stderr))
+                              + _stderr_tail(stderr))
         if not resp_path.exists():
             raise _ReplyError(STATUS_FAILED, "trainer wrote no response file"
-                              + _stderr_tail(proc.stderr))
+                              + _stderr_tail(stderr))
         for line in resp_path.read_text(encoding="utf-8", errors="replace").splitlines():
             reply = _parse_reply(line, run_id)
             if reply is not None:

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
-from chanreduce import (SurrogateOracle, SurrogateParams, build_sequential_cnn,
-                        partition_macroblocks)
+from chanreduce import (STATUS_FAILED, EvaluationRecord, SurrogateOracle, SurrogateParams,
+                        build_sequential_cnn, config_digest, partition_macroblocks)
 
 
 @pytest.fixture
@@ -20,20 +21,56 @@ def d15_partition(d15_spec):
 
 
 class CountingOracle:
-    """Wraps an oracle and counts evaluate() calls, also from concurrent slots."""
+    """Wraps an oracle on ``slots`` slots (else the inner oracle's) and counts its
+    evaluate() calls, also from concurrent slots: ``calls``, the most ever in
+    flight at once (``peak``) and each call's (start, end) in ``intervals``. Every
+    call sleeps ``sleep`` seconds first, as a trainer takes time."""
 
-    def __init__(self, inner):
-        self.inner = inner
-        self.calls = 0
+    def __init__(self, inner, *, slots=None, sleep=0.0):
+        self.inner, self.sleep = inner, sleep
+        self.parallel_slots = slots or getattr(inner, "parallel_slots", 1)
+        self.calls = self.peak = self._inflight = 0
+        self.intervals = []
         self._lock = threading.Lock()
 
-    @property
-    def parallel_slots(self):
-        return getattr(self.inner, "parallel_slots", 1)
-
     def evaluate(self, config, budget):
+        start = time.monotonic()
         with self._lock:
             self.calls += 1
+            self._inflight += 1
+            self.peak = max(self.peak, self._inflight)
+        try:
+            if self.sleep:
+                time.sleep(self.sleep)
+            return self.inner.evaluate(config, budget)
+        finally:
+            with self._lock:
+                self._inflight -= 1
+                self.intervals.append((start, time.monotonic()))
+
+    def close(self):
+        """The CLI closes an external trainer, which this may stand in for."""
+
+
+class FailingOracle:
+    """Wraps an oracle on ``slots`` slots (else the inner oracle's) and answers
+    ``failed`` for each config where ``fails(config)`` holds, at most ``times``
+    times in all (else every time); ``asked`` counts those configs."""
+
+    def __init__(self, inner, fails, *, times=None, slots=None):
+        self.inner, self.fails, self.times = inner, fails, times
+        self.parallel_slots = slots or getattr(inner, "parallel_slots", 1)
+        self.asked = 0
+        self._lock = threading.Lock()
+
+    def evaluate(self, config, budget):
+        if self.fails(config):
+            with self._lock:
+                self.asked += 1
+                fail = self.times is None or self.asked <= self.times
+            if fail:
+                return EvaluationRecord(config_digest(config, self.inner.spec), budget,
+                                        None, None, 0.0, STATUS_FAILED)
         return self.inner.evaluate(config, budget)
 
 

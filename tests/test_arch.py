@@ -269,6 +269,18 @@ def test_channel_config_validation():
         cr.ChannelConfig((3, 16, 16), (1, 3))
 
 
+@pytest.mark.parametrize("channels,starts,message", [
+    ((3, True, 4, 4), (1,), "^channel entry 1 must be a positive integer, got True$"),
+    ((3, 4, 4, 4), (True,), "^macroblock_starts must be integers, got \\(True,\\)$"),
+    ((3, 4, 4, 4), (1, 2.0), "^macroblock_starts must be integers, got \\(1, 2.0\\)$")],
+    ids=["bool-entry", "bool-start", "float-start"])
+def test_channel_config_refuses_bools_and_floats(channels, starts, message):
+    # True == 1, so the config would equal (3, 1, 4, 4) while its digest and
+    # request differ.
+    with pytest.raises(ValueError, match=message):
+        cr.ChannelConfig(channels, starts)
+
+
 def test_with_config_refuses_a_wrong_entry_count(d15_spec):
     with pytest.raises(ValueError, match="^config has 2 entries, model needs 15$"):
         cr.with_config(d15_spec, cr.ChannelConfig((3, 16, 16), (1,)))

@@ -9,8 +9,6 @@ import shutil
 import subprocess
 import sys
 import textwrap
-import threading
-import time
 from collections import Counter
 from pathlib import Path
 
@@ -18,6 +16,8 @@ import pytest
 
 import chanreduce as cr
 from chanreduce import cli
+
+from conftest import CountingOracle, FailingOracle
 
 ARTIFACTS = ("resolved.cfg", "ledger.jsonl", "reduction.json", "summary.txt")
 
@@ -330,33 +330,9 @@ def test_rd_curves_golden(tmp_path):
         assert (out / name).read_bytes() == text.replace("\n", "\r\n").encode()  # csv line ends
 
 
-class _SlowSurrogate(cr.SurrogateOracle):
-    """Surrogate that sleeps in every call and records the most calls ever in
-    flight at once; it stands in for an external trainer."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.lock = threading.Lock()
-        self.inflight = self.max_inflight = 0
-
-    def evaluate(self, config, budget):
-        with self.lock:
-            self.inflight += 1
-            self.max_inflight = max(self.max_inflight, self.inflight)
-        try:
-            time.sleep(0.005)
-            return super().evaluate(config, budget)
-        finally:
-            with self.lock:
-                self.inflight -= 1
-
-    def close(self):
-        pass
-
-
 def _three_slot_trainer(tmp_path, monkeypatch):
-    """Config of an external oracle at parallelism 3, played by the sleeping
-    surrogate; returns it and the list the surrogates it builds go to."""
+    """Config of an external oracle at parallelism 3, played by a surrogate that
+    sleeps in every call; returns it and the list the doubles it builds go to."""
     cfg = write_cfg(tmp_path, """\
         [oracle]
         kind = external
@@ -365,8 +341,8 @@ def _three_slot_trainer(tmp_path, monkeypatch):
         """, name="slots.cfg")
     made = []
     monkeypatch.setattr(cli, "ExternalTrainerOracle",
-                        lambda command, spec, **kw: made.append(_SlowSurrogate(spec))
-                        or made[-1])
+                        lambda command, spec, **kw: made.append(
+                            CountingOracle(cr.SurrogateOracle(spec), sleep=0.005)) or made[-1])
     return cfg, made
 
 
@@ -384,7 +360,7 @@ def test_rd_on_three_slots_matches_one_slot(tmp_path, monkeypatch):
     assert run("rd", "--config", cfg, "--out", concurrent) == 0
 
     # Four reductions on three slots: each searches on a share of one slot.
-    assert 2 <= made[0].max_inflight <= 3
+    assert 2 <= made[0].peak <= 3
     for name in ("alpha_curve.csv", "rd_curve.csv"):
         assert (concurrent / name).read_bytes() == (sequential / name).read_bytes()
     evaluations = _evaluations(concurrent)
@@ -407,7 +383,7 @@ def test_reduce_on_three_slots_matches_one_slot(tmp_path, monkeypatch):
     cfg, made = _three_slot_trainer(tmp_path, monkeypatch)
     assert run("reduce", "--config", cfg, "--out", concurrent) == 0
 
-    assert made[0].max_inflight >= 2
+    assert made[0].peak >= 2
     one, many = (json.loads((d / "reduction.json").read_text())
                  for d in (sequential, concurrent))
     assert many["betas"] == one["betas"] == [0.9375, 0.84375, 0.515625]
@@ -432,7 +408,8 @@ def test_replay_of_a_run_recorded_without_search_slots(tmp_path, monkeypatch):
         parallelism = 1
         """)
     monkeypatch.setattr(cli, "ExternalTrainerOracle",
-                        lambda command, spec, **kw: _SlowSurrogate(spec))
+                        lambda command, spec, **kw: CountingOracle(cr.SurrogateOracle(spec),
+                                                                   sleep=0.005))
     out = tmp_path / "out"
     assert run("reduce", "--config", cfg, "--out", out) == 0
     resolved = out / "resolved.cfg"
@@ -694,26 +671,14 @@ def test_rerun_reports_the_failures_it_serves(tmp_path, capsys):
     assert run("reduce", "--config", cfg, "--out", tmp_path / "fresh") == 0
 
 
-class _FailFirstSeven(cr.SurrogateOracle):
-    """Surrogate that fails the first evaluation with 7 channels in its last entry."""
-
-    failed = False
-
-    def evaluate(self, config, budget):
-        if config.channels[-1] == 7 and not self.failed:
-            self.failed = True
-            return cr.EvaluationRecord(cr.config_digest(config, self.spec), budget,
-                                       None, None, 0.0, cr.STATUS_FAILED)
-        return super().evaluate(config, budget)
-
-
 def test_interrupted_replay_kind_run_resumes_with_the_sources_next_record(tmp_path,
                                                                           monkeypatch):
     # The source ledger holds width 7's failed record and then its ok retry. A
     # kind = replay run cut off just past the failure resumes with the retry,
     # as the uninterrupted run got it.
     model = "[model]\ndepth = 1\nblock_widths = 10\n"
-    monkeypatch.setattr(cli, "SurrogateOracle", _FailFirstSeven)
+    monkeypatch.setattr(cli, "SurrogateOracle", lambda *args: FailingOracle(
+        cr.SurrogateOracle(*args), lambda c: c.channels[-1] == 7, times=1))
     source = tmp_path / "source"
     assert run("reduce", "--out", source, "--config", write_cfg(
         tmp_path, model + "[oracle]\nfrontiers = 0.8\nweights = 2000\n")) == 0
@@ -1055,18 +1020,10 @@ def test_reduce_with_a_failed_baseline(tmp_path):
         assert (replayed / name).read_bytes() == (out / name).read_bytes()
 
 
-class _FailNarrowLast(cr.SurrogateOracle):
-    """Surrogate that fails every config whose last entry is below its nominal 16."""
-
-    def evaluate(self, config, budget):
-        if config.channels[-1] < 16:
-            return cr.EvaluationRecord(cr.config_digest(config, self.spec), budget,
-                                       None, None, 0.0, cr.STATUS_FAILED)
-        return super().evaluate(config, budget)
-
-
 def test_lesion_with_some_failed_evaluations(tmp_path, monkeypatch, caplog):
-    monkeypatch.setattr(cli, "SurrogateOracle", _FailNarrowLast)
+    # Every config whose last entry is below its nominal 16 fails.
+    monkeypatch.setattr(cli, "SurrogateOracle", lambda *args: FailingOracle(
+        cr.SurrogateOracle(*args), lambda c: c.channels[-1] < 16))
     cfg = write_cfg(tmp_path, "[model]\ndepth = 2\nblock_widths = 8, 16\n")
     out = tmp_path / "out"
     with caplog.at_level("WARNING", logger="chanreduce.lesion"):

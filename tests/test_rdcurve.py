@@ -4,8 +4,6 @@ the per-block search."""
 from __future__ import annotations
 
 import csv
-import threading
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +12,8 @@ import chanreduce as cr
 from chanreduce.rdcurve import (CURVE_HEADER, RDPoint, build_alpha_curve,
                                 build_alpha_plus_backward_curve, export_curve,
                                 export_gnuplot)
+
+from conftest import CountingOracle, FailingOracle
 
 ALPHAS = (0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -76,51 +76,14 @@ def test_gnuplot_format(tmp_path):
                                 "219.9023438 0\n")
 
 
-class _FailsSmallConfigs:
-    """Fails any config whose total width dips under a threshold."""
-
-    parallel_slots = 1
-
-    def __init__(self, spec, threshold):
-        self._inner = cr.SurrogateOracle(spec)
-        self.spec = spec
-        self.threshold = threshold
-
-    def evaluate(self, config, budget):
-        if sum(config.channels) < self.threshold:
-            return cr.EvaluationRecord(
-                config_digest=cr.config_digest(config, self.spec), budget=budget,
-                top1=None, top5=None, wall_seconds=0.0, status="failed")
-        return self._inner.evaluate(config, budget)
-
-
 def test_failed_points_are_skipped(d15_spec, caplog):
     nominal_total = sum(cr.channel_config(d15_spec).channels)
-    oracle = _FailsSmallConfigs(d15_spec, nominal_total)   # everything but alpha=1 fails
+    oracle = FailingOracle(cr.SurrogateOracle(d15_spec),   # everything but alpha=1 fails
+                           lambda c: sum(c.channels) < nominal_total)
     with caplog.at_level("WARNING", logger="chanreduce.rdcurve"):
         points = build_alpha_curve(d15_spec, (0.5, 1.0), oracle, cr.SEARCH_BUDGET)
     assert [p.label for p in points] == ["alpha=1"]
     assert any("alpha=0.5" in r.message for r in caplog.records)
-
-
-class _FailsOneConfig:
-    """Fails the first ``times`` evaluations of the config with ``digest``."""
-
-    parallel_slots = 1
-
-    def __init__(self, spec, digest, times):
-        self._inner = cr.SurrogateOracle(spec)
-        self.spec = spec
-        self.digest = digest
-        self.times = times
-        self.asked = 0
-
-    def evaluate(self, config, budget):
-        if cr.config_digest(config, self.spec) == self.digest:
-            self.asked += 1
-            if self.asked <= self.times:
-                return cr.EvaluationRecord(self.digest, budget, None, None, 0.0, "failed")
-        return self._inner.evaluate(config, budget)
 
 
 @pytest.mark.parametrize("times", [1, 2])
@@ -134,7 +97,7 @@ def test_composed_point_ending_on_a_failed_record_is_evaluated_again(d15_spec, c
     reduced = cr.backward_reduction(scaled, cr.partition_macroblocks(scaled), 0.01,
                                     cr.SurrogateOracle(d15_spec), cr.SEARCH_BUDGET,
                                     beta_mode=mode).reduced_config
-    oracle = _FailsOneConfig(d15_spec, cr.config_digest(reduced, d15_spec), times)
+    oracle = FailingOracle(cr.SurrogateOracle(d15_spec), lambda c: c == reduced, times=times)
     with caplog.at_level("WARNING", logger="chanreduce.rdcurve"):
         points = build_alpha_plus_backward_curve(d15_spec, (0.5,), 0.01, oracle,
                                                  cr.SEARCH_BUDGET, beta_mode=mode)
@@ -165,28 +128,6 @@ def test_alpha_validation(d15_spec):
                           cr.SEARCH_BUDGET)
 
 
-class _InFlight:
-    """Sleeping surrogate on ``slots`` slots; counts calls and the most in
-    flight at once."""
-
-    def __init__(self, spec, slots):
-        self.inner, self.parallel_slots = cr.SurrogateOracle(spec), slots
-        self.lock = threading.Lock()
-        self.calls = self.inflight = self.peak = 0
-
-    def evaluate(self, config, budget):
-        with self.lock:
-            self.calls += 1
-            self.inflight += 1
-            self.peak = max(self.peak, self.inflight)
-        try:
-            time.sleep(0.005)
-            return self.inner.evaluate(config, budget)
-        finally:
-            with self.lock:
-                self.inflight -= 1
-
-
 @pytest.mark.parametrize("slots,alphas,calls", [(3, (1.0, 0.75, 0.5, 0.25), 40),
                                                 (7, (1.0, 0.5), 31)])
 def test_composed_reductions_share_the_slots(d15_spec, slots, alphas, calls):
@@ -196,7 +137,7 @@ def test_composed_reductions_share_the_slots(d15_spec, slots, alphas, calls):
     sequential = build_alpha_plus_backward_curve(d15_spec, alphas, 0.01,
                                                  cr.SurrogateOracle(d15_spec),
                                                  cr.SEARCH_BUDGET)
-    oracle = _InFlight(d15_spec, slots)
+    oracle = CountingOracle(cr.SurrogateOracle(d15_spec), slots=slots, sleep=0.005)
     shared = build_alpha_plus_backward_curve(d15_spec, alphas, 0.01, oracle,
                                              cr.SEARCH_BUDGET)
     assert shared == sequential
@@ -216,7 +157,7 @@ def test_composed_curve_matches_one_slot_within_its_slots(slots, alphas):
     sequential = build_alpha_plus_backward_curve(d15_spec, alphas, 0.01,
                                                  cr.SurrogateOracle(d15_spec),
                                                  cr.SEARCH_BUDGET)
-    oracle = _InFlight(d15_spec, slots)
+    oracle = CountingOracle(cr.SurrogateOracle(d15_spec), slots=slots, sleep=0.005)
     assert build_alpha_plus_backward_curve(d15_spec, alphas, 0.01, oracle,
                                            cr.SEARCH_BUDGET) == sequential
     assert oracle.peak <= slots

@@ -9,7 +9,6 @@ import math
 import random
 import sys
 import threading
-import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +18,7 @@ from chanreduce import BetaMode, search
 from chanreduce.oracle import fan_out
 from chanreduce.search import Bisection
 
-from conftest import CountingOracle, sharp_surrogate
+from conftest import CountingOracle, FailingOracle, sharp_surrogate
 
 
 def test_counting_oracle_counts_every_concurrent_call():
@@ -252,27 +251,14 @@ def test_reduction_trains_each_config_once(d15_spec):
     assert result.betas == (0.9375, 0.96875, 0.671875)
 
 
-class _FailFirst:
-    """Answers ``failed`` the first time it is asked for ``target``."""
-
-    def __init__(self, inner, target):
-        self.inner, self.target, self.failed = inner, target, False
-
-    def evaluate(self, config, budget):
-        if config == self.target and not self.failed:
-            self.failed = True
-            return cr.EvaluationRecord(cr.config_digest(config, self.inner.spec), budget,
-                                       None, None, 0.0, cr.STATUS_FAILED)
-        return self.inner.evaluate(config, budget)
-
-
 def test_reduction_retries_a_failed_config():
     # Width 10 with the knee at 8 probes widths 8, 7, 7: the repeated infeasible
     # probe is answered from the first record, unless that record had failed.
     spec, partition = _single_block(10)
     seven = cr.apply_macroblock_scale(cr.channel_config(spec), partition, 0, 0.7)
     for inner, calls in ((sharp_surrogate(spec, frontiers=(0.8,)), 3),
-                         (_FailFirst(sharp_surrogate(spec, frontiers=(0.8,)), seven), 4)):
+                         (FailingOracle(sharp_surrogate(spec, frontiers=(0.8,)),
+                                        lambda c: c == seven, times=1), 4)):
         oracle = CountingOracle(inner)
         result = cr.backward_reduction(spec, partition, 0.01, oracle, cr.SEARCH_BUDGET)
         assert [p.config.channels[1] for p in result.trace] == [10, 8, 7, 7]
@@ -357,28 +343,9 @@ def test_reduction_is_deterministic(d15_spec, d15_partition):
            [p.record.config_digest for p in runs[1].trace]
 
 
-class _FailingProbes:
-    """Baseline succeeds; every non-nominal config comes back failed."""
-
-    parallel_slots = 1
-
-    def __init__(self, spec, fail_baseline=False):
-        self._inner = cr.SurrogateOracle(spec)
-        self._nominal = cr.channel_config(spec)
-        self._fail_baseline = fail_baseline
-
-    def evaluate(self, config, budget):
-        if config == self._nominal and not self._fail_baseline:
-            return self._inner.evaluate(config, budget)
-        return cr.EvaluationRecord(
-            config_digest=cr.config_digest(config, self._inner.spec),
-            budget=budget, top1=None, top5=None, wall_seconds=0.0,
-            status="failed", note="boom")
-
-
 def test_failed_baseline_skips_search(d15_spec, d15_partition):
     result = cr.backward_reduction(d15_spec, d15_partition, 0.01,
-                                   _FailingProbes(d15_spec, fail_baseline=True),
+                                   FailingOracle(cr.SurrogateOracle(d15_spec), lambda c: True),
                                    cr.SEARCH_BUDGET)
     assert result.betas == (1.0, 1.0, 1.0)
     assert result.scope == frozenset()
@@ -388,8 +355,10 @@ def test_failed_baseline_skips_search(d15_spec, d15_partition):
 
 @pytest.mark.parametrize("mode", [BetaMode.FEASIBLE_BOUND, BetaMode.LAST_MIDPOINT])
 def test_all_failed_probes_leave_block_alone(d15_spec, d15_partition, mode):
-    result = cr.backward_reduction(d15_spec, d15_partition, 0.01,
-                                   _FailingProbes(d15_spec), cr.SEARCH_BUDGET,
+    # The baseline is ok; every other config fails.
+    nominal = cr.channel_config(d15_spec)
+    oracle = FailingOracle(cr.SurrogateOracle(d15_spec), lambda c: c != nominal)
+    result = cr.backward_reduction(d15_spec, d15_partition, 0.01, oracle, cr.SEARCH_BUDGET,
                                    beta_mode=mode)
     assert result.betas == (1.0, 1.0, 1.0)
     assert result.reduced_config == cr.channel_config(d15_spec)
@@ -428,23 +397,6 @@ def test_search_validation(d15_spec, d15_partition):
 # -- speculative rounds on several slots ---------------------------------------
 
 
-class _Slots:
-    """Thread-safe oracle on ``slots`` slots around a surrogate; logs the
-    (start, end) of every call."""
-
-    def __init__(self, inner, slots):
-        self.inner, self.parallel_slots = inner, slots
-        self.lock = threading.Lock()
-        self.intervals = []
-
-    def evaluate(self, config, budget):
-        start = time.monotonic()
-        record = self.inner.evaluate(config, budget)
-        with self.lock:
-            self.intervals.append((start, time.monotonic()))
-        return record
-
-
 def _reduce_counting_rounds(monkeypatch, spec, slots):
     """Backward reduction on ``slots`` slots; returns the result and the number
     of configs each round issued. A round is one of the search's ``fan_out``
@@ -458,7 +410,7 @@ def _reduce_counting_rounds(monkeypatch, spec, slots):
         return fan_out(oracle, fn, items)
 
     monkeypatch.setattr(search, "fan_out", counting)
-    oracle = _Slots(cr.SurrogateOracle(spec), slots)
+    oracle = CountingOracle(cr.SurrogateOracle(spec), slots=slots)
     result = cr.backward_reduction(spec, None, 0.01, oracle, cr.SEARCH_BUDGET)
     assert result.oracle_calls == len(oracle.intervals) == sum(issued)
     return result, issued
@@ -525,7 +477,7 @@ def test_multi_slot_reduction_golden(model, backward, slots):
             else getattr(cr, model)())
     reduce, mode = ((cr.backward_reduction, BetaMode.FEASIBLE_BOUND) if backward
                     else (cr.forward_reduction, BetaMode.LAST_MIDPOINT))
-    result = reduce(spec, None, 0.01, _Slots(cr.SurrogateOracle(spec), slots),
+    result = reduce(spec, None, 0.01, CountingOracle(cr.SurrogateOracle(spec), slots=slots),
                     cr.SEARCH_BUDGET, beta_mode=mode)
     text = json.dumps(result.to_dict(), indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
@@ -545,7 +497,7 @@ def test_speculation_matches_one_slot(widths, frontiers, weight, delta, scope, s
     reduce = cr.backward_reduction if backward else cr.forward_reduction
     one = reduce(spec, None, delta, cr.SurrogateOracle(spec, params), cr.SEARCH_BUDGET,
                  scope, beta_mode=mode)
-    oracle = _Slots(cr.SurrogateOracle(spec, params), slots)
+    oracle = CountingOracle(cr.SurrogateOracle(spec, params), slots=slots)
     many = reduce(spec, None, delta, oracle, cr.SEARCH_BUDGET, scope, beta_mode=mode)
     assert many.betas == one.betas
     assert many.reduced_config == one.reduced_config
@@ -560,9 +512,8 @@ def test_speculation_retries_a_failed_config_like_one_slot():
     # retry to a third round, as one slot retries it on the next call.
     spec, partition = _single_block(10)
     seven = cr.apply_macroblock_scale(cr.channel_config(spec), partition, 0, 0.7)
-    inner = _FailFirst(sharp_surrogate(spec, frontiers=(0.8,)), seven)
-    inner.parallel_slots = 3
-    oracle = CountingOracle(inner)
+    oracle = CountingOracle(FailingOracle(sharp_surrogate(spec, frontiers=(0.8,)),
+                                          lambda c: c == seven, times=1, slots=3))
     result = cr.backward_reduction(spec, partition, 0.01, oracle, cr.SEARCH_BUDGET)
     assert result.betas == (0.75,)
     assert [(p.config.channels[1], p.record.ok, p.speculative) for p in result.trace] == \
@@ -571,31 +522,16 @@ def test_speculation_retries_a_failed_config_like_one_slot():
     assert result.oracle_calls == oracle.calls == 5
 
 
-class _FailWide:
-    """Seven slots; every config wider than ``limit`` channels fails, except
-    the nominal one, so the baseline is ok."""
-
-    parallel_slots = 7
-
-    def __init__(self, spec, limit):
-        self.inner, self.limit = cr.SurrogateOracle(spec), limit
-        self.nominal = cr.channel_config(spec)
-
-    def evaluate(self, config, budget):
-        if config != self.nominal and config.channels[1] > self.limit:
-            return cr.EvaluationRecord(cr.config_digest(config, self.inner.spec), budget,
-                                       None, None, 0.0, cr.STATUS_FAILED)
-        return self.inner.evaluate(config, budget)
-
-
 @pytest.mark.parametrize("mode", [BetaMode.FEASIBLE_BOUND, BetaMode.LAST_MIDPOINT])
 def test_failed_path_is_judged_without_speculative_probes(mode):
     # Width 64 failing above 40 channels: every probe on the path (48, 56, ...)
     # fails, while 40, trained beside 48 and 56 in the first round, is ok. The
     # block is left alone as on one slot.
     spec, partition = _single_block(64)
-    result = cr.backward_reduction(spec, partition, 0.01, _FailWide(spec, 40),
-                                   cr.SEARCH_BUDGET, beta_mode=mode)
+    oracle = FailingOracle(cr.SurrogateOracle(spec), lambda c: 40 < c.channels[1] < 64,
+                           slots=7)
+    result = cr.backward_reduction(spec, partition, 0.01, oracle, cr.SEARCH_BUDGET,
+                                   beta_mode=mode)
     assert any(p.speculative and p.record.ok for p in result.trace)
     assert result.betas == (1.0,)
     assert result.diagnostics == ("block 0: every probe failed; left at beta=1",)
@@ -603,8 +539,7 @@ def test_failed_path_is_judged_without_speculative_probes(mode):
 
 @pytest.mark.parametrize("slots,overlapped", [(2, 1), (3, 1), (7, 3)])
 def test_failed_baseline_keeps_overlapped_probes(d15_spec, d15_partition, slots, overlapped):
-    oracle = _FailingProbes(d15_spec, fail_baseline=True)
-    oracle.parallel_slots = slots
+    oracle = FailingOracle(cr.SurrogateOracle(d15_spec), lambda c: True, slots=slots)
     result = cr.backward_reduction(d15_spec, d15_partition, 0.01, oracle, cr.SEARCH_BUDGET)
     assert result.betas == (1.0, 1.0, 1.0) and result.scope == frozenset()
     assert result.diagnostics == ("baseline evaluation failed; no block was searched",)
@@ -620,7 +555,8 @@ def test_replay_of_a_retried_failure_is_identical(tmp_path, slots):
     # out in that order.
     spec, partition = _single_block(10)
     seven = cr.apply_macroblock_scale(cr.channel_config(spec), partition, 0, 0.7)
-    inner = _FailFirst(sharp_surrogate(spec, frontiers=(0.8,)), seven)
+    inner = FailingOracle(sharp_surrogate(spec, frontiers=(0.8,)), lambda c: c == seven,
+                          times=1)
     ledger = cr.EvaluationLedger(tmp_path / "ledger.jsonl")
     recorded = cr.backward_reduction(spec, partition, 0.01,
                                      cr.RecordingOracle(inner, ledger, spec,

@@ -553,6 +553,22 @@ def test_files_timeout_note_keeps_stderr_tail(tmp_path, d15_spec, d15_config):
     assert rec.note == "trainer run exceeded 1s; stderr: epoch 0 | waiting for a GPU"
 
 
+def test_files_trainer_takes_a_timeout_too_long_for_one_poll(tmp_path, d15_spec, d15_config):
+    # 1e7 s in milliseconds overflows the C int one poll() call takes; the pipe
+    # protocol already waits in slices and takes it too.
+    script = _script(tmp_path, "file_trainer.py", """\
+        import json, sys
+        req = json.load(open(sys.argv[1]))
+        json.dump({"run_id": req["run_id"], "status": "ok", "top1": 0.71},
+                  open(sys.argv[2], "w"))
+        """)
+    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
+                                   protocol="files", exchange_dir=tmp_path / "exchange",
+                                   timeout=1e7)
+    rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
+    assert rec.ok and rec.top1 == 0.71
+
+
 def test_files_mode_runs_at_most_parallelism_trainers(tmp_path, d15_spec, d15_config):
     # Each invocation leaves a mark in running/ while it runs and logs how many
     # marks it sees when it starts and before it ends.
