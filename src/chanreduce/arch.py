@@ -18,6 +18,8 @@ from itertools import groupby
 from typing import ClassVar, Sequence, Union
 
 Rational = Union[int, float, Fraction]
+# Compact, key-sorted JSON: the encoding of spec identities, config digests and ledger lines.
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 # Float scale factors are snapped to a nearby exact rational before the ceiling is
 # taken, so 0.7 * 100 rounds to 70 rather than ceil(70.00000000000001) = 71.
@@ -225,7 +227,7 @@ class ModelSpec:
     @cached_property
     def structural_json(self) -> str:
         """:func:`structural_key` as compact, key-sorted JSON, built once per spec."""
-        return json.dumps(structural_key(self), sort_keys=True, separators=(",", ":"))
+        return canonical_json(structural_key(self))
 
 
 @dataclass(frozen=True)

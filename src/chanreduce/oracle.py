@@ -28,7 +28,8 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .arch import ChannelConfig, MacroblockPartition, ModelSpec, partition_macroblocks
+from .arch import (ChannelConfig, MacroblockPartition, ModelSpec, canonical_json,
+                   partition_macroblocks)
 
 log = logging.getLogger(__name__)
 
@@ -138,9 +139,8 @@ def config_digest(config: ChannelConfig, spec: ModelSpec) -> str:
     """Stable identity of a (channel vector, architecture skeleton) pair: the
     SHA-256 of ``{"arch", "channels", "macroblock_starts"}`` as compact, key-sorted
     JSON, where "arch" is the spec's cached structural key."""
-    widths = json.dumps({"channels": list(config.channels),
-                         "macroblock_starts": list(config.macroblock_starts)},
-                        sort_keys=True, separators=(",", ":"))
+    widths = canonical_json({"channels": list(config.channels),
+                             "macroblock_starts": list(config.macroblock_starts)})
     h = _arch_hash(spec.structural_json).copy()
     h.update(widths[1:].encode("utf-8"))
     return h.hexdigest()
@@ -224,7 +224,7 @@ class EvaluationLedger:
         self._by_key.setdefault((record.config_digest, record.budget), []).append(record)
 
     def append(self, record: EvaluationRecord) -> None:
-        line = json.dumps(record.to_dict(), sort_keys=True, separators=(",", ":"))
+        line = canonical_json(record.to_dict())
         with self._lock:
             data = memoryview((("\n" if self._torn_tail else "") + line + "\n").encode())
             try:

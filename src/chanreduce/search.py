@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .accounting import SizeReport, count_parameters, saving_percent
 from .arch import (ChannelConfig, MacroblockPartition, ModelSpec, apply_macroblock_scale,
@@ -123,16 +123,15 @@ class Bisection:
 
     def step(self, feasible: bool) -> Bisection:
         """A feasible midpoint becomes the upper bound, an infeasible one the lower."""
-        if feasible:
-            return replace(self, upper=self.midpoint)
-        return replace(self, lower=self.midpoint)
+        return (Bisection(self.n, self.lower, self.midpoint) if feasible
+                else Bisection(self.n, self.midpoint, self.upper))
 
     def tree(self, levels: int) -> list[float]:
         """Midpoints the next ``levels`` steps can visit, level by level, lower half first."""
-        states, out = [self], []
-        for _ in range(levels):
-            out += [s.midpoint for s in states]
+        states, out = [self], ([self.midpoint] if levels else [])
+        for _ in range(levels - 1):
             states = [s.step(feasible) for s in states for feasible in (True, False)]
+            out += [s.midpoint for s in states]
         return out
 
 

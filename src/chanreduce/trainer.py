@@ -1,8 +1,8 @@
 """Bridge to an external training worker over a line-delimited JSON protocol.
 
-One request per line on the worker's stdin, one reply per line on its stdout
-(``pipe`` mode), or a request file handed to a fresh worker invocation together
-with the response path to write (``files`` mode: one invocation per request).
+One key-sorted JSON request line on the worker's stdin, one reply per line on its
+stdout (``pipe`` mode), or the same line as a request file handed to a fresh worker
+invocation with the response path to write (``files`` mode: one per request).
 
 Request fields:
     run_id, channels, macroblock_starts, dataset, num_classes, and the fields
@@ -116,24 +116,23 @@ class _PipeWorker:
         self.proc: subprocess.Popen | None = None
         self._buffer = b""
 
-    def call(self, request: dict, timeout: float) -> dict:
-        """Send one request and return its reply, skipping log and stale lines. A dead,
-        silent or garbled worker is killed, so the next call starts a fresh one."""
+    def call(self, run_id: str, line: str, timeout: float) -> dict:
+        """Send one request line and return its reply, skipping log and stale lines. A
+        dead, silent or garbled worker is killed, so the next call starts a fresh one."""
         deadline = time.monotonic() + timeout
         try:
             if self.proc is None or self.proc.poll() is not None:
                 self.kill()
                 self.proc = subprocess.Popen(self.argv, stdin=subprocess.PIPE,
                                              stdout=subprocess.PIPE)
-            assert self.proc.stdin is not None
-            self.proc.stdin.write((json.dumps(request, sort_keys=True) + "\n").encode("utf-8"))
+            self.proc.stdin.write(line.encode("utf-8"))
             self.proc.stdin.flush()
         except (OSError, ValueError) as exc:
             self.kill()
             raise _ReplyError(STATUS_TIMEOUT, f"trainer unreachable: {exc}")
         try:
-            while (line := self.read_line(deadline)) is not None:
-                reply = _parse_reply(line, request["run_id"])
+            while (out := self.read_line(deadline)) is not None:
+                reply = _parse_reply(out, run_id)
                 if reply is not None:
                     return reply
             raise _ReplyError(STATUS_TIMEOUT, f"no trainer reply within {timeout:g}s")
@@ -187,13 +186,12 @@ class _FilesWorker:
         self.argv = argv
         self.exchange_dir = exchange_dir
 
-    def call(self, request: dict, timeout: float) -> dict:
+    def call(self, run_id: str, line: str, timeout: float) -> dict:
         self.exchange_dir.mkdir(parents=True, exist_ok=True)
-        run_id = request["run_id"]
         req_path = self.exchange_dir / f"{run_id}.request.json"
         resp_path = self.exchange_dir / f"{run_id}.response.json"
         tmp = req_path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(request, sort_keys=True) + "\n", encoding="utf-8")
+        tmp.write_text(line, encoding="utf-8")
         tmp.rename(req_path)
         resp_path.unlink(missing_ok=True)
         try:
@@ -279,10 +277,11 @@ class ExternalTrainerOracle:
         digest = config_digest(config, self.spec)
         run_id = self._next_run_id(digest)
         request = build_request(run_id, config, self.spec, budget)
+        line = json.dumps(request, sort_keys=True) + "\n"  # the wire form of both protocols
         worker = self._workers.get()
         start = time.monotonic()  # after the wait for a worker, which is not trainer time
         try:
-            reply = worker.call(request, self.timeout)
+            reply = worker.call(run_id, line, self.timeout)
             return _record_from_reply(reply, digest, budget, time.monotonic() - start)
         except _ReplyError as exc:
             log.warning("trainer evaluation %s: %s", run_id, exc.note)

@@ -163,6 +163,20 @@ def test_tree_lists_the_midpoints_steps_can_visit(n, data):
         assert level == sorted(set(level))
 
 
+@pytest.mark.parametrize("levels", [1, 2, 3, 4])
+def test_tree_steps_only_between_its_levels(monkeypatch, levels):
+    # The last level's children are never read, so they are never built.
+    steps, step = [], Bisection.step
+
+    def counted(self, feasible):
+        steps.append(feasible)
+        return step(self, feasible)
+
+    monkeypatch.setattr(Bisection, "step", counted)
+    assert len(Bisection(1024).tree(levels)) == 2 ** levels - 1
+    assert len(steps) == 2 ** levels - 2
+
+
 # -- agreement with an exhaustive scan ---------------------------------------
 
 

@@ -10,6 +10,7 @@ import textwrap
 import threading
 import time
 import warnings
+from contextlib import closing
 
 import pytest
 
@@ -47,6 +48,24 @@ def _echo_trainer(tmp_path, capture=None):
 @pytest.fixture
 def d15_config(d15_spec):
     return cr.channel_config(d15_spec)
+
+
+@pytest.fixture
+def open_trainer(tmp_path, d15_spec):
+    """Opens an oracle for d15 on ``[sys.executable, script]`` with a 30 s timeout
+    and ``tmp_path / "exchange"`` for ``files`` requests, unless told otherwise,
+    and closes every oracle it opened at teardown."""
+    opened = []
+
+    def open_trainer(script, **options):
+        opened.append(ExternalTrainerOracle(
+            [sys.executable, str(script)], d15_spec,
+            **{"timeout": 30.0, "exchange_dir": tmp_path / "exchange", **options}))
+        return opened[-1]
+
+    yield open_trainer
+    for oracle in opened:
+        oracle.close()
 
 
 def test_build_request_fields(d15_spec, d15_config):
@@ -89,16 +108,30 @@ def test_build_request_bytes_golden(model):
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == REQUEST_SHA256[model]
 
 
-def test_pipe_round_trip(tmp_path, d15_spec, d15_config):
+@pytest.mark.parametrize("protocol", ["pipe", "files"])
+def test_each_protocol_sends_the_key_sorted_request_line(tmp_path, d15_spec, d15_config,
+                                                         open_trainer, protocol):
+    # The trainer keeps the bytes it was sent: its stdin line, or its request file.
+    sent = tmp_path / "sent"
+    script = _script(tmp_path, "keeper.py", f"""\
+        import json, sys
+        files = len(sys.argv) == 3
+        data = open(sys.argv[1], "rb").read() if files else sys.stdin.buffer.readline()
+        open({str(sent)!r}, "wb").write(data)
+        reply = json.dumps({{"run_id": json.loads(data)["run_id"], "status": "ok", "top1": 0.5}})
+        print(reply, file=open(sys.argv[2], "w") if files else sys.stdout, flush=True)
+        """)
+    assert open_trainer(script, protocol=protocol).evaluate(d15_config, cr.FINAL_BUDGET).ok
+    data = sent.read_bytes()
+    request = build_request(json.loads(data)["run_id"], d15_config, d15_spec, cr.FINAL_BUDGET)
+    assert data == (json.dumps(request, sort_keys=True) + "\n").encode()
+
+
+def test_pipe_round_trip(tmp_path, d15_spec, d15_config, open_trainer):
     capture = tmp_path / "requests.log"
-    script = _echo_trainer(tmp_path, capture)
-    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
-                                   timeout=30.0)
-    try:
-        rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
-        rec2 = oracle.evaluate(d15_config, cr.FINAL_BUDGET)
-    finally:
-        oracle.close()
+    oracle = open_trainer(_echo_trainer(tmp_path, capture))
+    rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
+    rec2 = oracle.evaluate(d15_config, cr.FINAL_BUDGET)
 
     expected = (sum(d15_config.channels) % 997) / 1000
     assert rec.ok and rec.top1 == expected
@@ -115,7 +148,7 @@ def test_pipe_round_trip(tmp_path, d15_spec, d15_config):
     assert rec2.ok
 
 
-def test_pipe_skips_stale_reply(tmp_path, d15_spec, d15_config):
+def test_pipe_skips_stale_reply(tmp_path, d15_config, open_trainer):
     script = _script(tmp_path, "stale.py", """\
         import json, sys
         for line in sys.stdin:
@@ -125,16 +158,11 @@ def test_pipe_skips_stale_reply(tmp_path, d15_spec, d15_config):
             print(json.dumps({"run_id": req["run_id"], "status": "ok",
                               "top1": 0.8, "top5": 0.9, "wall_seconds": 1.0}), flush=True)
         """)
-    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
-                                   timeout=30.0)
-    try:
-        rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
-    finally:
-        oracle.close()
+    rec = open_trainer(script).evaluate(d15_config, cr.SEARCH_BUDGET)
     assert rec.ok and rec.top1 == 0.8
 
 
-def test_pipe_garbage_reply_fails(tmp_path, d15_spec, d15_config):
+def test_pipe_garbage_reply_fails(tmp_path, d15_config, open_trainer):
     # A line that starts with "{" is a reply: if it does not parse, the
     # evaluation fails at once, without waiting for the timeout.
     script = _script(tmp_path, "garbage.py", """\
@@ -142,18 +170,13 @@ def test_pipe_garbage_reply_fails(tmp_path, d15_spec, d15_config):
         for line in sys.stdin:
             print("{ not json", flush=True)
         """)
-    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
-                                   timeout=30.0)
-    try:
-        rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
-    finally:
-        oracle.close()
+    rec = open_trainer(script).evaluate(d15_config, cr.SEARCH_BUDGET)
     assert rec.status == cr.STATUS_FAILED
     assert not rec.ok and rec.top1 is None
     assert "unparseable trainer reply" in rec.note
 
 
-def test_pipe_skips_the_trainers_own_log_lines(tmp_path, d15_spec, d15_config):
+def test_pipe_skips_the_trainers_own_log_lines(tmp_path, d15_config, open_trainer):
     # Training scripts often log to stdout. A line that does not start with "{",
     # a blank one or a JSON value other than an object included, is skipped, so
     # the reply after it is taken and the worker stays up.
@@ -169,12 +192,8 @@ def test_pipe_skips_the_trainers_own_log_lines(tmp_path, d15_spec, d15_config):
             print(json.dumps({{"run_id": req["run_id"], "status": "ok",
                                "top1": 0.8, "top5": 0.9, "wall_seconds": 1.0}}), flush=True)
         """)
-    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
-                                   timeout=30.0)
-    try:
-        records = [oracle.evaluate(d15_config, cr.SEARCH_BUDGET) for _ in range(2)]
-    finally:
-        oracle.close()
+    oracle = open_trainer(script)
+    records = [oracle.evaluate(d15_config, cr.SEARCH_BUDGET) for _ in range(2)]
     assert [(r.status, r.top1) for r in records] == [(cr.STATUS_OK, 0.8)] * 2
     assert starts.read_text() == "start\n"
 
@@ -187,7 +206,7 @@ def test_pipe_skips_the_trainers_own_log_lines(tmp_path, d15_spec, d15_config):
     ({"status": "ok", "top1": "0.9"}, "bad accuracy fields"),
     ({"status": "ok", "top1": 0.8, "top5": True}, "bad accuracy fields"),
 ])
-def test_pipe_bad_replies_fail(tmp_path, d15_spec, d15_config, reply, expect):
+def test_pipe_bad_replies_fail(tmp_path, d15_config, reply, expect, open_trainer):
     script = _script(tmp_path, "bad.py", f"""\
         import json, sys
         for line in sys.stdin:
@@ -197,12 +216,7 @@ def test_pipe_bad_replies_fail(tmp_path, d15_spec, d15_config, reply, expect):
             out.setdefault("wall_seconds", 1.0)
             print(json.dumps(out), flush=True)
         """)
-    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
-                                   timeout=30.0)
-    try:
-        rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
-    finally:
-        oracle.close()
+    rec = open_trainer(script).evaluate(d15_config, cr.SEARCH_BUDGET)
     assert rec.status == cr.STATUS_FAILED
     assert expect in rec.note
 
@@ -213,8 +227,8 @@ def test_a_bool_wall_seconds_falls_back_to_the_measured_time():
 
 
 @pytest.mark.parametrize("wall", ["NaN", "Infinity", "-Infinity"])
-def test_a_non_finite_wall_seconds_falls_back_to_the_measured_time(tmp_path, d15_spec,
-                                                                   d15_config, wall):
+def test_a_non_finite_wall_seconds_falls_back_to_the_measured_time(tmp_path, d15_config, wall,
+                                                                   open_trainer):
     # Python's json reads and writes these tokens; no ledger line may carry one.
     script = _script(tmp_path, "nan.py", f"""\
         import json, sys
@@ -223,43 +237,29 @@ def test_a_non_finite_wall_seconds_falls_back_to_the_measured_time(tmp_path, d15
             print('{{"run_id": ' + run_id + ', "status": "ok", "top1": 0.8, '
                   '"wall_seconds": {wall}}}', flush=True)
         """)
-    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec, timeout=30.0)
-    try:
-        rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
-    finally:
-        oracle.close()
+    rec = open_trainer(script).evaluate(d15_config, cr.SEARCH_BUDGET)
     assert rec.ok and rec.top1 == 0.8
     assert 0 <= rec.wall_seconds < 30
     json.dumps(rec.to_dict(), allow_nan=False)
 
 
-def test_pipe_timeout(tmp_path, d15_spec, d15_config):
+def test_pipe_timeout(tmp_path, d15_config, open_trainer):
     script = _script(tmp_path, "sleeper.py", """\
         import sys, time
         sys.stdin.readline()
         time.sleep(30)
         """)
-    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
-                                   timeout=0.5)
-    try:
-        rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
-    finally:
-        oracle.close()
+    rec = open_trainer(script, timeout=0.5).evaluate(d15_config, cr.SEARCH_BUDGET)
     assert rec.status == cr.STATUS_TIMEOUT
     assert "no trainer reply within" in rec.note
 
 
-def test_pipe_worker_eof(tmp_path, d15_spec, d15_config):
+def test_pipe_worker_eof(tmp_path, d15_config, open_trainer):
     script = _script(tmp_path, "exiter.py", """\
         import sys
         sys.exit(0)
         """)
-    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
-                                   timeout=2.0)
-    try:
-        rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
-    finally:
-        oracle.close()
+    rec = open_trainer(script, timeout=2.0).evaluate(d15_config, cr.SEARCH_BUDGET)
     assert rec.status == cr.STATUS_TIMEOUT
 
 
@@ -267,18 +267,13 @@ def test_pipe_worker_eof(tmp_path, d15_spec, d15_config):
     ("sys.exit(3)", "trainer exited with code 3 before replying"),
     ("os.close(1); time.sleep(30)", "trainer closed its output before replying"),
 ])
-def test_pipe_worker_gone_before_replying(tmp_path, d15_spec, d15_config, ending, note):
+def test_pipe_worker_gone_before_replying(tmp_path, d15_config, ending, note, open_trainer):
     script = _script(tmp_path, "crasher.py", f"""\
         import os, sys, time
         sys.stdin.readline()
         {ending}
         """)
-    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
-                                   timeout=30.0)
-    try:
-        rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
-    finally:
-        oracle.close()
+    rec = open_trainer(script).evaluate(d15_config, cr.SEARCH_BUDGET)
     assert rec.status == cr.STATUS_TIMEOUT
     assert rec.note == note
 
@@ -308,7 +303,7 @@ def test_pipe_workers_release_their_pipes(tmp_path, d15_spec, d15_config):
     assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
-def test_pipe_worker_that_stops_reading(tmp_path, d15_spec, d15_config):
+def test_pipe_worker_that_stops_reading(tmp_path, d15_config, open_trainer):
     """A request stuck in the pipe buffer of a worker that closed its stdin is
     dropped when the worker is killed; the call still returns a record."""
     script = _script(tmp_path, "deaf.py", """\
@@ -319,30 +314,23 @@ def test_pipe_worker_that_stops_reading(tmp_path, d15_spec, d15_config):
               flush=True)
         time.sleep(30)
         """)
-    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
-                                   timeout=30.0)
-    try:
-        first = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
-        second = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
-    finally:
-        oracle.close()
+    oracle = open_trainer(script)
+    first = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
+    second = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
     assert first.ok
     assert second.status == cr.STATUS_TIMEOUT
     assert "trainer unreachable" in second.note
 
 
 def test_unreachable_command(d15_spec, d15_config):
-    oracle = ExternalTrainerOracle("/nonexistent/trainer-binary", d15_spec,
-                                   timeout=2.0)
-    try:
+    with closing(ExternalTrainerOracle("/nonexistent/trainer-binary", d15_spec,
+                                       timeout=2.0)) as oracle:
         rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
-    finally:
-        oracle.close()
     assert rec.status == cr.STATUS_TIMEOUT
     assert "trainer unreachable" in rec.note
 
 
-def test_pipe_recovers_after_kill(tmp_path, d15_spec, d15_config):
+def test_pipe_recovers_after_kill(tmp_path, d15_config, open_trainer):
     # A garbage reply kills the worker; the next call gets a fresh one.
     flag = tmp_path / "first_call_done"
     script = _script(tmp_path, "flaky.py", f"""\
@@ -358,30 +346,21 @@ def test_pipe_recovers_after_kill(tmp_path, d15_spec, d15_config):
                                    "top1": 0.6, "top5": 0.7,
                                    "wall_seconds": 2.0}}), flush=True)
         """)
-    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
-                                   timeout=30.0)
-    try:
-        first = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
-        second = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
-    finally:
-        oracle.close()
+    oracle = open_trainer(script)
+    first = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
+    second = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
     assert first.status == cr.STATUS_FAILED
     assert second.ok and second.top1 == 0.6
 
 
-def test_parallel_pipe_workers(tmp_path, d15_spec, d15_config):
-    script = _echo_trainer(tmp_path)
-    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
-                                   parallelism=2, timeout=30.0)
+def test_parallel_pipe_workers(tmp_path, d15_config, open_trainer):
+    oracle = open_trainer(_echo_trainer(tmp_path), parallelism=2)
     assert oracle.parallel_slots == 2
-    try:
-        records = [oracle.evaluate(d15_config, cr.SEARCH_BUDGET) for _ in range(4)]
-    finally:
-        oracle.close()
+    records = [oracle.evaluate(d15_config, cr.SEARCH_BUDGET) for _ in range(4)]
     assert all(r.ok for r in records)
 
 
-def test_sequential_calls_keep_one_warm_worker(tmp_path, d15_spec, d15_config):
+def test_sequential_calls_keep_one_warm_worker(tmp_path, d15_spec, d15_config, open_trainer):
     # Each worker logs its pid once at start and holds every reply for 20 ms,
     # so a lesion sweep's two threads overlap and start the second worker.
     pids = tmp_path / "pids.log"
@@ -397,12 +376,8 @@ def test_sequential_calls_keep_one_warm_worker(tmp_path, d15_spec, d15_config):
 
     def workers_started(run):
         pids.unlink(missing_ok=True)
-        oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
-                                       parallelism=2, timeout=30.0)
-        try:
-            assert all(r.ok for r in run(oracle))
-        finally:
-            oracle.close()
+        oracle = open_trainer(script, parallelism=2)
+        assert all(r.ok for r in run(oracle))
         return len(pids.read_text().split())
 
     assert workers_started(lambda o: [o.evaluate(d15_config, cr.SEARCH_BUDGET)
@@ -412,7 +387,7 @@ def test_sequential_calls_keep_one_warm_worker(tmp_path, d15_spec, d15_config):
                                       cr.run_onehot_sweep(d15_spec, plan, o)]) == 2
 
 
-def test_files_round_trip(tmp_path, d15_spec, d15_config):
+def test_files_round_trip(tmp_path, d15_config, open_trainer):
     script = _script(tmp_path, "file_trainer.py", """\
         import json, sys
         req = json.load(open(sys.argv[1]))
@@ -420,34 +395,19 @@ def test_files_round_trip(tmp_path, d15_spec, d15_config):
                    "top5": 0.88, "wall_seconds": 3.0}, open(sys.argv[2], "w"))
         """)
     exchange = tmp_path / "exchange"
-    exchange.mkdir()
-    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
-                                   protocol="files", exchange_dir=exchange,
-                                   timeout=30.0)
-    try:
-        rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
-    finally:
-        oracle.close()
+    rec = open_trainer(script, protocol="files").evaluate(d15_config, cr.SEARCH_BUDGET)
     assert rec.ok and rec.top1 == 0.71
     assert list(exchange.glob("*.request.json"))      # request left on disk
 
 
-def test_files_missing_response(tmp_path, d15_spec, d15_config):
+def test_files_missing_response(tmp_path, d15_config, open_trainer):
     script = _script(tmp_path, "silent.py", "import sys\n")
-    exchange = tmp_path / "exchange"
-    exchange.mkdir()
-    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
-                                   protocol="files", exchange_dir=exchange,
-                                   timeout=30.0)
-    try:
-        rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
-    finally:
-        oracle.close()
+    rec = open_trainer(script, protocol="files").evaluate(d15_config, cr.SEARCH_BUDGET)
     assert rec.status == cr.STATUS_FAILED
     assert "trainer wrote no response file" in rec.note
 
 
-def test_files_rerun_ignores_stale_response(tmp_path, d15_spec, d15_config):
+def test_files_rerun_ignores_stale_response(tmp_path, d15_config, open_trainer):
     """A second oracle on the same exchange_dir whose trainer crashes before
     writing must not pick up the first run's response."""
     good = _script(tmp_path, "file_trainer.py", """\
@@ -457,13 +417,8 @@ def test_files_rerun_ignores_stale_response(tmp_path, d15_spec, d15_config):
                   open(sys.argv[2], "w"))
         """)
     crash = _script(tmp_path, "crash.py", "import sys\nsys.exit(3)\n")
-    exchange = tmp_path / "exchange"
-    records = []
-    for script in (good, crash):
-        oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
-                                       protocol="files", exchange_dir=exchange,
-                                       timeout=30.0)
-        records.append(oracle.evaluate(d15_config, cr.SEARCH_BUDGET))
+    records = [open_trainer(script, protocol="files").evaluate(d15_config, cr.SEARCH_BUDGET)
+               for script in (good, crash)]
     assert records[0].ok and records[0].top1 == 0.71
     assert records[1].status == cr.STATUS_FAILED and records[1].top1 is None
     assert "exited with code 3" in records[1].note
@@ -479,14 +434,9 @@ def _non_utf8_trainer(tmp_path):
         """)
 
 
-def test_files_non_utf8_response_fails(tmp_path, d15_spec, d15_config):
-    oracle = ExternalTrainerOracle([sys.executable, str(_non_utf8_trainer(tmp_path))],
-                                   d15_spec, protocol="files",
-                                   exchange_dir=tmp_path / "exchange", timeout=30.0)
-    try:
-        rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
-    finally:
-        oracle.close()
+def test_files_non_utf8_response_fails(tmp_path, d15_config, open_trainer):
+    rec = open_trainer(_non_utf8_trainer(tmp_path), protocol="files").evaluate(
+        d15_config, cr.SEARCH_BUDGET)
     # The byte-order mark decodes to replacement characters, so the reply line
     # does not start with "{" and is skipped like any other trainer output.
     assert rec.status == cr.STATUS_FAILED and rec.top1 is None
@@ -512,7 +462,7 @@ def test_files_non_utf8_response_is_a_failed_baseline_in_the_cli(tmp_path):
     assert records[0]["note"] == "no response line with matching run_id"
 
 
-def test_files_failure_note_keeps_stderr_tail(tmp_path, d15_spec, d15_config):
+def test_files_failure_note_keeps_stderr_tail(tmp_path, d15_config, open_trainer):
     crash = _script(tmp_path, "oom.py", """\
         import sys
         for i in range(8):
@@ -524,13 +474,8 @@ def test_files_failure_note_keeps_stderr_tail(tmp_path, d15_spec, d15_config):
         import sys
         print("x" * 5000, file=sys.stderr)
         """)
-    exchange = tmp_path / "exchange"
-    records = []
-    for script in (crash, chatty):
-        oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
-                                       protocol="files", exchange_dir=exchange,
-                                       timeout=30.0)
-        records.append(oracle.evaluate(d15_config, cr.SEARCH_BUDGET))
+    records = [open_trainer(script, protocol="files").evaluate(d15_config, cr.SEARCH_BUDGET)
+               for script in (crash, chatty)]
     assert records[0].status == cr.STATUS_FAILED
     assert records[0].note == ("trainer exited with code 3; stderr: epoch 4 | epoch 5 | "
                                "epoch 6 | epoch 7 | CUDA error: out of memory")
@@ -538,22 +483,21 @@ def test_files_failure_note_keeps_stderr_tail(tmp_path, d15_spec, d15_config):
     assert records[1].note == "trainer wrote no response file; stderr: " + "x" * 500
 
 
-def test_files_timeout_note_keeps_stderr_tail(tmp_path, d15_spec, d15_config):
+def test_files_timeout_note_keeps_stderr_tail(tmp_path, d15_config, open_trainer):
     hang = _script(tmp_path, "hang.py", """\
         import sys, time
         print("epoch 0", file=sys.stderr)
         print("waiting for a GPU", file=sys.stderr, flush=True)
         time.sleep(30)
         """)
-    oracle = ExternalTrainerOracle([sys.executable, str(hang)], d15_spec,
-                                   protocol="files", exchange_dir=tmp_path / "exchange",
-                                   timeout=1.0)
-    rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
+    rec = open_trainer(hang, protocol="files", timeout=1.0).evaluate(d15_config,
+                                                                     cr.SEARCH_BUDGET)
     assert rec.status == cr.STATUS_TIMEOUT
     assert rec.note == "trainer run exceeded 1s; stderr: epoch 0 | waiting for a GPU"
 
 
-def test_files_trainer_takes_a_timeout_too_long_for_one_poll(tmp_path, d15_spec, d15_config):
+def test_files_trainer_takes_a_timeout_too_long_for_one_poll(tmp_path, d15_config,
+                                                             open_trainer):
     # 1e7 s in milliseconds overflows the C int one poll() call takes; the pipe
     # protocol already waits in slices and takes it too.
     script = _script(tmp_path, "file_trainer.py", """\
@@ -562,14 +506,12 @@ def test_files_trainer_takes_a_timeout_too_long_for_one_poll(tmp_path, d15_spec,
         json.dump({"run_id": req["run_id"], "status": "ok", "top1": 0.71},
                   open(sys.argv[2], "w"))
         """)
-    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
-                                   protocol="files", exchange_dir=tmp_path / "exchange",
-                                   timeout=1e7)
-    rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
+    rec = open_trainer(script, protocol="files", timeout=1e7).evaluate(d15_config,
+                                                                       cr.SEARCH_BUDGET)
     assert rec.ok and rec.top1 == 0.71
 
 
-def test_files_mode_runs_at_most_parallelism_trainers(tmp_path, d15_spec, d15_config):
+def test_files_mode_runs_at_most_parallelism_trainers(tmp_path, d15_config, open_trainer):
     # Each invocation leaves a mark in running/ while it runs and logs how many
     # marks it sees when it starts and before it ends.
     running, seen = tmp_path / "running", tmp_path / "seen.log"
@@ -588,9 +530,7 @@ def test_files_mode_runs_at_most_parallelism_trainers(tmp_path, d15_spec, d15_co
                   open(sys.argv[2], "w"))
         os.remove(mark)
         """)
-    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec, parallelism=2,
-                                   protocol="files", exchange_dir=tmp_path / "exchange",
-                                   timeout=30.0)
+    oracle = open_trainer(script, parallelism=2, protocol="files")
     records = []
     threads = [threading.Thread(
         target=lambda: records.append(oracle.evaluate(d15_config, cr.SEARCH_BUDGET)))
@@ -620,7 +560,8 @@ def test_constructor_rejects_a_zero_timeout(d15_spec):
 
 @pytest.mark.parametrize("status", [cr.STATUS_FAILED, cr.STATUS_TIMEOUT])
 @pytest.mark.parametrize("note", [None, "CUDA error: out of memory"])
-def test_pipe_failure_reported_by_the_trainer(tmp_path, d15_spec, d15_config, status, note):
+def test_pipe_failure_reported_by_the_trainer(tmp_path, d15_config, status, note,
+                                              open_trainer):
     extra = {} if note is None else {"note": note}
     script = _script(tmp_path, "reporter.py", f"""\
         import json, sys
@@ -630,46 +571,33 @@ def test_pipe_failure_reported_by_the_trainer(tmp_path, d15_spec, d15_config, st
                        **{extra!r})
             print(json.dumps(out), flush=True)
         """)
-    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec, timeout=30.0)
-    try:
-        rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
-    finally:
-        oracle.close()
+    rec = open_trainer(script).evaluate(d15_config, cr.SEARCH_BUDGET)
     assert rec.status == status and rec.top1 is None and rec.top5 is None
     assert rec.wall_seconds == 7.0
     assert rec.note == (note or f"trainer reported {status}")
 
 
 def test_files_unreachable_command(tmp_path, d15_spec, d15_config):
-    oracle = ExternalTrainerOracle("/nonexistent/trainer-binary", d15_spec,
-                                   protocol="files", exchange_dir=tmp_path / "exchange",
-                                   timeout=2.0)
-    try:
+    with closing(ExternalTrainerOracle("/nonexistent/trainer-binary", d15_spec,
+                                       protocol="files", exchange_dir=tmp_path / "exchange",
+                                       timeout=2.0)) as oracle:
         rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
-    finally:
-        oracle.close()
     assert rec.status == cr.STATUS_TIMEOUT and rec.top1 is None
     assert rec.note.startswith("trainer unreachable: ")
 
 
-def test_files_response_without_a_matching_line_fails(tmp_path, d15_spec, d15_config):
+def test_files_response_without_a_matching_line_fails(tmp_path, d15_config, open_trainer):
     script = _script(tmp_path, "other_run.py", """\
         import json, sys
         reply = json.dumps({"run_id": "someone-else-0001", "status": "ok", "top1": 0.9})
         open(sys.argv[2], "w").write("\\n  \\n" + reply + "\\n\\n")
         """)
-    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
-                                   protocol="files", exchange_dir=tmp_path / "exchange",
-                                   timeout=30.0)
-    try:
-        rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
-    finally:
-        oracle.close()
+    rec = open_trainer(script, protocol="files").evaluate(d15_config, cr.SEARCH_BUDGET)
     assert rec.status == cr.STATUS_FAILED and rec.top1 is None
     assert rec.note == "no response line with matching run_id"
 
 
-def test_waiting_for_a_busy_worker_is_not_trainer_time(tmp_path, d15_spec, d15_config):
+def test_waiting_for_a_busy_worker_is_not_trainer_time(tmp_path, d15_config, open_trainer):
     # One worker: the first request holds it for 0.6 s and its reply names no
     # wall_seconds; the second request waits for it, then the worker exits.
     script = _script(tmp_path, "slow_then_crash.py", """\
@@ -681,21 +609,17 @@ def test_waiting_for_a_busy_worker_is_not_trainer_time(tmp_path, d15_spec, d15_c
         sys.stdin.readline()
         sys.exit(3)
         """)
-    oracle = ExternalTrainerOracle([sys.executable, str(script)], d15_spec,
-                                   parallelism=1, timeout=30.0)
+    oracle = open_trainer(script, parallelism=1)
     records = {}
 
     def evaluate(key):
         records[key] = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
 
     first = threading.Thread(target=evaluate, args=("first",))
-    try:
-        first.start()
-        time.sleep(0.1)
-        evaluate("second")
-        first.join()
-    finally:
-        oracle.close()
+    first.start()
+    time.sleep(0.1)
+    evaluate("second")
+    first.join()
     assert records["first"].ok and records["first"].wall_seconds >= 0.6
     assert records["second"].note == "trainer exited with code 3 before replying"
     assert records["second"].wall_seconds < 0.3
