@@ -16,9 +16,11 @@ never arrives (dead or unreachable worker, deadline passed) yields status
 ``timeout``; a ``{`` line that cannot be parsed, and a ``files`` worker that
 exits non-zero, yield status ``failed``. A ``files`` failure's note ends with
 the last lines the worker wrote to stderr. Neither aborts a caller: failures
-surface as infeasible probes. A record's ``wall_seconds`` is the trainer's own
-figure, else the time since a worker took the request; waiting for a busy
-worker never counts as trainer time.
+surface as infeasible probes. A worker killed by SIGINT was stopped by the
+Ctrl-C that stops the run, not by its training, so it raises
+``KeyboardInterrupt`` and nothing is recorded. A record's ``wall_seconds`` is
+the trainer's own figure, else the time since a worker took the request;
+waiting for a busy worker never counts as trainer time.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import os
 import queue
 import select
 import shlex
+import signal
 import subprocess
 import threading
 import time
@@ -171,6 +174,9 @@ class _PipeWorker:
                 except subprocess.TimeoutExpired:
                     raise _ReplyError(STATUS_TIMEOUT,
                                       "trainer closed its output before replying") from None
+                if code == -signal.SIGINT:
+                    self.kill()
+                    raise KeyboardInterrupt
                 raise _ReplyError(STATUS_TIMEOUT,
                                   f"trainer exited with code {code} before replying")
             self._buffer += chunk
@@ -212,6 +218,8 @@ class _FilesWorker:
                         proc.wait()
                         raise _ReplyError(STATUS_TIMEOUT, f"trainer run exceeded {timeout:g}s"
                                           + _stderr_tail(exc.stderr)) from None
+        if proc.returncode == -signal.SIGINT:
+            raise KeyboardInterrupt
         if proc.returncode != 0:
             raise _ReplyError(STATUS_FAILED, f"trainer exited with code {proc.returncode}"
                               + _stderr_tail(stderr))

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import json
 import os
-import shutil
+import signal
 import subprocess
 import sys
 import textwrap
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -30,6 +32,79 @@ def write_cfg(tmp_path, text="", name="run.cfg"):
     path = tmp_path / name
     path.write_text(textwrap.dedent(text))
     return path
+
+
+def snapshot(directory):
+    """Every file of ``directory``: {name: bytes}."""
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def assert_replays(out, code=0, in_place=False):
+    """Replay run directory ``out`` into a fresh directory, or in place, and
+    check that the replay exits ``code`` and leaves the same file names with
+    the same bytes as ``out`` held before it."""
+    before = snapshot(out)
+    replayed = out if in_place else out.with_name(out.name + "-replayed")
+    assert run("replay", out, *([] if in_place else ["--out", replayed])) == code
+    assert snapshot(replayed) == before
+
+
+def src_env():
+    """This environment with chanreduce's source first on PYTHONPATH."""
+    src = str(Path(cr.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+# A trainer for both protocols, run as `trainer.py STATE` (pipe: requests on
+# stdin) or `trainer.py STATE REQUEST RESPONSE` (files). It marks each answer in
+# STATE/answered. Once two answers are marked and while STATE/release is
+# missing, it holds each request, marked in STATE/held, until that file appears.
+TRAINER = """\
+import json, os, sys, time
+state = sys.argv[1]
+def answer(line):
+    req = json.loads(line)
+    release = os.path.join(state, "release")
+    if not os.path.exists(release) and len(os.listdir(os.path.join(state, "answered"))) >= 2:
+        open(os.path.join(state, "held", req["run_id"]), "w").close()
+        while not os.path.exists(release):
+            time.sleep(0.01)
+    open(os.path.join(state, "answered", req["run_id"]), "w").close()
+    top1 = 0.9 * min(1.0, sum(req["channels"]) / 200)
+    return json.dumps({"run_id": req["run_id"], "status": "ok", "top1": top1,
+                       "wall_seconds": 1.0})
+if len(sys.argv) == 4:
+    with open(sys.argv[2], encoding="utf-8") as fh:
+        reply = answer(fh.read())
+    with open(sys.argv[3], "w", encoding="utf-8") as fh:
+        fh.write(reply + "\\n")
+else:
+    for line in sys.stdin:
+        print(answer(line), flush=True)
+"""
+
+
+def trainer_cfg(tmp_path, protocol, parallelism):
+    """Config of a depth-8 model trained by TRAINER over ``protocol`` on
+    ``parallelism`` slots, and the trainer's STATE directory."""
+    state = tmp_path / "state"
+    (state / "answered").mkdir(parents=True)
+    (state / "held").mkdir()
+    script = tmp_path / "trainer.py"
+    script.write_text(TRAINER)
+    return write_cfg(tmp_path, f"""\
+        [model]
+        depth = 8
+        block_widths = 8, 16
+        [oracle]
+        kind = external
+        trainer_cmd = {sys.executable} {script} {state}
+        protocol = {protocol}
+        exchange_dir = {tmp_path / "exchange"}
+        parallelism = {parallelism}
+        timeout_seconds = 60
+        """), state
 
 
 def test_reduce_defaults(tmp_path, capsys):
@@ -80,22 +155,14 @@ def test_reduce_overrides_recorded_and_replayed(tmp_path):
     payload = json.loads((out / "reduction.json").read_text())
     assert payload["scope"] == [2]
     assert payload["betas"][:2] == [1.0, 1.0]
-
-    replayed = tmp_path / "replayed"
-    assert run("replay", out, "--out", replayed) == 0
-    for name in ARTIFACTS:
-        assert (replayed / name).read_bytes() == (out / name).read_bytes()
+    assert_replays(out)
 
 
 def test_replay_reduce_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
     assert run("reduce", "--config", cfg, "--out", out) == 0
-
-    replayed = tmp_path / "replayed"
-    assert run("replay", out, "--out", replayed) == 0
-    for name in ARTIFACTS:
-        assert (replayed / name).read_bytes() == (out / name).read_bytes()
+    assert_replays(out)
 
 
 def test_reduce_summary_counts_calls_and_probes(tmp_path):
@@ -113,23 +180,14 @@ def test_reduce_summary_counts_calls_and_probes(tmp_path):
     assert run("reduce", "--config", cfg, "--out", out) == 0
     assert "oracle_calls: 3\nprobes: 4\n" in (out / "summary.txt").read_text()
     assert len((out / "ledger.jsonl").read_text().splitlines()) == 3
-
-    replayed = tmp_path / "replayed"
-    assert run("replay", out, "--out", replayed) == 0
-    for name in ARTIFACTS:
-        assert (replayed / name).read_bytes() == (out / name).read_bytes()
+    assert_replays(out)
 
 
 def test_replay_in_place(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
     assert run("reduce", "--config", cfg, "--out", out) == 0
-    backup = tmp_path / "backup"
-    shutil.copytree(out, backup)
-
-    assert run("replay", out) == 0
-    for name in ARTIFACTS:
-        assert (out / name).read_bytes() == (backup / name).read_bytes()
+    assert_replays(out, in_place=True)
 
 
 def test_replay_missing_evaluation_fails(tmp_path):
@@ -210,18 +268,17 @@ def test_lesion_proportional_fraction_values(tmp_path):
     ("rd --alphas 1 0.5 --gnuplot", "rd --alphas 1.0 0.5 --budget search --gnuplot"),
     ("rd", "rd --alphas 1.0 0.75 0.5 0.25 --budget search"),
     ("size", "size"),
+    ("lesion --kind macroblock_scale --values 1/2 3/4",
+     "lesion --kind macroblock_scale --values 1/2 3/4 --budget search"),
 ], ids=["lesion-decimal", "reduce-forward-final", "lesion-constant-indices",
-        "lesion-fractions", "rd-gnuplot", "rd-defaults", "size"])
+        "lesion-fractions", "rd-gnuplot", "rd-defaults", "size", "lesion-macroblock"])
 def test_lesion_records_a_decimal_value_as_given(tmp_path, argv, command):
     cfg = write_cfg(tmp_path, "[model]\ndepth = 8\nblock_widths = 8, 16\n")
     out = tmp_path / "out"
     assert run(*argv.split(), "--config", cfg, "--out", out) == 0
     assert (out / "summary.txt").read_text().splitlines()[0] == f"command: {command}"
     assert f"command = {command}\n" in (out / "resolved.cfg").read_text()
-    replayed = tmp_path / "replayed"
-    assert run("replay", out, "--out", replayed) == 0
-    assert ({p.name: p.read_bytes() for p in replayed.iterdir()}
-            == {p.name: p.read_bytes() for p in out.iterdir()})
+    assert_replays(out)
 
 
 def test_lesion_macroblock(tmp_path):
@@ -282,10 +339,7 @@ def test_lesion_replay_byte_identical(tmp_path):
     out = tmp_path / "out"
     assert run("lesion", "--config", cfg, "--out", out,
                "--kind", "constant", "--values", "4", "--indices", "1", "5") == 0
-    replayed = tmp_path / "replayed"
-    assert run("replay", out, "--out", replayed) == 0
-    for name in ("resolved.cfg", "ledger.jsonl", "onehot.csv", "summary.txt"):
-        assert (replayed / name).read_bytes() == (out / name).read_bytes()
+    assert_replays(out)
 
 
 def test_rd_with_gnuplot(tmp_path):
@@ -368,11 +422,7 @@ def test_rd_on_three_slots_matches_one_slot(tmp_path, monkeypatch):
     assert (sum(evaluations.values()), len(evaluations)) == (44, 40)
 
     # The ledger follows completion order; replay looks records up by digest.
-    replayed = tmp_path / "replayed"
-    assert run("replay", concurrent, "--out", replayed) == 0
-    for name in ("resolved.cfg", "ledger.jsonl", "alpha_curve.csv", "rd_curve.csv",
-                 "summary.txt"):
-        assert (replayed / name).read_bytes() == (concurrent / name).read_bytes()
+    assert_replays(concurrent)
 
 
 def test_reduce_on_three_slots_matches_one_slot(tmp_path, monkeypatch):
@@ -391,11 +441,7 @@ def test_reduce_on_three_slots_matches_one_slot(tmp_path, monkeypatch):
     assert [p for p in many["trace"] if not p.get("speculative")] == one["trace"]
     assert "oracle_calls: 18\nprobes: 18\n" in (concurrent / "summary.txt").read_text()
     assert len((concurrent / "ledger.jsonl").read_text().splitlines()) == 18 + 1  # + final
-
-    replayed = tmp_path / "replayed"
-    assert run("replay", concurrent, "--out", replayed) == 0
-    for name in ARTIFACTS:
-        assert (replayed / name).read_bytes() == (concurrent / name).read_bytes()
+    assert_replays(concurrent)
 
 
 def test_replay_of_a_run_recorded_without_search_slots(tmp_path, monkeypatch):
@@ -419,11 +465,7 @@ def test_replay_of_a_run_recorded_without_search_slots(tmp_path, monkeypatch):
     assert "parallelism = 1\n" in text
     resolved.write_text(text.replace("search_slots = 1\n", "")
                         .replace("parallelism = 1\n", "parallelism = 3\n"))
-
-    replayed = tmp_path / "replayed"
-    assert run("replay", out, "--out", replayed) == 0
-    for name in ARTIFACTS:
-        assert (replayed / name).read_bytes() == (out / name).read_bytes()
+    assert_replays(out)
 
 
 def test_rd_on_three_files_slots_runs_three_trainers_at_once(tmp_path):
@@ -458,6 +500,18 @@ def test_rd_on_three_files_slots_runs_three_trainers_at_once(tmp_path):
     counts = [int(line) for line in seen.read_text().split()]
     assert len(counts) == len((tmp_path / "out" / "ledger.jsonl").read_text().splitlines())
     assert 2 <= max(counts) <= 3
+
+
+@pytest.mark.parametrize("protocol,parallelism", [("pipe", 3), ("files", 2)])
+@pytest.mark.parametrize("argv", ["reduce", "rd --gnuplot --alphas 1 0.5",
+                                  "lesion --kind proportional --values 1/2"],
+                         ids=["reduce", "rd", "lesion"])
+def test_a_run_on_real_trainer_slots_replays(tmp_path, argv, protocol, parallelism):
+    cfg, state = trainer_cfg(tmp_path, protocol, parallelism)
+    (state / "release").touch()
+    out = tmp_path / "out"
+    assert run(*argv.split(), "--config", cfg, "--out", out) == 0
+    assert_replays(out)
 
 
 def _two_slot_recorder(inner, ledger, spec, parallel_slots):
@@ -530,11 +584,7 @@ def test_rerun_with_a_noisy_trainer_resumes_and_replays(tmp_path):
     assert run("reduce", "--config", cfg, "--out", out) == 0
     assert len((out / "ledger.jsonl").read_text().splitlines()) == 13 + 1  # + final
     assert (out / "reduction.json").read_bytes() == first
-
-    replayed = tmp_path / "replayed"
-    assert run("replay", out, "--out", replayed) == 0
-    for name in ("reduction.json", "summary.txt"):
-        assert (replayed / name).read_bytes() == (out / name).read_bytes()
+    assert_replays(out)
 
 
 @pytest.mark.parametrize("done", [1, 7])
@@ -551,8 +601,7 @@ def test_interrupted_reduce_resumes_with_the_missing_evaluations(tmp_path, monke
     made = _counting_surrogates(monkeypatch)
     assert run("reduce", "--config", cfg, "--out", out) == 0
     assert made[0].calls == 13 - done
-    for name in ARTIFACTS:
-        assert (out / name).read_bytes() == (whole / name).read_bytes()
+    assert snapshot(out) == snapshot(whole)
 
 
 @pytest.mark.parametrize("argv", [["reduce"], ["rd"],
@@ -562,11 +611,11 @@ def test_rerun_of_a_finished_command_appends_nothing(tmp_path, monkeypatch, argv
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
     assert run(*argv, "--config", cfg, "--out", out) == 0
-    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    before = snapshot(out)
     made = _counting_surrogates(monkeypatch)
     assert run(*argv, "--config", cfg, "--out", out) == 0
     assert made[0].calls == 0
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert snapshot(out) == before
 
 
 def test_replay_kind_appends_nothing_on_a_rerun_or_its_own_ledger(tmp_path):
@@ -597,11 +646,7 @@ def test_replay_kind_run_replays_after_its_source_is_gone(tmp_path, capsys):
     out = tmp_path / "out"
     assert run("reduce", "--config", cfg, "--out", out) == 0
     source.rename(tmp_path / "moved")
-
-    replayed = tmp_path / "replayed"
-    assert run("replay", out, "--out", replayed) == 0
-    for name in ARTIFACTS:
-        assert (replayed / name).read_bytes() == (out / name).read_bytes()
+    assert_replays(out)
     assert run("size", "--config", cfg, "--out", tmp_path / "size") == 0
     capsys.readouterr()
     fresh = tmp_path / "fresh"
@@ -619,13 +664,13 @@ def test_rerun_with_other_oracle_settings_is_refused(tmp_path, monkeypatch, caps
     assert run("reduce", "--config", cfg) == 0
     write_cfg(tmp_path, "[search]\ndelta = 0.05\n")
     assert run("reduce", "--config", cfg) == 0  # [search] may differ
-    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    before = snapshot(out)
     capsys.readouterr()
 
     write_cfg(tmp_path, "[oracle]\nfrontiers = 0.5, 0.5, 0.5\n")
     assert run("reduce", "--config", cfg) == 2
     assert "use a fresh --out" in capsys.readouterr().err
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert snapshot(out) == before
     fresh = tmp_path / "fresh"
     assert run("reduce", "--config", cfg, "--out", fresh) == 0
     assert json.loads((fresh / "reduction.json").read_text())["betas"] == \
@@ -671,6 +716,41 @@ def test_rerun_reports_the_failures_it_serves(tmp_path, capsys):
     assert run("reduce", "--config", cfg, "--out", tmp_path / "fresh") == 0
 
 
+@pytest.mark.parametrize("protocol", ["pipe", "files"])
+def test_a_ctrl_c_records_none_of_the_trainings_it_interrupts(tmp_path, protocol):
+    # A terminal's Ctrl-C sends SIGINT to the CLI and its trainers alike. The
+    # trainings it cuts short are not failures: the rerun trains them, and ends
+    # as a run that was never interrupted.
+    cfg, state = trainer_cfg(tmp_path, protocol, parallelism=2)
+    argv = ["lesion", "--config", cfg, "--kind", "proportional", "--values", "1/2"]
+    out, whole = tmp_path / "out", tmp_path / "whole"
+    with subprocess.Popen([sys.executable, "-m", "chanreduce.cli", *map(str, argv),
+                           "--out", str(out)], env=src_env(), start_new_session=True,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL) as proc:
+        try:
+            deadline = time.monotonic() + 60
+            while len(os.listdir(state / "held")) < 2:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            os.killpg(proc.pid, signal.SIGINT)
+            assert proc.wait(timeout=60) == -signal.SIGINT
+        finally:  # whatever failed, leave no CLI or trainer of the group running
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+    # Two slots may both answer before either sees two answers marked, so the
+    # count of answers is read, not assumed; the held requests are not recorded.
+    assert [json.loads(line)["status"] for line in (out / "ledger.jsonl").read_text()
+            .splitlines()] == ["ok"] * len(os.listdir(state / "answered"))
+
+    (state / "release").touch()
+    assert run(*argv, "--out", out) == 0
+    assert run(*argv, "--out", whole) == 0
+    resumed, uninterrupted = snapshot(out), snapshot(whole)
+    for files in (resumed, uninterrupted):  # two slots append in completion order
+        files["ledger.jsonl"] = sorted(files["ledger.jsonl"].splitlines())
+    assert resumed == uninterrupted
+
+
 def test_interrupted_replay_kind_run_resumes_with_the_sources_next_record(tmp_path,
                                                                           monkeypatch):
     # The source ledger holds width 7's failed record and then its ok retry. A
@@ -694,8 +774,7 @@ def test_interrupted_replay_kind_run_resumes_with_the_sources_next_record(tmp_pa
     lines = (out / "ledger.jsonl").read_text().splitlines(keepends=True)
     (out / "ledger.jsonl").write_text("".join(lines[:statuses.index("failed") + 1]))
     assert run("reduce", "--config", cfg, "--out", out) == 0
-    for name in ARTIFACTS:
-        assert (out / name).read_bytes() == (whole / name).read_bytes()
+    assert snapshot(out) == snapshot(whole)
 
 
 def test_size(tmp_path, capsys):
@@ -893,10 +972,7 @@ def test_percent_in_config_value_is_literal(tmp_path):
     assert run("reduce", "--config", cfg, "--out", out) == 0
     resolved = (out / "resolved.cfg").read_text()
     assert "trainer_cmd = python3 w.py --tag run%d 100%%\n" in resolved
-    replayed = tmp_path / "replayed"
-    assert run("replay", out, "--out", replayed) == 0
-    for name in ARTIFACTS:
-        assert (replayed / name).read_bytes() == (out / name).read_bytes()
+    assert_replays(out)
 
 
 def test_unknown_config_key_warns(tmp_path, caplog):
@@ -966,10 +1042,7 @@ def test_external_oracle_end_to_end(tmp_path):
     assert "final top1 (full budget):" in (out / "summary.txt").read_text()
 
     # Replay needs no trainer at all and reproduces every byte.
-    replayed = tmp_path / "replayed"
-    assert run("replay", out, "--out", replayed) == 0
-    for name in ARTIFACTS:
-        assert (replayed / name).read_bytes() == (out / name).read_bytes()
+    assert_replays(out)
 
 
 # The summary of a reduce whose baseline evaluation fails: no block is searched
@@ -1013,11 +1086,7 @@ def test_reduce_with_a_failed_baseline(tmp_path):
     assert (out / "summary.txt").read_bytes() == FAILED_BASELINE_SUMMARY.encode()
     assert json.loads((out / "reduction.json").read_text())["final_evaluation"] is None
     assert len((out / "ledger.jsonl").read_text().splitlines()) == 1
-
-    replayed = tmp_path / "replayed"
-    assert run("replay", out, "--out", replayed) == 1
-    for name in ARTIFACTS:
-        assert (replayed / name).read_bytes() == (out / name).read_bytes()
+    assert_replays(out, 1)
 
 
 def test_lesion_with_some_failed_evaluations(tmp_path, monkeypatch, caplog):
@@ -1135,12 +1204,12 @@ def test_import_loads_every_traced_module(module):
     spec = importlib.util.spec_from_file_location("bench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    # -S leaves site-packages off sys.path, so the import also shows that
+    # chanreduce needs nothing outside the standard library.
     traced = {module_name for _, module_name, _, _ in tracing.TARGETS}
-    src = str(Path(cr.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-c", f"import sys, {module}; print(*sys.modules)"],
-                          capture_output=True, text=True, env=env, timeout=120)
+    proc = subprocess.run([sys.executable, "-S", "-c",
+                           f"import sys, {module}; print(*sys.modules)"],
+                          capture_output=True, text=True, env=src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert traced - set(proc.stdout.split()) == set()
 
