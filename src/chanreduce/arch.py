@@ -401,8 +401,11 @@ def validate_spec(spec: ModelSpec) -> None:
                 entries.append(layer.out_channels)
             if layer.out_channels < 1 or layer.in_channels < 1:
                 raise ValueError(f"layer {idx}: channel counts must be >= 1")
-            if layer.stride < 1 or layer.scale < 1 or len(layer.kernel) != 2:
-                raise ValueError(f"layer {idx}: kernel must be 2-d, stride and scale >= 1")
+            if layer.stride < 1 or layer.scale < 1 or min(layer.kernel) < 1:
+                raise ValueError(f"layer {idx}: conv kernel, stride and scale must be >= 1")
+        elif isinstance(layer, Pool):
+            if layer.window < 1 or layer.stride < 1:
+                raise ValueError(f"layer {idx}: pool window and stride must be >= 1")
         elif isinstance(layer, FullyConnected):
             fc_seen += 1
             if layer.out_features < 1:

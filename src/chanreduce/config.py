@@ -200,12 +200,16 @@ class RunConfig:
 
     def build_spec(self) -> ModelSpec:
         m = self.model
+        reads = (("descriptor",) if m.family == "descriptor"
+                 else tuple(inspect.signature(BUILDERS[m.family]).parameters))
+        for f in fields(m):   # warn, not refuse: a run recorded with such a key must replay
+            if f.name not in ("family", *reads) and getattr(m, f.name) != f.default:
+                log.warning("ignoring model.%s: family %s does not read it", f.name, m.family)
         try:
             if m.family == "descriptor":
                 return load_descriptor(self._resolve(m.descriptor))
-            builder = BUILDERS[m.family]
-            params = inspect.signature(builder).parameters
-            return builder(**{p: getattr(m, p) for p in params if getattr(m, p) is not None})
+            return BUILDERS[m.family](**{p: getattr(m, p) for p in reads
+                                         if getattr(m, p) is not None})
         except ValueError as exc:
             raise ConfigError(f"cannot build model: {exc}") from exc
 

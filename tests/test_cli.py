@@ -511,6 +511,9 @@ def test_a_run_on_real_trainer_slots_replays(tmp_path, argv, protocol, paralleli
     (state / "release").touch()
     out = tmp_path / "out"
     assert run(*argv.split(), "--config", cfg, "--out", out) == 0
+    if argv == "reduce" and parallelism == 3:   # rounds of two bisection levels
+        trace = json.loads((out / "reduction.json").read_text())["trace"]
+        assert any(probe.get("speculative") for probe in trace)
     assert_replays(out)
 
 
@@ -853,6 +856,34 @@ def test_a_fractional_width_descriptor_leaves_no_directory(tmp_path, capsys, com
     assert not out.exists()
 
 
+# Each edit of layer 0 (conv), 1 (batchnorm) or 2 (pool) of a depth-2 model.
+@pytest.mark.parametrize("layer,edit,error", [
+    (0, {"kernel": [0, 3]}, "layer 0: conv kernel, stride and scale must be >= 1"),
+    (0, {"stride": 0}, "layer 0: conv kernel, stride and scale must be >= 1"),
+    (0, {"scale": 0}, "layer 0: conv kernel, stride and scale must be >= 1"),
+    (2, {"window": 0}, "layer 2: pool window and stride must be >= 1"),
+    (1, {"ref": 2}, "channel ref 2 not yet defined"),
+], ids=["kernel-0x3", "conv-stride-0", "conv-scale-0", "pool-window-0", "dangling-ref"])
+def test_an_unbuildable_descriptor_leaves_no_directory(tmp_path, capsys, layer, edit, error):
+    descriptor = cr.spec_to_dict(cr.build_sequential_cnn(2, [4, 8]))
+    descriptor["layers"][layer].update(edit)
+    (tmp_path / "model.json").write_text(json.dumps(descriptor))
+    cfg = write_cfg(tmp_path, "[model]\nfamily = descriptor\ndescriptor = model.json\n")
+    out = tmp_path / "out"
+    assert run("size", "--config", cfg, "--out", out) == 2
+    assert f"cannot build model: {error}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_size_of_a_saved_descriptor(tmp_path):
+    cr.save_descriptor(cr.mobilenet(0.5), tmp_path / "model.json")
+    cfg = write_cfg(tmp_path, "[model]\nfamily = descriptor\ndescriptor = model.json\n")
+    out = tmp_path / "out"
+    assert run("size", "--config", cfg, "--out", out) == 0
+    expected = cr.count_parameters(cr.mobilenet(0.5)).parameter_count
+    assert json.loads((out / "size.json").read_text())["parameter_count"] == expected
+
+
 @pytest.mark.parametrize("command", ["reduce", "size"])
 @pytest.mark.parametrize("text", ["[budget]\nlr_initial = nan\n",
                                   "[budget]\nmomentum = inf\n",
@@ -960,6 +991,18 @@ def test_mobilenet_width_mult_from_the_config(tmp_path):
         out / "summary.txt").read_text()
     resolved = (out / "resolved.cfg").read_text()
     assert "width_mult = 0.5\n" in resolved and "num_classes = 1000\n" in resolved
+
+
+@pytest.mark.parametrize("family,command", [("mobilenet", "size"), ("resnet18", "reduce")])
+def test_a_preset_run_and_its_replay_warn_nothing(tmp_path, caplog, family, command):
+    # resolved.cfg lists every [model] key, but those the family does not read
+    # keep their defaults there, so its replay has nothing to warn about.
+    out = tmp_path / "out"
+    with caplog.at_level("WARNING", logger="chanreduce.config"):
+        assert run(command, "--config", write_cfg(tmp_path, f"[model]\nfamily = {family}\n"),
+                   "--out", out) == 0
+        assert_replays(out)
+    assert caplog.records == []
 
 
 def test_percent_in_config_value_is_literal(tmp_path):
@@ -1212,6 +1255,26 @@ def test_import_loads_every_traced_module(module):
                           capture_output=True, text=True, env=src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert traced - set(proc.stdout.split()) == set()
+
+
+@pytest.mark.parametrize("argv", ["reduce", "rd --gnuplot --alphas 1 0.5",
+                                  "lesion --kind constant --values 4 --indices 1 3",
+                                  "lesion --kind macroblock_scale --values 1/2 3/4"],
+                         ids=["reduce", "rd", "lesion-constant", "lesion-macroblock"])
+def test_a_run_replays_on_the_bare_interpreter(tmp_path, argv):
+    # A run directory must replay byte for byte on any supported Python with
+    # only the standard library (-S), and every file chanreduce reads or writes
+    # names its encoding: text I/O in the locale's encoding is an error here.
+    bare = [sys.executable, "-S", "-X", "warn_default_encoding",
+            "-W", "error::EncodingWarning", "-m", "chanreduce.cli"]
+    cfg = write_cfg(tmp_path, "[model]\ndepth = 8\nblock_widths = 8, 16\n")
+    out, replayed = tmp_path / "out", tmp_path / "replayed"
+    for args in ([*argv.split(), "--config", cfg, "--out", out],
+                 ["replay", out, "--out", replayed]):
+        proc = subprocess.run([*bare, *map(str, args)], capture_output=True, text=True,
+                              env=src_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+    assert snapshot(replayed) == snapshot(out)
 
 
 def test_summary_of_a_replay_missing_an_evaluation(tmp_path, capsys):

@@ -10,10 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from chanreduce.arch import channel_config
 from chanreduce.config import BUILDERS, ConfigError, ModelConfig, RunConfig
 from chanreduce.oracle import (FINAL_BUDGET, METRICS, SEARCH_BUDGET, EvaluationRecord,
                                SurrogateParams)
 from chanreduce.search import BetaMode
+from chanreduce.trainer import build_request
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -184,6 +186,19 @@ def test_resolved_text_preset_class_count(tmp_path):
     model = cfg.resolved_text().split("\n\n")[0]
     assert model.splitlines()[1] == "family = resnet18"
     assert model.splitlines()[-1] == "num_classes = 100"
+
+
+def test_a_model_key_the_family_does_not_read_warns(tmp_path, caplog):
+    # A warning, not an error, as for unknown keys: a recorded resolved.cfg
+    # must still replay.
+    cfg = _load(tmp_path, "[model]\nfamily = resnet34\ndataset = svhn\n")
+    with caplog.at_level("WARNING", logger="chanreduce.config"):
+        spec = cfg.build_spec()
+    assert [r.getMessage() for r in caplog.records] == [
+        "ignoring model.dataset: family resnet34 does not read it"]
+    request = build_request("r-1", channel_config(spec), spec, SEARCH_BUDGET)
+    assert request["dataset"] == "imagenet"
+    assert "dataset = svhn\n" in cfg.resolved_text()
 
 
 @pytest.mark.parametrize("text, message", [
