@@ -2,9 +2,10 @@
 
 Every run gets a directory holding the artifacts needed to reproduce it without
 re-evaluating anything: ``resolved.cfg`` (every effective setting plus the
-command that ran), ``ledger.jsonl`` (one line per trained evaluation), and the
-command's reports. ``chanreduce replay RUNDIR`` re-renders those reports from
-the ledger alone; reports carry no timestamps, so a replay is byte-identical.
+command that ran), ``ledger.jsonl`` (one line per trained evaluation), a
+descriptor model's ``model.json``, and the command's reports. ``chanreduce
+replay RUNDIR`` re-renders those reports from the ledger alone; reports carry no
+timestamps, so a replay is byte-identical.
 A rerun into the same directory answers from the ledger first and trains only
 what it lacks, so an interrupted run resumes where it stopped; a rerun with other
 ``[oracle]`` settings is refused.
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import shlex
 import shutil
 import sys
@@ -33,6 +35,7 @@ from .lesion import (SWEEP_CONSTANT, SWEEP_MACROBLOCK, SWEEP_PROPORTIONAL, Sweep
                      write_rd_points_csv)
 from .oracle import (EvaluationLedger, MissingEvaluationError, RecordingOracle,
                      SurrogateOracle)
+from .presets import save_descriptor
 from .rdcurve import (build_alpha_curve, build_alpha_plus_backward_curve, check_alphas,
                       export_curve, export_gnuplot)
 from .search import backward_reduction, forward_reduction
@@ -85,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=about)
         p.add_argument("--config", required=True, help="run configuration file")
-        p.add_argument("--out", default=None, help="run directory (default derived from config)")
+        p.add_argument("--out", default=None, help="run directory (default: "
+                       "$CHANREDUCE_RUN_ROOT/<config stem>, else runs/<config stem>)")
         for flag, options in flags:
             p.add_argument(flag, **options)
         p.set_defaults(func=_run, body=body, check=check, flags=[flag for flag, _ in flags])
@@ -112,22 +116,17 @@ def _make_oracle(cfg: RunConfig, spec, run_dir: Path, replaying: bool):
     elif kind == "external":
         inner = ExternalTrainerOracle(o.trainer_cmd, spec, parallelism=o.parallelism,
                                       timeout=o.timeout_seconds, protocol=o.protocol,
-                                      exchange_dir=cfg._resolve(o.exchange_dir)
-                                      if o.exchange_dir else None)
+                                      exchange_dir=o.exchange_dir)
         closer = inner.close
     elif kind == "replay":
         # Only a fresh run reads the source; its directory then replays alone.
-        source = cfg._resolve(o.ledger)
+        source = Path(o.ledger)
         if not source.exists():
             raise ConfigError(f"replay ledger {o.ledger} does not exist")
         if source.resolve() != ledger.resolve():  # its own ledger needs no backend
             inner = RecordingOracle(None, EvaluationLedger(source), spec)
-    oracle = RecordingOracle(inner, EvaluationLedger(ledger), spec,
-                             parallel_slots=cfg.search_slots or 1)
-    if kind == "replay" and inner is not None:
-        # The run's own records are the source's first ones for each config.
-        inner._asked.update(oracle._held)
-    return oracle, closer
+    return RecordingOracle(inner, EvaluationLedger(ledger), spec,
+                           parallel_slots=cfg.search_slots or 1), closer
 
 
 def _check_rerun(cfg: RunConfig, run_dir: Path, resolved: str) -> None:
@@ -136,7 +135,7 @@ def _check_rerun(cfg: RunConfig, run_dir: Path, resolved: str) -> None:
     ledger, old = run_dir / "ledger.jsonl", run_dir / "resolved.cfg"
     o = cfg.oracle
     if (not old.exists() or not ledger.exists() or not ledger.stat().st_size
-            or o.kind == "replay" and cfg._resolve(o.ledger).resolve() == ledger.resolve()):
+            or o.kind == "replay" and Path(o.ledger).resolve() == ledger.resolve()):
         return
     oracles = {text.partition("[oracle]\n")[2].partition("\n\n")[0]
                for text in (old.read_text(encoding="utf-8"), resolved)}
@@ -155,7 +154,8 @@ def _run(args) -> int:
     replay_dir = getattr(args, "replay_dir", None)
     evaluates = "--budget" in args.flags
     cfg = RunConfig.from_file(args.config)
-    run_dir = cfg.resolve_run_dir(args.out, args.config)
+    run_dir = Path(args.out or Path(os.environ.get("CHANREDUCE_RUN_ROOT", "runs"),
+                                    Path(args.config).stem))
     spec = cfg.build_spec()
     if args.check:
         args.check(args, cfg, spec)
@@ -163,16 +163,21 @@ def _run(args) -> int:
         cfg.command = _command_line(args)
         if evaluates:
             cfg.search_slots = cfg.oracle.parallelism if cfg.oracle.kind == "external" else 1
+        if cfg.model.family == "descriptor":   # the run keeps its model, saved below
+            cfg.model.descriptor = "model.json"
     elif run_dir.resolve() != replay_dir.resolve():
         run_dir.mkdir(parents=True, exist_ok=True)
-        shutil.copyfile(replay_dir / "resolved.cfg", run_dir / "resolved.cfg")
-        shutil.copyfile(replay_dir / "ledger.jsonl", run_dir / "ledger.jsonl")
+        for name in ("resolved.cfg", "ledger.jsonl", "model.json"):
+            if (replay_dir / name).exists():
+                shutil.copyfile(replay_dir / name, run_dir / name)
     oracle, closer = (_make_oracle(cfg, spec, run_dir, replay_dir is not None)
                       if evaluates else (None, None))
     if replay_dir is None:
         resolved = cfg.resolved_text()
         _check_rerun(cfg, run_dir, resolved)
         run_dir.mkdir(parents=True, exist_ok=True)
+        if cfg.model.family == "descriptor":
+            save_descriptor(spec, run_dir / cfg.model.descriptor)
         (run_dir / "resolved.cfg").write_text(resolved, encoding="utf-8")
     # Even an evaluation-free run leaves a (possibly empty) ledger, so every
     # run directory is replayable.

@@ -1,7 +1,7 @@
 """Run configuration: a flat, sectioned text file driving every CLI command.
 
-Sections: [model], [oracle], [search], [budget], [output], [run]. The file is the
-only way to set a key; the recipe and surrogate defaults come from
+Sections: [model], [oracle], [search], [budget], [run]. The file is the only way
+to set a key; the recipe and surrogate defaults come from
 :mod:`chanreduce.oracle`. Unknown keys warn but do not fail; genuinely invalid
 values raise :class:`ConfigError`. The resolved configuration (every effective
 value made explicit) is written into the run directory so a run can be replayed
@@ -15,7 +15,6 @@ import inspect
 import io
 import logging
 import math
-import os
 from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -26,8 +25,6 @@ from .presets import PRESETS, load_descriptor
 from .search import BetaMode
 
 log = logging.getLogger(__name__)
-
-RUN_ROOT_ENV = "CHANREDUCE_RUN_ROOT"
 
 
 class ConfigError(Exception):
@@ -54,7 +51,7 @@ def _bounded(default, low, high=math.inf):
 
 
 def _path():
-    """An optional path, relative to the config file's directory."""
+    """An optional path; a relative one is read against the config file's directory."""
     return field(default=None, metadata={"path": True})
 
 
@@ -120,14 +117,12 @@ class RunConfig:
     oracle: OracleConfig = field(default_factory=OracleConfig)
     search: SearchConfig = field(default_factory=SearchConfig)
     budget: BudgetConfig = field(default_factory=BudgetConfig)
-    run_dir: str | None = field(default=None, metadata={"section": "output"})
     command: str | None = field(default=None, metadata={"section": "run"})
     # Trainer slots the run's searches had; replay needs them to ask for the
     # same configs. Runs recorded before searches used more than one slot lack
     # the key and replay on one.
     search_slots: int | None = field(default=None,
                                      metadata={"section": "run", "range": (1, math.inf)})
-    base_dir: Path = field(default_factory=Path.cwd)
 
     def _keys(self):
         """Every config key as (section, field, object holding its value), in
@@ -153,7 +148,7 @@ class RunConfig:
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
-        cfg = cls(base_dir=path.resolve().parent)
+        cfg = cls()
         keys = {(section, f.name): (f, part) for section, f, part in cfg._keys()}
         sections = {section for section, _ in keys}
         for section in parser.sections():
@@ -165,7 +160,10 @@ class RunConfig:
                     log.warning("ignoring unknown config key %s.%s", section, key)
                     continue
                 f, part = keys[section, key]
-                setattr(part, key, _parse(f"{section}.{key}", f, raw.strip()))
+                value = _parse(f"{section}.{key}", f, raw.strip())
+                if value is not None and f.metadata.get("path"):
+                    value = str(path.resolve().parent / value)   # an absolute value stays
+                setattr(part, key, value)
         cfg._validate()
         return cfg
 
@@ -183,7 +181,7 @@ class RunConfig:
         if self.model.family == "descriptor":
             if not self.model.descriptor:
                 raise ConfigError("model.family=descriptor needs model.descriptor=<path>")
-            if not self._resolve(self.model.descriptor).exists():
+            if not Path(self.model.descriptor).exists():
                 raise ConfigError(f"model descriptor {self.model.descriptor} does not exist")
         if self.oracle.kind == "external" and not self.oracle.trainer_cmd:
             raise ConfigError("oracle.kind=external needs oracle.trainer_cmd")
@@ -191,10 +189,6 @@ class RunConfig:
             raise ConfigError("oracle.kind=replay needs oracle.ledger=<path>")
         self.search_budget()   # each raises ConfigError on a bad training recipe
         self.final_budget()
-
-    def _resolve(self, p) -> Path:
-        p = Path(p)
-        return p if p.is_absolute() else self.base_dir / p
 
     # -- derived objects ----------------------------------------------------
 
@@ -207,7 +201,7 @@ class RunConfig:
                 log.warning("ignoring model.%s: family %s does not read it", f.name, m.family)
         try:
             if m.family == "descriptor":
-                return load_descriptor(self._resolve(m.descriptor))
+                return load_descriptor(m.descriptor)
             return BUILDERS[m.family](**{p: getattr(m, p) for p in reads
                                          if getattr(m, p) is not None})
         except ValueError as exc:
@@ -248,13 +242,6 @@ class RunConfig:
     def beta_mode(self) -> BetaMode:
         return BetaMode(self.search.beta_return_mode)
 
-    def resolve_run_dir(self, override, config_path) -> Path:
-        if override:
-            return Path(override)
-        if self.run_dir:
-            return self._resolve(self.run_dir)
-        return Path(os.environ.get(RUN_ROOT_ENV, "runs")) / Path(config_path).stem
-
     # -- resolved dump ------------------------------------------------------
 
     def resolved_text(self) -> str:
@@ -264,8 +251,6 @@ class RunConfig:
             value = getattr(part, f.name)
             if f.name == "num_classes":
                 value = self.effective_classes()
-            elif value is not None and f.metadata.get("path"):
-                value = self._resolve(value)
             if value is not None:
                 if not parser.has_section(section):
                     parser.add_section(section)

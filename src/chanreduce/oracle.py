@@ -168,21 +168,25 @@ def slots(oracle) -> int:
 
 
 def fan_out(oracle, fn, items) -> list:
-    """``[fn(item) for item in items]`` on up to ``slots(oracle)`` threads, in
-    item order. Each call gets an equal share of the slots, at least one, so
-    fan-outs nested in it stay within them. With one slot the calls run in
-    order on the calling thread. An exception raised by any call reaches the
-    caller, and items not yet started are then dropped."""
+    """``[fn(item) for item in items]`` in item order, calling ``fn`` once per
+    distinct item, on up to ``slots(oracle)`` threads: a repeated item shares
+    its first occurrence's result. Each call gets an equal share of the slots,
+    at least one, so fan-outs nested in it stay within them. With one slot the
+    calls run in order on the calling thread. An exception raised by any call
+    reaches the caller, and items not yet started are then dropped."""
     items = list(items)
+    distinct = list(dict.fromkeys(items))
     p = slots(oracle)
-    if min(p, len(items)) <= 1:
-        return [fn(item) for item in items]
-    pool = ThreadPoolExecutor(min(p, len(items)), initializer=setattr,
-                              initargs=(_share, "slots", max(1, p // len(items))))
-    try:
-        return list(pool.map(fn, items))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    if min(p, len(distinct)) <= 1:
+        answers = {item: fn(item) for item in distinct}
+    else:
+        pool = ThreadPoolExecutor(min(p, len(distinct)), initializer=setattr,
+                                  initargs=(_share, "slots", max(1, p // len(distinct))))
+        try:
+            answers = dict(zip(distinct, pool.map(fn, distinct)))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    return [answers[item] for item in items]
 
 
 class EvaluationLedger:
@@ -346,6 +350,8 @@ class RecordingOracle:
     ``inner`` (replay) the newest record answers instead, and a config never
     recorded raises :class:`MissingEvaluationError`. Only records the ledger held
     when the recorder opened it answer, and an empty one is never consulted.
+    An ``inner`` recorder (a source ledger to replay) starts past the records
+    this ledger holds, which are its first ones for each config.
     ``parallel_slots`` is the run's search slot count: a search spreads its
     probes by it, and so decides which configs it asks for. ``failures_served``
     counts the failed and timed-out records answered from the ledger.
@@ -360,6 +366,8 @@ class RecordingOracle:
         # Records per (digest, budget) held at open, and requests for each so far.
         self._held = Counter((r.config_digest, r.budget) for r in ledger.records())
         self._asked: Counter[tuple[str, TrainingBudget]] = Counter()
+        if isinstance(inner, RecordingOracle):
+            inner._asked.update(self._held)
         self._lock = threading.Lock()
         self.failures_served = 0
 

@@ -178,7 +178,7 @@ def search_macroblock_multiplier(block: int, config: ChannelConfig,
         at = {m: apply_macroblock_scale(config, partition, block, m)
               for m in state.tree(min(k, state.left()))}
         batch = ([config] if baseline is None else []) + list(at.values())
-        issued = [c for c in dict.fromkeys(batch) if c not in known]
+        issued = [c for c in batch if c not in known]
         records = dict(zip(issued, fan_out(oracle, lambda c: oracle.evaluate(c, budget),
                                            issued)))
         if trained is not None:

@@ -60,18 +60,30 @@ def src_env():
 # stdin) or `trainer.py STATE REQUEST RESPONSE` (files). It marks each answer in
 # STATE/answered. Once two answers are marked and while STATE/release is
 # missing, it holds each request, marked in STATE/held, until that file appears.
+# While STATE/reorder exists, an answer depends on when it is given: top1 drops
+# by 1e-6 for each answer marked before it. The run's first request (run id
+# ending in -0001) waits for another answer (at most 1 s), and 50 ms more, so a
+# later request is recorded before it.
 TRAINER = """\
 import json, os, sys, time
 state = sys.argv[1]
 def answer(line):
     req = json.loads(line)
     release = os.path.join(state, "release")
-    if not os.path.exists(release) and len(os.listdir(os.path.join(state, "answered"))) >= 2:
+    answered = os.path.join(state, "answered")
+    if not os.path.exists(release) and len(os.listdir(answered)) >= 2:
         open(os.path.join(state, "held", req["run_id"]), "w").close()
         while not os.path.exists(release):
             time.sleep(0.01)
-    open(os.path.join(state, "answered", req["run_id"]), "w").close()
     top1 = 0.9 * min(1.0, sum(req["channels"]) / 200)
+    if os.path.exists(os.path.join(state, "reorder")):
+        if req["run_id"].endswith("-0001"):
+            deadline = time.monotonic() + 1
+            while not os.listdir(answered) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.05)
+        top1 -= 1e-6 * len(os.listdir(answered))
+    open(os.path.join(answered, req["run_id"]), "w").close()
     return json.dumps({"run_id": req["run_id"], "status": "ok", "top1": top1,
                        "wall_seconds": 1.0})
 if len(sys.argv) == 4:
@@ -504,11 +516,17 @@ def test_rd_on_three_files_slots_runs_three_trainers_at_once(tmp_path):
 
 @pytest.mark.parametrize("protocol,parallelism", [("pipe", 3), ("files", 2)])
 @pytest.mark.parametrize("argv", ["reduce", "rd --gnuplot --alphas 1 0.5",
-                                  "lesion --kind proportional --values 1/2"],
-                         ids=["reduce", "rd", "lesion"])
+                                  "lesion --kind proportional --values 1/2",
+                                  "rd --alphas 0.5 0.5",
+                                  "lesion --kind constant --values 8 --indices 1 2 3"],
+                         ids=["reduce", "rd", "lesion", "rd-repeated", "lesion-repeated"])
 def test_a_run_on_real_trainer_slots_replays(tmp_path, argv, protocol, parallelism):
+    # Answers depend on their order and complete out of it, so a replay that
+    # hands a record to another request than the run did shows. Width 8 is the
+    # first block's, so the repeated lesion's three variants are one network.
     cfg, state = trainer_cfg(tmp_path, protocol, parallelism)
     (state / "release").touch()
+    (state / "reorder").touch()
     out = tmp_path / "out"
     assert run(*argv.split(), "--config", cfg, "--out", out) == 0
     if argv == "reduce" and parallelism == 3:   # rounds of two bisection levels
@@ -884,6 +902,22 @@ def test_size_of_a_saved_descriptor(tmp_path):
     assert json.loads((out / "size.json").read_text())["parameter_count"] == expected
 
 
+@pytest.mark.parametrize("argv", ["reduce", "lesion --kind proportional --values 1/2"],
+                         ids=["reduce", "lesion"])
+def test_a_descriptor_run_replays_without_the_descriptor_it_was_given(tmp_path, argv):
+    # The run keeps its model as model.json, so the file it was given may move
+    # or change, and the run directory may move too.
+    cr.save_descriptor(cr.build_sequential_cnn(6, [8, 16]), tmp_path / "net.json")
+    cfg = write_cfg(tmp_path, "[model]\nfamily = descriptor\ndescriptor = net.json\n")
+    out = tmp_path / "out"
+    assert run(*argv.split(), "--config", cfg, "--out", out) == 0
+    assert "\ndescriptor = model.json\n" in (out / "resolved.cfg").read_text()
+    (tmp_path / "net.json").rename(tmp_path / "gone.json")
+    assert_replays(out)
+    moved = out.rename(tmp_path / "moved")
+    assert_replays(moved, in_place=True)
+
+
 @pytest.mark.parametrize("command", ["reduce", "size"])
 @pytest.mark.parametrize("text", ["[budget]\nlr_initial = nan\n",
                                   "[budget]\nmomentum = inf\n",
@@ -934,6 +968,10 @@ def test_run_dir_from_env(tmp_path, monkeypatch):
     cfg = write_cfg(tmp_path, name="widths.cfg")
     assert run("size", "--config", cfg) == 0
     assert (root / "widths" / "summary.txt").exists()
+    # --out wins over $CHANREDUCE_RUN_ROOT.
+    assert run("size", "--config", cfg, "--out", tmp_path / "out") == 0
+    assert (tmp_path / "out" / "summary.txt").exists()
+    assert sorted(os.listdir(root)) == ["widths"]
 
 
 def test_config_fraction_delta_and_budget(tmp_path):
@@ -1040,19 +1078,6 @@ def test_unknown_config_section_warns_and_is_ignored(tmp_path, caplog):
     assert any("[outputs]" in r.message for r in caplog.records)
     assert "outputs" not in (out / "resolved.cfg").read_text()
     assert not (tmp_path / "elsewhere").exists()
-
-
-def test_output_run_dir_is_relative_to_the_config_and_out_overrides_it(tmp_path,
-                                                                         monkeypatch):
-    cfg_dir = tmp_path / "configs"
-    cfg_dir.mkdir()
-    cfg = write_cfg(cfg_dir, "[output]\nrun_dir = myrun\n")
-    monkeypatch.chdir(tmp_path)
-    assert run("size", "--config", cfg) == 0
-    assert (cfg_dir / "myrun" / "summary.txt").exists()
-    assert run("size", "--config", cfg, "--out", tmp_path / "out") == 0
-    assert (tmp_path / "out" / "summary.txt").exists()
-    assert not (tmp_path / "myrun").exists()
 
 
 def test_external_oracle_end_to_end(tmp_path):

@@ -63,9 +63,6 @@ FULL_CFG = """\
     weight_decay = 5e-4
     batch_size = 64
 
-    [output]
-    run_dir = out/here
-
     [run]
     command = reduce --budget search --direction backward
     """
@@ -112,9 +109,6 @@ lr_divisor = 5.0
 momentum = 0.95
 weight_decay = 0.0005
 batch_size = 64
-
-[output]
-run_dir = out/here
 
 [run]
 command = reduce --budget search --direction backward
@@ -216,13 +210,13 @@ def test_a_model_key_the_family_does_not_read_warns(tmp_path, caplog):
     ("[run]\nsearch_slots = 0\n", "run.search_slots must be within [1, inf], got 0"),
     ("[model]\nfamily = descriptor\n", "model.family=descriptor needs model.descriptor=<path>"),
     ("[model]\nfamily = descriptor\ndescriptor = none.json\n",
-     "model descriptor none.json does not exist"),
+     "model descriptor {base}/none.json does not exist"),
     ("family = sequential\n", "cannot parse "),
 ])
 def test_invalid_values(tmp_path, text, message):
     with pytest.raises(ConfigError) as err:
         _load(tmp_path, text)
-    assert str(err.value).startswith(message)
+    assert str(err.value).startswith(message.format(base=tmp_path.resolve()))
 
 
 @pytest.mark.parametrize("key", ["budget.lr_initial", "budget.weight_decay",

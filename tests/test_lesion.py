@@ -139,6 +139,17 @@ def test_parallel_evaluation_preserves_order(d15_spec):
         assert o.record.config_digest == cr.config_digest(o.config, d15_spec)
 
 
+def test_a_sweep_trains_each_distinct_variant_once(d15_spec):
+    # Width 16 is every block-0 entry's nominal width, so all five variants
+    # are the nominal network: one training answers all five rows.
+    oracle = CountingOracle(cr.SurrogateOracle(d15_spec), slots=2)
+    plan = SweepPlan(cr.SWEEP_CONSTANT, (16,), indices=(1, 2, 3, 4, 5))
+    obs = run_onehot_sweep(d15_spec, plan, oracle)
+    assert oracle.calls == 1
+    assert [o.index for o in obs] == [1, 2, 3, 4, 5]
+    assert len({o.record for o in obs}) == 1
+
+
 def _stub_record(digest, top1, status="ok"):
     return cr.EvaluationRecord(config_digest=digest, budget=cr.SEARCH_BUDGET,
                                top1=top1, top5=None, wall_seconds=0.0,

@@ -11,6 +11,7 @@ import sys
 import textwrap
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -447,6 +448,22 @@ def test_recording_oracle_appends_every_call(tmp_path, d15_spec):
     assert oracle.parallel_slots == 1
 
 
+def test_a_nested_recorder_starts_past_the_records_of_the_outer_ledger(tmp_path, d15_spec):
+    # A source ledger holds two records for one config, and the run's own
+    # ledger already holds the first, as a kind = replay run cut off after it
+    # does. The run's own record answers first, then the source's second.
+    cfg = cr.channel_config(d15_spec)
+    digest = cr.config_digest(cfg, d15_spec)
+    first, second = _record(digest, top1=0.5), _record(digest, top1=0.6)
+    source, own = (EvaluationLedger(tmp_path / name) for name in ("source.jsonl", "own.jsonl"))
+    for record in (first, second):
+        source.append(record)
+    own.append(first)
+    oracle = cr.RecordingOracle(cr.RecordingOracle(None, source, d15_spec), own, d15_spec)
+    assert [oracle.evaluate(cfg, cr.SEARCH_BUDGET) for _ in range(3)] == [first, second, second]
+    assert own.records() == [first, second, second]
+
+
 def test_recorder_hands_each_stored_record_out_once_under_contention(tmp_path, d15_spec):
     # Three stored records for one config, then 24 concurrent requests for it:
     # each stored record answers exactly one request and the backend trains the
@@ -510,6 +527,25 @@ def test_fan_out_keeps_item_order_and_raises_worker_errors():
 
     with pytest.raises(cr.MissingEvaluationError, match="no record for 2"):
         fan_out(_Slots(2), missing, range(6))
+
+
+@pytest.mark.parametrize("parallel_slots", [1, 3])
+def test_fan_out_calls_once_per_distinct_item(parallel_slots):
+    calls = Counter()
+
+    def square(x):
+        calls[x] += 1
+        return x * x
+
+    items = [3, 1, 3, 2, 1, 3]
+    assert fan_out(_Slots(parallel_slots), square, items) == [x * x for x in items]
+    assert calls == Counter({3: 1, 1: 1, 2: 1})
+
+
+def test_fan_out_splits_the_slots_over_the_distinct_items():
+    # Three items on four slots, two of them equal: two calls, two slots each.
+    oracle = _Slots(4)
+    assert fan_out(oracle, lambda x: (x, slots(oracle)), "aab") == [("a", 2), ("a", 2), ("b", 2)]
 
 
 def test_nested_fan_out_splits_the_slots():

@@ -145,6 +145,14 @@ def test_composed_reductions_share_the_slots(d15_spec, slots, alphas, calls):
     assert oracle.calls == calls
 
 
+def test_a_repeated_alpha_is_reduced_once(d15_spec):
+    once, twice = (CountingOracle(cr.SurrogateOracle(d15_spec), slots=2) for _ in range(2))
+    point, = build_alpha_plus_backward_curve(d15_spec, [0.5], 0.01, once, cr.SEARCH_BUDGET)
+    assert build_alpha_plus_backward_curve(d15_spec, [0.5, 0.5], 0.01, twice,
+                                           cr.SEARCH_BUDGET) == [point, point]
+    assert twice.calls == once.calls
+
+
 @settings(max_examples=12, deadline=None)
 @given(slots=st.sampled_from([1, 2, 3, 7]),
        alphas=st.lists(st.sampled_from([1.0, 0.875, 0.75, 0.5, 0.25]),
