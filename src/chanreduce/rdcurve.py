@@ -45,21 +45,28 @@ def check_alphas(alphas) -> list:
     return out
 
 
-def build_alpha_curve(spec: ModelSpec, alphas, oracle, budget: TrainingBudget) -> list[RDPoint]:
-    """One point per multiplier, sorted by size ascending, evaluated on the
-    oracle's slots. Failed evaluations are logged but produce no point."""
+def _curve(spec: ModelSpec, alphas, oracle, point_at, suffix: str, skipped: str) -> list[RDPoint]:
+    """The alpha grid of both curves, sorted by size ascending. ``point_at(config)``
+    gives a scaled configuration's size report and record, once per distinct
+    configuration (see :func:`fan_out`); an alpha whose record failed is logged."""
     alphas = check_alphas(alphas)
     configs = [apply_alpha_scaling(channel_config(spec), alpha) for alpha in alphas]
-    records = fan_out(oracle, lambda config: oracle.evaluate(config, budget), configs)
     points = []
-    for alpha, config, record in zip(alphas, configs, records):
+    for alpha, (report, record) in zip(alphas, fan_out(oracle, point_at, configs)):
         if not record.ok:
-            log.warning("alpha=%g evaluation status %s; point skipped", alpha, record.status)
+            log.warning(skipped, alpha, record.status)
             continue
-        report = count_parameters(with_config(spec, config))
-        points.append(RDPoint(f"alpha={float(alpha):g}", report.size_bytes,
+        points.append(RDPoint(f"alpha={float(alpha):g}{suffix}", report.size_bytes,
                               report.parameter_count, record.top1, record.config_digest))
     return sorted(points, key=lambda p: p.size_bytes)
+
+
+def build_alpha_curve(spec: ModelSpec, alphas, oracle, budget: TrainingBudget) -> list[RDPoint]:
+    """One point per multiplier whose scaled model evaluates ok."""
+    return _curve(spec, alphas, oracle,
+                  lambda config: (count_parameters(with_config(spec, config)),
+                                  oracle.evaluate(config, budget)),
+                  "", "alpha=%g evaluation status %s; point skipped")
 
 
 def build_alpha_plus_backward_curve(spec: ModelSpec, alphas, delta: float, oracle,
@@ -68,32 +75,18 @@ def build_alpha_plus_backward_curve(spec: ModelSpec, alphas, delta: float, oracl
                                     metric: str = "top1") -> list[RDPoint]:
     """Compose uniform scaling with backward reduction: for each alpha, scale the
     model, then greedily reduce its macroblocks within the accuracy budget delta
-    (measured against the scaled model's own accuracy). The reductions are
-    independent and are started in alpha order by :func:`fan_out`, so each
-    searches on its share of the oracle's slots."""
-    alphas = check_alphas(alphas)
-
-    def reduce_at(alpha):
-        scaled = with_config(spec, apply_alpha_scaling(channel_config(spec), alpha))
-        result = backward_reduction(scaled, None, delta, oracle, budget, scope,
-                                    beta_mode=beta_mode, metric=metric)
+    (measured against the scaled model's own accuracy). Each distinct scaled
+    model is reduced once, on its share of the oracle's slots; its point takes
+    the reduced configuration's ok record from the trace, else evaluates it again."""
+    def reduce_at(config):
+        result = backward_reduction(with_config(spec, config), None, delta, oracle, budget,
+                                    scope, beta_mode=beta_mode, metric=metric)
         record = next((p.record for p in result.trace
                        if p.config == result.reduced_config and p.record.ok), None)
-        if record is None:
-            record = oracle.evaluate(result.reduced_config, budget)
-        return result, record
+        return result.reduced_report, record or oracle.evaluate(result.reduced_config, budget)
 
-    points = []
-    for alpha, (result, record) in zip(alphas, fan_out(oracle, reduce_at, alphas)):
-        if not record.ok:
-            log.warning("alpha=%g composed point status %s; point skipped",
-                        alpha, record.status)
-            continue
-        points.append(RDPoint(f"alpha={float(alpha):g}+backward",
-                              result.reduced_report.size_bytes,
-                              result.reduced_report.parameter_count,
-                              record.top1, record.config_digest))
-    return sorted(points, key=lambda p: p.size_bytes)
+    return _curve(spec, alphas, oracle, reduce_at, "+backward",
+                  "alpha=%g composed point status %s; point skipped")
 
 
 def export_curve(points: list[RDPoint], path) -> None:

@@ -396,6 +396,17 @@ def test_rd_curves_golden(tmp_path):
         assert (out / name).read_bytes() == text.replace("\n", "\r\n").encode()  # csv line ends
 
 
+def test_rd_reduces_two_alphas_that_scale_alike_once(tmp_path):
+    # 0.5000001 scales every width of d15 as 0.5 does: one model, one reduction.
+    cfg = write_cfg(tmp_path)
+    ledgers = []
+    for alphas in (["0.5"], ["0.5", "0.5000001"]):
+        out = tmp_path / "-".join(alphas)
+        assert run("rd", "--config", cfg, "--out", out, "--alphas", *alphas) == 0
+        ledgers.append(Counter((out / "ledger.jsonl").read_text().splitlines()))
+    assert ledgers[1] == ledgers[0]
+
+
 def _three_slot_trainer(tmp_path, monkeypatch):
     """Config of an external oracle at parallelism 3, played by a surrogate that
     sleeps in every call; returns it and the list the doubles it builds go to."""
@@ -517,9 +528,10 @@ def test_rd_on_three_files_slots_runs_three_trainers_at_once(tmp_path):
 @pytest.mark.parametrize("protocol,parallelism", [("pipe", 3), ("files", 2)])
 @pytest.mark.parametrize("argv", ["reduce", "rd --gnuplot --alphas 1 0.5",
                                   "lesion --kind proportional --values 1/2",
-                                  "rd --alphas 0.5 0.5",
+                                  "rd --alphas 0.5 0.5", "rd --alphas 0.5 0.5000001",
                                   "lesion --kind constant --values 8 --indices 1 2 3"],
-                         ids=["reduce", "rd", "lesion", "rd-repeated", "lesion-repeated"])
+                         ids=["reduce", "rd", "lesion", "rd-repeated", "rd-same-model",
+                              "lesion-repeated"])
 def test_a_run_on_real_trainer_slots_replays(tmp_path, argv, protocol, parallelism):
     # Answers depend on their order and complete out of it, so a replay that
     # hands a record to another request than the run did shows. Width 8 is the
@@ -918,29 +930,6 @@ def test_a_descriptor_run_replays_without_the_descriptor_it_was_given(tmp_path, 
     assert_replays(moved, in_place=True)
 
 
-@pytest.mark.parametrize("command", ["reduce", "size"])
-@pytest.mark.parametrize("text", ["[budget]\nlr_initial = nan\n",
-                                  "[budget]\nmomentum = inf\n",
-                                  "[oracle]\nkind = external\ntrainer_cmd = t\n"
-                                  "timeout_seconds = nan\n"],
-                         ids=["nan-lr", "inf-momentum", "nan-timeout"])
-def test_a_non_finite_number_leaves_no_directory(tmp_path, capsys, command, text):
-    out = tmp_path / "out"
-    assert run(command, "--config", write_cfg(tmp_path, text), "--out", out) == 2
-    assert "must be a number, got " in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_override_checked_like_the_file(tmp_path):
-    out = tmp_path / "out"
-    cfg = write_cfg(tmp_path, "[search]\nscope = 0\n")
-    assert run("reduce", "--config", cfg, "--out", out) == 2
-    cfg = write_cfg(tmp_path, "[search]\ndelta = -0.1\n")
-    assert run("rd", "--config", cfg, "--out", out) == 2
-    cfg = write_cfg(tmp_path, "[oracle]\nkind = replay\n")
-    assert run("size", "--config", cfg, "--out", out) == 2
-
-
 @pytest.mark.parametrize("command", [["reduce"], ["rd"], ["size"],
                                      ["lesion", "--kind", "constant", "--values", "4"]])
 @pytest.mark.parametrize("flag", [["--delta", "0.5"], ["--scope", "1"],
@@ -956,7 +945,7 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
     (tmp_path / "cfgdir").mkdir()
     latin1 = tmp_path / "latin1.cfg"
     latin1.write_bytes("[model]\nname = Gr\xfcn\n".encode("latin-1"))
-    for cfg in (tmp_path / "cfgdir", latin1):
+    for cfg in (tmp_path / "missing.cfg", tmp_path / "cfgdir", latin1):
         assert run("size", "--config", cfg, "--out", tmp_path / "out") == 2
         assert "cannot read" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -1180,23 +1169,6 @@ def test_lesion_with_some_failed_evaluations(tmp_path, monkeypatch, caplog):
     assert "failed: 2\n" in (tmp_path / "all" / "summary.txt").read_text()
 
 
-def test_usage_errors_exit_2(tmp_path):
-    cfg = write_cfg(tmp_path)
-    out = tmp_path / "out"
-    assert run("reduce", "--config", tmp_path / "missing.cfg", "--out", out) == 2
-    bad_delta = write_cfg(tmp_path, "[search]\ndelta = 1.5\n", name="delta.cfg")
-    assert run("reduce", "--config", bad_delta, "--out", out) == 2
-    assert run("lesion", "--config", cfg, "--out", out,
-               "--kind", "constant", "--values", "1/2") == 2
-    no_trainer = write_cfg(tmp_path, "[oracle]\nkind = external\n", name="ext.cfg")
-    assert run("reduce", "--config", no_trainer, "--out", out) == 2
-    bad_kind = write_cfg(tmp_path, "[oracle]\nkind = quantum\n", name="bad.cfg")
-    assert run("reduce", "--config", bad_kind, "--out", out) == 2
-    replay_no_ledger = write_cfg(
-        tmp_path, "[oracle]\nkind = replay\n", name="rp.cfg")
-    assert run("reduce", "--config", replay_no_ledger, "--out", out) == 2
-
-
 def test_no_command_prints_usage_and_exits_2(capsys):
     assert run() == 2
     printed = capsys.readouterr()
@@ -1232,33 +1204,45 @@ def test_a_run_directory_under_a_regular_file_fails_and_writes_nothing(tmp_path,
     ("size", "[budget]\nfinal_milestones = 60, 30\n", "strictly increasing"),
     ("reduce", "[oracle]\nfrontiers = 1.5\n", "bad surrogate parameters: frontiers and "
      "weights must be non-empty and equally long"),
+    ("reduce", "[search]\nscope = 0\n", "search.scope must be within [1, inf], got 0"),
+    ("rd", "[search]\ndelta = -0.1\n", "search.delta must be within [0.0, 1.0], got -0.1"),
+    ("reduce", "[search]\ndelta = 1.5\n", "search.delta must be within [0.0, 1.0], got 1.5"),
+    ("reduce", "[oracle]\nkind = quantum\n",
+     "oracle.kind must be surrogate|replay|external, got 'quantum'"),
+    ("reduce", "[oracle]\nkind = external\n", "oracle.kind=external needs oracle.trainer_cmd"),
+    ("reduce", "[oracle]\nkind = replay\n", "oracle.kind=replay needs oracle.ledger=<path>"),
+    ("size", "[oracle]\nkind = replay\n", "oracle.kind=replay needs oracle.ledger=<path>"),
+    *((command, text, f"{key} must be a number, got '{value}'")
+      for key, value, text in [
+          ("budget.lr_initial", "nan", "[budget]\nlr_initial = nan\n"),
+          ("budget.momentum", "inf", "[budget]\nmomentum = inf\n"),
+          ("oracle.timeout_seconds", "nan",
+           "[oracle]\nkind = external\ntrainer_cmd = t\ntimeout_seconds = nan\n")]
+      for command in ("reduce", "size")),
+    *((f"lesion --kind {kind} --values {value}", "", error) for kind, value, error in [
+        ("proportional", "2", "scale factor must be in (0, 1]"),
+        ("proportional", "0", "scale factor must be in (0, 1]"),
+        ("constant", "0", "positive integer widths"),
+        ("constant", "1/2", "positive integer widths"),
+        ("macroblock_scale", "3/2", "scale factor must be in (0, 1]"),
+        ("constant", "999", "lesion width 999 exceeds entry 1's 16 channels"),
+        ("proportional", "abc", "cannot parse sweep value 'abc'")]),
 ], ids=["unbuildable-model", "no-classes", "no-trainer-slots", "files-without-exchange-dir",
         "lesion-index-past-the-last", "rd-alpha-above-1", "rd-alpha-too-small-to-scale",
         "reduce-scope-past-the-blocks", "rd-scope-past-the-blocks",
         "search-milestone-past-the-epochs",
-        "final-milestones-decreasing", "surrogate-frontiers-unmatched"])
+        "final-milestones-decreasing", "surrogate-frontiers-unmatched",
+        "scope-0", "delta-negative", "delta-above-1", "unknown-oracle-kind",
+        "external-without-trainer", "replay-without-ledger", "size-replay-without-ledger",
+        "nan-lr-reduce", "nan-lr-size", "inf-momentum-reduce", "inf-momentum-size",
+        "nan-timeout-reduce", "nan-timeout-size",
+        "sweep-proportional-2", "sweep-proportional-0", "sweep-constant-0",
+        "sweep-constant-1/2", "sweep-macroblock-3/2", "sweep-constant-above-the-nominal-width",
+        "sweep-proportional-abc"])
 def test_a_run_that_cannot_start_leaves_no_directory(tmp_path, capsys, command, text, error):
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert run(*command.split(), "--config", cfg, "--out", out) == 2
-    assert error in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("kind,value,error", [
-    ("proportional", "2", "scale factor must be in (0, 1]"),
-    ("proportional", "0", "scale factor must be in (0, 1]"),
-    ("constant", "0", "positive integer widths"),
-    ("constant", "1/2", "positive integer widths"),
-    ("macroblock_scale", "3/2", "scale factor must be in (0, 1]"),
-    ("constant", "999", "lesion width 999 exceeds entry 1's 16 channels"),
-    ("proportional", "abc", "cannot parse sweep value 'abc'"),
-], ids=["proportional-2", "proportional-0", "constant-0", "constant-1/2", "macroblock-3/2",
-        "constant-above-the-nominal-width", "proportional-abc"])
-def test_a_bad_sweep_value_leaves_no_directory(tmp_path, capsys, kind, value, error):
-    out = tmp_path / "out"
-    assert run("lesion", "--config", write_cfg(tmp_path), "--out", out,
-               "--kind", kind, "--values", value) == 2
     assert error in capsys.readouterr().err
     assert not out.exists()
 
@@ -1280,6 +1264,14 @@ def test_import_loads_every_traced_module(module):
                           capture_output=True, text=True, env=src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert traced - set(proc.stdout.split()) == set()
+    # Each target resolves as the tracer reads it: a plain name from its
+    # module, a Class.method from the class's own namespace.
+    for _, module_name, attr, _ in tracing.TARGETS:
+        owner_name, _, leaf = attr.rpartition(".")
+        owner = importlib.import_module(module_name)
+        if owner_name:
+            owner = getattr(owner, owner_name)
+        assert leaf in vars(owner), f"{module_name}.{attr}"
 
 
 @pytest.mark.parametrize("argv", ["reduce", "rd --gnuplot --alphas 1 0.5",

@@ -146,11 +146,17 @@ def test_composed_reductions_share_the_slots(d15_spec, slots, alphas, calls):
 
 
 def test_a_repeated_alpha_is_reduced_once(d15_spec):
-    once, twice = (CountingOracle(cr.SurrogateOracle(d15_spec), slots=2) for _ in range(2))
-    point, = build_alpha_plus_backward_curve(d15_spec, [0.5], 0.01, once, cr.SEARCH_BUDGET)
-    assert build_alpha_plus_backward_curve(d15_spec, [0.5, 0.5], 0.01, twice,
-                                           cr.SEARCH_BUDGET) == [point, point]
-    assert twice.calls == once.calls
+    # 0.5000001 scales every width of the depth-8 model as 0.5 does: one model,
+    # one reduction of four calls.
+    for spec, alphas, slots, calls in [(d15_spec, [0.5, 0.5], 2, 10),
+                                       (cr.build_sequential_cnn(8, [8, 16]),
+                                        [0.5, 0.5000001], 1, 4)]:
+        once, twice = (CountingOracle(cr.SurrogateOracle(spec), slots=slots) for _ in range(2))
+        point, = build_alpha_plus_backward_curve(spec, alphas[:1], 0.01, once,
+                                                 cr.SEARCH_BUDGET)
+        assert build_alpha_plus_backward_curve(spec, alphas, 0.01, twice,
+                                               cr.SEARCH_BUDGET) == [point, point]
+        assert twice.calls == once.calls == calls
 
 
 @settings(max_examples=12, deadline=None)
