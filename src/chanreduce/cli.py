@@ -246,8 +246,9 @@ def _run_reduce(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
 
     final_record = None
     baseline = result.baseline_record
-    if cfg.oracle.kind == "external" and baseline.ok:
-        final_record = oracle.evaluate(result.reduced_config, cfg.final_budget())
+    if cfg.oracle.kind == "external" and baseline.ok:  # a search on the final budget holds it
+        final_record = ((budget == cfg.final_budget() and result.reduced_record)
+                        or oracle.evaluate(result.reduced_config, cfg.final_budget()))
 
     payload = result.to_dict()
     payload["final_evaluation"] = None if final_record is None else final_record.to_dict()
@@ -303,8 +304,6 @@ def _sweep_value(text: str):
 
 
 def _sweep_plan(args, cfg: RunConfig) -> SweepPlan:
-    if args.kind == SWEEP_MACROBLOCK and args.indices is not None:
-        raise ConfigError(f"--indices picks channel entries; {SWEEP_MACROBLOCK} scales blocks")
     return SweepPlan(args.kind, tuple(args.values),
                      None if args.indices is None else tuple(args.indices),
                      _pick_budget(cfg, args.budget))

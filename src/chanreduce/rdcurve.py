@@ -33,14 +33,12 @@ class RDPoint:
 
 
 def check_alphas(alphas) -> list:
-    """The multiplier grid as a list; empty, or with an alpha outside (0, 1] or
-    too small to scale a width (see :func:`scale_width`), raises."""
+    """The multiplier grid as a list; empty, or with an alpha :func:`scale_width`
+    refuses (outside (0, 1], or too small to scale a width), raises."""
     out = list(alphas)
     if not out:
         raise ValueError("need a non-empty multiplier grid")
     for a in out:
-        if not 0 < float(a) <= 1:
-            raise ValueError(f"width multiplier {a!r} outside (0, 1]")
         scale_width(1, a)
     return out
 
@@ -81,9 +79,8 @@ def build_alpha_plus_backward_curve(spec: ModelSpec, alphas, delta: float, oracl
     def reduce_at(config):
         result = backward_reduction(with_config(spec, config), None, delta, oracle, budget,
                                     scope, beta_mode=beta_mode, metric=metric)
-        record = next((p.record for p in result.trace
-                       if p.config == result.reduced_config and p.record.ok), None)
-        return result.reduced_report, record or oracle.evaluate(result.reduced_config, budget)
+        return result.reduced_report, (result.reduced_record
+                                       or oracle.evaluate(result.reduced_config, budget))
 
     return _curve(spec, alphas, oracle, reduce_at, "+backward",
                   "alpha=%g composed point status %s; point skipped")

@@ -81,6 +81,12 @@ class ReductionResult:
         return self.trace[0].record
 
     @property
+    def reduced_record(self) -> EvaluationRecord | None:
+        """The trace's ok record for the reduced configuration, if it has one."""
+        return next((p.record for p in self.trace
+                     if p.config == self.reduced_config and p.record.ok), None)
+
+    @property
     def oracle_calls(self) -> int:
         """Evaluations issued: one per config trained ok, one per probe not ok."""
         trained = {p.config for p in self.trace if p.record.ok}

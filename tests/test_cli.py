@@ -336,16 +336,6 @@ def test_lesion_macroblock_golden(tmp_path):
     assert (out / "summary.txt").read_bytes() == MACROBLOCK_SUMMARY_D15.encode()
 
 
-def test_lesion_macroblock_refuses_indices(tmp_path, capsys):
-    # A macroblock sweep scales whole blocks; an --indices it would ignore while
-    # recording it in resolved.cfg is a usage error.
-    out = tmp_path / "out"
-    assert run("lesion", "--config", write_cfg(tmp_path), "--out", out,
-               "--kind", "macroblock_scale", "--values", "1/2", "--indices", "1") == 2
-    assert "--indices" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_lesion_replay_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
@@ -526,12 +516,13 @@ def test_rd_on_three_files_slots_runs_three_trainers_at_once(tmp_path):
 
 
 @pytest.mark.parametrize("protocol,parallelism", [("pipe", 3), ("files", 2)])
-@pytest.mark.parametrize("argv", ["reduce", "rd --gnuplot --alphas 1 0.5",
+@pytest.mark.parametrize("argv", ["reduce", "reduce --budget final",
+                                  "rd --gnuplot --alphas 1 0.5",
                                   "lesion --kind proportional --values 1/2",
                                   "rd --alphas 0.5 0.5", "rd --alphas 0.5 0.5000001",
                                   "lesion --kind constant --values 8 --indices 1 2 3"],
-                         ids=["reduce", "rd", "lesion", "rd-repeated", "rd-same-model",
-                              "lesion-repeated"])
+                         ids=["reduce", "reduce-final", "rd", "lesion", "rd-repeated",
+                              "rd-same-model", "lesion-repeated"])
 def test_a_run_on_real_trainer_slots_replays(tmp_path, argv, protocol, parallelism):
     # Answers depend on their order and complete out of it, so a replay that
     # hands a record to another request than the run did shows. Width 8 is the
@@ -545,6 +536,50 @@ def test_a_run_on_real_trainer_slots_replays(tmp_path, argv, protocol, paralleli
         trace = json.loads((out / "reduction.json").read_text())["trace"]
         assert any(probe.get("speculative") for probe in trace)
     assert_replays(out)
+
+
+def _reduce_on_the_final_budget(tmp_path, parallelism):
+    """Run ``reduce --budget final`` on TRAINER over pipes; returns the run
+    directory, its ledger records and its reduction.json."""
+    cfg, state = trainer_cfg(tmp_path, "pipe", parallelism)
+    (state / "release").touch()
+    out = tmp_path / "out"
+    assert run("reduce", "--budget", "final", "--config", cfg, "--out", out) == 0
+    records = [json.loads(line) for line in (out / "ledger.jsonl").read_text().splitlines()]
+    return out, records, json.loads((out / "reduction.json").read_text())
+
+
+@pytest.mark.parametrize("parallelism,calls", [(1, 6), (3, 8)])
+def test_reduce_on_the_final_budget_trains_the_reduced_config_once(tmp_path, parallelism,
+                                                                   calls):
+    # The search trained the reduced config under the final budget already: its
+    # record is the final evaluation, and no experiment is trained twice.
+    out, records, payload = _reduce_on_the_final_budget(tmp_path, parallelism)
+    keys = {(r["config_digest"], json.dumps(r["budget"], sort_keys=True)) for r in records}
+    assert len(records) == len(keys) == calls
+    assert f"oracle_calls: {calls}\n" in (out / "summary.txt").read_text()
+    reduced = cr.ChannelConfig(*(tuple(payload["reduced_config"][key])
+                                 for key in ("channels", "macroblock_starts")))
+    spec = cr.RunConfig.from_file(out / "resolved.cfg").build_spec()
+    final = payload["final_evaluation"]
+    assert [r for r in records if r["config_digest"] == cr.config_digest(reduced, spec)] \
+        == [final]
+    assert final["budget"]["epochs"] == 90
+
+
+def test_replay_answers_the_final_evaluation_with_the_searchs_record(tmp_path):
+    # A reduce --budget final recorded while the reduced config was still
+    # trained twice holds a second (reduced, final) record. Its replay exits 0
+    # and reports the first one, which the search got.
+    out, _, payload = _reduce_on_the_final_budget(tmp_path, 1)
+    first = payload["final_evaluation"]
+    with (out / "ledger.jsonl").open("a") as fh:
+        fh.write(json.dumps(dict(first, top1=first["top1"] / 2), sort_keys=True) + "\n")
+    replayed = tmp_path / "replayed"
+    assert run("replay", out, "--out", replayed) == 0
+    assert json.loads((replayed / "reduction.json").read_text())["final_evaluation"] == first
+    assert f"final top1 (full budget): {first['top1']!r}\n" in \
+        (replayed / "summary.txt").read_text()
 
 
 def _two_slot_recorder(inner, ledger, spec, parallel_slots):
@@ -1196,7 +1231,7 @@ def test_a_run_directory_under_a_regular_file_fails_and_writes_nothing(tmp_path,
      "files protocol needs an exchange directory"),
     ("lesion --kind proportional --values 1/2 --indices 99", "",
      "channel index 99 out of range 1..15"),
-    ("rd --alphas 1.5", "", "width multiplier 1.5 outside (0, 1]"),
+    ("rd --alphas 1.5", "", "scale factor must be in (0, 1], got 1.5"),
     ("rd --alphas 1e-7", "", "scale factor must be in (0, 1]"),
     ("reduce", "[search]\nscope = 4\n", "search.scope must be within [1, 3]"),
     ("rd", "[search]\nscope = 4\n", "search.scope must be within [1, 3]"),
@@ -1227,6 +1262,10 @@ def test_a_run_directory_under_a_regular_file_fails_and_writes_nothing(tmp_path,
         ("macroblock_scale", "3/2", "scale factor must be in (0, 1]"),
         ("constant", "999", "lesion width 999 exceeds entry 1's 16 channels"),
         ("proportional", "abc", "cannot parse sweep value 'abc'")]),
+    # A macroblock sweep scales whole blocks; it would ignore --indices while
+    # recording them in resolved.cfg.
+    ("lesion --kind macroblock_scale --values 1/2 --indices 1", "",
+     "indices pick channel entries"),
 ], ids=["unbuildable-model", "no-classes", "no-trainer-slots", "files-without-exchange-dir",
         "lesion-index-past-the-last", "rd-alpha-above-1", "rd-alpha-too-small-to-scale",
         "reduce-scope-past-the-blocks", "rd-scope-past-the-blocks",
@@ -1238,7 +1277,7 @@ def test_a_run_directory_under_a_regular_file_fails_and_writes_nothing(tmp_path,
         "nan-timeout-reduce", "nan-timeout-size",
         "sweep-proportional-2", "sweep-proportional-0", "sweep-constant-0",
         "sweep-constant-1/2", "sweep-macroblock-3/2", "sweep-constant-above-the-nominal-width",
-        "sweep-proportional-abc"])
+        "sweep-proportional-abc", "lesion-macroblock-with-indices"])
 def test_a_run_that_cannot_start_leaves_no_directory(tmp_path, capsys, command, text, error):
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
@@ -1272,6 +1311,24 @@ def test_import_loads_every_traced_module(module):
         if owner_name:
             owner = getattr(owner, owner_name)
         assert leaf in vars(owner), f"{module_name}.{attr}"
+
+
+def test_the_installed_command_runs(tmp_path):
+    # pyproject.toml's [project.scripts] entry, run as the wrapper an install
+    # generates: import the named callable and exit with what it returns.
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with (Path(__file__).resolve().parents[1] / "pyproject.toml").open("rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["chanreduce"]
+    module, _, name = target.partition(":")
+    wrapper = tmp_path / "bin" / "chanreduce"
+    wrapper.parent.mkdir()
+    wrapper.write_text(f"import sys\nfrom {module} import {name}\nsys.exit({name}())\n")
+    out = tmp_path / "out"
+    proc = subprocess.run([sys.executable, wrapper, "size", "--config", write_cfg(tmp_path),
+                           "--out", out], capture_output=True, text=True, env=src_env(),
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((out / "size.json").read_text())["parameter_count"] > 0
 
 
 @pytest.mark.parametrize("argv", ["reduce", "rd --gnuplot --alphas 1 0.5",

@@ -281,6 +281,36 @@ def test_reduction_retries_a_failed_config():
         assert result.betas == (0.75,)
 
 
+@pytest.mark.parametrize("slots", [1, 3])
+@pytest.mark.parametrize("model", ["resnet18", "resnet34", "mobilenet", "d15"])
+def test_reduced_record_is_the_traced_record_of_the_reduced_config(model, slots):
+    # The feasible bound was probed ok, or is the baseline: the trace holds it.
+    spec = cr.build_sequential_cnn(15, [16, 32, 64]) if model == "d15" else getattr(cr, model)()
+    result = cr.backward_reduction(spec, None, 0.01,
+                                   CountingOracle(cr.SurrogateOracle(spec), slots=slots),
+                                   cr.SEARCH_BUDGET)
+    record = result.reduced_record
+    assert record is not None and record.ok
+    assert record.config_digest == cr.config_digest(result.reduced_config, spec)
+
+
+@pytest.mark.parametrize("slots", [1, 3])
+def test_a_failed_last_midpoint_has_no_reduced_record(d15_spec, slots):
+    # Under last_midpoint the reduced config is the last probe, here failed:
+    # no record holds it, so a composed rd point evaluates it once more.
+    mode = BetaMode.LAST_MIDPOINT
+    reduced = cr.backward_reduction(d15_spec, None, 0.01, cr.SurrogateOracle(d15_spec),
+                                    cr.SEARCH_BUDGET, beta_mode=mode).reduced_config
+    oracle = FailingOracle(cr.SurrogateOracle(d15_spec), lambda c: c == reduced, slots=slots)
+    result = cr.backward_reduction(d15_spec, None, 0.01, oracle, cr.SEARCH_BUDGET,
+                                   beta_mode=mode)
+    assert result.reduced_config == reduced and oracle.asked == 1
+    assert result.reduced_record is None
+    assert cr.build_alpha_plus_backward_curve(d15_spec, [1.0], 0.01, oracle,
+                                              cr.SEARCH_BUDGET, beta_mode=mode) == []
+    assert oracle.asked == 3
+
+
 def test_backward_reduction_defaults(d15_spec, d15_partition):
     oracle = CountingOracle(cr.SurrogateOracle(d15_spec))
     result = cr.backward_reduction(d15_spec, d15_partition, 0.01, oracle,
