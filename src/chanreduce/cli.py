@@ -229,10 +229,14 @@ def _fmt_widths(widths) -> str:
 
 
 def _check_partition(args, cfg: RunConfig, spec) -> None:
-    """The model partitions into macroblocks and the search scope fits them."""
+    """The model partitions into macroblocks, the search scope fits them, and the
+    oracle reports the search's metric (the surrogate gives top1 only)."""
     blocks = partition_macroblocks(spec).num_blocks
     if cfg.search.scope is not None and cfg.search.scope > blocks:
         raise ConfigError(f"search.scope must be within [1, {blocks}], got {cfg.search.scope}")
+    if cfg.oracle.kind == "surrogate" and cfg.search.metric != "top1":
+        raise ConfigError(f"the surrogate oracle reports no {cfg.search.metric}; "
+                          "set search.metric = top1")
 
 
 # -- reduce ------------------------------------------------------------------
@@ -245,8 +249,7 @@ def _run_reduce(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
                 beta_mode=cfg.beta_mode(), metric=cfg.search.metric)
 
     final_record = None
-    baseline = result.baseline_record
-    if cfg.oracle.kind == "external" and baseline.ok:  # a search on the final budget holds it
+    if cfg.oracle.kind == "external" and result.scope:  # a search on the final budget holds it
         final_record = ((budget == cfg.final_budget() and result.reduced_record)
                         or oracle.evaluate(result.reduced_config, cfg.final_budget()))
 
@@ -261,7 +264,7 @@ def _run_reduce(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
              f"budget: epochs={budget.epochs} milestones={list(budget.lr_milestones)}",
              f"macroblocks: {len(result.betas)}  "
              f"scope: {sorted(result.scope)}"]
-    value = baseline.metric(cfg.search.metric)
+    value = result.baseline_record.metric(cfg.search.metric)
     lines.append(f"baseline {cfg.search.metric}: "
                  f"{'unavailable' if value is None else repr(value)}")
     nominal = channel_config(spec)
@@ -280,13 +283,14 @@ def _run_reduce(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
     for d in result.diagnostics:
         lines.append(f"diagnostic: {d}")
     if final_record is not None:
+        value = final_record.metric(cfg.search.metric)
         final = (final_record.status if not final_record.ok
-                 else repr(final_record.metric(cfg.search.metric)))
+                 else "unavailable" if value is None else repr(value))
         lines.append(f"final {cfg.search.metric} (full budget): {final}")
 
-    print(f"{'reduction' if baseline.ok else 'reduction (baseline failed)'}: "
+    print(f"{'reduction' if result.scope else 'reduction (baseline failed)'}: "
           f"betas {list(result.betas)} -> {run_dir}")
-    return 0 if baseline.ok else 1, lines
+    return 0 if result.scope else 1, lines  # no scope: no usable baseline
 
 
 # -- lesion ------------------------------------------------------------------

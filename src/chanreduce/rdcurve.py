@@ -45,14 +45,14 @@ def check_alphas(alphas) -> list:
 
 def _curve(spec: ModelSpec, alphas, oracle, point_at, suffix: str, skipped: str) -> list[RDPoint]:
     """The alpha grid of both curves, sorted by size ascending. ``point_at(config)``
-    gives a scaled configuration's size report and record, once per distinct
-    configuration (see :func:`fan_out`); an alpha whose record failed is logged."""
+    gives a scaled configuration's size report and record (None: no point), once per
+    distinct configuration (see :func:`fan_out`); an alpha without an ok record is logged."""
     alphas = check_alphas(alphas)
     configs = [apply_alpha_scaling(channel_config(spec), alpha) for alpha in alphas]
     points = []
     for alpha, (report, record) in zip(alphas, fan_out(oracle, point_at, configs)):
-        if not record.ok:
-            log.warning(skipped, alpha, record.status)
+        if record is None or not record.ok:
+            log.warning(skipped, alpha, "unsearched" if record is None else record.status)
             continue
         points.append(RDPoint(f"alpha={float(alpha):g}{suffix}", report.size_bytes,
                               report.parameter_count, record.top1, record.config_digest))
@@ -75,10 +75,13 @@ def build_alpha_plus_backward_curve(spec: ModelSpec, alphas, delta: float, oracl
     model, then greedily reduce its macroblocks within the accuracy budget delta
     (measured against the scaled model's own accuracy). Each distinct scaled
     model is reduced once, on its share of the oracle's slots; its point takes
-    the reduced configuration's ok record from the trace, else evaluates it again."""
+    the reduced configuration's ok record from the trace, else evaluates it again.
+    A reduction that searched nothing (no usable baseline) gives no point."""
     def reduce_at(config):
         result = backward_reduction(with_config(spec, config), None, delta, oracle, budget,
                                     scope, beta_mode=beta_mode, metric=metric)
+        if not result.scope:
+            return result.reduced_report, None
         return result.reduced_report, (result.reduced_record
                                        or oracle.evaluate(result.reduced_config, budget))
 

@@ -269,8 +269,10 @@ def _greedy_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
             baseline_record = probes[0].record
             baseline = baseline_record.metric(metric) if baseline_record.ok else None
             if baseline is None:
-                diagnostics.append("baseline evaluation failed; no block was searched")
-                log.warning("baseline evaluation failed (status %s)", baseline_record.status)
+                cause = (f"baseline record has no {metric}" if baseline_record.ok
+                         else "baseline evaluation failed")
+                diagnostics.append(f"{cause}; no block was searched")
+                log.warning("%s (status %s)", cause, baseline_record.status)
                 break
         path = [p for p in probes if p.block is not None and not p.speculative]
         if path and not any(p.record.ok for p in path):

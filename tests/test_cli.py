@@ -1181,6 +1181,86 @@ def test_reduce_with_a_failed_baseline(tmp_path):
     assert_replays(out, 1)
 
 
+def pipe_trainer_cfg(tmp_path, reply, extra=""):
+    """Config of the depth-6 ``8, 16`` model, trained over a pipe by a trainer
+    that answers request ``req`` with the reply fields ``reply``, a Python
+    expression; ``seen`` counts the requests for each channel vector so far,
+    this one included. ``extra`` is appended to the config."""
+    script = tmp_path / "trainer.py"
+    script.write_text(textwrap.dedent(f"""\
+        import collections, json, sys
+        seen = collections.Counter()
+        for line in sys.stdin:
+            req = json.loads(line)
+            seen[tuple(req["channels"])] += 1
+            top1 = 0.9 * min(1.0, sum(req["channels"]) / 100)
+            print(json.dumps(dict(run_id=req["run_id"], wall_seconds=1.0, **{reply})),
+                  flush=True)
+        """))
+    return write_cfg(tmp_path, textwrap.dedent(f"""\
+        [model]
+        depth = 6
+        block_widths = 8, 16
+        [oracle]
+        kind = external
+        trainer_cmd = {sys.executable} {script}
+        timeout_seconds = 60
+        """) + extra)
+
+
+def test_reduce_whose_baseline_lacks_the_metric_searches_and_trains_nothing_more(
+        tmp_path, capsys, caplog):
+    # An ok baseline without the search's metric is no usable baseline: no
+    # block is searched, the run fails, and no final evaluation is trained.
+    cfg = pipe_trainer_cfg(tmp_path, 'dict(status="ok", top1=top1)',
+                           "[search]\nmetric = top5\n")
+    out = tmp_path / "out"
+    with caplog.at_level("WARNING", logger="chanreduce.search"):
+        assert run("reduce", "--config", cfg, "--out", out) == 1
+    assert "reduction (baseline failed): betas [1.0, 1.0]" in capsys.readouterr().out
+    assert [r.message for r in caplog.records if r.name == "chanreduce.search"] == \
+        ["baseline record has no top5 (status ok)"]
+    assert len((out / "ledger.jsonl").read_text().splitlines()) == 1
+    assert json.loads((out / "reduction.json").read_text())["final_evaluation"] is None
+    summary = (out / "summary.txt").read_text()
+    assert "baseline top5: unavailable\n" in summary
+    assert "diagnostic: baseline record has no top5; no block was searched\n" in summary
+    assert "final" not in summary
+    assert_replays(out, 1)
+
+
+def test_reduce_reports_a_final_record_without_the_metric_as_unavailable(tmp_path):
+    cfg = pipe_trainer_cfg(
+        tmp_path, 'dict(status="ok", top1=top1, top5=None if req["epochs"] == 90 else top1)',
+        "[search]\nmetric = top5\n")
+    out = tmp_path / "out"
+    assert run("reduce", "--config", cfg, "--out", out) == 0
+    final = json.loads((out / "reduction.json").read_text())["final_evaluation"]
+    assert final["status"] == "ok" and final["top5"] is None
+    assert (out / "summary.txt").read_text().endswith(
+        "final top5 (full budget): unavailable\n")
+    assert_replays(out)
+
+
+def test_rd_gives_no_composed_point_after_a_failed_baseline(tmp_path, caplog):
+    # Each configuration's second request fails. That is each reduction's
+    # baseline, as the alpha point comes first; no reduction searches, and the
+    # unreduced scaled models are not trained again as composed points.
+    cfg = pipe_trainer_cfg(tmp_path, 'dict(status="failed") if seen[tuple(req["channels"])] '
+                                     '== 2 else dict(status="ok", top1=top1)')
+    out = tmp_path / "out"
+    with caplog.at_level("WARNING", logger="chanreduce.rdcurve"):
+        assert run("rd", "--alphas", "1", "0.5", "--config", cfg, "--out", out) == 0
+    records = [json.loads(line) for line in (out / "ledger.jsonl").read_text().splitlines()]
+    assert [r["status"] for r in records] == ["ok", "ok", "failed", "failed"]
+    assert (out / "rd_curve.csv").read_text() == "label,size_bytes,params,top1,config_digest\n"
+    assert len((out / "alpha_curve.csv").read_text().splitlines()) == 3
+    assert "curve alpha+backward: 0 points\n" in (out / "summary.txt").read_text()
+    assert [r.message for r in caplog.records if r.name == "chanreduce.rdcurve"] == [
+        f"alpha={a} composed point status unsearched; point skipped" for a in (1, 0.5)]
+    assert_replays(out)
+
+
 def test_lesion_with_some_failed_evaluations(tmp_path, monkeypatch, caplog):
     # Every config whose last entry is below its nominal 16 fails.
     monkeypatch.setattr(cli, "SurrogateOracle", lambda *args: FailingOracle(
@@ -1266,6 +1346,9 @@ def test_a_run_directory_under_a_regular_file_fails_and_writes_nothing(tmp_path,
     # recording them in resolved.cfg.
     ("lesion --kind macroblock_scale --values 1/2 --indices 1", "",
      "indices pick channel entries"),
+    # The surrogate reports top1 only, so no baseline could be used.
+    ("reduce", "[search]\nmetric = top5\n", "the surrogate oracle reports no top5"),
+    ("rd", "[search]\nmetric = top5\n", "the surrogate oracle reports no top5"),
 ], ids=["unbuildable-model", "no-classes", "no-trainer-slots", "files-without-exchange-dir",
         "lesion-index-past-the-last", "rd-alpha-above-1", "rd-alpha-too-small-to-scale",
         "reduce-scope-past-the-blocks", "rd-scope-past-the-blocks",
@@ -1277,13 +1360,23 @@ def test_a_run_directory_under_a_regular_file_fails_and_writes_nothing(tmp_path,
         "nan-timeout-reduce", "nan-timeout-size",
         "sweep-proportional-2", "sweep-proportional-0", "sweep-constant-0",
         "sweep-constant-1/2", "sweep-macroblock-3/2", "sweep-constant-above-the-nominal-width",
-        "sweep-proportional-abc", "lesion-macroblock-with-indices"])
+        "sweep-proportional-abc", "lesion-macroblock-with-indices",
+        "reduce-surrogate-top5", "rd-surrogate-top5"])
 def test_a_run_that_cannot_start_leaves_no_directory(tmp_path, capsys, command, text, error):
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"
     assert run(*command.split(), "--config", cfg, "--out", out) == 2
     assert error in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_lesion_on_the_surrogate_does_not_read_the_search_metric(tmp_path):
+    cfg = write_cfg(tmp_path, "[model]\ndepth = 2\nblock_widths = 8, 16\n"
+                              "[search]\nmetric = top5\n")
+    out = tmp_path / "out"
+    assert run("lesion", "--config", cfg, "--out", out, "--kind", "constant",
+               "--values", "4", "--indices", "1") == 0
+    assert "failed: 0\n" in (out / "summary.txt").read_text()
 
 
 @pytest.mark.parametrize("module", ["chanreduce", "chanreduce.cli"])

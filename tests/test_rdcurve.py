@@ -4,6 +4,7 @@ the per-block search."""
 from __future__ import annotations
 
 import csv
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,6 +111,27 @@ def test_composed_point_ending_on_a_failed_record_is_evaluated_again(d15_spec, c
         assert points == []
         assert any("alpha=0.5 composed point status failed" in r.message
                    for r in caplog.records)
+
+
+def test_a_reduction_that_searched_nothing_gives_no_composed_point(d15_spec, caplog):
+    # As in rd, each scaled model is evaluated for its alpha point first, so
+    # failing its second request fails its reduction's baseline. That reduction
+    # searches nothing, and the unreduced model is not trained a third time.
+    seen = Counter()
+
+    def second_request(config):
+        seen[config] += 1
+        return seen[config] == 2
+
+    oracle = FailingOracle(cr.SurrogateOracle(d15_spec), second_request)
+    alphas = (1.0, 0.5)
+    assert len(build_alpha_curve(d15_spec, alphas, oracle, cr.SEARCH_BUDGET)) == 2
+    with caplog.at_level("WARNING", logger="chanreduce.rdcurve"):
+        assert build_alpha_plus_backward_curve(d15_spec, alphas, 0.01, oracle,
+                                               cr.SEARCH_BUDGET) == []
+    assert sorted(seen.values()) == [2, 2]
+    assert [r.message for r in caplog.records if r.name == "chanreduce.rdcurve"] == [
+        f"alpha={a:g} composed point status unsearched; point skipped" for a in alphas]
 
 
 def test_curve_ledger_appends(d15_spec, tmp_path):

@@ -397,6 +397,20 @@ def test_failed_baseline_skips_search(d15_spec, d15_partition):
     assert len(result.trace) == 1
 
 
+def test_a_baseline_without_the_metric_names_it_and_skips_search(d15_spec, d15_partition,
+                                                                   caplog):
+    # The surrogate reports top1 only: its ok baseline gives no top5 to search on.
+    with caplog.at_level("WARNING", logger="chanreduce.search"):
+        result = cr.backward_reduction(d15_spec, d15_partition, 0.01,
+                                       cr.SurrogateOracle(d15_spec), cr.SEARCH_BUDGET,
+                                       metric="top5")
+    assert result.baseline_record.ok
+    assert result.scope == frozenset() and result.reduced_record == result.baseline_record
+    assert result.diagnostics == ("baseline record has no top5; no block was searched",)
+    assert [r.message for r in caplog.records] == ["baseline record has no top5 (status ok)"]
+    assert len(result.trace) == 1
+
+
 @pytest.mark.parametrize("mode", [BetaMode.FEASIBLE_BOUND, BetaMode.LAST_MIDPOINT])
 def test_all_failed_probes_leave_block_alone(d15_spec, d15_partition, mode):
     # The baseline is ok; every other config fails.
