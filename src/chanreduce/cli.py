@@ -7,8 +7,9 @@ descriptor model's ``model.json``, and the command's reports. ``chanreduce
 replay RUNDIR`` re-renders those reports from the ledger alone; reports carry no
 timestamps, so a replay is byte-identical.
 A rerun into the same directory answers from the ledger first and trains only
-what it lacks, so an interrupted run resumes where it stopped; a rerun with other
-``[oracle]`` settings is refused.
+what it lacks, so an interrupted run resumes where it stopped. A rerun with other
+``[oracle]`` settings is refused, as is a replay into a directory whose ledger
+holds other records.
 
 Exit codes: 0 success, 1 runtime failure (reports may be partial), 2 bad
 configuration or usage.
@@ -129,17 +130,21 @@ def _make_oracle(cfg: RunConfig, spec, run_dir: Path, replaying: bool):
                            parallel_slots=cfg.search_slots or 1), closer
 
 
-def _check_rerun(cfg: RunConfig, run_dir: Path, resolved: str) -> None:
-    """A rerun answers from the run's ledger first, so it must evaluate as the
-    run did: with the same ``[oracle]`` settings, or as a replay of that ledger."""
-    ledger, old = run_dir / "ledger.jsonl", run_dir / "resolved.cfg"
-    o = cfg.oracle
-    if (not old.exists() or not ledger.exists() or not ledger.stat().st_size
-            or o.kind == "replay" and Path(o.ledger).resolve() == ledger.resolve()):
+def _check_target(cfg: RunConfig, run_dir: Path, replay_dir: Path | None) -> None:
+    """A directory whose ledger holds records takes only a run that goes on with
+    them: a rerun with the same ``[oracle]`` settings or replaying that ledger,
+    or a replay whose source ledger it holds a copy of."""
+    ledger = run_dir / "ledger.jsonl"
+    if not ledger.exists() or not ledger.stat().st_size:
         return
-    oracles = {text.partition("[oracle]\n")[2].partition("\n\n")[0]
-               for text in (old.read_text(encoding="utf-8"), resolved)}
-    if len(oracles) > 1:
+    if replay_dir is not None:
+        if ledger.read_bytes() != (replay_dir / "ledger.jsonl").read_bytes():
+            raise ConfigError(f"{run_dir} holds another run's evaluations; "
+                              f"replay into a fresh --out")
+        return
+    old, o = run_dir / "resolved.cfg", cfg.oracle
+    own = o.kind == "replay" and Path(o.ledger).resolve() == ledger.resolve()
+    if old.exists() and not own and RunConfig.from_file(old).oracle != o:
         raise ConfigError(f"{run_dir} holds evaluations made with other [oracle] "
                           f"settings; use a fresh --out")
 
@@ -147,10 +152,10 @@ def _check_rerun(cfg: RunConfig, run_dir: Path, resolved: str) -> None:
 def _run(args) -> int:
     """Set up the run directory, run ``args.body(args, cfg, run_dir, spec, oracle)``
     and write the summary lines it returns with its exit code. Nothing is written
-    before the model is built, ``args.check(args, cfg, spec)`` passes and the
-    oracle is built. A replay that finds no ledger record for an evaluation ends
-    as a failed run; a command without a training budget evaluates nothing and
-    gets no oracle."""
+    before the model is built, ``args.check(args, cfg, spec)`` and ``_check_target``
+    pass, and a new run's oracle is built. A replay that finds no ledger record for
+    an evaluation ends as a failed run; a command without a training budget
+    evaluates nothing and gets no oracle."""
     replay_dir = getattr(args, "replay_dir", None)
     evaluates = "--budget" in args.flags
     cfg = RunConfig.from_file(args.config)
@@ -165,7 +170,8 @@ def _run(args) -> int:
             cfg.search_slots = cfg.oracle.parallelism if cfg.oracle.kind == "external" else 1
         if cfg.model.family == "descriptor":   # the run keeps its model, saved below
             cfg.model.descriptor = "model.json"
-    elif run_dir.resolve() != replay_dir.resolve():
+    _check_target(cfg, run_dir, replay_dir)
+    if replay_dir is not None and run_dir.resolve() != replay_dir.resolve():
         run_dir.mkdir(parents=True, exist_ok=True)
         for name in ("resolved.cfg", "ledger.jsonl", "model.json"):
             if (replay_dir / name).exists():
@@ -173,12 +179,10 @@ def _run(args) -> int:
     oracle, closer = (_make_oracle(cfg, spec, run_dir, replay_dir is not None)
                       if evaluates else (None, None))
     if replay_dir is None:
-        resolved = cfg.resolved_text()
-        _check_rerun(cfg, run_dir, resolved)
         run_dir.mkdir(parents=True, exist_ok=True)
         if cfg.model.family == "descriptor":
             save_descriptor(spec, run_dir / cfg.model.descriptor)
-        (run_dir / "resolved.cfg").write_text(resolved, encoding="utf-8")
+        (run_dir / "resolved.cfg").write_text(cfg.resolved_text(), encoding="utf-8")
     # Even an evaluation-free run leaves a (possibly empty) ledger, so every
     # run directory is replayable.
     (run_dir / "ledger.jsonl").touch(exist_ok=True)
@@ -288,9 +292,9 @@ def _run_reduce(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
                  else "unavailable" if value is None else repr(value))
         lines.append(f"final {cfg.search.metric} (full budget): {final}")
 
-    print(f"{'reduction' if result.scope else 'reduction (baseline failed)'}: "
-          f"betas {list(result.betas)} -> {run_dir}")
-    return 0 if result.scope else 1, lines  # no scope: no usable baseline
+    verdict = "reduction" if result.scope else f"reduction ({result.diagnostics[0]})"
+    print(f"{verdict}: betas {list(result.betas)} -> {run_dir}")
+    return 0 if result.scope else 1, lines  # no scope: no usable baseline; diagnostics[0] says why
 
 
 # -- lesion ------------------------------------------------------------------

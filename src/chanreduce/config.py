@@ -81,7 +81,7 @@ class OracleConfig:
     exponent: float = SurrogateParams.exponent
     frontiers: tuple[float, ...] = SurrogateParams.frontiers
     weights: tuple[float, ...] = SurrogateParams.weights
-    parallelism: int = 1
+    parallelism: int = _bounded(1, 1)
     timeout_seconds: float = 3600.0
     protocol: str = _word("pipe", "files")
     ledger: str | None = _path()

@@ -240,6 +240,27 @@ def test_replay_refuses_a_run_directory_missing_its_ledger_or_command(tmp_path, 
     assert not (tmp_path / "b").exists()
 
 
+def test_replay_into_a_directory_holding_another_runs_ledger_is_refused(tmp_path, capsys):
+    # Each ledger line stands for a training; a replay into another directory
+    # may overwrite only a copy of the ledger it replays.
+    cfg = write_cfg(tmp_path)
+    source, other = tmp_path / "source", tmp_path / "other"
+    assert run("reduce", "--config", cfg, "--out", source) == 0
+    assert run("lesion", "--config", cfg, "--out", other,
+               "--kind", "proportional", "--values", "1/2") == 0
+    assert len((other / "ledger.jsonl").read_text().splitlines()) == 15
+    before = snapshot(other)
+    capsys.readouterr()
+    assert run("replay", source, "--out", other) == 2
+    assert f"{other} holds another run's evaluations" in capsys.readouterr().err
+    assert snapshot(other) == before
+
+    replayed = tmp_path / "replayed"
+    for _ in range(2):   # the second replay finds a copy of its own ledger
+        assert run("replay", source, "--out", replayed) == 0
+        assert snapshot(replayed) == snapshot(source)
+
+
 def test_lesion_constant(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "out"
@@ -745,6 +766,29 @@ def test_rerun_with_other_oracle_settings_is_refused(tmp_path, monkeypatch, caps
         [0.5625, 0.53125, 0.515625]
 
 
+@pytest.mark.parametrize("today,recorded", [
+    ("protocol = pipe\n", ""),
+    ("a_max = 0.91\nexponent = 2.0\n", "exponent = 2\na_max = 0.910\n"),
+    ("frontiers = 0.95 0.85 0.55\n", "frontiers = 0.95, 0.85, 5.5e-1\n"),
+], ids=["key-added-later", "key-order-and-float-spelling", "list-spelling"])
+def test_rerun_compares_the_recorded_oracle_settings_as_parsed_values(
+        tmp_path, monkeypatch, today, recorded):
+    # A resolved.cfg written by an older chanreduce, or edited by hand, that
+    # differs from today's only in form records the same [oracle] settings.
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert run("reduce", "--config", cfg, "--out", out) == 0
+    resolved = out / "resolved.cfg"
+    text = resolved.read_text()
+    assert today in text
+    resolved.write_text(text.replace(today, recorded))
+    made = _counting_surrogates(monkeypatch)
+    assert run("reduce", "--config", cfg, "--out", out) == 0
+    assert made[0].calls == 0
+    assert len((out / "ledger.jsonl").read_text().splitlines()) == 13
+    assert resolved.read_text() == text
+
+
 def test_rerun_reports_the_failures_it_serves(tmp_path, capsys):
     # A files-mode trainer that fails while its host is down. The rerun after
     # the host is back serves the recorded failure and says so; a fresh run
@@ -1217,7 +1261,8 @@ def test_reduce_whose_baseline_lacks_the_metric_searches_and_trains_nothing_more
     out = tmp_path / "out"
     with caplog.at_level("WARNING", logger="chanreduce.search"):
         assert run("reduce", "--config", cfg, "--out", out) == 1
-    assert "reduction (baseline failed): betas [1.0, 1.0]" in capsys.readouterr().out
+    assert ("reduction (baseline record has no top5; no block was searched): "
+            "betas [1.0, 1.0]") in capsys.readouterr().out
     assert [r.message for r in caplog.records if r.name == "chanreduce.search"] == \
         ["baseline record has no top5 (status ok)"]
     assert len((out / "ledger.jsonl").read_text().splitlines()) == 1
@@ -1227,6 +1272,15 @@ def test_reduce_whose_baseline_lacks_the_metric_searches_and_trains_nothing_more
     assert "diagnostic: baseline record has no top5; no block was searched\n" in summary
     assert "final" not in summary
     assert_replays(out, 1)
+
+
+def test_reduce_names_a_failed_baseline_on_the_console(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "SurrogateOracle", lambda *args: FailingOracle(
+        cr.SurrogateOracle(*args), lambda config: True))
+    out = tmp_path / "out"
+    assert run("reduce", "--config", write_cfg(tmp_path), "--out", out) == 1
+    assert capsys.readouterr().out == ("reduction (baseline evaluation failed; no block "
+                                       f"was searched): betas [1.0, 1.0, 1.0] -> {out}\n")
 
 
 def test_reduce_reports_a_final_record_without_the_metric_as_unavailable(tmp_path):
@@ -1306,7 +1360,9 @@ def test_a_run_directory_under_a_regular_file_fails_and_writes_nothing(tmp_path,
     ("size", "[model]\nnum_classes = 0\n",
      "cannot build model: input_channels and num_classes must be >= 1"),
     ("reduce", "[oracle]\nkind = external\ntrainer_cmd = t\nparallelism = 0\n",
-     "parallelism must be >= 1"),
+     "oracle.parallelism must be within [1, inf], got 0"),
+    ("reduce", "[oracle]\nparallelism = -4\n",
+     "oracle.parallelism must be within [1, inf], got -4"),
     ("reduce", "[oracle]\nkind = external\ntrainer_cmd = t\nprotocol = files\n",
      "files protocol needs an exchange directory"),
     ("lesion --kind proportional --values 1/2 --indices 99", "",
@@ -1349,7 +1405,8 @@ def test_a_run_directory_under_a_regular_file_fails_and_writes_nothing(tmp_path,
     # The surrogate reports top1 only, so no baseline could be used.
     ("reduce", "[search]\nmetric = top5\n", "the surrogate oracle reports no top5"),
     ("rd", "[search]\nmetric = top5\n", "the surrogate oracle reports no top5"),
-], ids=["unbuildable-model", "no-classes", "no-trainer-slots", "files-without-exchange-dir",
+], ids=["unbuildable-model", "no-classes", "no-trainer-slots", "surrogate-parallelism-negative",
+        "files-without-exchange-dir",
         "lesion-index-past-the-last", "rd-alpha-above-1", "rd-alpha-too-small-to-scale",
         "reduce-scope-past-the-blocks", "rd-scope-past-the-blocks",
         "search-milestone-past-the-epochs",

@@ -307,3 +307,16 @@ def test_readme_names_the_families_reading_each_model_key():
         if key == "descriptor":
             readers.add("descriptor")
         assert set(re.split(r",\s*", comment.strip())) == readers, key
+
+
+def test_readme_library_example_prints_what_its_comments_say(capsys):
+    """The README's "Library use" block runs as written, and each line it prints
+    opens its print call's ``# …`` comment."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    comments = re.findall(r"^print\(.*#\s*(.*)$", block, re.MULTILINE)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert len(printed) == len(comments) == 2
+    for line, comment in zip(printed, comments):
+        assert comment == line or comment.startswith(line + " ("), (line, comment)
