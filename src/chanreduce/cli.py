@@ -130,10 +130,10 @@ def _make_oracle(cfg: RunConfig, spec, run_dir: Path, replaying: bool):
                            parallel_slots=cfg.search_slots or 1), closer
 
 
-def _check_target(cfg: RunConfig, run_dir: Path, replay_dir: Path | None) -> None:
+def _check_target(cfg: RunConfig, spec, run_dir: Path, replay_dir: Path | None) -> None:
     """A directory whose ledger holds records takes only a run that goes on with
-    them: a rerun with the same ``[oracle]`` settings or replaying that ledger,
-    or a replay whose source ledger it holds a copy of."""
+    them: a rerun with the same record key (``RunConfig.record_key``) or replaying
+    that ledger, or a replay whose source ledger it holds a copy of."""
     ledger = run_dir / "ledger.jsonl"
     if not ledger.exists() or not ledger.stat().st_size:
         return
@@ -144,9 +144,9 @@ def _check_target(cfg: RunConfig, run_dir: Path, replay_dir: Path | None) -> Non
         return
     old, o = run_dir / "resolved.cfg", cfg.oracle
     own = o.kind == "replay" and Path(o.ledger).resolve() == ledger.resolve()
-    if old.exists() and not own and RunConfig.from_file(old).oracle != o:
-        raise ConfigError(f"{run_dir} holds evaluations made with other [oracle] "
-                          f"settings; use a fresh --out")
+    if old.exists() and not own and RunConfig.from_file(old).record_key() != cfg.record_key(spec):
+        raise ConfigError(f"{run_dir} holds evaluations made for another dataset or with "
+                          f"other [oracle] settings; use a fresh --out")
 
 
 def _run(args) -> int:
@@ -170,7 +170,7 @@ def _run(args) -> int:
             cfg.search_slots = cfg.oracle.parallelism if cfg.oracle.kind == "external" else 1
         if cfg.model.family == "descriptor":   # the run keeps its model, saved below
             cfg.model.descriptor = "model.json"
-    _check_target(cfg, run_dir, replay_dir)
+    _check_target(cfg, spec, run_dir, replay_dir)
     if replay_dir is not None and run_dir.resolve() != replay_dir.resolve():
         run_dir.mkdir(parents=True, exist_ok=True)
         for name in ("resolved.cfg", "ledger.jsonl", "model.json"):

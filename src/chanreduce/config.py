@@ -15,7 +15,7 @@ import inspect
 import io
 import logging
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -87,6 +87,8 @@ class OracleConfig:
     ledger: str | None = _path()
     trainer_cmd: str | None = None
     exchange_dir: str | None = _path()
+    # Keys that say only how to reach the trainer, so a rerun may change them.
+    BRIDGE = ("parallelism", "timeout_seconds", "protocol", "exchange_dir")
 
 
 @dataclass
@@ -151,20 +153,23 @@ class RunConfig:
         cfg = cls()
         keys = {(section, f.name): (f, part) for section, f, part in cfg._keys()}
         sections = {section for section, _ in keys}
-        for section in parser.sections():
-            if section not in sections:
-                log.warning("ignoring unknown config section [%s]", section)
-                continue
-            for key, raw in parser[section].items():
-                if (section, key) not in keys:
-                    log.warning("ignoring unknown config key %s.%s", section, key)
+        try:
+            for section in parser.sections():
+                if section not in sections:
+                    log.warning("ignoring unknown config section [%s]", section)
                     continue
-                f, part = keys[section, key]
-                value = _parse(f"{section}.{key}", f, raw.strip())
-                if value is not None and f.metadata.get("path"):
-                    value = str(path.resolve().parent / value)   # an absolute value stays
-                setattr(part, key, value)
-        cfg._validate()
+                for key, raw in parser[section].items():
+                    if (section, key) not in keys:
+                        log.warning("ignoring unknown config key %s.%s", section, key)
+                        continue
+                    f, part = keys[section, key]
+                    value = _parse(f"{section}.{key}", f, raw.strip())
+                    if value is not None and f.metadata.get("path"):
+                        value = str(path.resolve().parent / value)   # an absolute value stays
+                    setattr(part, key, value)
+            cfg._validate()
+        except ConfigError as exc:
+            raise ConfigError(f"{exc} (in {path})") from exc
         return cfg
 
     def _validate(self) -> None:
@@ -221,6 +226,11 @@ class RunConfig:
                                       for f in fields(SurrogateParams)})
         except ValueError as exc:
             raise ConfigError(f"bad surrogate parameters: {exc}") from exc
+
+    def record_key(self, spec: ModelSpec | None = None) -> tuple:
+        """What a record answers for: ``spec``'s dataset and each [oracle] key but BRIDGE."""
+        return ((spec or self.build_spec()).meta.dataset,
+                replace(self.oracle, **dict.fromkeys(OracleConfig.BRIDGE)))
 
     def _budget(self, epochs: int, milestones: tuple[int, ...]) -> TrainingBudget:
         """The recipe: each [budget] key named after a TrainingBudget field, plus

@@ -192,11 +192,11 @@ def fan_out(oracle, fn, items) -> list:
 class EvaluationLedger:
     """Append-only JSON-lines store of evaluation records.
 
-    Each record is one append-mode write, serialized by a lock; the first append creates
-    the file and its directory. A lookup returns the newest record for a (digest, budget),
-    or the n-th in ledger order. Corrupt lines are skipped with a warning so a damaged file
-    never blocks replay. A crash in the middle of a write leaves an unterminated last line;
-    the first append terminates it, so the new record starts on a line of its own.
+    Each record is one append-mode write under a lock, synced before ``append`` returns;
+    the first record creates the file and its directory, and syncs the directory. A lookup
+    returns the newest record for a (digest, budget), or the n-th in ledger order. Corrupt
+    lines are skipped with a warning so a damaged file never blocks replay. A crash in the
+    middle of a write leaves an unterminated last line; the first append terminates it.
     """
 
     def __init__(self, path):
@@ -231,16 +231,18 @@ class EvaluationLedger:
         line = canonical_json(record.to_dict())
         with self._lock:
             data = memoryview((("\n" if self._torn_tail else "") + line + "\n").encode())
-            try:
-                fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
-            except FileNotFoundError:
+            if not self._records:   # the first record: its file may be new, so sync the directory
                 self.path.parent.mkdir(parents=True, exist_ok=True)
-                fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            fds = [os.open(self.path.parent, os.O_RDONLY)] if not self._records else []
             try:
+                fds.append(fd := os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666))
                 while data:
                     data = data[os.write(fd, data):]
+                for each in fds:
+                    os.fsync(each)
             finally:
-                os.close(fd)
+                for each in fds:
+                    os.close(each)
             self._torn_tail = False
             self._index(record)
 

@@ -6,6 +6,7 @@ import contextlib
 import importlib.util
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -787,6 +788,103 @@ def test_rerun_compares_the_recorded_oracle_settings_as_parsed_values(
     assert made[0].calls == 0
     assert len((out / "ledger.jsonl").read_text().splitlines()) == 13
     assert resolved.read_text() == text
+
+
+@pytest.mark.parametrize("family", ["sequential", "descriptor"])
+def test_rerun_for_another_dataset_is_refused(tmp_path, capsys, family):
+    # The config digest leaves the dataset label out, so only this check keeps
+    # one dataset's records from answering requests that name another. The
+    # trainer's top1 depends on the dataset a request names.
+    cfg = pipe_trainer_cfg(tmp_path, 'dict(status="ok", top1=top1 * '
+                                     '(0.5 if req["dataset"] == "svhn" else 0.75))')
+    model, text = "[model]\ndepth = 6\nblock_widths = 8, 16\n", cfg.read_text()
+    net = tmp_path / "net.json"
+    if family == "descriptor":
+        cr.save_descriptor(cr.build_sequential_cnn(6, [8, 16]), net)
+        text = text.replace(model, "[model]\nfamily = descriptor\ndescriptor = net.json\n")
+        cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run("reduce", "--config", cfg, "--out", out) == 0
+    before = snapshot(out)
+    capsys.readouterr()
+
+    if family == "descriptor":   # the header of the descriptor names the dataset
+        cr.save_descriptor(cr.build_sequential_cnn(6, [8, 16], dataset="svhn"), net)
+    else:
+        cfg.write_text(text.replace(model, model + "dataset = svhn\n"))
+    assert run("reduce", "--config", cfg, "--out", out) == 2
+    assert f"{out} holds evaluations made for another dataset" in capsys.readouterr().err
+    assert snapshot(out) == before
+    fresh = tmp_path / "fresh"
+    assert run("reduce", "--config", cfg, "--out", fresh) == 0
+    baseline = [(d / "summary.txt").read_text().split("baseline top1: ")[1].split("\n")[0]
+                for d in (out, fresh)]
+    assert float(baseline[1]) == pytest.approx(float(baseline[0]) * 0.5 / 0.75)
+
+
+@pytest.mark.parametrize("key,value", [("parallelism", "2"), ("timeout_seconds", "30.0"),
+                                       ("protocol", "files"), ("exchange_dir", "elsewhere")])
+def test_rerun_with_other_trainer_bridge_settings_resumes(tmp_path, key, value):
+    # These keys say how to reach the trainer, not what it answers: a search
+    # resumed on fewer trainer slots or another exchange directory goes on with
+    # its records and trains only what its ledger lacks.
+    cfg, state = trainer_cfg(tmp_path, "pipe", 1)
+    (state / "release").touch()
+    out = tmp_path / "out"
+    assert run("reduce", "--config", cfg, "--out", out) == 0
+    cfg.write_text(re.sub(f"(?m)^{key} = .*$", f"{key} = {value}", cfg.read_text()))
+    assert run("reduce", "--config", cfg, "--out", out) == 0
+    resolved = (out / "resolved.cfg").read_text()
+    assert f"\n{key} = {tmp_path / value if key == 'exchange_dir' else value}\n" in resolved
+    assert len((out / "ledger.jsonl").read_text().splitlines()) == len(_evaluations(out))
+    assert_replays(out)
+
+
+@pytest.mark.parametrize("argv,recorded,resumed,appended", [
+    ("reduce", 3, 2, 0), ("rd", 3, 2, 0), ("reduce", 1, 3, 2)],
+    ids=["reduce-fewer", "rd-fewer", "reduce-more"])
+def test_a_run_resumed_on_other_trainer_slots_trains_only_what_its_ledger_lacks(
+        tmp_path, argv, recorded, resumed, appended):
+    # Fewer slots speculate less, so the resumed searches ask only for
+    # configurations the first run trained; more slots speculate on ones it
+    # never asked for. Either way the run ends as a fresh run on the new slots.
+    cfg, state = trainer_cfg(tmp_path, "pipe", recorded)
+    (state / "release").touch()
+    out, fresh = tmp_path / "out", tmp_path / "fresh"
+    assert run(argv, "--config", cfg, "--out", out) == 0
+    first = (out / "ledger.jsonl").read_bytes()
+    cfg.write_text(cfg.read_text().replace(f"parallelism = {recorded}\n",
+                                           f"parallelism = {resumed}\n"))
+    assert run(argv, "--config", cfg, "--out", out) == 0
+    assert run(argv, "--config", cfg, "--out", fresh) == 0
+    ledger = (out / "ledger.jsonl").read_bytes()
+    assert ledger.startswith(first) and ledger[len(first):].count(b"\n") == appended
+    # Nothing is trained twice that a fresh run trains once (rd's α points are
+    # trained again as their reductions' baselines).
+    repeats = [sum(_evaluations(d).values()) - len(_evaluations(d)) for d in (out, fresh)]
+    assert repeats[0] == repeats[1] == (4 if argv == "rd" else 0)
+    assert _evaluations(fresh).keys() <= _evaluations(out).keys()
+    assert {k: v for k, v in snapshot(out).items() if k != "ledger.jsonl"} == \
+        {k: v for k, v in snapshot(fresh).items() if k != "ledger.jsonl"}
+    assert_replays(out)
+
+
+@pytest.mark.parametrize("command", ["rerun", "replay"])
+def test_a_bad_recorded_setting_is_reported_with_its_file(tmp_path, capsys, command):
+    # The value comes from the run directory's resolved.cfg, not from the
+    # config the user gave, and the error says so.
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert run("reduce", "--config", cfg, "--out", out) == 0
+    resolved = out / "resolved.cfg"
+    resolved.write_text(resolved.read_text().replace("parallelism = 1\n", "parallelism = -4\n"))
+    before = snapshot(out)
+    capsys.readouterr()
+    argv = ["reduce", "--config", cfg, "--out", out] if command == "rerun" else ["replay", out]
+    assert run(*argv) == 2
+    assert f"oracle.parallelism must be within [1, inf], got -4 (in {resolved})" in \
+        capsys.readouterr().err
+    assert snapshot(out) == before
 
 
 def test_rerun_reports_the_failures_it_serves(tmp_path, capsys):

@@ -6,6 +6,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import stat
 import subprocess
 import sys
 import textwrap
@@ -374,6 +375,21 @@ def test_ledger_first_append_creates_its_directory(tmp_path):
     assert EvaluationLedger(path).records() == [record]
     (tmp_path / "reference").touch()
     assert path.stat().st_mode == (tmp_path / "reference").stat().st_mode
+
+
+def test_ledger_syncs_each_record_and_its_directory_once(tmp_path, monkeypatch):
+    # A power loss keeps every record append returned for: the record is synced,
+    # and so is the directory when the ledger gets its first record.
+    synced, fsync = [], os.fsync
+    monkeypatch.setattr(os, "fsync", lambda fd: synced.append(
+        stat.S_ISDIR(os.fstat(fd).st_mode)) or fsync(fd))
+    path = tmp_path / "l.jsonl"
+    ledger = EvaluationLedger(path)
+    ledger.append(_record(digest="a" * 64))
+    ledger.append(_record(digest="b" * 64))
+    assert sorted(synced) == [False, False, True]
+    EvaluationLedger(path).append(_record(digest="c" * 64))
+    assert sorted(synced) == [False, False, False, True]
 
 
 def test_ledger_line_is_the_canonical_json_of_its_record(tmp_path):

@@ -595,6 +595,33 @@ def test_failed_path_is_judged_without_speculative_probes(mode):
     assert result.diagnostics == ("block 0: every probe failed; left at beta=1",)
 
 
+def test_one_slot_evaluates_inside_each_block_search_on_the_calling_thread(d15_spec,
+                                                                         monkeypatch):
+    # bench/run.py's traced run divides the search's own time by the
+    # evaluations nested in search.search_macroblock_multiplier, which its
+    # tracer wraps through the module global. A design that evaluates anywhere
+    # else must change that measure with it.
+    inside, calls = [0], []
+    block_search = search.search_macroblock_multiplier
+
+    def traced(*args, **kwargs):
+        inside[0] += 1
+        try:
+            return block_search(*args, **kwargs)
+        finally:
+            inside[0] -= 1
+
+    class Watched(cr.SurrogateOracle):
+        def evaluate(self, config, budget):
+            calls.append((threading.get_ident(), inside[0]))
+            return super().evaluate(config, budget)
+
+    monkeypatch.setattr(search, "search_macroblock_multiplier", traced)
+    result = cr.backward_reduction(d15_spec, None, 0.01, Watched(d15_spec), cr.SEARCH_BUDGET)
+    assert len(calls) == result.oracle_calls == 13
+    assert set(calls) == {(threading.get_ident(), 1)}
+
+
 @pytest.mark.parametrize("slots,overlapped", [(2, 1), (3, 1), (7, 3)])
 def test_failed_baseline_keeps_overlapped_probes(d15_spec, d15_partition, slots, overlapped):
     oracle = FailingOracle(cr.SurrogateOracle(d15_spec), lambda c: True, slots=slots)
