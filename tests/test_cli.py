@@ -7,6 +7,7 @@ import importlib.util
 import json
 import os
 import re
+import shutil
 import signal
 import subprocess
 import sys
@@ -201,6 +202,19 @@ def test_replay_in_place(tmp_path):
     out = tmp_path / "out"
     assert run("reduce", "--config", cfg, "--out", out) == 0
     assert_replays(out, in_place=True)
+
+
+CORPUS = Path(__file__).parent / "data" / "runs"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.iterdir() if p.is_dir()))
+def test_a_recorded_run_directory_replays(tmp_path, name):
+    # Directories recorded by older code (tests/data/runs/record.py, trainer
+    # noise that differs per request) replay byte for byte with this code. The
+    # replay reads a copy, so the checked-in data is never written.
+    out = tmp_path / name
+    shutil.copytree(CORPUS / name, out)
+    assert_replays(out)
 
 
 def test_replay_missing_evaluation_fails(tmp_path):
