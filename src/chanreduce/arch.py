@@ -9,17 +9,31 @@ All width transforms are pure functions on :class:`ChannelConfig`.
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
+from pathlib import Path
 from typing import ClassVar, Sequence, Union
 
 Rational = Union[int, float, Fraction]
 # Compact, key-sorted JSON: the encoding of spec identities, config digests and ledger lines.
 canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
+# The one writer of each run-artifact format: indented, key-sorted JSON, and CSV in
+# the csv module's default dialect (None is an empty cell, a float its repr).
+def write_json(path, payload) -> None:
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def write_csv(path, header, rows) -> None:
+    with Path(path).open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
 
 # Float scale factors are snapped to a nearby exact rational before the ceiling is
 # taken, so 0.7 * 100 rounds to 70 rather than ceil(70.00000000000001) = 71.

@@ -18,7 +18,6 @@ configuration or usage.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import shlex
@@ -29,7 +28,7 @@ from functools import partial
 from pathlib import Path
 
 from .accounting import count_parameters
-from .arch import channel_config, partition_macroblocks
+from .arch import channel_config, partition_macroblocks, write_json
 from .config import ConfigError, RunConfig
 from .lesion import (SWEEP_CONSTANT, SWEEP_MACROBLOCK, SWEEP_PROPORTIONAL, SweepPlan,
                      format_value, run_onehot_sweep, sweep_configs, write_onehot_csv,
@@ -54,12 +53,9 @@ def main(argv=None) -> int:
             return 2
         logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, MissingEvaluationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (MissingEvaluationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, (ConfigError, ValueError)) else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -93,7 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        "$CHANREDUCE_RUN_ROOT/<config stem>, else runs/<config stem>)")
         for flag, options in flags:
             p.add_argument(flag, **options)
-        p.set_defaults(func=_run, body=body, check=check, flags=[flag for flag, _ in flags])
+        p.set_defaults(func=_run, body=body, check=check, flags=[flag for flag, _ in flags],
+                       replay_dir=None, cfg=None)
 
     p = sub.add_parser("replay", help="re-render a run's reports from its ledger")
     p.add_argument("run_dir", help="directory of a previous run")
@@ -130,20 +127,21 @@ def _make_oracle(cfg: RunConfig, spec, run_dir: Path, replaying: bool):
                            parallel_slots=cfg.search_slots or 1), closer
 
 
-def _check_target(cfg: RunConfig, spec, run_dir: Path, replay_dir: Path | None) -> None:
+def _check_target(args, cfg: RunConfig, spec, run_dir: Path) -> None:
     """A directory whose ledger holds records takes only a run that goes on with
-    them: a rerun with the same record key (``RunConfig.record_key``) or replaying
-    that ledger, or a replay whose source ledger it holds a copy of."""
+    them: a rerun with its record key (``RunConfig.record_key``), from its own
+    ``resolved.cfg`` or replaying its ledger, or a replay of a run it is a copy of."""
     ledger = run_dir / "ledger.jsonl"
     if not ledger.exists() or not ledger.stat().st_size:
         return
-    if replay_dir is not None:
-        if ledger.read_bytes() != (replay_dir / "ledger.jsonl").read_bytes():
+    if args.replay_dir is not None:
+        if ledger.read_bytes() != (args.replay_dir / "ledger.jsonl").read_bytes():
             raise ConfigError(f"{run_dir} holds another run's evaluations; "
                               f"replay into a fresh --out")
         return
     old, o = run_dir / "resolved.cfg", cfg.oracle
-    own = o.kind == "replay" and Path(o.ledger).resolve() == ledger.resolve()
+    own = ((o.kind == "replay" and Path(o.ledger).resolve() == ledger.resolve())
+           or (old.exists() and old.samefile(args.config)))
     if old.exists() and not own and RunConfig.from_file(old).record_key() != cfg.record_key(spec):
         raise ConfigError(f"{run_dir} holds evaluations made for another dataset or with "
                           f"other [oracle] settings; use a fresh --out")
@@ -156,9 +154,9 @@ def _run(args) -> int:
     pass, and a new run's oracle is built. A replay that finds no ledger record for
     an evaluation ends as a failed run; a command without a training budget
     evaluates nothing and gets no oracle."""
-    replay_dir = getattr(args, "replay_dir", None)
+    replay_dir = args.replay_dir
     evaluates = "--budget" in args.flags
-    cfg = RunConfig.from_file(args.config)
+    cfg = args.cfg or RunConfig.from_file(args.config)   # a replay's is parsed already
     run_dir = Path(args.out or Path(os.environ.get("CHANREDUCE_RUN_ROOT", "runs"),
                                     Path(args.config).stem))
     spec = cfg.build_spec()
@@ -170,7 +168,7 @@ def _run(args) -> int:
             cfg.search_slots = cfg.oracle.parallelism if cfg.oracle.kind == "external" else 1
         if cfg.model.family == "descriptor":   # the run keeps its model, saved below
             cfg.model.descriptor = "model.json"
-    _check_target(cfg, spec, run_dir, replay_dir)
+    _check_target(args, cfg, spec, run_dir)
     if replay_dir is not None and run_dir.resolve() != replay_dir.resolve():
         run_dir.mkdir(parents=True, exist_ok=True)
         for name in ("resolved.cfg", "ledger.jsonl", "model.json"):
@@ -224,10 +222,6 @@ def _pick_budget(cfg: RunConfig, which: str):
     return cfg.final_budget() if which == "final" else cfg.search_budget()
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
-
 def _fmt_widths(widths) -> str:
     return "[" + " ".join(str(w) for w in widths) + "]"
 
@@ -259,7 +253,7 @@ def _run_reduce(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
 
     payload = result.to_dict()
     payload["final_evaluation"] = None if final_record is None else final_record.to_dict()
-    _write_json(run_dir / "reduction.json", payload)
+    write_json(run_dir / "reduction.json", payload)
 
     lines = [f"model: {spec.meta.name} dataset={spec.meta.dataset} "
              f"classes={spec.meta.num_classes}",
@@ -375,7 +369,7 @@ def _run_size(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
              f"size_mb: {report.size_mb:.4f}"]
     for b in report.per_block_breakdown:
         lines.append(f"block {b.block_id}: params={b.params} bytes={b.bytes}")
-    _write_json(run_dir / "size.json", report.to_dict())
+    write_json(run_dir / "size.json", report.to_dict())
     print(_summary(cfg, lines), end="")
     return 0, lines
 
@@ -397,7 +391,7 @@ def cmd_replay(args) -> int:
     out = Path(args.out) if args.out else run_dir
     argv = shlex.split(cfg.command) + ["--config", str(resolved), "--out", str(out)]
     sub = _build_parser().parse_args(argv)
-    sub.replay_dir = run_dir
+    sub.replay_dir, sub.cfg = run_dir, cfg
     return sub.func(sub)
 
 

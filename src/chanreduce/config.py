@@ -198,11 +198,15 @@ class RunConfig:
     # -- derived objects ----------------------------------------------------
 
     def build_spec(self) -> ModelSpec:
+        return self._spec(warn=True)
+
+    def _spec(self, warn: bool = False) -> ModelSpec:
+        """The model; with ``warn``, each [model] key its family does not read warns."""
         m = self.model
         reads = (("descriptor",) if m.family == "descriptor"
                  else tuple(inspect.signature(BUILDERS[m.family]).parameters))
         for f in fields(m):   # warn, not refuse: a run recorded with such a key must replay
-            if f.name not in ("family", *reads) and getattr(m, f.name) != f.default:
+            if warn and f.name not in ("family", *reads) and getattr(m, f.name) != f.default:
                 log.warning("ignoring model.%s: family %s does not read it", f.name, m.family)
         try:
             if m.family == "descriptor":
@@ -229,7 +233,7 @@ class RunConfig:
 
     def record_key(self, spec: ModelSpec | None = None) -> tuple:
         """What a record answers for: ``spec``'s dataset and each [oracle] key but BRIDGE."""
-        return ((spec or self.build_spec()).meta.dataset,
+        return ((spec or self._spec()).meta.dataset,
                 replace(self.oracle, **dict.fromkeys(OracleConfig.BRIDGE)))
 
     def _budget(self, epochs: int, milestones: tuple[int, ...]) -> TrainingBudget:

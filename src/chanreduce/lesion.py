@@ -9,17 +9,15 @@ sweep.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from pathlib import Path
 
 from .accounting import count_parameters
 from .arch import (ChannelConfig, ModelSpec, apply_constant_lesion, apply_macroblock_scale,
                    apply_proportional_lesion, channel_config, partition_macroblocks,
-                   scale_width, with_config)
+                   scale_width, with_config, write_csv)
 from .oracle import SEARCH_BUDGET, EvaluationRecord, TrainingBudget, fan_out
 
 log = logging.getLogger(__name__)
@@ -98,21 +96,14 @@ def format_value(v) -> str:
 
 
 def write_onehot_csv(observations: list[SweepObservation], path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "parameter", "top1", "status"])
-        for obs in observations:
-            top1 = "" if obs.record.top1 is None else repr(obs.record.top1)
-            writer.writerow([obs.index, format_value(obs.parameter), top1, obs.record.status])
+    write_csv(path, ["index", "parameter", "top1", "status"],
+              ([o.index, format_value(o.parameter), o.record.top1, o.record.status]
+               for o in observations))
 
 
 def write_rd_points_csv(spec: ModelSpec, observations: list[SweepObservation], path) -> None:
     """One size/accuracy point per observation, sized by recounting its network."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["block_id", "k", "params", "size_bytes", "top1"])
-        for obs in observations:
-            report = count_parameters(with_config(spec, obs.config))
-            top1 = "" if obs.record.top1 is None else repr(obs.record.top1)
-            writer.writerow([obs.index, format_value(obs.parameter), report.parameter_count,
-                             report.size_bytes, top1])
+    reports = [count_parameters(with_config(spec, o.config)) for o in observations]
+    write_csv(path, ["block_id", "k", "params", "size_bytes", "top1"],
+              ([o.index, format_value(o.parameter), r.parameter_count, r.size_bytes,
+                o.record.top1] for o, r in zip(observations, reports)))

@@ -13,7 +13,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .arch import (ModelMeta, ModelSpec, Pool, SpecBuilder, layer_from_dict,
-                   layer_to_dict, scale_width)
+                   layer_to_dict, scale_width, write_json)
 
 _IMAGENET = dict(dataset="imagenet", input_channels=3, resolution=224)
 
@@ -90,8 +90,7 @@ def spec_from_dict(d: dict) -> ModelSpec:
 
 
 def save_descriptor(spec: ModelSpec, path) -> None:
-    Path(path).write_text(json.dumps(spec_to_dict(spec), indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    write_json(path, spec_to_dict(spec))
 
 
 def load_descriptor(path) -> ModelSpec:

@@ -8,13 +8,13 @@ written, as CSV and as gnuplot data, and never read back.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 from .accounting import count_parameters
-from .arch import ModelSpec, apply_alpha_scaling, channel_config, scale_width, with_config
+from .arch import (ModelSpec, apply_alpha_scaling, channel_config, scale_width, with_config,
+                   write_csv)
 from .oracle import TrainingBudget, fan_out
 from .search import BetaMode, backward_reduction
 
@@ -92,11 +92,8 @@ def build_alpha_plus_backward_curve(spec: ModelSpec, alphas, delta: float, oracl
 def export_curve(points: list[RDPoint], path) -> None:
     """Write the canonical curve CSV. Re-exporting unchanged points is
     byte-identical."""
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVE_HEADER)
-        for p in points:
-            writer.writerow([p.label, p.size_bytes, p.params, repr(p.top1), p.config_digest])
+    write_csv(path, CURVE_HEADER,
+              ([p.label, p.size_bytes, p.params, p.top1, p.config_digest] for p in points))
 
 
 def export_gnuplot(points: list[RDPoint], path) -> None:

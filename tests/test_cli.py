@@ -1260,6 +1260,42 @@ def test_unknown_config_section_warns_and_is_ignored(tmp_path, caplog):
     assert not (tmp_path / "elsewhere").exists()
 
 
+@pytest.mark.parametrize("command", ["replay", "rerun"])
+def test_a_run_from_a_run_directory_prints_each_config_warning_once(tmp_path, caplog,
+                                                                     command):
+    # replay parses the run's resolved.cfg once and hands it to the command; a
+    # rerun from the directory's own resolved.cfg does not parse it again to
+    # compare it with itself.
+    out = tmp_path / "out"
+    assert run("reduce", "--config", write_cfg(tmp_path, "[model]\ndepth = 2\n"
+                                               "block_widths = 8, 16\n"), "--out", out) == 0
+    with (out / "resolved.cfg").open("a") as fh:
+        fh.write("[output]\nrun_dir = x\n")
+    argv = (["replay", out, "--out", tmp_path / "replayed"] if command == "replay"
+            else ["reduce", "--config", out / "resolved.cfg", "--out", out])
+    with caplog.at_level("WARNING", logger="chanreduce.config"):
+        assert run(*argv) == 0
+    assert [r.getMessage() for r in caplog.records] == [
+        "ignoring unknown config section [output]"]
+
+
+def test_a_rerun_prints_the_ignored_model_key_warning_once(tmp_path, caplog):
+    # The rerun's check of the recorded settings builds the recorded model
+    # without warning again; a rerun for another dataset is still refused.
+    cfg = write_cfg(tmp_path, "[model]\nfamily = resnet18\ndataset = svhn\n")
+    out = tmp_path / "out"
+    argv = ["lesion", "--config", cfg, "--out", out, "--kind", "proportional",
+            "--values", "1/2", "--indices", "1"]
+    for _ in range(2):
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="chanreduce.config"):
+            assert run(*argv) == 0
+        assert [r.getMessage() for r in caplog.records] == [
+            "ignoring model.dataset: family resnet18 does not read it"]
+    sequential = write_cfg(tmp_path, "[model]\ndataset = svhn\n", name="sequential.cfg")
+    assert run(*argv[:2], sequential, *argv[3:]) == 2
+
+
 def test_external_oracle_end_to_end(tmp_path):
     script = tmp_path / "trainer.py"
     script.write_text(textwrap.dedent("""\
