@@ -4,8 +4,10 @@
 
 runs every command shape the corpus covers, each at 1 and at 3 pipe trainer
 slots, on the depth-8 ``8, 16`` sequential model, into ``PREFIX-s<slots>-<shape>``
-here. tier-1 (``tests/test_cli.py``) replays each directory byte for byte. The
-script only adds directories: it refuses to start when one it would write exists,
+here. The ``reduce-descriptor`` shape reads that model from a file written by
+``save_descriptor`` (``family = descriptor``). tier-1 (``tests/test_cli.py``)
+replays each directory byte for byte. The script only adds directories: it
+records each missing one of the prefix and leaves every existing one as it is,
 so a directory recorded by older code is never rewritten by newer code. Give the
 directories of a new run format a new prefix.
 
@@ -26,20 +28,24 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 SEED = 1
+SEQUENTIAL = "depth = 8\nblock_widths = 8, 16\n"
+DESCRIPTOR = "family = descriptor\ndescriptor = model.json\n"   # the same model, saved
+# shape -> (command line, [model] section)
 SHAPES = {
-    "reduce-search": ["reduce", "--budget", "search"],
-    "reduce-final": ["reduce", "--budget", "final"],
-    "rd": ["rd", "--alphas", "1", "0.5", "--gnuplot"],
-    "lesion-constant": ["lesion", "--kind", "constant", "--values", "2", "5"],
-    "lesion-proportional": ["lesion", "--kind", "proportional", "--values", "1/2", "3/4"],
-    "lesion-macroblock": ["lesion", "--kind", "macroblock_scale", "--values", "0.5", "0.75"],
+    "reduce-search": (["reduce", "--budget", "search"], SEQUENTIAL),
+    "reduce-final": (["reduce", "--budget", "final"], SEQUENTIAL),
+    "rd": (["rd", "--alphas", "1", "0.5", "--gnuplot"], SEQUENTIAL),
+    "lesion-constant": (["lesion", "--kind", "constant", "--values", "2", "5"], SEQUENTIAL),
+    "lesion-proportional": (["lesion", "--kind", "proportional", "--values", "1/2", "3/4"],
+                            SEQUENTIAL),
+    "lesion-macroblock": (["lesion", "--kind", "macroblock_scale", "--values", "0.5", "0.75"],
+                          SEQUENTIAL),
+    "reduce-descriptor": (["reduce", "--budget", "search"], DESCRIPTOR),
 }
 SLOTS = (1, 3)
 CONFIG = """\
 [model]
-depth = 8
-block_widths = 8, 16
-[oracle]
+{model}[oracle]
 kind = external
 trainer_cmd = python3 record.py --train {seed}
 protocol = pipe
@@ -65,19 +71,23 @@ def train(seed: int) -> None:
 def record(prefix: str) -> int:
     targets = {(slots, shape): HERE / f"{prefix}-s{slots}-{shape}"
                for slots in SLOTS for shape in SHAPES}
-    taken = [str(t) for t in targets.values() if t.exists()]
-    if taken:
-        print("refusing to rewrite recorded directories: " + ", ".join(taken), file=sys.stderr)
-        return 2
+    for out in targets.values():
+        if out.exists():
+            print(f"{out.name}: recorded already, left as it is", file=sys.stderr)
     sys.path.insert(0, str(HERE.parents[2] / "src"))
+    import chanreduce as cr
     from chanreduce import cli
 
     os.chdir(HERE)   # the trainer command names this file relative to here
     with tempfile.TemporaryDirectory() as tmp:
+        cr.save_descriptor(cr.build_sequential_cnn(8, [8, 16]), Path(tmp, "model.json"))
         for (slots, shape), out in targets.items():
+            if out.exists():
+                continue
+            argv, model = SHAPES[shape]
             cfg = Path(tmp, f"s{slots}.cfg")
-            cfg.write_text(CONFIG.format(seed=SEED, slots=slots), encoding="utf-8")
-            code = cli.main([*SHAPES[shape], "--config", str(cfg), "--out", str(out)])
+            cfg.write_text(CONFIG.format(model=model, seed=SEED, slots=slots), encoding="utf-8")
+            code = cli.main([*argv, "--config", str(cfg), "--out", str(out)])
             if code != 0:
                 print(f"{out.name}: exit {code}", file=sys.stderr)
                 return 1
