@@ -12,7 +12,8 @@ from .arch import (BatchNorm, ChannelConfig, Conv, FullyConnected, GlobalAvgPool
                    Macroblock, MacroblockPartition, ModelMeta, ModelSpec, Pool,
                    apply_alpha_scaling, apply_constant_lesion, apply_macroblock_scale,
                    apply_proportional_lesion, build_sequential_cnn, channel_config,
-                   partition_macroblocks, scale_width, structural_key, with_config)
+                   load_descriptor, partition_macroblocks, save_descriptor, scale_width,
+                   spec_from_dict, spec_to_dict, structural_key, with_config)
 from .config import ConfigError, RunConfig
 from .lesion import (SWEEP_CONSTANT, SWEEP_MACROBLOCK, SWEEP_PROPORTIONAL, SweepObservation,
                      SweepPlan, run_onehot_sweep, write_onehot_csv, write_rd_points_csv)
@@ -21,8 +22,7 @@ from .oracle import (FINAL_BUDGET, SEARCH_BUDGET, STATUS_FAILED, STATUS_OK,
                      MissingEvaluationError, RecordingOracle, SurrogateOracle,
                      SurrogateParams, TrainingBudget, config_digest, distortion,
                      surrogate_accuracy)
-from .presets import (load_descriptor, mobilenet, resnet18, resnet34, save_descriptor,
-                      spec_from_dict, spec_to_dict)
+from .presets import mobilenet, resnet18, resnet34
 from .rdcurve import (RDPoint, build_alpha_curve, build_alpha_plus_backward_curve,
                       export_curve, export_gnuplot)
 from .search import (BetaMode, ReductionResult, SearchProbe, backward_reduction,

@@ -1,4 +1,4 @@
-"""Architecture descriptors, channel vectors, macroblock partitioning, and width transforms.
+"""Architecture descriptors and their file format, channel vectors, macroblocks, width transforms.
 
 A model is described layer by layer with explicit channel counts; no graph is ever
 executed. Every convolution that produces a new feature stream owns one entry of the
@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
@@ -183,8 +183,50 @@ def layer_from_dict(d: dict) -> Layer:
     if cls is None:
         raise ValueError(f"unknown layer kind {d.get('kind')!r}")
     names = {cls.renamed.get(f.name, f.name): f.name for f in fields(cls)}
+    if unknown := [k for k in d if k not in names and k != "kind"]:
+        raise ValueError(f"{cls.kind} has no key {unknown[0]!r}")
     return cls(**{names[k]: tuple(v) if isinstance(v, list) else v
                   for k, v in d.items() if k in names})
+
+
+# Header defaults of a descriptor file: ModelMeta's fields but num_classes,
+# which it must give. Its "layers" hold one layer_to_dict row per layer.
+_META_DEFAULTS = {"name": "descriptor", "dataset": "unknown", "input_channels": 3, "resolution": 224}
+
+
+def spec_to_dict(spec: ModelSpec) -> dict:
+    return {**asdict(spec.meta), "layers": [layer_to_dict(l) for l in spec.layers]}
+
+
+def spec_from_dict(d: dict) -> ModelSpec:
+    """Inverse of :func:`spec_to_dict`. A key nothing reads is refused, not
+    skipped: the descriptor defines the network every record's digest names."""
+    if not isinstance(d, dict):
+        raise ValueError(f"model must be a JSON object, got {type(d).__name__}")
+    header = {k: v for k, v in d.items() if k != "layers"}
+    known = {f.name for f in fields(ModelMeta)}
+    if unknown := [k for k in header if k not in known]:
+        raise ValueError(f"model has no key {unknown[0]!r}")
+    layers = []
+    for i, row in enumerate(d["layers"]):
+        try:
+            layers.append(layer_from_dict(row))
+        except ValueError as exc:
+            raise ValueError(f"layer {i}: {exc}") from exc
+    return ModelSpec(tuple(layers), ModelMeta(**{**_META_DEFAULTS, **header}))
+
+
+def save_descriptor(spec: ModelSpec, path) -> None:
+    write_json(path, spec_to_dict(spec))
+
+
+def load_descriptor(descriptor) -> ModelSpec:
+    """The model in the descriptor file at path ``descriptor``; a file that cannot
+    be read or decoded, or lacks a key, is a ValueError naming the file."""
+    try:
+        return spec_from_dict(json.loads(Path(descriptor).read_text(encoding="utf-8")))
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed model descriptor {descriptor}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ what it lacks, so an interrupted run resumes where it stopped. A rerun with othe
 holds other records.
 
 Exit codes: 0 success, 1 runtime failure (reports may be partial), 2 bad
-configuration or usage.
+configuration or usage. A Ctrl-C (SIGINT) leaves ``summary.txt`` saying
+``status: interrupted`` and ends the process by SIGINT, as an uninterrupted
+Python program would, so a shell loop around it stops too.
 """
 
 from __future__ import annotations
@@ -22,20 +24,20 @@ import logging
 import os
 import shlex
 import shutil
+import signal
 import sys
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
 from .accounting import count_parameters
-from .arch import channel_config, partition_macroblocks, write_json
+from .arch import channel_config, partition_macroblocks, save_descriptor, write_json
 from .config import ConfigError, RunConfig
 from .lesion import (SWEEP_CONSTANT, SWEEP_MACROBLOCK, SWEEP_PROPORTIONAL, SweepPlan,
                      format_value, run_onehot_sweep, sweep_configs, write_onehot_csv,
                      write_rd_points_csv)
 from .oracle import (EvaluationLedger, MissingEvaluationError, RecordingOracle,
                      SurrogateOracle)
-from .presets import save_descriptor
 from .rdcurve import (build_alpha_curve, build_alpha_plus_backward_curve, check_alphas,
                       export_curve, export_gnuplot)
 from .search import backward_reduction, forward_reduction
@@ -56,6 +58,11 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, MissingEvaluationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ConfigError, ValueError)) else 1
+    except KeyboardInterrupt:
+        print("interrupted; rerun the command to resume", file=sys.stderr)
+        signal.signal(signal.SIGINT, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.SIGINT)
+        return 130   # not reached: the default action ends the process
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -189,6 +196,10 @@ def _run(args) -> int:
     except MissingEvaluationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         code, lines = 1, ["status: failed", f"error: {exc}"]
+    except KeyboardInterrupt:
+        (run_dir / "summary.txt").write_text(_summary(cfg, ["status: interrupted"]),
+                                             encoding="utf-8")
+        raise
     finally:
         if closer:
             closer()

@@ -19,9 +19,9 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .arch import ModelSpec, build_sequential_cnn
+from .arch import ModelSpec, build_sequential_cnn, load_descriptor
 from .oracle import FINAL_BUDGET, METRICS, SEARCH_BUDGET, SurrogateParams, TrainingBudget
-from .presets import PRESETS, load_descriptor
+from .presets import PRESETS
 from .search import BetaMode
 
 log = logging.getLogger(__name__)
@@ -32,7 +32,7 @@ class ConfigError(Exception):
 
 
 # Each family's builder; build_spec sets each parameter from its [model] key.
-BUILDERS = {"sequential": build_sequential_cnn, **PRESETS}
+BUILDERS = {"sequential": build_sequential_cnn, "descriptor": load_descriptor, **PRESETS}
 
 
 def _default(family: str, name: str):
@@ -50,6 +50,11 @@ def _bounded(default, low, high=math.inf):
     return field(default=default, metadata={"range": (low, high)})
 
 
+def _positive(default):
+    """A number key that must be > 0."""
+    return field(default=default, metadata={"positive": True})
+
+
 def _path():
     """An optional path; a relative one is read against the config file's directory."""
     return field(default=None, metadata={"path": True})
@@ -62,7 +67,7 @@ def _path():
 
 @dataclass
 class ModelConfig:
-    family: str = _word("sequential", "descriptor", *PRESETS)
+    family: str = _word(*BUILDERS)
     depth: int = 15
     block_widths: tuple[int, ...] = (16, 32, 64)
     input_channels: int = _default("sequential", "input_channels")
@@ -82,7 +87,7 @@ class OracleConfig:
     frontiers: tuple[float, ...] = SurrogateParams.frontiers
     weights: tuple[float, ...] = SurrogateParams.weights
     parallelism: int = _bounded(1, 1)
-    timeout_seconds: float = 3600.0
+    timeout_seconds: float = _positive(3600.0)
     protocol: str = _word("pipe", "files")
     ledger: str | None = _path()
     trainer_cmd: str | None = None
@@ -183,6 +188,8 @@ class RunConfig:
             if low is not None and value is not None and not low <= value <= high:
                 raise ConfigError(f"{section}.{f.name} must be within [{low}, {high}], "
                                   f"got {value}")
+            if f.metadata.get("positive") and not value > 0:
+                raise ConfigError(f"{section}.{f.name} must be > 0, got {value}")
         if self.model.family == "descriptor":
             if not self.model.descriptor:
                 raise ConfigError("model.family=descriptor needs model.descriptor=<path>")
@@ -203,26 +210,23 @@ class RunConfig:
     def _spec(self, warn: bool = False) -> ModelSpec:
         """The model; with ``warn``, each [model] key its family does not read warns."""
         m = self.model
-        reads = (("descriptor",) if m.family == "descriptor"
-                 else tuple(inspect.signature(BUILDERS[m.family]).parameters))
+        reads = inspect.signature(BUILDERS[m.family]).parameters
         for f in fields(m):   # warn, not refuse: a run recorded with such a key must replay
             if warn and f.name not in ("family", *reads) and getattr(m, f.name) != f.default:
                 log.warning("ignoring model.%s: family %s does not read it", f.name, m.family)
         try:
-            if m.family == "descriptor":
-                return load_descriptor(m.descriptor)
             return BUILDERS[m.family](**{p: getattr(m, p) for p in reads
                                          if getattr(m, p) is not None})
         except ValueError as exc:
             raise ConfigError(f"cannot build model: {exc}") from exc
 
     def effective_classes(self) -> int | None:
-        """The set class count, else the family builder's; None for a descriptor."""
-        if self.model.family == "descriptor":
+        """The set class count, else the family builder's; None for a family
+        whose builder takes none (a descriptor declares its own)."""
+        param = inspect.signature(BUILDERS[self.model.family]).parameters.get("num_classes")
+        if param is None:
             return None
-        if self.model.num_classes is not None:
-            return self.model.num_classes
-        return _default(self.model.family, "num_classes")
+        return param.default if self.model.num_classes is None else self.model.num_classes
 
     def surrogate_params(self) -> SurrogateParams:
         try:

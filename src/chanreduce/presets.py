@@ -1,4 +1,4 @@
-"""Descriptors of reference architectures, plus JSON descriptor files.
+"""Descriptors of reference architectures.
 
 The presets are written through :class:`~chanreduce.arch.SpecBuilder`, which
 numbers the channel entries. They exist purely for channel bookkeeping and
@@ -8,12 +8,7 @@ where the reference network has one) and are never executed.
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, fields
-from pathlib import Path
-
-from .arch import (ModelMeta, ModelSpec, Pool, SpecBuilder, layer_from_dict,
-                   layer_to_dict, scale_width, write_json)
+from .arch import ModelMeta, ModelSpec, Pool, SpecBuilder, scale_width
 
 _IMAGENET = dict(dataset="imagenet", input_channels=3, resolution=224)
 
@@ -71,30 +66,3 @@ PRESETS = {
     "mobilenet": mobilenet,
 }
 
-
-# ---------------------------------------------------------------------------
-# Declarative descriptor files (JSON).
-
-# Header defaults of a descriptor file; num_classes is required.
-_META_DEFAULTS = {"name": "descriptor", "dataset": "unknown", "input_channels": 3, "resolution": 224}
-
-
-def spec_to_dict(spec: ModelSpec) -> dict:
-    return {**asdict(spec.meta), "layers": [layer_to_dict(l) for l in spec.layers]}
-
-
-def spec_from_dict(d: dict) -> ModelSpec:
-    header = {f.name: d[f.name] for f in fields(ModelMeta) if f.name in d}
-    meta = ModelMeta(**{**_META_DEFAULTS, **header})
-    return ModelSpec(tuple(layer_from_dict(l) for l in d["layers"]), meta)
-
-
-def save_descriptor(spec: ModelSpec, path) -> None:
-    write_json(path, spec_to_dict(spec))
-
-
-def load_descriptor(path) -> ModelSpec:
-    try:
-        return spec_from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed model descriptor {path}: {exc}") from exc

@@ -5,10 +5,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chanreduce as cr
+from chanreduce.arch import _META_DEFAULTS, LAYER_KINDS
 
 
 # -- exact ceiling scaling ---------------------------------------------------
@@ -208,8 +210,11 @@ def _head(width, **conv):
     ({}, _head(8)[:2] + [{"kind": "pool", "pool": 1}], "layer 2: pool pool must be a string, "
      "got 1"),
     ({"name": None}, _head(8), "model name must be a string, got None"),
+    ({}, _head(8, strides=2), "layer 0: conv has no key 'strides'"),
+    ({"resolutoin": 64}, _head(8), "model has no key 'resolutoin'"),
 ], ids=["fractional-width", "string-kernel", "boolean-width", "string-class-count",
-        "integer-depthwise", "float-pool-window", "numeric-pool-kind", "null-name"])
+        "integer-depthwise", "float-pool-window", "numeric-pool-kind", "null-name",
+        "unknown-layer-key", "unknown-header-key"])
 def test_descriptor_numbers_have_their_declared_types(header, layers, error):
     with pytest.raises(ValueError) as err:
         cr.spec_from_dict({"num_classes": 10, **header, "layers": layers})
@@ -510,6 +515,28 @@ def test_descriptor_defaults():
     assert spec.meta == cr.ModelMeta("descriptor", "unknown", 10, 3, 224)
     with pytest.raises(ValueError, match="unknown layer kind 'fire'"):
         cr.spec_from_dict({"num_classes": 10, "layers": [{"kind": "fire"}]})
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_descriptor_table_is_the_layer_classes():
+    """The README's descriptor key table lists, per layer kind, the keys its
+    class declares (field names through ``renamed``), and its header sentence
+    ModelMeta's fields with the descriptor defaults."""
+    text = README.read_text(encoding="utf-8").split("## Model descriptors", 1)[1]
+    table = text.split("| kind | keys (default) |\n|---|---|\n", 1)[1].split("\n\n", 1)[0]
+    documented = {}
+    for row in table.splitlines():
+        kind, keys = re.match(r"\| `(\w+)` \| (.*) \|$", row).groups()
+        documented[kind] = re.findall(r"`(\w+)`", keys)
+    assert documented == {cls.kind: [cls.renamed.get(f.name, f.name) for f in fields(cls)]
+                          for cls in LAYER_KINDS}
+
+    header = " ".join(text.split("`ModelMeta` fields:", 1)[1].split(". `layers`", 1)[0].split())
+    pairs = re.findall(r"`(\w+)` \((?:default )?`?([^`)]*)`?\)", header)
+    assert pairs == [(f.name, str(_META_DEFAULTS.get(f.name, "required")))
+                     for f in fields(cr.ModelMeta)]
 
 
 @dataclass(frozen=True)

@@ -944,23 +944,30 @@ def test_rerun_reports_the_failures_it_serves(tmp_path, capsys):
 def test_a_ctrl_c_records_none_of_the_trainings_it_interrupts(tmp_path, protocol):
     # A terminal's Ctrl-C sends SIGINT to the CLI and its trainers alike. The
     # trainings it cuts short are not failures: the rerun trains them, and ends
-    # as a run that was never interrupted.
+    # as a run that was never interrupted. The CLI still dies of SIGINT, so a
+    # shell loop stops, but it leaves a summary and prints no traceback.
     cfg, state = trainer_cfg(tmp_path, protocol, parallelism=2)
     argv = ["lesion", "--config", cfg, "--kind", "proportional", "--values", "1/2"]
     out, whole = tmp_path / "out", tmp_path / "whole"
     with subprocess.Popen([sys.executable, "-m", "chanreduce.cli", *map(str, argv),
                            "--out", str(out)], env=src_env(), start_new_session=True,
-                          stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL) as proc:
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True) as proc:
         try:
             deadline = time.monotonic() + 60
             while len(os.listdir(state / "held")) < 2:
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.01)
             os.killpg(proc.pid, signal.SIGINT)
-            assert proc.wait(timeout=60) == -signal.SIGINT
+            err = proc.communicate(timeout=60)[1]
+            assert proc.returncode == -signal.SIGINT
         finally:  # whatever failed, leave no CLI or trainer of the group running
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
+    assert "interrupted; rerun the command to resume\n" in err
+    # The trainers print their own tracebacks; none of the CLI's frames shows.
+    assert f"{os.sep}chanreduce{os.sep}" not in err
+    assert (out / "summary.txt").read_text().splitlines()[1:] == ["status: interrupted"]
     # Two slots may both answer before either sees two answers marked, so the
     # count of answers is read, not assumed; the held requests are not recorded.
     assert [json.loads(line)["status"] for line in (out / "ledger.jsonl").read_text()
@@ -1077,22 +1084,41 @@ def test_a_fractional_width_descriptor_leaves_no_directory(tmp_path, capsys, com
     assert not out.exists()
 
 
-# Each edit of layer 0 (conv), 1 (batchnorm) or 2 (pool) of a depth-2 model.
+# Each edit of layer 0 (conv), 1 (batchnorm) or 2 (pool) of a depth-2 model, or
+# of its header (None).
 @pytest.mark.parametrize("layer,edit,error", [
     (0, {"kernel": [0, 3]}, "layer 0: conv kernel, stride and scale must be >= 1"),
     (0, {"stride": 0}, "layer 0: conv kernel, stride and scale must be >= 1"),
     (0, {"scale": 0}, "layer 0: conv kernel, stride and scale must be >= 1"),
     (2, {"window": 0}, "layer 2: pool window and stride must be >= 1"),
     (1, {"ref": 2}, "channel ref 2 not yet defined"),
-], ids=["kernel-0x3", "conv-stride-0", "conv-scale-0", "pool-window-0", "dangling-ref"])
+    (0, {"strides": 2}, "layer 0: conv has no key 'strides'"),
+    (None, {"resolutoin": 64}, "model has no key 'resolutoin'"),
+], ids=["kernel-0x3", "conv-stride-0", "conv-scale-0", "pool-window-0", "dangling-ref",
+        "unknown-layer-key", "unknown-header-key"])
 def test_an_unbuildable_descriptor_leaves_no_directory(tmp_path, capsys, layer, edit, error):
     descriptor = cr.spec_to_dict(cr.build_sequential_cnn(2, [4, 8]))
-    descriptor["layers"][layer].update(edit)
+    (descriptor if layer is None else descriptor["layers"][layer]).update(edit)
     (tmp_path / "model.json").write_text(json.dumps(descriptor))
     cfg = write_cfg(tmp_path, "[model]\nfamily = descriptor\ndescriptor = model.json\n")
     out = tmp_path / "out"
     assert run("size", "--config", cfg, "--out", out) == 2
     assert f"cannot build model: {error}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: path.write_text('{"num_classes": 10,\n'),
+    lambda path: path.write_bytes(b'{"name": "\xff"}'),
+    lambda path: path.mkdir(),
+], ids=["invalid-json", "not-utf-8", "directory"])
+def test_an_unreadable_descriptor_leaves_no_directory(tmp_path, capsys, write):
+    write(tmp_path / "model.json")
+    cfg = write_cfg(tmp_path, "[model]\nfamily = descriptor\ndescriptor = model.json\n")
+    out = tmp_path / "out"
+    assert run("size", "--config", cfg, "--out", out) == 2
+    assert f"malformed model descriptor {tmp_path.resolve() / 'model.json'}: " in \
+        capsys.readouterr().err
     assert not out.exists()
 
 

@@ -208,6 +208,9 @@ def test_a_model_key_the_family_does_not_read_warns(tmp_path, caplog):
     ("[search]\nmetric = top3\n", "search.metric must be top1|top5"),
     ("[oracle]\nprotocol = smoke\n", "oracle.protocol must be pipe|files"),
     ("[run]\nsearch_slots = 0\n", "run.search_slots must be within [1, inf], got 0"),
+    ("[oracle]\ntimeout_seconds = -5\n", "oracle.timeout_seconds must be > 0, got -5.0 (in "),
+    ("[oracle]\nkind = external\ntrainer_cmd = t\ntimeout_seconds = 0\n",
+     "oracle.timeout_seconds must be > 0, got 0.0 (in "),
     ("[model]\nfamily = descriptor\n", "model.family=descriptor needs model.descriptor=<path>"),
     ("[model]\nfamily = descriptor\ndescriptor = none.json\n",
      "model descriptor {base}/none.json does not exist"),
@@ -253,17 +256,18 @@ def test_defaults_are_the_library_defaults():
 def test_model_defaults_are_the_builder_defaults():
     """Every builder parameter is a [model] key; where a builder declares a
     default, the key's default is that value, and an unset class count is the
-    family builder's own."""
+    family builder's own, or None when the builder takes none."""
     keys = {f.name: f.default for f in fields(ModelConfig)}
     for family, builder in BUILDERS.items():
-        for p in inspect.signature(builder).parameters.values():
+        params = inspect.signature(builder).parameters
+        for p in params.values():
             assert p.name in keys, (family, p.name)
             if p.default is not p.empty and p.name != "num_classes":
                 assert keys[p.name] == p.default, (family, p.name)
         cfg = RunConfig()
         cfg.model.family = family
-        assert cfg.effective_classes() == \
-            inspect.signature(builder).parameters["num_classes"].default
+        classes = params.get("num_classes")
+        assert cfg.effective_classes() == (None if classes is None else classes.default)
     assert keys["num_classes"] is None
 
 
@@ -295,7 +299,7 @@ def test_readme_lists_every_key():
 
 def test_readme_names_the_families_reading_each_model_key():
     """Each [model] key's README comment names the families whose builder takes
-    it as a parameter; only ``descriptor`` reads the descriptor path."""
+    it as a parameter."""
     text = README.read_text(encoding="utf-8")
     block = text.split("```ini\n[model]\n", 1)[1].split("\n\n", 1)[0]
     for line in block.splitlines():
@@ -304,8 +308,6 @@ def test_readme_names_the_families_reading_each_model_key():
             continue
         readers = {family for family, builder in BUILDERS.items()
                    if key in inspect.signature(builder).parameters}
-        if key == "descriptor":
-            readers.add("descriptor")
         assert set(re.split(r",\s*", comment.strip())) == readers, key
 
 
