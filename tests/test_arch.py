@@ -20,6 +20,8 @@ from hypothesis import strategies as st
 import chanreduce as cr
 from chanreduce.arch import _META_DEFAULTS, LAYER_KINDS
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
 
 # -- exact ceiling scaling ---------------------------------------------------
 
@@ -515,9 +517,6 @@ def test_descriptor_defaults():
     assert spec.meta == cr.ModelMeta("descriptor", "unknown", 10, 3, 224)
     with pytest.raises(ValueError, match="unknown layer kind 'fire'"):
         cr.spec_from_dict({"num_classes": 10, "layers": [{"kind": "fire"}]})
-
-
-README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_readme_descriptor_table_is_the_layer_classes():
