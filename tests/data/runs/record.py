@@ -34,6 +34,7 @@ DESCRIPTOR = "family = descriptor\ndescriptor = model.json\n"   # the same model
 SHAPES = {
     "reduce-search": (["reduce", "--budget", "search"], SEQUENTIAL),
     "reduce-final": (["reduce", "--budget", "final"], SEQUENTIAL),
+    "reduce-forward": (["reduce", "--direction", "forward", "--budget", "search"], SEQUENTIAL),
     "rd": (["rd", "--alphas", "1", "0.5", "--gnuplot"], SEQUENTIAL),
     "lesion-constant": (["lesion", "--kind", "constant", "--values", "2", "5"], SEQUENTIAL),
     "lesion-proportional": (["lesion", "--kind", "proportional", "--values", "1/2", "3/4"],

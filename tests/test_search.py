@@ -498,33 +498,32 @@ def test_preset_rounds_by_slot_count(monkeypatch, model, slots, rounds, calls):
 
 
 # sha256 of ``json.dumps(result.to_dict(), indent=2, sort_keys=True)`` for a
-# backward reduction returning the feasible bound and a forward one returning
-# the last midpoint, at delta 0.01 on the default surrogate.
+# backward and a forward reduction at delta 0.01 on the default surrogate.
 MULTI_SLOT_REDUCTION_SHA256 = {
     ("d15", True, 1): "3e8b2edc03329357417a014c25c083fa697cdbe95b23900df417fe9a0f31b300",
     ("d15", True, 2): "3e8b2edc03329357417a014c25c083fa697cdbe95b23900df417fe9a0f31b300",
     ("d15", True, 3): "67d85dc3633a150c486ffe23cc205ccaf6466742e3f4e4c5f4cce63db2e3f0d6",
     ("d15", True, 7): "9f340d5f4c2d269b08a59722351105346c9fcb1cea19b0fbb92653458961b422",
-    ("d15", False, 1): "855c43d8c4ec11eb5392a6e81920a89291bc00777197a27c863a69d74a5b55ff",
-    ("d15", False, 2): "855c43d8c4ec11eb5392a6e81920a89291bc00777197a27c863a69d74a5b55ff",
-    ("d15", False, 3): "7dd113b38ba79ca6b9c6aeca84501b9c7d3aa4e1e1b4b513cc6f12ddb0e13716",
-    ("d15", False, 7): "0600ce682221ae1ce5315f218ff70f9fbb1bcf44d1cda7e67e2f8af74b680a87",
+    ("d15", False, 1): "88d5e7ffb98517970b00afe5c946c3f70559df38cc061ae41ac8746a0fa11d9a",
+    ("d15", False, 2): "88d5e7ffb98517970b00afe5c946c3f70559df38cc061ae41ac8746a0fa11d9a",
+    ("d15", False, 3): "6e4e12da0a8ae73454892eb887a21d991dee1ee436158aa94eb801b9b97574e0",
+    ("d15", False, 7): "d84ddd70fefa3d205859d42b5125c5367970fdc363d3f18b0124292ae5dc60ab",
     ("resnet34", True, 1): "da5ec22e69b4db2682c36fee4ee14e5620d0e1be21b49ffabb57ff8d644cdafb",
     ("resnet34", True, 2): "da5ec22e69b4db2682c36fee4ee14e5620d0e1be21b49ffabb57ff8d644cdafb",
     ("resnet34", True, 3): "8de28408def07cfea13817ba19f97e3d17b76d44ded07e1bb947d7b4bcad3a05",
     ("resnet34", True, 7): "4d5189757f5aa4b2f240f4062d2097ad21e9de6291e119b6d35ce48fc465555d",
-    ("resnet34", False, 1): "8e476e04929892848a914ef02cedbfdc26f3fd2c181a3daa3d3cf3481b39da8d",
-    ("resnet34", False, 2): "8e476e04929892848a914ef02cedbfdc26f3fd2c181a3daa3d3cf3481b39da8d",
-    ("resnet34", False, 3): "37994f5c5a61d25198452b6a28bd6c98d9fabc150a3b255e4943182b31718549",
-    ("resnet34", False, 7): "19ec18bcb358ed62182d87fc18cb9ae1c75bc6124055437877e22ba7c1851985",
+    ("resnet34", False, 1): "eabc0164508ec864161cf7a02ff287ce2a9766affe49abc4cdd65a0fd490d173",
+    ("resnet34", False, 2): "eabc0164508ec864161cf7a02ff287ce2a9766affe49abc4cdd65a0fd490d173",
+    ("resnet34", False, 3): "31c110ed50e97092869e5c18a5c699ba34d3df3806355f44fc12bb97473aa397",
+    ("resnet34", False, 7): "00949716c62c7e0c3bfa3a37a41a9ea6a24abe8a815aff59590bd07f1265ecca",
     ("mobilenet", True, 1): "f5dcc30918c293fadb301999216d9d56a163559ae394440dd396a3f2269fc34b",
     ("mobilenet", True, 2): "f5dcc30918c293fadb301999216d9d56a163559ae394440dd396a3f2269fc34b",
     ("mobilenet", True, 3): "6b59eb1b970cf5c8bb01a0143c306c9832d58e1122c770d34717f821ac544993",
     ("mobilenet", True, 7): "646f07fc0382feece9a363ba700fe6854a497907189d1f6b1c9cca59b7036109",
-    ("mobilenet", False, 1): "902b863bf0876b2402ea20cf64b9f358a77ae953895cbe050564871b6615e88c",
-    ("mobilenet", False, 2): "902b863bf0876b2402ea20cf64b9f358a77ae953895cbe050564871b6615e88c",
-    ("mobilenet", False, 3): "29c77ce810eff1c0c8e28285f7681b113454c3aed99a4d1ddd8df5df4f6a6f1f",
-    ("mobilenet", False, 7): "810d1e3b7e0b9b1ecf22bd7cee4b1b56136e8fd2bdb76f4bcc204e0a3d35866e",
+    ("mobilenet", False, 1): "fdf961999f2e2b3dde1475f139d4fe48de9e8287b17eb8632255c3b1844de96e",
+    ("mobilenet", False, 2): "fdf961999f2e2b3dde1475f139d4fe48de9e8287b17eb8632255c3b1844de96e",
+    ("mobilenet", False, 3): "ab3c184dcbe285671d0de5b6c952f2e8edf1ce1b123d24dc117f7cec578d2cbb",
+    ("mobilenet", False, 7): "cbafdc44bfea94b00079696528a76e04a6befff3a6ea4bc81f83ff0359e7753f",
 }
 
 
@@ -533,10 +532,9 @@ def test_multi_slot_reduction_golden(model, backward, slots):
     # Pins every probe, speculative ones included, and its place in the trace.
     spec = (cr.build_sequential_cnn(15, [16, 32, 64]) if model == "d15"
             else getattr(cr, model)())
-    reduce, mode = ((cr.backward_reduction, BetaMode.FEASIBLE_BOUND) if backward
-                    else (cr.forward_reduction, BetaMode.LAST_MIDPOINT))
+    reduce = cr.backward_reduction if backward else cr.forward_reduction
     result = reduce(spec, None, 0.01, CountingOracle(cr.SurrogateOracle(spec), slots=slots),
-                    cr.SEARCH_BUDGET, beta_mode=mode)
+                    cr.SEARCH_BUDGET)
     text = json.dumps(result.to_dict(), indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == \
         MULTI_SLOT_REDUCTION_SHA256[model, backward, slots]
