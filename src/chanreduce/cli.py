@@ -255,12 +255,16 @@ def _run_reduce(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
     budget = _pick_budget(cfg, args.budget)
     op = backward_reduction if args.direction == "backward" else forward_reduction
     result = op(spec, None, cfg.search.delta, oracle, budget, cfg.search.scope,
-                beta_mode=cfg.beta_mode(), metric=cfg.search.metric)
+                metric=cfg.search.metric)
 
     final_record = None
-    if cfg.oracle.kind == "external" and result.scope:  # a search on the final budget holds it
-        final_record = ((budget == cfg.final_budget() and result.reduced_record)
-                        or oracle.evaluate(result.reduced_config, cfg.final_budget()))
+    if cfg.oracle.kind != "surrogate" and result.scope:  # a search on the final budget holds it
+        try:
+            final_record = ((budget == cfg.final_budget() and result.reduced_record)
+                            or oracle.evaluate(result.reduced_config, cfg.final_budget()))
+        except MissingEvaluationError:   # under kind = replay: the source never trained it
+            if cfg.oracle.kind != "replay":
+                raise
 
     payload = result.to_dict()
     payload["final_evaluation"] = None if final_record is None else final_record.to_dict()
@@ -350,7 +354,7 @@ def _run_rd(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
     alpha_points = build_alpha_curve(spec, args.alphas, oracle, budget)
     composed_points = build_alpha_plus_backward_curve(
         spec, args.alphas, cfg.search.delta, oracle, budget, cfg.search.scope,
-        beta_mode=cfg.beta_mode(), metric=cfg.search.metric)
+        metric=cfg.search.metric)
     export_curve(alpha_points, run_dir / "alpha_curve.csv")
     export_curve(composed_points, run_dir / "rd_curve.csv")
     if args.gnuplot:

@@ -257,7 +257,7 @@ class RunConfig:
     def final_budget(self) -> TrainingBudget:
         return self._budget(self.budget.final_epochs, self.budget.final_milestones)
 
-    def beta_mode(self) -> BetaMode:
+    def beta_mode(self) -> BetaMode:   # unread: bench/workloads.py reference() calls it
         return BetaMode(self.search.beta_return_mode)
 
     # -- resolved dump ------------------------------------------------------

@@ -69,21 +69,19 @@ def build_alpha_curve(spec: ModelSpec, alphas, oracle, budget: TrainingBudget) -
 
 def build_alpha_plus_backward_curve(spec: ModelSpec, alphas, delta: float, oracle,
                                     budget: TrainingBudget, scope: int | None = None, *,
+                                    # Unread: bench/workloads.py reference() passes it.
                                     beta_mode: BetaMode = BetaMode.FEASIBLE_BOUND,
                                     metric: str = "top1") -> list[RDPoint]:
     """Compose uniform scaling with backward reduction: for each alpha, scale the
     model, then greedily reduce its macroblocks within the accuracy budget delta
     (measured against the scaled model's own accuracy). Each distinct scaled
     model is reduced once, on its share of the oracle's slots; its point takes
-    the reduced configuration's ok record from the trace, else evaluates it again.
-    A reduction that searched nothing (no usable baseline) gives no point."""
+    the reduced configuration's ok record from the trace. A reduction that
+    searched nothing (no usable baseline) gives no point."""
     def reduce_at(config):
         result = backward_reduction(with_config(spec, config), None, delta, oracle, budget,
-                                    scope, beta_mode=beta_mode, metric=metric)
-        if not result.scope:
-            return result.reduced_report, None
-        return result.reduced_report, (result.reduced_record
-                                       or oracle.evaluate(result.reduced_config, budget))
+                                    scope, metric=metric)
+        return result.reduced_report, (result.reduced_record if result.scope else None)
 
     return _curve(spec, alphas, oracle, reduce_at, "+backward",
                   "alpha=%g composed point status %s; point skipped")

@@ -4,9 +4,8 @@ For one block of nominal width n, the multiplier beta is bisected on [0.5, 1]:
 the loop runs while (U - L) * n > 1, probes the midpoint beta' = (L + U) / 2 by
 evaluating the config with the block ceiling-scaled to ceil(beta' * n), and
 tightens U on a feasible probe (accuracy drop strictly below delta) or L otherwise.
-That costs exactly ceil(log2(n / 2)) probes. By default the last proven
-feasible bound U is returned, so the final configuration always meets the budget;
-the raw last midpoint (which may be infeasible) is available behind a flag.
+That costs exactly ceil(log2(n / 2)) probes. The last proven feasible bound U
+is returned, so the final configuration always meets the budget.
 
 On p = ``slots(oracle)`` slots (the oracle's, or an enclosing fan-out's share)
 the bisection runs in rounds: each round trains the top k = floor(log2(p + 1))
@@ -39,8 +38,8 @@ log = logging.getLogger(__name__)
 
 
 class BetaMode(enum.Enum):
+    # Read by no chanreduce code: only bench/workloads.py reference() passes it.
     FEASIBLE_BOUND = "feasible_bound"   # return final U
-    LAST_MIDPOINT = "last_midpoint"     # return the raw last midpoint probed
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,8 @@ class ReductionResult:
 
     @property
     def reduced_record(self) -> EvaluationRecord | None:
-        """The trace's ok record for the reduced configuration, if it has one."""
+        """The trace's ok record for the reduced configuration: never None when
+        ``scope`` is non-empty, where it is the baseline's or a feasible probe's."""
         return next((p.record for p in self.trace
                      if p.config == self.reduced_config and p.record.ok), None)
 
@@ -144,7 +144,6 @@ class Bisection:
 def search_macroblock_multiplier(block: int, config: ChannelConfig,
                                  partition: MacroblockPartition, delta: float,
                                  oracle, budget: TrainingBudget, baseline: float | None, *,
-                                 beta_mode: BetaMode = BetaMode.FEASIBLE_BOUND,
                                  metric: str = "top1",
                                  trained: dict[ChannelConfig, EvaluationRecord] | None = None,
                                  ) -> tuple[float, list[SearchProbe]]:
@@ -170,7 +169,7 @@ def search_macroblock_multiplier(block: int, config: ChannelConfig,
         raise ValueError(f"block index {block} out of range 0..{partition.num_blocks - 1}")
     state = Bisection(partition.blocks[block].search_width)
     known = {} if trained is None else trained
-    midpoint, probes = None, []
+    probes = []
 
     def judge(record: EvaluationRecord) -> bool | None:
         """Whether the probe meets the budget; None without a baseline."""
@@ -205,7 +204,7 @@ def search_macroblock_multiplier(block: int, config: ChannelConfig,
             walked.add(candidate)
             feasible = judge(record)
             probes.append(SearchProbe(block, state.midpoint, candidate, record, feasible))
-            midpoint, state = state.midpoint, state.step(feasible)
+            state = state.step(feasible)
         for m, candidate in at.items():
             if candidate in records and candidate not in walked:
                 walked.add(candidate)
@@ -213,36 +212,32 @@ def search_macroblock_multiplier(block: int, config: ChannelConfig,
                                           judge(records[candidate]), speculative=True))
         if baseline is None:
             return 1.0, probes
-
-    if beta_mode is BetaMode.LAST_MIDPOINT and midpoint is not None:
-        return midpoint, probes
     return state.upper, probes
 
 
 def backward_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
                        delta: float, oracle, budget: TrainingBudget,
                        scope: int | None = None, *,
+                       # Unread: bench/workloads.py reference() passes it.
                        beta_mode: BetaMode = BetaMode.FEASIBLE_BOUND,
                        metric: str = "top1") -> ReductionResult:
     """Reduce the deepest ``scope`` macroblocks, last block first."""
     return _greedy_reduction(spec, partition, delta, oracle, budget, scope,
-                             backward=True, beta_mode=beta_mode, metric=metric)
+                             backward=True, metric=metric)
 
 
 def forward_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
                       delta: float, oracle, budget: TrainingBudget,
                       scope: int | None = None, *,
-                      beta_mode: BetaMode = BetaMode.FEASIBLE_BOUND,
                       metric: str = "top1") -> ReductionResult:
     """Same greedy search with the block order reversed: first block first."""
     return _greedy_reduction(spec, partition, delta, oracle, budget, scope,
-                             backward=False, beta_mode=beta_mode, metric=metric)
+                             backward=False, metric=metric)
 
 
 def _greedy_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
                       delta: float, oracle, budget: TrainingBudget,
-                      scope: int | None, *, backward: bool, beta_mode: BetaMode,
-                      metric: str) -> ReductionResult:
+                      scope: int | None, *, backward: bool, metric: str) -> ReductionResult:
     if partition is None:
         partition = partition_macroblocks(spec)
     m = partition.num_blocks
@@ -263,7 +258,7 @@ def _greedy_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
     for block in order:
         beta, probes = search_macroblock_multiplier(
             block, working, partition, delta, oracle, budget, baseline,
-            beta_mode=beta_mode, metric=metric, trained=trained)
+            metric=metric, trained=trained)
         trace.extend(probes)
         if baseline is None:
             baseline_record = probes[0].record
@@ -277,7 +272,6 @@ def _greedy_reduction(spec: ModelSpec, partition: MacroblockPartition | None,
         path = [p for p in probes if p.block is not None and not p.speculative]
         if path and not any(p.record.ok for p in path):
             diagnostics.append(f"block {block}: every probe failed; left at beta=1")
-            beta = 1.0
         betas[block] = beta
         working = apply_macroblock_scale(working, partition, block, beta)
 

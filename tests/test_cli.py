@@ -759,6 +759,42 @@ def test_replay_kind_run_replays_after_its_source_is_gone(tmp_path, capsys):
     assert not fresh.exists()
 
 
+def test_replay_kind_reduce_reports_the_final_evaluation_its_source_holds(tmp_path):
+    # The recorded external run trained its reduced configuration under the
+    # final budget; a kind = replay run over its ledger serves that record too.
+    source = tmp_path / "source"
+    shutil.copytree(CORPUS / "f1-s1-reduce-search", source)
+    cfg = write_cfg(tmp_path, "[model]\ndepth = 8\nblock_widths = 8, 16\n"
+                              f"[oracle]\nkind = replay\nledger = {source}/ledger.jsonl\n")
+    out = tmp_path / "out"
+    assert run("reduce", "--budget", "search", "--config", cfg, "--out", out) == 0
+    assert (out / "ledger.jsonl").read_bytes() == (source / "ledger.jsonl").read_bytes()
+    assert (out / "reduction.json").read_bytes() == (source / "reduction.json").read_bytes()
+    final = (source / "summary.txt").read_text().splitlines()[-1]
+    assert final.startswith("final top1 (full budget): ")
+    assert final in (out / "summary.txt").read_text().splitlines()
+    assert_replays(out)
+
+
+def test_a_last_midpoint_run_directory_exits_2_and_is_left_as_it_is(tmp_path, capsys):
+    # The last midpoint may break the accuracy budget, so a reduction returns
+    # the feasible bound only; a directory recorded with the other rule is refused.
+    out = tmp_path / "run"
+    shutil.copytree(CORPUS / "f1-s1-reduce-search", out)
+    resolved = out / "resolved.cfg"
+    resolved.write_text(resolved.read_text().replace("beta_return_mode = feasible_bound",
+                                                     "beta_return_mode = last_midpoint"))
+    before = snapshot(out)
+    replayed = tmp_path / "replayed"
+    assert run("replay", out, "--out", replayed) == 2
+    assert run("replay", out) == 2
+    assert run("reduce", "--config", resolved, "--out", out) == 2
+    error = (f"search.beta_return_mode must be feasible_bound, got 'last_midpoint' "
+             f"(in {resolved})")
+    assert capsys.readouterr().err.count(error) == 3
+    assert snapshot(out) == before and not replayed.exists()
+
+
 def test_rerun_with_other_oracle_settings_is_refused(tmp_path, monkeypatch, capsys):
     # Editing a config and running it again lands in the same default run
     # directory, whose ledger holds records made under the old settings.
@@ -1579,6 +1615,9 @@ def test_a_run_directory_under_a_regular_file_fails_and_writes_nothing(tmp_path,
     # The surrogate reports top1 only, so no baseline could be used.
     ("reduce", "[search]\nmetric = top5\n", "the surrogate oracle reports no top5"),
     ("rd", "[search]\nmetric = top5\n", "the surrogate oracle reports no top5"),
+    # A reduction returns the last feasible bound only.
+    ("reduce", "[search]\nbeta_return_mode = last_midpoint\n",
+     "search.beta_return_mode must be feasible_bound, got 'last_midpoint'"),
 ], ids=["unbuildable-model", "no-classes", "no-trainer-slots", "surrogate-parallelism-negative",
         "files-without-exchange-dir",
         "lesion-index-past-the-last", "rd-alpha-above-1", "rd-alpha-too-small-to-scale",
@@ -1592,7 +1631,7 @@ def test_a_run_directory_under_a_regular_file_fails_and_writes_nothing(tmp_path,
         "sweep-proportional-2", "sweep-proportional-0", "sweep-constant-0",
         "sweep-constant-1/2", "sweep-macroblock-3/2", "sweep-constant-above-the-nominal-width",
         "sweep-proportional-abc", "lesion-macroblock-with-indices",
-        "reduce-surrogate-top5", "rd-surrogate-top5"])
+        "reduce-surrogate-top5", "rd-surrogate-top5", "reduce-last-midpoint"])
 def test_a_run_that_cannot_start_leaves_no_directory(tmp_path, capsys, command, text, error):
     cfg = write_cfg(tmp_path, text)
     out = tmp_path / "out"

@@ -48,7 +48,7 @@ FULL_CFG = """\
     [search]
     delta = 1/50
     scope = 2
-    beta_return_mode = Last_Midpoint
+    beta_return_mode = Feasible_Bound
     seed = 7
     metric = TOP5
 
@@ -94,7 +94,7 @@ exchange_dir = {base}/jobs
 
 [search]
 delta = 0.02
-beta_return_mode = last_midpoint
+beta_return_mode = feasible_bound
 seed = 7
 metric = top5
 scope = 2
@@ -275,8 +275,8 @@ def test_search_choices_are_the_library_choices(tmp_path):
     choices = {f.name: f.metadata.get("choices") for f in fields(RunConfig().search)}
     assert choices["beta_return_mode"] == tuple(mode.value for mode in BetaMode)
     assert choices["metric"] == METRICS
-    cfg = _load(tmp_path, "[search]\nmetric = top5\nbeta_return_mode = last_midpoint\n")
-    assert cfg.beta_mode() is BetaMode.LAST_MIDPOINT
+    cfg = _load(tmp_path, "[search]\nmetric = top5\nbeta_return_mode = feasible_bound\n")
+    assert cfg.beta_mode() is BetaMode.FEASIBLE_BOUND
     record = EvaluationRecord("d" * 64, SEARCH_BUDGET, 0.5, 0.75, 0.0, "ok")
     assert [record.metric(m) for m in METRICS] == [0.5, 0.75]
 

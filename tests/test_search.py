@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chanreduce as cr
-from chanreduce import BetaMode, search
+from chanreduce import search
 from chanreduce.oracle import fan_out
 from chanreduce.search import Bisection
 
@@ -78,18 +78,6 @@ def test_bisection_worked_example_probe_sequence():
     assert beta == 0.5625
     assert cr.scale_width(64, beta) == 36
     assert oracle.calls == 1 + 5
-
-
-def test_bisection_last_midpoint_mode():
-    spec, partition = _single_block(64)
-    oracle = sharp_surrogate(spec)
-    config = cr.channel_config(spec)
-    baseline = oracle.evaluate(config, cr.SEARCH_BUDGET).top1
-    beta, probes = cr.search_macroblock_multiplier(
-        0, config, partition, 0.01, oracle, cr.SEARCH_BUDGET, baseline,
-        beta_mode=BetaMode.LAST_MIDPOINT)
-    assert beta == 0.546875
-    assert len(probes) == 5
 
 
 def test_two_channel_block_needs_no_probes():
@@ -294,23 +282,6 @@ def test_reduced_record_is_the_traced_record_of_the_reduced_config(model, slots)
     assert record.config_digest == cr.config_digest(result.reduced_config, spec)
 
 
-@pytest.mark.parametrize("slots", [1, 3])
-def test_a_failed_last_midpoint_has_no_reduced_record(d15_spec, slots):
-    # Under last_midpoint the reduced config is the last probe, here failed:
-    # no record holds it, so a composed rd point evaluates it once more.
-    mode = BetaMode.LAST_MIDPOINT
-    reduced = cr.backward_reduction(d15_spec, None, 0.01, cr.SurrogateOracle(d15_spec),
-                                    cr.SEARCH_BUDGET, beta_mode=mode).reduced_config
-    oracle = FailingOracle(cr.SurrogateOracle(d15_spec), lambda c: c == reduced, slots=slots)
-    result = cr.backward_reduction(d15_spec, None, 0.01, oracle, cr.SEARCH_BUDGET,
-                                   beta_mode=mode)
-    assert result.reduced_config == reduced and oracle.asked == 1
-    assert result.reduced_record is None
-    assert cr.build_alpha_plus_backward_curve(d15_spec, [1.0], 0.01, oracle,
-                                              cr.SEARCH_BUDGET, beta_mode=mode) == []
-    assert oracle.asked == 3
-
-
 def test_backward_reduction_defaults(d15_spec, d15_partition):
     oracle = CountingOracle(cr.SurrogateOracle(d15_spec))
     result = cr.backward_reduction(d15_spec, d15_partition, 0.01, oracle,
@@ -411,15 +382,15 @@ def test_a_baseline_without_the_metric_names_it_and_skips_search(d15_spec, d15_p
     assert len(result.trace) == 1
 
 
-@pytest.mark.parametrize("mode", [BetaMode.FEASIBLE_BOUND, BetaMode.LAST_MIDPOINT])
-def test_all_failed_probes_leave_block_alone(d15_spec, d15_partition, mode):
+def test_all_failed_probes_leave_block_alone(d15_spec, d15_partition):
     # The baseline is ok; every other config fails.
     nominal = cr.channel_config(d15_spec)
     oracle = FailingOracle(cr.SurrogateOracle(d15_spec), lambda c: c != nominal)
-    result = cr.backward_reduction(d15_spec, d15_partition, 0.01, oracle, cr.SEARCH_BUDGET,
-                                   beta_mode=mode)
+    result = cr.backward_reduction(d15_spec, d15_partition, 0.01, oracle, cr.SEARCH_BUDGET)
     assert result.betas == (1.0, 1.0, 1.0)
-    assert result.reduced_config == cr.channel_config(d15_spec)
+    assert result.reduced_config == nominal
+    assert result.reduced_record.ok
+    assert result.reduced_record.config_digest == cr.config_digest(nominal, d15_spec)
     assert len(result.diagnostics) == 3
     for b in (0, 1, 2):
         assert f"block {b}: every probe failed; left at beta=1" in result.diagnostics
@@ -545,16 +516,21 @@ def test_multi_slot_reduction_golden(model, backward, slots):
        frontiers=st.lists(st.floats(0.3, 1.0), min_size=3, max_size=3),
        weight=st.floats(0.5, 4000.0), delta=st.floats(0.0, 0.1),
        scope=st.integers(1, 3), slots=st.sampled_from([1, 2, 3, 7]),
-       mode=st.sampled_from(list(BetaMode)), backward=st.booleans())
+       backward=st.booleans())
 def test_speculation_matches_one_slot(widths, frontiers, weight, delta, scope, slots,
-                                      mode, backward):
+                                      backward):
     spec = cr.build_sequential_cnn(6, widths)
     params = cr.SurrogateParams(frontiers=tuple(frontiers), weights=(weight,) * 3)
     reduce = cr.backward_reduction if backward else cr.forward_reduction
     one = reduce(spec, None, delta, cr.SurrogateOracle(spec, params), cr.SEARCH_BUDGET,
-                 scope, beta_mode=mode)
+                 scope)
     oracle = CountingOracle(cr.SurrogateOracle(spec, params), slots=slots)
-    many = reduce(spec, None, delta, oracle, cr.SEARCH_BUDGET, scope, beta_mode=mode)
+    many = reduce(spec, None, delta, oracle, cr.SEARCH_BUDGET, scope)
+    # One return rule: a reduction that searched ends on a trained configuration
+    # that meets delta, unless it kept the nominal one.
+    assert (many.reduced_record is not None) == bool(many.scope)
+    assert (many.reduced_config == cr.channel_config(spec)
+            or cr.distortion(many.baseline_record.top1, many.reduced_record.top1) < delta)
     assert many.betas == one.betas
     assert many.reduced_config == one.reduced_config
     assert [p for p in many.trace if not p.speculative] == list(one.trace)
@@ -578,18 +554,19 @@ def test_speculation_retries_a_failed_config_like_one_slot():
     assert result.oracle_calls == oracle.calls == 5
 
 
-@pytest.mark.parametrize("mode", [BetaMode.FEASIBLE_BOUND, BetaMode.LAST_MIDPOINT])
-def test_failed_path_is_judged_without_speculative_probes(mode):
+def test_failed_path_is_judged_without_speculative_probes():
     # Width 64 failing above 40 channels: every probe on the path (48, 56, ...)
     # fails, while 40, trained beside 48 and 56 in the first round, is ok. The
     # block is left alone as on one slot.
     spec, partition = _single_block(64)
     oracle = FailingOracle(cr.SurrogateOracle(spec), lambda c: 40 < c.channels[1] < 64,
                            slots=7)
-    result = cr.backward_reduction(spec, partition, 0.01, oracle, cr.SEARCH_BUDGET,
-                                   beta_mode=mode)
+    result = cr.backward_reduction(spec, partition, 0.01, oracle, cr.SEARCH_BUDGET)
     assert any(p.speculative and p.record.ok for p in result.trace)
     assert result.betas == (1.0,)
+    nominal = cr.channel_config(spec)
+    assert result.reduced_record.ok
+    assert result.reduced_record.config_digest == cr.config_digest(nominal, spec)
     assert result.diagnostics == ("block 0: every probe failed; left at beta=1",)
 
 
