@@ -12,9 +12,9 @@ what it lacks, so an interrupted run resumes where it stopped. A rerun with othe
 holds other records.
 
 Exit codes: 0 success, 1 runtime failure (reports may be partial), 2 bad
-configuration or usage. A Ctrl-C (SIGINT) leaves ``summary.txt`` saying
-``status: interrupted`` and ends the process by SIGINT, as an uninterrupted
-Python program would, so a shell loop around it stops too.
+configuration or usage. A SIGINT (Ctrl-C) or SIGTERM ends every trainer, records
+no training in flight, leaves ``summary.txt`` saying ``status: interrupted`` and
+ends the process by that signal, so a shell loop around it stops too.
 """
 
 from __future__ import annotations
@@ -47,7 +47,10 @@ log = logging.getLogger(__name__)
 
 
 def main(argv=None) -> int:
+    def stop(signum, frame):   # a SIGTERM stops a run as a Ctrl-C does
+        raise KeyboardInterrupt(signum)
     parser = _build_parser()
+    previous = signal.signal(signal.SIGTERM, stop)
     try:
         args = parser.parse_args(argv)
         if not hasattr(args, "func"):
@@ -58,11 +61,14 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError, MissingEvaluationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, (ConfigError, ValueError)) else 1
-    except KeyboardInterrupt:
+    except KeyboardInterrupt as exc:
         print("interrupted; rerun the command to resume", file=sys.stderr)
-        signal.signal(signal.SIGINT, signal.SIG_DFL)
-        os.kill(os.getpid(), signal.SIGINT)
-        return 130   # not reached: the default action ends the process
+        signum = exc.args[0] if exc.args else signal.SIGINT
+        signal.signal(signum, signal.SIG_DFL)
+        os.kill(os.getpid(), signum)
+        return 128 + signum   # not reached: the default action ends the process
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 def _build_parser() -> argparse.ArgumentParser:

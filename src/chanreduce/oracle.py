@@ -172,8 +172,8 @@ def fan_out(oracle, fn, items) -> list:
     distinct item, on up to ``slots(oracle)`` threads: a repeated item shares
     its first occurrence's result. Each call gets an equal share of the slots,
     at least one, so fan-outs nested in it stay within them. With one slot the
-    calls run in order on the calling thread. An exception raised by any call
-    reaches the caller, and items not yet started are then dropped."""
+    calls run in order on the calling thread. An exception in any call or in the
+    caller reaches the caller at once, dropping the items not started yet."""
     items = list(items)
     distinct = list(dict.fromkeys(items))
     p = slots(oracle)
@@ -185,7 +185,7 @@ def fan_out(oracle, fn, items) -> list:
         try:
             answers = dict(zip(distinct, pool.map(fn, distinct)))
         finally:
-            pool.shutdown(cancel_futures=True)
+            pool.shutdown(wait=False, cancel_futures=True)
     return [answers[item] for item in items]
 
 

@@ -16,8 +16,8 @@ never arrives (dead or unreachable worker, deadline passed) yields status
 ``timeout``; a ``{`` line that cannot be parsed, and a ``files`` worker that
 exits non-zero, yield status ``failed``. A ``files`` failure's note ends with
 the last lines the worker wrote to stderr. Neither aborts a caller: failures
-surface as infeasible probes. A worker killed by SIGINT was stopped by the
-Ctrl-C that stops the run, not by its training, so it raises
+surface as infeasible probes. A stop is no failure: a worker killed by one of
+``STOP_SIGNALS``, or any call once ``close`` ends every trainer, raises
 ``KeyboardInterrupt`` and nothing is recorded. A record's ``wall_seconds`` is
 the trainer's own figure, else the time since a worker took the request;
 waiting for a busy worker never counts as trainer time.
@@ -37,7 +37,6 @@ import signal
 import subprocess
 import threading
 import time
-from functools import partial
 from pathlib import Path
 
 from .arch import ChannelConfig, ModelSpec
@@ -48,6 +47,7 @@ log = logging.getLogger(__name__)
 
 PROTOCOL_PIPE = "pipe"
 PROTOCOL_FILES = "files"
+STOP_SIGNALS = (signal.SIGINT, signal.SIGTERM)   # a Ctrl-C, and what kill and schedulers send
 
 
 def build_request(run_id: str, config: ChannelConfig, spec: ModelSpec,
@@ -60,9 +60,8 @@ def build_request(run_id: str, config: ChannelConfig, spec: ModelSpec,
 
 
 class _ReplyError(Exception):
-    def __init__(self, status: str, note: str):
-        self.status = status
-        self.note = note
+    def __init__(self, status: str, note: str, code: int = 0):
+        self.status, self.note, self.code = status, note, code   # code: the trainer's exit code
 
 
 def _parse_reply(line: str, run_id: str) -> dict | None:
@@ -116,7 +115,7 @@ class _PipeWorker:
 
     def __init__(self, argv: list[str]):
         self.argv = argv
-        self.proc: subprocess.Popen | None = None
+        self.proc, self.ended = None, False   # ended: set by ExternalTrainerOracle.close
         self._buffer = b""
 
     def call(self, run_id: str, line: str, timeout: float) -> dict:
@@ -128,6 +127,8 @@ class _PipeWorker:
                 self.kill()
                 self.proc = subprocess.Popen(self.argv, stdin=subprocess.PIPE,
                                              stdout=subprocess.PIPE)
+                if self.ended:   # close() ran while it started
+                    self.proc.kill()
             self.proc.stdin.write(line.encode("utf-8"))
             self.proc.stdin.flush()
         except (OSError, ValueError) as exc:
@@ -146,8 +147,7 @@ class _PipeWorker:
     def kill(self) -> None:
         """Stop the worker, reap it and close both pipes."""
         if self.proc is not None:
-            if self.proc.poll() is None:
-                self.proc.kill()
+            self.proc.kill()   # does nothing once it has exited
             self.proc.wait()
             self.proc.stdout.close()
             with contextlib.suppress(BrokenPipeError):  # drops a request not yet sent
@@ -174,11 +174,8 @@ class _PipeWorker:
                 except subprocess.TimeoutExpired:
                     raise _ReplyError(STATUS_TIMEOUT,
                                       "trainer closed its output before replying") from None
-                if code == -signal.SIGINT:
-                    self.kill()
-                    raise KeyboardInterrupt
                 raise _ReplyError(STATUS_TIMEOUT,
-                                  f"trainer exited with code {code} before replying")
+                                  f"trainer exited with code {code} before replying", code)
             self._buffer += chunk
         line, self._buffer = self._buffer.split(b"\n", 1)
         return line.decode("utf-8", errors="replace")
@@ -191,6 +188,7 @@ class _FilesWorker:
     def __init__(self, argv: list[str], exchange_dir: Path):
         self.argv = argv
         self.exchange_dir = exchange_dir
+        self.proc, self.ended = None, False   # ended: set by ExternalTrainerOracle.close
 
     def call(self, run_id: str, line: str, timeout: float) -> dict:
         self.exchange_dir.mkdir(parents=True, exist_ok=True)
@@ -201,8 +199,10 @@ class _FilesWorker:
         tmp.rename(req_path)
         resp_path.unlink(missing_ok=True)
         try:
-            proc = subprocess.Popen(self.argv + [str(req_path), str(resp_path)],
-                                    stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+            proc = self.proc = subprocess.Popen(self.argv + [str(req_path), str(resp_path)],
+                                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+            if self.ended:   # close() ran while it started
+                proc.kill()
         except OSError as exc:
             raise _ReplyError(STATUS_TIMEOUT, f"trainer unreachable: {exc}")
         deadline = time.monotonic() + timeout
@@ -218,11 +218,9 @@ class _FilesWorker:
                         proc.wait()
                         raise _ReplyError(STATUS_TIMEOUT, f"trainer run exceeded {timeout:g}s"
                                           + _stderr_tail(exc.stderr)) from None
-        if proc.returncode == -signal.SIGINT:
-            raise KeyboardInterrupt
         if proc.returncode != 0:
             raise _ReplyError(STATUS_FAILED, f"trainer exited with code {proc.returncode}"
-                              + _stderr_tail(stderr))
+                              + _stderr_tail(stderr), proc.returncode)
         if not resp_path.exists():
             raise _ReplyError(STATUS_FAILED, "trainer wrote no response file"
                               + _stderr_tail(stderr))
@@ -270,11 +268,11 @@ class ExternalTrainerOracle:
         self._nonce = os.urandom(4).hex()
         self._counter = 0
         self._counter_lock = threading.Lock()
-        worker = (partial(_PipeWorker, argv) if protocol == PROTOCOL_PIPE
-                  else partial(_FilesWorker, argv, Path(exchange_dir)))
+        self._all = [_PipeWorker(argv) if protocol == PROTOCOL_PIPE
+                     else _FilesWorker(argv, Path(exchange_dir)) for _ in range(parallelism)]
         self._workers: queue.LifoQueue[_PipeWorker | _FilesWorker] = queue.LifoQueue()
-        for _ in range(parallelism):
-            self._workers.put(worker())
+        for w in self._all:
+            self._workers.put(w)
 
     def _next_run_id(self, digest: str) -> str:
         with self._counter_lock:
@@ -289,18 +287,28 @@ class ExternalTrainerOracle:
         worker = self._workers.get()
         start = time.monotonic()  # after the wait for a worker, which is not trainer time
         try:
+            if worker.ended:   # close() has run: dispatch nothing
+                raise KeyboardInterrupt
             reply = worker.call(run_id, line, self.timeout)
             return _record_from_reply(reply, digest, budget, time.monotonic() - start)
         except _ReplyError as exc:
+            if worker.ended or -exc.code in STOP_SIGNALS:   # a stop, not a failed training
+                raise KeyboardInterrupt from None
             log.warning("trainer evaluation %s: %s", run_id, exc.note)
             return EvaluationRecord(digest, budget, None, None,
                                     time.monotonic() - start, exc.status, note=exc.note)
         finally:
+            if worker.ended:   # close() ended it: the pipes are closed by the thread holding it
+                worker.kill()
             self._workers.put(worker)
 
     def close(self) -> None:
-        while True:
-            try:
-                self._workers.get_nowait().kill()
-            except queue.Empty:
-                return
+        """End and reap every trainer, busy ones too: their calls and all later ones stop."""
+        for worker in self._all:
+            worker.ended = True
+            if (proc := worker.proc) is not None:
+                proc.kill()
+                proc.wait()
+        with self._workers.mutex:   # the idle workers, which no call can take meanwhile
+            for worker in self._workers.queue:
+                worker.kill()

@@ -61,7 +61,8 @@ def src_env():
 # A trainer for both protocols, run as `trainer.py STATE` (pipe: requests on
 # stdin) or `trainer.py STATE REQUEST RESPONSE` (files). It marks each answer in
 # STATE/answered. Once two answers are marked and while STATE/release is
-# missing, it holds each request, marked in STATE/held, until that file appears.
+# missing, it holds each request until that file appears, marked by a file in
+# STATE/held that holds the trainer's pid.
 # While STATE/reorder exists, an answer depends on when it is given: top1 drops
 # by 1e-6 for each answer marked before it. The run's first request (run id
 # ending in -0001) waits for another answer (at most 1 s), and 50 ms more, so a
@@ -74,7 +75,9 @@ def answer(line):
     release = os.path.join(state, "release")
     answered = os.path.join(state, "answered")
     if not os.path.exists(release) and len(os.listdir(answered)) >= 2:
-        open(os.path.join(state, "held", req["run_id"]), "w").close()
+        with open(os.path.join(state, req["run_id"]), "w") as fh:
+            fh.write(str(os.getpid()))
+        os.rename(os.path.join(state, req["run_id"]), os.path.join(state, "held", req["run_id"]))
         while not os.path.exists(release):
             time.sleep(0.01)
     top1 = 0.9 * min(1.0, sum(req["channels"]) / 200)
@@ -976,12 +979,29 @@ def test_rerun_reports_the_failures_it_serves(tmp_path, capsys):
     assert run("reduce", "--config", cfg, "--out", tmp_path / "fresh") == 0
 
 
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` still runs; a zombie waiting for its reaper has ended."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    with contextlib.suppress(OSError):   # Linux: the state follows the command name
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] != "Z"
+    return True
+
+
 @pytest.mark.parametrize("protocol", ["pipe", "files"])
-def test_a_ctrl_c_records_none_of_the_trainings_it_interrupts(tmp_path, protocol):
-    # A terminal's Ctrl-C sends SIGINT to the CLI and its trainers alike. The
+@pytest.mark.parametrize("signum,group", [
+    (signal.SIGINT, True), (signal.SIGINT, False), (signal.SIGTERM, False),
+    (signal.SIGTERM, True)], ids=["SIGINT-group", "SIGINT-cli", "SIGTERM-cli", "SIGTERM-group"])
+def test_a_stop_records_none_of_the_trainings_it_interrupts(tmp_path, protocol, signum, group):
+    # A stop is SIGINT (a terminal's Ctrl-C sends it to the CLI and its trainers
+    # alike) or SIGTERM (kill, timeout, a job scheduler), sent to the CLI's
+    # process group or to the CLI alone. Each ends the CLI at once, by that
+    # signal, so a shell loop stops, and it ends every trainer of the run. The
     # trainings it cuts short are not failures: the rerun trains them, and ends
-    # as a run that was never interrupted. The CLI still dies of SIGINT, so a
-    # shell loop stops, but it leaves a summary and prints no traceback.
+    # as a run that was never interrupted. The CLI leaves a summary and prints no
+    # traceback.
     cfg, state = trainer_cfg(tmp_path, protocol, parallelism=2)
     argv = ["lesion", "--config", cfg, "--kind", "proportional", "--values", "1/2"]
     out, whole = tmp_path / "out", tmp_path / "whole"
@@ -994,9 +1014,14 @@ def test_a_ctrl_c_records_none_of_the_trainings_it_interrupts(tmp_path, protocol
             while len(os.listdir(state / "held")) < 2:
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.01)
-            os.killpg(proc.pid, signal.SIGINT)
-            err = proc.communicate(timeout=60)[1]
-            assert proc.returncode == -signal.SIGINT
+            held = [int(p.read_text()) for p in (state / "held").iterdir()]
+            (os.killpg if group else os.kill)(proc.pid, signum)
+            err = proc.communicate(timeout=10)[1]
+            assert proc.returncode == -signum
+            deadline = time.monotonic() + 3   # the cleanup below would end them
+            while any(map(_running, held)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, held))
         finally:  # whatever failed, leave no CLI or trainer of the group running
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)

@@ -544,6 +544,28 @@ def test_fan_out_keeps_item_order_and_raises_worker_errors():
     with pytest.raises(cr.MissingEvaluationError, match="no record for 2"):
         fan_out(_Slots(2), missing, range(6))
 
+    # An error reaches the caller at once, though another call is still running.
+    started, release = threading.Event(), threading.Event()
+    timer = threading.Timer(2.0, release.set)
+
+    def blocked(x):
+        if x == 1:
+            started.set()
+            release.wait()
+            return x
+        started.wait()
+        raise cr.MissingEvaluationError(f"no record for {x}")
+
+    timer.start()
+    try:
+        start = time.monotonic()
+        with pytest.raises(cr.MissingEvaluationError, match="no record for 0"):
+            fan_out(_Slots(2), blocked, range(2))
+        assert time.monotonic() - start < 0.5
+    finally:
+        release.set()
+        timer.cancel()
+
 
 @pytest.mark.parametrize("parallel_slots", [1, 3])
 def test_fan_out_calls_once_per_distinct_item(parallel_slots):

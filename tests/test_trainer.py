@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import os
 import sys
 import textwrap
 import threading
@@ -276,6 +277,99 @@ def test_pipe_worker_gone_before_replying(tmp_path, d15_config, ending, note, op
     rec = open_trainer(script).evaluate(d15_config, cr.SEARCH_BUDGET)
     assert rec.status == cr.STATUS_TIMEOUT
     assert rec.note == note
+
+
+@pytest.mark.parametrize("protocol", ["pipe", "files"])
+@pytest.mark.parametrize("signame", ["SIGINT", "SIGTERM"])
+def test_a_trainer_killed_by_a_stop_signal_stops_the_run(tmp_path, d15_spec, d15_config,
+                                                         signame, protocol, open_trainer):
+    # The signal that stops the run reached the trainer first: its death is no
+    # answer, so nothing is recorded and a rerun trains it again.
+    script = _script(tmp_path, "stopped.py", f"""\
+        import os, signal, sys
+        if len(sys.argv) == 1:
+            sys.stdin.readline()   # the request was sent
+        signal.signal(signal.{signame}, signal.SIG_DFL)
+        os.kill(os.getpid(), signal.{signame})
+        """)
+    ledger = cr.EvaluationLedger(tmp_path / "ledger.jsonl")
+    oracle = cr.RecordingOracle(open_trainer(script, protocol=protocol), ledger, d15_spec)
+    with pytest.raises(KeyboardInterrupt):
+        oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
+    assert len(ledger) == 0
+
+
+@pytest.mark.parametrize("protocol", ["pipe", "files"])
+def test_a_closed_oracle_dispatches_nothing(tmp_path, d15_config, protocol, open_trainer):
+    # Each start of the trainer appends a line to STARTS.
+    starts = tmp_path / "starts"
+    script = _script(tmp_path, "counted.py", f"""\
+        import json, sys
+        open({str(starts)!r}, "a").write("started\\n")
+        files = len(sys.argv) == 3
+        for line in [open(sys.argv[1]).read()] if files else sys.stdin:
+            reply = json.dumps({{"run_id": json.loads(line)["run_id"], "status": "ok",
+                                "top1": 0.5}})
+            print(reply, file=open(sys.argv[2], "w") if files else sys.stdout, flush=True)
+        """)
+    oracle = open_trainer(script, protocol=protocol)
+    assert oracle.evaluate(d15_config, cr.SEARCH_BUDGET).ok
+    oracle.close()
+    for _ in range(2):
+        with pytest.raises(KeyboardInterrupt):
+            oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
+    assert starts.read_text() == "started\n"
+    assert len(list((tmp_path / "exchange").glob("*.request.json"))) == (protocol == "files")
+
+
+@pytest.mark.parametrize("protocol", ["pipe", "files"])
+def test_close_during_calls_leaves_no_trainer(tmp_path, d15_config, protocol, open_trainer):
+    # Six threads keep three slots busy, so close() meets busy and idle workers,
+    # calls about to start a trainer and calls just answered. Every thread stops,
+    # every trainer started, each of which names itself in PIDS, has ended and
+    # been reaped, and no pipe worker holds its pipes. Five rounds, as one close()
+    # meets only some of these cases.
+    pids = tmp_path / "pids"
+    pids.mkdir()
+    script = _script(tmp_path, "quick.py", f"""\
+        import json, os, sys
+        open(os.path.join({str(pids)!r}, str(os.getpid())), "w").close()
+        files = len(sys.argv) == 3
+        for line in [open(sys.argv[1]).read()] if files else sys.stdin:
+            reply = json.dumps({{"run_id": json.loads(line)["run_id"], "status": "ok",
+                                "top1": 0.5}})
+            print(reply, file=open(sys.argv[2], "w") if files else sys.stdout, flush=True)
+        """)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            oracle = open_trainer(script, protocol=protocol, parallelism=3)
+            stopped = []
+
+            def evaluate_until_stopped():
+                try:
+                    while True:
+                        assert oracle.evaluate(d15_config, cr.SEARCH_BUDGET).ok
+                except KeyboardInterrupt:
+                    stopped.append(True)
+
+            threads = [threading.Thread(target=evaluate_until_stopped) for _ in range(6)]
+            for t in threads:
+                t.start()
+            time.sleep(0.2)
+            oracle.close()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            assert len(stopped) == 6
+            if protocol == "pipe":   # closed by close() or by the call that held it
+                assert [w.proc for w in oracle._all] == [None] * 3
+    finally:
+        sys.setswitchinterval(interval)
+    for pid in pids.iterdir():
+        with pytest.raises(ProcessLookupError):   # no process, not even a zombie
+            os.kill(int(pid.name), 0)
 
 
 def test_pipe_workers_release_their_pipes(tmp_path, d15_spec, d15_config):
