@@ -1,15 +1,15 @@
 """Command line front end.
 
 Every run gets a directory holding the artifacts needed to reproduce it without
-re-evaluating anything: ``resolved.cfg`` (every effective setting plus the
-command that ran), ``ledger.jsonl`` (one line per trained evaluation), a
-descriptor model's ``model.json``, and the command's reports. ``chanreduce
-replay RUNDIR`` re-renders those reports from the ledger alone; reports carry no
-timestamps, so a replay is byte-identical.
-A rerun into the same directory answers from the ledger first and trains only
-what it lacks, so an interrupted run resumes where it stopped. A rerun with other
-``[oracle]`` settings is refused, as is a replay into a directory whose ledger
-holds other records.
+re-evaluating anything: ``resolved.cfg`` (every effective setting, the command
+that ran and the directory's format), ``ledger.jsonl`` (one line per trained
+evaluation), a descriptor model's ``model.json``, and the command's reports.
+``chanreduce replay RUNDIR`` re-renders those reports from the ledger alone;
+reports carry no timestamps, so a replay is byte-identical. A rerun into the
+same directory answers from the ledger first and trains only what it lacks, so
+an interrupted run resumes where it stopped. A rerun with other ``[oracle]``
+settings is refused, as is a replay into a directory whose ledger holds other
+records, and a replay or rerun of a directory of a format this code cannot read.
 
 Exit codes: 0 success, 1 runtime failure (reports may be partial), 2 bad
 configuration or usage. A SIGINT (Ctrl-C) or SIGTERM ends every trainer, records
@@ -32,7 +32,7 @@ from pathlib import Path
 
 from .accounting import count_parameters
 from .arch import channel_config, partition_macroblocks, save_descriptor, write_json
-from .config import ConfigError, RunConfig
+from .config import FORMAT, ConfigError, RunConfig
 from .lesion import (SWEEP_CONSTANT, SWEEP_MACROBLOCK, SWEEP_PROPORTIONAL, SweepPlan,
                      format_value, run_onehot_sweep, sweep_configs, write_onehot_csv,
                      write_rd_points_csv)
@@ -153,9 +153,11 @@ def _check_target(args, cfg: RunConfig, spec, run_dir: Path) -> None:
                               f"replay into a fresh --out")
         return
     old, o = run_dir / "resolved.cfg", cfg.oracle
-    own = ((o.kind == "replay" and Path(o.ledger).resolve() == ledger.resolve())
-           or (old.exists() and old.samefile(args.config)))
-    if old.exists() and not own and RunConfig.from_file(old).record_key() != cfg.record_key(spec):
+    if not old.exists() or old.samefile(args.config):   # a rerun from it parsed it
+        return
+    recorded = RunConfig.from_file(old)   # refuses a format this code does not read
+    if (not (o.kind == "replay" and Path(o.ledger).resolve() == ledger.resolve())
+            and recorded.record_key() != cfg.record_key(spec)):
         raise ConfigError(f"{run_dir} holds evaluations made for another dataset or with "
                           f"other [oracle] settings; use a fresh --out")
 
@@ -172,11 +174,13 @@ def _run(args) -> int:
     cfg = args.cfg or RunConfig.from_file(args.config)   # a replay's is parsed already
     run_dir = Path(args.out or Path(os.environ.get("CHANREDUCE_RUN_ROOT", "runs"),
                                     Path(args.config).stem))
+    if run_dir.exists() and not run_dir.is_dir():
+        raise ConfigError(f"run directory {run_dir} exists and is not a directory")
     spec = cfg.build_spec()
     if args.check:
         args.check(args, cfg, spec)
     if replay_dir is None:
-        cfg.command = _command_line(args)
+        cfg.command, cfg.format = _command_line(args), FORMAT
         if evaluates:
             cfg.search_slots = cfg.oracle.parallelism if cfg.oracle.kind == "external" else 1
         if cfg.model.family == "descriptor":   # the run keeps its model, saved below

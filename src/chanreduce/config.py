@@ -31,6 +31,13 @@ class ConfigError(Exception):
     """A configuration problem the user must fix (CLI exit code 2)."""
 
 
+# The run-directory format, [run] format: fresh runs write FORMAT, and this code
+# reads OLDEST_FORMAT to FORMAT; a run recorded without the key is format 1. A
+# change to what an older directory replays into raises FORMAT, and raises
+# OLDEST_FORMAT past the formats it no longer replays.
+OLDEST_FORMAT, FORMAT = 1, 2
+
+
 # Each family's builder; build_spec sets each parameter from its [model] key.
 BUILDERS = {"sequential": build_sequential_cnn, "descriptor": load_descriptor, **PRESETS}
 
@@ -126,10 +133,12 @@ class RunConfig:
     budget: BudgetConfig = field(default_factory=BudgetConfig)
     command: str | None = field(default=None, metadata={"section": "run"})
     # Trainer slots the run's searches had; replay needs them to ask for the
-    # same configs. Runs recorded before searches used more than one slot lack
-    # the key and replay on one.
+    # same configs. A format-1 run without the key searched on one slot.
     search_slots: int | None = field(default=None,
                                      metadata={"section": "run", "range": (1, math.inf)})
+    # The format of the run that wrote the file (see FORMAT); a user's config has none.
+    format: int | None = field(default=None,
+                               metadata={"section": "run", "range": (OLDEST_FORMAT, FORMAT)})
 
     def _keys(self):
         """Every config key as (section, field, object holding its value), in
@@ -172,6 +181,8 @@ class RunConfig:
                     if value is not None and f.metadata.get("path"):
                         value = str(path.resolve().parent / value)   # an absolute value stays
                     setattr(part, key, value)
+            if cfg.command is not None and cfg.format is None:   # a run recorded before the key
+                cfg.format = 1
             cfg._validate()
         except ConfigError as exc:
             raise ConfigError(f"{exc} (in {path})") from exc

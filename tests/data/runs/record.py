@@ -6,10 +6,13 @@ runs every command shape the corpus covers, each at 1 and at 3 pipe trainer
 slots, on the depth-8 ``8, 16`` sequential model, into ``PREFIX-s<slots>-<shape>``
 here. The ``reduce-descriptor`` shape reads that model from a file written by
 ``save_descriptor`` (``family = descriptor``). tier-1 (``tests/test_cli.py``)
-replays each directory byte for byte. The script only adds directories: it
-records each missing one of the prefix and leaves every existing one as it is,
-so a directory recorded by older code is never rewritten by newer code. Give the
-directories of a new run format a new prefix.
+replays each directory byte for byte if this code reads the format its
+``resolved.cfg`` records (``[run] format``), and expects the refusal otherwise.
+The script only adds directories: it records each missing one of the prefix and
+leaves every existing one as it is, so a directory recorded by older code is
+never rewritten by newer code. The corpus holds the directories of each format
+N under the prefix ``fN``: a change that raises ``config.FORMAT`` records
+``record.py fN`` for the new N.
 
 The trainer is this file too (``python3 record.py --train SEED``, run from this
 directory). Its answers are seeded and noisy, and the noise depends on the

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import configparser
 import contextlib
 import importlib.util
 import json
@@ -14,12 +15,14 @@ import sys
 import textwrap
 import time
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 import pytest
 
 import chanreduce as cr
 from chanreduce import cli
+from chanreduce.config import FORMAT, OLDEST_FORMAT
 
 from conftest import CountingOracle, FailingOracle
 
@@ -210,14 +213,66 @@ def test_replay_in_place(tmp_path):
 CORPUS = Path(__file__).parent / "data" / "runs"
 
 
+def recorded_format(run_dir) -> int:
+    """The format ``run_dir`` records; a resolved.cfg without the key is format 1."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string((run_dir / "resolved.cfg").read_text())
+    return parser.getint("run", "format", fallback=1)
+
+
 @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.iterdir() if p.is_dir()))
 def test_a_recorded_run_directory_replays(tmp_path, name):
     # Directories recorded by older code (tests/data/runs/record.py, trainer
-    # noise that differs per request) replay byte for byte with this code. The
-    # replay reads a copy, so the checked-in data is never written.
+    # noise that differs per request) replay byte for byte with this code, if
+    # it reads their format, and are refused and left as they are otherwise.
+    # The replay reads a copy, so the checked-in data is never written.
     out = tmp_path / name
     shutil.copytree(CORPUS / name, out)
-    assert_replays(out)
+    if OLDEST_FORMAT <= recorded_format(out) <= FORMAT:
+        assert_replays(out)
+    else:   # replay, in place or into a fresh --out, exits 2 and writes nothing
+        before, replayed = snapshot(out), tmp_path / "replayed"
+        assert run("replay", out, "--out", replayed) == 2
+        assert run("replay", out) == 2
+        assert snapshot(out) == before and not replayed.exists()
+
+
+@pytest.mark.parametrize("path", ["replay", "replay-out", "rerun-own-config",
+                                  "rerun-other-config", "rerun-replaying-own-ledger"])
+@pytest.mark.parametrize("value", [str(FORMAT + 1), "0", "two"])
+def test_a_run_directory_of_a_format_this_code_does_not_read_is_refused(tmp_path, capsys,
+                                                                        value, path):
+    # Every path that reads a run directory's resolved.cfg refuses a format
+    # outside the readable ones, names it and writes nothing.
+    out = tmp_path / "run"
+    shutil.copytree(CORPUS / f"f{FORMAT}-s1-reduce-search", out)
+    resolved = out / "resolved.cfg"
+    text = resolved.read_text()
+    resolved.write_text(text.replace(f"\nformat = {FORMAT}\n", f"\nformat = {value}\n"))
+    settings = text.split("[run]")[0]   # the recorded settings, in another file
+    replaying = (settings.split("[oracle]")[0]
+                 + f"[oracle]\nkind = replay\nledger = {out}/ledger.jsonl\n")
+    fresh = tmp_path / "fresh"
+    reduce = ["reduce", "--budget", "search", "--out", out, "--config"]
+    argv = {"replay": ["replay", out],
+            "replay-out": ["replay", out, "--out", fresh],
+            "rerun-own-config": [*reduce, resolved],
+            "rerun-other-config": [*reduce, write_cfg(tmp_path, settings)],
+            "rerun-replaying-own-ledger": [*reduce, write_cfg(tmp_path, replaying)]}[path]
+    before = snapshot(out)
+    capsys.readouterr()
+    assert run(*argv) == 2
+    expected = (f"within [{OLDEST_FORMAT}, {FORMAT}], got {value}" if value.isdigit()
+                else f"an integer, got {value!r}")
+    assert f"error: run.format must be {expected} (in {resolved})" in capsys.readouterr().err
+    assert snapshot(out) == before and not fresh.exists()
+
+
+@pytest.mark.parametrize("command", ["reduce", "lesion --kind constant --values 4", "rd", "size"])
+def test_a_run_records_the_format_it_writes(tmp_path, command):
+    out = tmp_path / "out"
+    assert run(*command.split(), "--config", write_cfg(tmp_path), "--out", out) == 0
+    assert recorded_format(out) == FORMAT
 
 
 def test_replay_missing_evaluation_fails(tmp_path):
@@ -1005,8 +1060,11 @@ def test_a_stop_records_none_of_the_trainings_it_interrupts(tmp_path, protocol, 
     cfg, state = trainer_cfg(tmp_path, protocol, parallelism=2)
     argv = ["lesion", "--config", cfg, "--kind", "proportional", "--values", "1/2"]
     out, whole = tmp_path / "out", tmp_path / "whole"
+    # The CLI keeps a SIGINT it inherits ignored, as a background job's is, so
+    # it starts with the default whatever this process inherited.
     with subprocess.Popen([sys.executable, "-m", "chanreduce.cli", *map(str, argv),
                            "--out", str(out)], env=src_env(), start_new_session=True,
+                          preexec_fn=partial(signal.signal, signal.SIGINT, signal.SIG_DFL),
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                           text=True) as proc:
         try:
@@ -1663,6 +1721,21 @@ def test_a_run_that_cannot_start_leaves_no_directory(tmp_path, capsys, command, 
     assert run(*command.split(), "--config", cfg, "--out", out) == 2
     assert error in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["reduce", "replay"])
+def test_an_out_naming_a_regular_file_exits_2_and_leaves_it(tmp_path, capsys, command):
+    source = tmp_path / "source"
+    shutil.copytree(CORPUS / f"f{FORMAT}-s1-reduce-search", source)
+    cfg, afile = write_cfg(tmp_path), tmp_path / "afile"
+    afile.write_text("kept")
+    argv = ["reduce", "--config", cfg] if command == "reduce" else ["replay", source]
+    before = snapshot(source)
+    assert run(*argv, "--out", afile) == 2
+    assert f"error: run directory {afile} exists and is not a directory" in \
+        capsys.readouterr().err
+    assert afile.read_text() == "kept" and snapshot(source) == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.cfg", "source"]
 
 
 def test_lesion_on_the_surrogate_does_not_read_the_search_metric(tmp_path):

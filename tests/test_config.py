@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 from chanreduce.arch import channel_config
-from chanreduce.config import BUILDERS, ConfigError, ModelConfig, RunConfig
+from chanreduce.config import (BUILDERS, FORMAT, OLDEST_FORMAT, ConfigError, ModelConfig,
+                               RunConfig)
 from chanreduce.oracle import (FINAL_BUDGET, METRICS, SEARCH_BUDGET, EvaluationRecord,
                                SurrogateParams)
 from chanreduce.search import BetaMode
@@ -65,6 +66,7 @@ FULL_CFG = """\
 
     [run]
     command = reduce --budget search --direction backward
+    format = {format}
     """
 
 FULL_RESOLVED = """\
@@ -112,6 +114,7 @@ batch_size = 64
 
 [run]
 command = reduce --budget search --direction backward
+format = {format}
 
 """
 
@@ -167,8 +170,8 @@ def test_resolved_text_every_key(tmp_path):
     (tmp_path / "models" / "net.json").write_text("{}")
     (tmp_path / "old").mkdir()
     (tmp_path / "old" / "ledger.jsonl").touch()
-    cfg = _load(tmp_path, FULL_CFG)
-    assert cfg.resolved_text() == FULL_RESOLVED.format(base=tmp_path.resolve())
+    cfg = _load(tmp_path, FULL_CFG.format(format=FORMAT))
+    assert cfg.resolved_text() == FULL_RESOLVED.format(base=tmp_path.resolve(), format=FORMAT)
 
 
 def test_resolved_text_defaults(tmp_path):
@@ -208,6 +211,10 @@ def test_a_model_key_the_family_does_not_read_warns(tmp_path, caplog):
     ("[search]\nmetric = top3\n", "search.metric must be top1|top5"),
     ("[oracle]\nprotocol = smoke\n", "oracle.protocol must be pipe|files"),
     ("[run]\nsearch_slots = 0\n", "run.search_slots must be within [1, inf], got 0"),
+    *((f"[run]\nformat = {value}\n", message) for value, message in [
+        (FORMAT + 1, f"run.format must be within [{OLDEST_FORMAT}, {FORMAT}], got {FORMAT + 1}"),
+        (0, f"run.format must be within [{OLDEST_FORMAT}, {FORMAT}], got 0"),
+        ("two", "run.format must be an integer, got 'two'")]),
     ("[oracle]\ntimeout_seconds = -5\n", "oracle.timeout_seconds must be > 0, got -5.0 (in "),
     ("[oracle]\nkind = external\ntrainer_cmd = t\ntimeout_seconds = 0\n",
      "oracle.timeout_seconds must be > 0, got 0.0 (in "),
