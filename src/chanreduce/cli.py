@@ -7,9 +7,10 @@ evaluation), a descriptor model's ``model.json``, and the command's reports.
 ``chanreduce replay RUNDIR`` re-renders those reports from the ledger alone;
 reports carry no timestamps, so a replay is byte-identical. A rerun into the
 same directory answers from the ledger first and trains only what it lacks, so
-an interrupted run resumes where it stopped. A rerun with other ``[oracle]``
-settings is refused, as is a replay into a directory whose ledger holds other
-records, and a replay or rerun of a directory of a format this code cannot read.
+an interrupted run resumes where it stopped. Before anything is written, one
+guard (``_check_target``) refuses a target that is or lies under a file, one
+whose ``resolved.cfg`` cannot be read (as a format outside ``OLDEST_FORMAT..FORMAT``)
+even if its ledger holds nothing, and one holding records the run would not go on with.
 
 Exit codes: 0 success, 1 runtime failure (reports may be partial), 2 bad
 configuration or usage. A SIGINT (Ctrl-C) or SIGTERM ends every trainer, records
@@ -141,23 +142,24 @@ def _make_oracle(cfg: RunConfig, spec, run_dir: Path, replaying: bool):
 
 
 def _check_target(args, cfg: RunConfig, spec, run_dir: Path) -> None:
-    """A directory whose ledger holds records takes only a run that goes on with
-    them: a rerun with its record key (``RunConfig.record_key``), from its own
-    ``resolved.cfg`` or replaying its ledger, or a replay of a run it is a copy of."""
-    ledger = run_dir / "ledger.jsonl"
-    if not ledger.exists() or not ledger.stat().st_size:
-        return
+    """Refuse ``run_dir`` unless it and every existing directory above it are directories,
+    its ``resolved.cfg`` parses (unless this run parsed that file already), and a ledger
+    of it holding records goes on with them: by record key (``RunConfig.record_key``)
+    for a rerun not over its own ledger, byte for byte for a replay of what it copies."""
+    blocker = next((p for p in (run_dir, *run_dir.parents) if os.path.lexists(p)), None)
+    if blocker is not None and not blocker.is_dir():
+        raise ConfigError(f"cannot make run directory {run_dir}: {blocker} is not a directory")
+    old, ledger, o = run_dir / "resolved.cfg", run_dir / "ledger.jsonl", cfg.oracle
+    recorded = (RunConfig.from_file(old) if old.exists() and not old.samefile(args.config)
+                else None)
+    held = ledger.exists() and ledger.stat().st_size > 0
     if args.replay_dir is not None:
-        if ledger.read_bytes() != (args.replay_dir / "ledger.jsonl").read_bytes():
+        if held and ledger.read_bytes() != (args.replay_dir / "ledger.jsonl").read_bytes():
             raise ConfigError(f"{run_dir} holds another run's evaluations; "
                               f"replay into a fresh --out")
-        return
-    old, o = run_dir / "resolved.cfg", cfg.oracle
-    if not old.exists() or old.samefile(args.config):   # a rerun from it parsed it
-        return
-    recorded = RunConfig.from_file(old)   # refuses a format this code does not read
-    if (not (o.kind == "replay" and Path(o.ledger).resolve() == ledger.resolve())
-            and recorded.record_key() != cfg.record_key(spec)):
+    elif (held and recorded is not None
+          and not (o.kind == "replay" and Path(o.ledger).resolve() == ledger.resolve())
+          and recorded.record_key() != cfg.record_key(spec)):
         raise ConfigError(f"{run_dir} holds evaluations made for another dataset or with "
                           f"other [oracle] settings; use a fresh --out")
 
@@ -174,8 +176,6 @@ def _run(args) -> int:
     cfg = args.cfg or RunConfig.from_file(args.config)   # a replay's is parsed already
     run_dir = Path(args.out or Path(os.environ.get("CHANREDUCE_RUN_ROOT", "runs"),
                                     Path(args.config).stem))
-    if run_dir.exists() and not run_dir.is_dir():
-        raise ConfigError(f"run directory {run_dir} exists and is not a directory")
     spec = cfg.build_spec()
     if args.check:
         args.check(args, cfg, spec)

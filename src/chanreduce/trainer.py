@@ -40,7 +40,7 @@ import time
 from pathlib import Path
 
 from .arch import ChannelConfig, ModelSpec
-from .oracle import (STATUS_FAILED, STATUS_OK, STATUS_TIMEOUT, EvaluationRecord,
+from .oracle import (_STATUSES, STATUS_FAILED, STATUS_OK, STATUS_TIMEOUT, EvaluationRecord,
                      TrainingBudget, config_digest)
 
 log = logging.getLogger(__name__)
@@ -81,7 +81,7 @@ def _parse_reply(line: str, run_id: str) -> dict | None:
 def _record_from_reply(reply: dict, digest: str, budget: TrainingBudget,
                        elapsed: float) -> EvaluationRecord:
     status = reply.get("status")
-    if status not in (STATUS_OK, STATUS_FAILED, STATUS_TIMEOUT):
+    if status not in _STATUSES:
         return EvaluationRecord(digest, budget, None, None, elapsed, STATUS_FAILED,
                                 note=f"unknown trainer status {status!r}")
     top1, top5 = reply.get("top1"), reply.get("top5")
@@ -253,8 +253,8 @@ class ExternalTrainerOracle:
                  protocol: str = PROTOCOL_PIPE, exchange_dir=None):
         if parallelism < 1:
             raise ValueError("parallelism must be >= 1")
-        if timeout <= 0:
-            raise ValueError("timeout must be positive")
+        if not 0 < timeout < math.inf:   # NaN fails both comparisons
+            raise ValueError(f"timeout must be a finite number > 0, got {timeout!r}")
         if protocol not in (PROTOCOL_PIPE, PROTOCOL_FILES):
             raise ValueError(f"unknown trainer protocol {protocol!r}")
         if protocol == PROTOCOL_FILES and not exchange_dir:

@@ -268,7 +268,71 @@ def test_a_run_directory_of_a_format_this_code_does_not_read_is_refused(tmp_path
     assert snapshot(out) == before and not fresh.exists()
 
 
-@pytest.mark.parametrize("command", ["reduce", "lesion --kind constant --values 4", "rd", "size"])
+SMALL = "[model]\ndepth = 2\nblock_widths = 8, 16\n"
+RUNS = ["reduce", "lesion --kind constant --values 4", "rd", "size"]
+
+
+def evaluation_free_target(tmp_path, kind):
+    """A run directory whose ledger holds no record: a ``size`` run's, or a
+    ``reduce`` run's with its ledger emptied."""
+    out = tmp_path / kind
+    assert run(kind, "--config", write_cfg(tmp_path, SMALL, name=f"{kind}.cfg"),
+               "--out", out) == 0
+    (out / "ledger.jsonl").write_text("")
+    return out
+
+
+@pytest.mark.parametrize("command", [*RUNS, "replay"])
+@pytest.mark.parametrize("value", [str(FORMAT + 1), "0", "two", "junk"])
+@pytest.mark.parametrize("target", ["size", "reduce"])
+def test_a_directory_without_records_is_refused_if_its_resolved_cfg_cannot_be_read(
+        tmp_path, capsys, target, value, command):
+    # The guard reads the target's resolved.cfg whatever its ledger holds, so a
+    # run of another config, or a replay of another run into it, exits 2 and
+    # leaves it as it was.
+    out = evaluation_free_target(tmp_path, target)
+    resolved = out / "resolved.cfg"
+    text = resolved.read_text()
+    resolved.write_text("junk\n" if value == "junk"
+                        else text.replace(f"\nformat = {FORMAT}\n", f"\nformat = {value}\n"))
+    source = tmp_path / "source"
+    shutil.copytree(CORPUS / f"f{FORMAT}-s1-reduce-search", source)
+    other = write_cfg(tmp_path, "[model]\ndepth = 6\nblock_widths = 8, 16\ndataset = svhn\n")
+    argv = (["replay", source] if command == "replay"
+            else [*command.split(), "--config", other])
+    before = snapshot(out)
+    capsys.readouterr()
+    assert run(*argv, "--out", out) == 2
+    expected = (f"cannot parse {resolved}" if value == "junk"
+                else f"run.format must be within [{OLDEST_FORMAT}, {FORMAT}], got {value} "
+                f"(in {resolved})" if value.isdigit()
+                else f"run.format must be an integer, got {value!r} (in {resolved})")
+    assert f"error: {expected}" in capsys.readouterr().err
+    assert snapshot(out) == before
+
+
+@pytest.mark.parametrize("target", ["size", "reduce"])
+def test_a_directory_without_records_takes_a_rerun_for_another_dataset(tmp_path, target):
+    # Its ledger holds nothing to protect, so only a readable resolved.cfg is asked of it.
+    out = evaluation_free_target(tmp_path, target)
+    other = write_cfg(tmp_path, SMALL + "dataset = svhn\n")
+    assert run(target, "--config", other, "--out", out) == 0
+    assert "dataset = svhn\n" in (out / "resolved.cfg").read_text()
+
+
+def test_a_rerun_from_its_own_resolved_cfg_resumes(tmp_path, monkeypatch):
+    whole, out = tmp_path / "whole", tmp_path / "out"
+    for d in (whole, out):
+        assert run("reduce", "--config", write_cfg(tmp_path), "--out", d) == 0
+    ledger = out / "ledger.jsonl"
+    ledger.write_text("".join(ledger.read_text().splitlines(keepends=True)[:5]))
+    made = _counting_surrogates(monkeypatch)
+    assert run("reduce", "--config", out / "resolved.cfg", "--out", out) == 0
+    assert made[0].calls == 13 - 5
+    assert snapshot(out) == snapshot(whole)
+
+
+@pytest.mark.parametrize("command", RUNS)
 def test_a_run_records_the_format_it_writes(tmp_path, command):
     out = tmp_path / "out"
     assert run(*command.split(), "--config", write_cfg(tmp_path), "--out", out) == 0
@@ -1639,13 +1703,21 @@ def test_no_command_prints_usage_and_exits_2(capsys):
 
 
 def test_a_run_directory_under_a_regular_file_fails_and_writes_nothing(tmp_path, capsys):
+    # A usage error for every command that writes a run directory, replay --out too.
     cfg = write_cfg(tmp_path)
+    source = tmp_path / "source"
+    shutil.copytree(CORPUS / f"f{FORMAT}-s1-reduce-search", source)
     blocker = tmp_path / "file"
     blocker.write_text("kept")
-    assert run("reduce", "--config", cfg, "--out", blocker / "run") == 1
-    assert "error: [Errno 20] Not a directory" in capsys.readouterr().err
-    assert blocker.read_text() == "kept"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "run.cfg"]
+    before = snapshot(source)
+    for argv in [*([*command.split(), "--config", cfg] for command in RUNS),
+                 ["replay", source]]:
+        capsys.readouterr()
+        assert run(*argv, "--out", blocker / "run") == 2
+        assert (f"error: cannot make run directory {blocker / 'run'}: {blocker} is not a "
+                f"directory") in capsys.readouterr().err
+        assert blocker.read_text() == "kept" and snapshot(source) == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "run.cfg", "source"]
 
 
 @pytest.mark.parametrize("command,text,error", [
@@ -1727,15 +1799,19 @@ def test_a_run_that_cannot_start_leaves_no_directory(tmp_path, capsys, command, 
 def test_an_out_naming_a_regular_file_exits_2_and_leaves_it(tmp_path, capsys, command):
     source = tmp_path / "source"
     shutil.copytree(CORPUS / f"f{FORMAT}-s1-reduce-search", source)
-    cfg, afile = write_cfg(tmp_path), tmp_path / "afile"
+    cfg, afile, link = write_cfg(tmp_path), tmp_path / "afile", tmp_path / "link"
     afile.write_text("kept")
+    link.symlink_to("nowhere")   # a dangling link is not a directory either
     argv = ["reduce", "--config", cfg] if command == "reduce" else ["replay", source]
     before = snapshot(source)
-    assert run(*argv, "--out", afile) == 2
-    assert f"error: run directory {afile} exists and is not a directory" in \
-        capsys.readouterr().err
+    for out in (afile, link):
+        capsys.readouterr()
+        assert run(*argv, "--out", out) == 2
+        assert f"error: cannot make run directory {out}: {out} is not a directory" in \
+            capsys.readouterr().err
     assert afile.read_text() == "kept" and snapshot(source) == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.cfg", "source"]
+    assert os.readlink(link) == "nowhere"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "link", "run.cfg", "source"]
 
 
 def test_lesion_on_the_surrogate_does_not_read_the_search_metric(tmp_path):

@@ -648,8 +648,11 @@ def test_constructor_validation(d15_spec):
 
 
 def test_constructor_rejects_a_zero_timeout(d15_spec):
-    with pytest.raises(ValueError, match="timeout must be positive"):
-        ExternalTrainerOracle("x", d15_spec, timeout=0)
+    # Nor any other timeout that is not a finite number > 0: select() would
+    # raise on NaN inside evaluate, where a failure must become a record.
+    for timeout in (0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"timeout must be a finite number > 0, got "):
+            ExternalTrainerOracle("x", d15_spec, timeout=timeout)
 
 
 @pytest.mark.parametrize("status", [cr.STATUS_FAILED, cr.STATUS_TIMEOUT])
