@@ -35,6 +35,13 @@ def write_csv(path, header, rows) -> None:
         csv.writer(fh).writerows([header, *rows])
 
 
+def format_value(value) -> str:
+    """A value as a run's text records it: a list space-separated, a fraction as n/d."""
+    if isinstance(value, (tuple, list)):
+        return " ".join(map(format_value, value))
+    return f"{value.numerator}/{value.denominator}" if isinstance(value, Fraction) else str(value)
+
+
 # Float scale factors are snapped to a nearby exact rational before the ceiling is
 # taken, so 0.7 * 100 rounds to 70 rather than ceil(70.00000000000001) = 71.
 _FLOAT_SNAP_DENOMINATOR = 10 ** 6
@@ -395,9 +402,10 @@ class SpecBuilder:
         return ModelSpec(tuple(self.layers), self.meta)
 
 
-def build_sequential_cnn(depth: int, block_widths: Sequence[int], input_channels: int = 3,
-                         num_classes: int = 10, *, dataset: str = "cifar10",
-                         resolution: int = 32, name: str | None = None) -> ModelSpec:
+def build_sequential_cnn(depth: int = 15, block_widths: Sequence[int] = (16, 32, 64),
+                         input_channels: int = 3, num_classes: int = 10, *,
+                         dataset: str = "cifar10", resolution: int = 32,
+                         name: str | None = None) -> ModelSpec:
     """Plain CNN: ``depth`` 3x3 conv+batchnorm layers split evenly over
     ``len(block_widths)`` macroblocks, a parameter-free 2x2 pool between blocks,
     then global average pooling and a single fully connected classifier."""

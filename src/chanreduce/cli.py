@@ -1,7 +1,7 @@
 """Command line front end.
 
 Every run gets a directory holding the artifacts needed to reproduce it without
-re-evaluating anything: ``resolved.cfg`` (every effective setting, the command
+re-evaluating anything: ``resolved.cfg`` (every setting the run reads, the command
 that ran and the directory's format), ``ledger.jsonl`` (one line per trained
 evaluation), a descriptor model's ``model.json``, and the command's reports.
 ``chanreduce replay RUNDIR`` re-renders those reports from the ledger alone;
@@ -32,11 +32,11 @@ from functools import partial
 from pathlib import Path
 
 from .accounting import count_parameters
-from .arch import channel_config, partition_macroblocks, save_descriptor, write_json
+from .arch import (channel_config, format_value, partition_macroblocks, save_descriptor,
+                   write_json)
 from .config import FORMAT, ConfigError, RunConfig
 from .lesion import (SWEEP_CONSTANT, SWEEP_MACROBLOCK, SWEEP_PROPORTIONAL, SweepPlan,
-                     format_value, run_onehot_sweep, sweep_configs, write_onehot_csv,
-                     write_rd_points_csv)
+                     run_onehot_sweep, sweep_configs, write_onehot_csv, write_rd_points_csv)
 from .oracle import (EvaluationLedger, MissingEvaluationError, RecordingOracle,
                      SurrogateOracle)
 from .rdcurve import (build_alpha_curve, build_alpha_plus_backward_curve, check_alphas,
@@ -93,7 +93,9 @@ def _build_parser() -> argparse.ArgumentParser:
                              help="channel entries to lesion (default: all)")),
           budget]),
         ("rd", "size/accuracy trade-off curves", _run_rd, _check_rd,
-         [("--alphas", dict(nargs="+", type=float, default=[1.0, 0.75, 0.5, 0.25])),
+         [("--alphas", dict(nargs="+", type=lambda text: float(_sweep_value(text)),
+                            default=[1.0, 0.75, 0.5, 0.25],
+                            help="width multipliers, like 3/4 or 0.5")),
           budget, ("--gnuplot", dict(action="store_true", help="also write .dat plot files"))]),
         ("size", "parameter and size accounting", _run_size, None, []),
     ):
@@ -231,7 +233,7 @@ def _command_line(args) -> str:
             continue
         words.append(flag)
         if value is not True:
-            words += map(format_value, value if isinstance(value, list) else [value])
+            words.append(format_value(value))
     return " ".join(words)
 
 

@@ -3,9 +3,12 @@
 Sections: [model], [oracle], [search], [budget], [run]. The file is the only way
 to set a key; the recipe and surrogate defaults come from
 :mod:`chanreduce.oracle`. Unknown keys warn but do not fail; genuinely invalid
-values raise :class:`ConfigError`. The resolved configuration (every effective
-value made explicit) is written into the run directory so a run can be replayed
-from its own artifacts.
+values raise :class:`ConfigError`. A run reads ``[model] family`` and its
+builder's parameters (``BUILDERS``; an unset one is the builder's default),
+``[oracle] kind`` and ``OracleConfig.READS[kind]``, and every other key. The
+resolved configuration in the run directory, which replays the run, lists
+exactly those; a rerun compares those of ``[oracle]`` but ``BRIDGE``
+(``record_key``), and a user's config warns about each other key it sets.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ import inspect
 import io
 import logging
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .arch import ModelSpec, build_sequential_cnn, load_descriptor
+from .arch import ModelSpec, build_sequential_cnn, format_value, load_descriptor
 from .oracle import FINAL_BUDGET, METRICS, SEARCH_BUDGET, SurrogateParams, TrainingBudget
 from .presets import PRESETS
 from .search import BetaMode
@@ -35,15 +38,11 @@ class ConfigError(Exception):
 # reads OLDEST_FORMAT to FORMAT; a run recorded without the key is format 1. A
 # change to what an older directory replays into raises FORMAT, and raises
 # OLDEST_FORMAT past the formats it no longer replays.
-OLDEST_FORMAT, FORMAT = 1, 2
+OLDEST_FORMAT, FORMAT = 1, 3
 
 
 # Each family's builder; build_spec sets each parameter from its [model] key.
 BUILDERS = {"sequential": build_sequential_cnn, "descriptor": load_descriptor, **PRESETS}
-
-
-def _default(family: str, name: str):
-    return inspect.signature(BUILDERS[family]).parameters[name].default
 
 
 def _word(*choices: str):
@@ -73,15 +72,15 @@ def _path():
 
 
 @dataclass
-class ModelConfig:
+class ModelConfig:   # each builder key unset: its family builder's default
     family: str = _word(*BUILDERS)
-    depth: int = 15
-    block_widths: tuple[int, ...] = (16, 32, 64)
-    input_channels: int = _default("sequential", "input_channels")
-    dataset: str = _default("sequential", "dataset")
-    resolution: int = _default("sequential", "resolution")
-    width_mult: float = _default("mobilenet", "width_mult")
-    num_classes: int | None = None   # the family builder's default when unset
+    depth: int | None = None
+    block_widths: tuple[int, ...] | None = None
+    input_channels: int | None = None
+    dataset: str | None = None
+    resolution: int | None = None
+    width_mult: float | None = None
+    num_classes: int | None = None
     descriptor: str | None = _path()
     name: str | None = None
 
@@ -101,6 +100,9 @@ class OracleConfig:
     exchange_dir: str | None = _path()
     # Keys that say only how to reach the trainer, so a rerun may change them.
     BRIDGE = ("parallelism", "timeout_seconds", "protocol", "exchange_dir")
+    # The keys each kind reads besides kind itself.
+    READS = {"surrogate": ("a_max", "exponent", "frontiers", "weights"),
+             "external": ("trainer_cmd", *BRIDGE), "replay": ("ledger",)}
 
 
 @dataclass
@@ -150,6 +152,21 @@ class RunConfig:
                 for g in fields(part):
                     yield f.name, g, part
 
+    def _reads(self):
+        """Each key this run reads as (section, key, effective value), in file
+        order: [model] family and its builder's parameters, an unset one at the
+        builder's default, [oracle] kind and its ``OracleConfig.READS``, and
+        every key of the other sections."""
+        builder = inspect.signature(BUILDERS[self.model.family]).parameters
+        defaults = {("model", p.name): p.default for p in builder.values()
+                    if p.default is not p.empty}
+        reads = {"model": ("family", *builder),
+                 "oracle": ("kind", *OracleConfig.READS[self.oracle.kind])}
+        for section, f, part in self._keys():
+            if f.name in reads.get(section, (f.name,)):
+                value = getattr(part, f.name)
+                yield section, f.name, defaults.get((section, f.name)) if value is None else value
+
     # -- parsing ------------------------------------------------------------
 
     @classmethod
@@ -164,7 +181,7 @@ class RunConfig:
         except configparser.Error as exc:
             raise ConfigError(f"cannot parse {path}: {exc}") from exc
 
-        cfg = cls()
+        cfg, given = cls(), []
         keys = {(section, f.name): (f, part) for section, f, part in cfg._keys()}
         sections = {section for section, _ in keys}
         try:
@@ -181,11 +198,20 @@ class RunConfig:
                     if value is not None and f.metadata.get("path"):
                         value = str(path.resolve().parent / value)   # an absolute value stays
                     setattr(part, key, value)
+                    if value is not None:
+                        given.append((section, key))
             if cfg.command is not None and cfg.format is None:   # a run recorded before the key
                 cfg.format = 1
             cfg._validate()
         except ConfigError as exc:
             raise ConfigError(f"{exc} (in {path})") from exc
+        if cfg.command is None:   # a user's config; formats 1-2 recorded keys no run read
+            read = {(section, key) for section, key, _ in cfg._reads()}
+            for section, key in given:
+                if (section, key) not in read:   # warn, not refuse, as for an unknown key
+                    log.warning("ignoring %s.%s: %s does not read it", section, key,
+                                f"family {cfg.model.family}" if section == "model"
+                                else f"kind {cfg.oracle.kind}")
         return cfg
 
     def _validate(self) -> None:
@@ -216,28 +242,13 @@ class RunConfig:
     # -- derived objects ----------------------------------------------------
 
     def build_spec(self) -> ModelSpec:
-        return self._spec(warn=True)
-
-    def _spec(self, warn: bool = False) -> ModelSpec:
-        """The model; with ``warn``, each [model] key its family does not read warns."""
         m = self.model
         reads = inspect.signature(BUILDERS[m.family]).parameters
-        for f in fields(m):   # warn, not refuse: a run recorded with such a key must replay
-            if warn and f.name not in ("family", *reads) and getattr(m, f.name) != f.default:
-                log.warning("ignoring model.%s: family %s does not read it", f.name, m.family)
         try:
             return BUILDERS[m.family](**{p: getattr(m, p) for p in reads
                                          if getattr(m, p) is not None})
         except ValueError as exc:
             raise ConfigError(f"cannot build model: {exc}") from exc
-
-    def effective_classes(self) -> int | None:
-        """The set class count, else the family builder's; None for a family
-        whose builder takes none (a descriptor declares its own)."""
-        param = inspect.signature(BUILDERS[self.model.family]).parameters.get("num_classes")
-        if param is None:
-            return None
-        return param.default if self.model.num_classes is None else self.model.num_classes
 
     def surrogate_params(self) -> SurrogateParams:
         try:
@@ -247,9 +258,11 @@ class RunConfig:
             raise ConfigError(f"bad surrogate parameters: {exc}") from exc
 
     def record_key(self, spec: ModelSpec | None = None) -> tuple:
-        """What a record answers for: ``spec``'s dataset and each [oracle] key but BRIDGE."""
-        return ((spec or self._spec()).meta.dataset,
-                replace(self.oracle, **dict.fromkeys(OracleConfig.BRIDGE)))
+        """What a record answers for: ``spec``'s dataset and each [oracle] key the
+        run reads, kind included, but BRIDGE."""
+        return ((spec or self.build_spec()).meta.dataset,
+                tuple((key, value) for section, key, value in self._reads()
+                      if section == "oracle" and key not in OracleConfig.BRIDGE))
 
     def _budget(self, epochs: int, milestones: tuple[int, ...]) -> TrainingBudget:
         """The recipe: each [budget] key named after a TrainingBudget field, plus
@@ -274,25 +287,17 @@ class RunConfig:
     # -- resolved dump ------------------------------------------------------
 
     def resolved_text(self) -> str:
-        """Every effective value, written back in config syntax."""
+        """Each key the run reads at its effective value, written back in config
+        syntax; one unset and without a default is left out."""
         parser = configparser.ConfigParser(interpolation=None)
-        for section, f, part in self._keys():
-            value = getattr(part, f.name)
-            if f.name == "num_classes":
-                value = self.effective_classes()
+        for section, key, value in self._reads():
             if value is not None:
                 if not parser.has_section(section):
                     parser.add_section(section)
-                parser.set(section, f.name, _fmt(value))
+                parser.set(section, key, format_value(value))
         buf = io.StringIO()
         parser.write(buf)
         return buf.getvalue()
-
-
-def _fmt(value) -> str:
-    if isinstance(value, tuple):
-        return " ".join(_fmt(v) for v in value)
-    return repr(value) if isinstance(value, float) else str(value)
 
 
 def _number(raw: str) -> float:

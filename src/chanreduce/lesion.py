@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 from .accounting import count_parameters
 from .arch import (ChannelConfig, ModelSpec, apply_constant_lesion, apply_macroblock_scale,
-                   apply_proportional_lesion, channel_config, partition_macroblocks,
-                   scale_width, with_config, write_csv)
+                   apply_proportional_lesion, channel_config, format_value,
+                   partition_macroblocks, scale_width, with_config, write_csv)
 from .oracle import SEARCH_BUDGET, EvaluationRecord, TrainingBudget, fan_out
 
 log = logging.getLogger(__name__)
@@ -87,12 +86,6 @@ def run_onehot_sweep(spec: ModelSpec, plan: SweepPlan, oracle) -> list[SweepObse
             log.warning("%s lesion (%d, %s) evaluation status %s",
                         plan.kind, obs.index, obs.parameter, obs.record.status)
     return observations
-
-
-def format_value(v) -> str:
-    if isinstance(v, Fraction):
-        return f"{v.numerator}/{v.denominator}"
-    return str(v)
 
 
 def write_onehot_csv(observations: list[SweepObservation], path) -> None:

@@ -221,15 +221,18 @@ def recorded_format(run_dir) -> int:
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in CORPUS.iterdir() if p.is_dir()))
-def test_a_recorded_run_directory_replays(tmp_path, name):
+def test_a_recorded_run_directory_replays(tmp_path, caplog, name):
     # Directories recorded by older code (tests/data/runs/record.py, trainer
     # noise that differs per request) replay byte for byte with this code, if
     # it reads their format, and are refused and left as they are otherwise.
-    # The replay reads a copy, so the checked-in data is never written.
+    # The replay reads a copy, so the checked-in data is never written. A
+    # recorded resolved.cfg warns about no key, also one its run did not read.
     out = tmp_path / name
     shutil.copytree(CORPUS / name, out)
     if OLDEST_FORMAT <= recorded_format(out) <= FORMAT:
-        assert_replays(out)
+        with caplog.at_level("WARNING", logger="chanreduce.config"):
+            assert_replays(out)
+        assert [r for r in caplog.records if r.name == "chanreduce.config"] == []
     else:   # replay, in place or into a fresh --out, exits 2 and writes nothing
         before, replayed = snapshot(out), tmp_path / "replayed"
         assert run("replay", out, "--out", replayed) == 2
@@ -436,12 +439,14 @@ def test_lesion_proportional_fraction_values(tmp_path):
     ("lesion --kind proportional --values 1/2 0.75 2/8",
      "lesion --kind proportional --values 1/2 0.75 1/4 --budget search"),
     ("rd --alphas 1 0.5 --gnuplot", "rd --alphas 1.0 0.5 --budget search --gnuplot"),
+    ("rd --alphas 3/4 1/2", "rd --alphas 0.75 0.5 --budget search"),
     ("rd", "rd --alphas 1.0 0.75 0.5 0.25 --budget search"),
     ("size", "size"),
     ("lesion --kind macroblock_scale --values 1/2 3/4",
      "lesion --kind macroblock_scale --values 1/2 3/4 --budget search"),
 ], ids=["lesion-decimal", "reduce-forward-final", "lesion-constant-indices",
-        "lesion-fractions", "rd-gnuplot", "rd-defaults", "size", "lesion-macroblock"])
+        "lesion-fractions", "rd-gnuplot", "rd-fractions", "rd-defaults", "size",
+        "lesion-macroblock"])
 def test_lesion_records_a_decimal_value_as_given(tmp_path, argv, command):
     cfg = write_cfg(tmp_path, "[model]\ndepth = 8\nblock_widths = 8, 16\n")
     out = tmp_path / "out"
@@ -940,7 +945,7 @@ def test_rerun_with_other_oracle_settings_is_refused(tmp_path, monkeypatch, caps
 
 
 @pytest.mark.parametrize("today,recorded", [
-    ("protocol = pipe\n", ""),
+    ("weights = 4.0 4.0 4.0\n", ""),
     ("a_max = 0.91\nexponent = 2.0\n", "exponent = 2\na_max = 0.910\n"),
     ("frontiers = 0.95 0.85 0.55\n", "frontiers = 0.95, 0.85, 5.5e-1\n"),
 ], ids=["key-added-later", "key-order-and-float-spelling", "list-spelling"])
@@ -960,6 +965,53 @@ def test_rerun_compares_the_recorded_oracle_settings_as_parsed_values(
     assert made[0].calls == 0
     assert len((out / "ledger.jsonl").read_text().splitlines()) == 13
     assert resolved.read_text() == text
+
+
+@pytest.mark.parametrize("kind,added", [
+    ("external", "frontiers = 0.9, 0.8, 0.5\n"),
+    ("external", "a_max = 0.5\n"),
+    ("external", "ledger = elsewhere.jsonl\n"),
+    ("surrogate", "trainer_cmd = python3 whatever.py\n"),
+], ids=["external-frontiers", "external-a_max", "external-ledger", "surrogate-trainer_cmd"])
+def test_a_rerun_with_a_key_its_kind_does_not_read_resumes(tmp_path, kind, added):
+    # Such a key decides no record, so the rerun goes on with the run's records,
+    # trains nothing new and leaves the directory as it was.
+    cfg = (pipe_trainer_cfg(tmp_path, 'dict(status="ok", top1=top1)') if kind == "external"
+           else write_cfg(tmp_path, SMALL + "[oracle]\n"))
+    out = tmp_path / "out"
+    assert run("reduce", "--config", cfg, "--out", out) == 0
+    before = snapshot(out)
+    cfg.write_text(cfg.read_text().replace("[oracle]\n", "[oracle]\n" + added))
+    assert run("reduce", "--config", cfg, "--out", out) == 0
+    assert snapshot(out) == before
+
+
+@pytest.mark.parametrize("kind", ["external", "replay"])
+def test_a_rerun_that_changes_the_key_its_kind_reads_exits_2_and_writes_nothing(
+        tmp_path, capsys, kind):
+    # The trainer command and the replayed ledger decide records, as the
+    # surrogate's keys and the dataset do (test_rerun_with_other_oracle_settings_is_refused,
+    # test_rerun_for_another_dataset_is_refused).
+    if kind == "external":
+        cfg = pipe_trainer_cfg(tmp_path, 'dict(status="ok", top1=top1)')
+        first = cfg.read_text()
+        second = first.replace("trainer.py\n", "trainer.py --fast\n")
+    else:
+        source, copy = tmp_path / "source", tmp_path / "copy"
+        assert run("reduce", "--config", write_cfg(tmp_path, name="source.cfg"), "--out",
+                   source) == 0
+        shutil.copytree(source, copy)
+        first, second = (f"[oracle]\nkind = replay\nledger = {d}/ledger.jsonl\n"
+                         for d in (source, copy))
+        cfg = write_cfg(tmp_path, first)
+    out = tmp_path / "out"
+    assert run("reduce", "--config", cfg, "--out", out) == 0
+    before = snapshot(out)
+    cfg.write_text(second)
+    capsys.readouterr()
+    assert run("reduce", "--config", cfg, "--out", out) == 2
+    assert "use a fresh --out" in capsys.readouterr().err
+    assert snapshot(out) == before
 
 
 @pytest.mark.parametrize("family", ["sequential", "descriptor"])
@@ -1049,12 +1101,12 @@ def test_a_bad_recorded_setting_is_reported_with_its_file(tmp_path, capsys, comm
     out = tmp_path / "out"
     assert run("reduce", "--config", cfg, "--out", out) == 0
     resolved = out / "resolved.cfg"
-    resolved.write_text(resolved.read_text().replace("parallelism = 1\n", "parallelism = -4\n"))
+    resolved.write_text(resolved.read_text().replace("a_max = 0.91\n", "a_max = nan\n"))
     before = snapshot(out)
     capsys.readouterr()
     argv = ["reduce", "--config", cfg, "--out", out] if command == "rerun" else ["replay", out]
     assert run(*argv) == 2
-    assert f"oracle.parallelism must be within [1, inf], got -4 (in {resolved})" in \
+    assert f"oracle.a_max must be a number, got 'nan' (in {resolved})" in \
         capsys.readouterr().err
     assert snapshot(out) == before
 
@@ -1422,8 +1474,8 @@ def test_mobilenet_width_mult_from_the_config(tmp_path):
 
 @pytest.mark.parametrize("family,command", [("mobilenet", "size"), ("resnet18", "reduce")])
 def test_a_preset_run_and_its_replay_warn_nothing(tmp_path, caplog, family, command):
-    # resolved.cfg lists every [model] key, but those the family does not read
-    # keep their defaults there, so its replay has nothing to warn about.
+    # resolved.cfg lists only the [model] keys the family reads, so its replay
+    # has nothing to warn about.
     out = tmp_path / "out"
     with caplog.at_level("WARNING", logger="chanreduce.config"):
         assert run(command, "--config", write_cfg(tmp_path, f"[model]\nfamily = {family}\n"),
@@ -1434,14 +1486,14 @@ def test_a_preset_run_and_its_replay_warn_nothing(tmp_path, caplog, family, comm
 
 def test_percent_in_config_value_is_literal(tmp_path):
     cfg = write_cfg(tmp_path, """\
-        [oracle]
-        trainer_cmd = python3 w.py --tag run%d 100%%
+        [model]
+        name = run%d 100%%
         """)
-    assert cr.RunConfig.from_file(cfg).oracle.trainer_cmd == "python3 w.py --tag run%d 100%%"
+    assert cr.RunConfig.from_file(cfg).model.name == "run%d 100%%"
     out = tmp_path / "out"
     assert run("reduce", "--config", cfg, "--out", out) == 0
     resolved = (out / "resolved.cfg").read_text()
-    assert "trainer_cmd = python3 w.py --tag run%d 100%%\n" in resolved
+    assert "name = run%d 100%%\n" in resolved
     assert_replays(out)
 
 
@@ -1734,6 +1786,8 @@ def test_a_run_directory_under_a_regular_file_fails_and_writes_nothing(tmp_path,
      "channel index 99 out of range 1..15"),
     ("rd --alphas 1.5", "", "scale factor must be in (0, 1], got 1.5"),
     ("rd --alphas 1e-7", "", "scale factor must be in (0, 1]"),
+    *((f"rd --alphas {value}", "", f"error: cannot parse sweep value {value!r}")
+      for value in ("abc", "1/0", "nan")),
     ("reduce", "[search]\nscope = 4\n", "search.scope must be within [1, 3]"),
     ("rd", "[search]\nscope = 4\n", "search.scope must be within [1, 3]"),
     ("reduce", "[budget]\nsearch_milestones = 30\n", "milestone 30 outside 1..19"),
@@ -1776,6 +1830,7 @@ def test_a_run_directory_under_a_regular_file_fails_and_writes_nothing(tmp_path,
 ], ids=["unbuildable-model", "no-classes", "no-trainer-slots", "surrogate-parallelism-negative",
         "files-without-exchange-dir",
         "lesion-index-past-the-last", "rd-alpha-above-1", "rd-alpha-too-small-to-scale",
+        "rd-alpha-abc", "rd-alpha-1/0", "rd-alpha-nan",
         "reduce-scope-past-the-blocks", "rd-scope-past-the-blocks",
         "search-milestone-past-the-epochs",
         "final-milestones-decreasing", "surrogate-frontiers-unmatched",

@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from chanreduce.arch import channel_config
+from chanreduce.arch import channel_config, format_value
 from chanreduce.config import (BUILDERS, FORMAT, OLDEST_FORMAT, ConfigError, ModelConfig,
-                               RunConfig)
+                               OracleConfig, RunConfig)
 from chanreduce.oracle import (FINAL_BUDGET, METRICS, SEARCH_BUDGET, EvaluationRecord,
                                SurrogateParams)
 from chanreduce.search import BetaMode
@@ -22,7 +22,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 FULL_CFG = """\
     [model]
-    Family = Descriptor
+    Family = {family}
     depth = 9
     block_widths = 8, 16 32
     input_channels = 1
@@ -34,7 +34,7 @@ FULL_CFG = """\
     name = Tiny-Net
 
     [oracle]
-    KIND = Replay
+    KIND = {kind}
     a_max = 0.8
     exponent = 3
     frontiers = 0.9,0.8 0.5
@@ -69,20 +69,22 @@ FULL_CFG = """\
     format = {format}
     """
 
+# Every key of FULL_CFG as resolved.cfg writes it, if the run reads it.
 FULL_RESOLVED = """\
 [model]
-family = descriptor
+family = {family}
 depth = 9
 block_widths = 8 16 32
 input_channels = 1
 dataset = CIFAR100
 resolution = 28
 width_mult = 0.75
+num_classes = 100
 descriptor = {base}/models/net.json
 name = Tiny-Net
 
 [oracle]
-kind = replay
+kind = {kind}
 a_max = 0.8
 exponent = 3.0
 frontiers = 0.9 0.8 0.5
@@ -118,6 +120,20 @@ format = {format}
 
 """
 
+# The [model] keys each family reads besides family, and the [oracle] keys each
+# kind reads besides kind.
+MODEL_READS = {
+    "sequential": "depth block_widths input_channels dataset resolution num_classes name",
+    "resnet34": "num_classes",
+    "mobilenet": "width_mult num_classes",
+    "descriptor": "descriptor",
+}
+ORACLE_READS = {
+    "surrogate": "a_max exponent frontiers weights",
+    "external": "trainer_cmd parallelism timeout_seconds protocol exchange_dir",
+    "replay": "ledger",
+}
+
 DEFAULT_RESOLVED = """\
 [model]
 family = sequential
@@ -126,7 +142,6 @@ block_widths = 16 32 64
 input_channels = 3
 dataset = cifar10
 resolution = 32
-width_mult = 1.0
 num_classes = 10
 
 [oracle]
@@ -135,9 +150,6 @@ a_max = 0.91
 exponent = 2.0
 frontiers = 0.95 0.85 0.55
 weights = 4.0 4.0 4.0
-parallelism = 1
-timeout_seconds = 3600.0
-protocol = pipe
 
 [search]
 delta = 0.01
@@ -165,13 +177,22 @@ def _load(tmp_path, text):
     return RunConfig.from_file(path)
 
 
-def test_resolved_text_every_key(tmp_path):
+@pytest.mark.parametrize("kind", ORACLE_READS)
+@pytest.mark.parametrize("family", MODEL_READS)
+def test_resolved_text_every_key(tmp_path, family, kind):
+    # Each key is set; resolved.cfg lists exactly those its family or kind reads.
     (tmp_path / "models").mkdir()
     (tmp_path / "models" / "net.json").write_text("{}")
     (tmp_path / "old").mkdir()
     (tmp_path / "old" / "ledger.jsonl").touch()
-    cfg = _load(tmp_path, FULL_CFG.format(format=FORMAT))
-    assert cfg.resolved_text() == FULL_RESOLVED.format(base=tmp_path.resolve(), format=FORMAT)
+    cfg = _load(tmp_path, FULL_CFG.format(family=family.capitalize(), kind=kind.capitalize(),
+                                          format=FORMAT))
+    unread = ({*" ".join([*MODEL_READS.values(), *ORACLE_READS.values()]).split()}
+              - {*MODEL_READS[family].split(), *ORACLE_READS[kind].split()})
+    full = FULL_RESOLVED.format(family=family, kind=kind, base=tmp_path.resolve(),
+                                format=FORMAT)
+    assert cfg.resolved_text() == "".join(line for line in full.splitlines(keepends=True)
+                                          if line.split(" = ")[0] not in unread)
 
 
 def test_resolved_text_defaults(tmp_path):
@@ -185,17 +206,29 @@ def test_resolved_text_preset_class_count(tmp_path):
     assert model.splitlines()[-1] == "num_classes = 100"
 
 
-def test_a_model_key_the_family_does_not_read_warns(tmp_path, caplog):
-    # A warning, not an error, as for unknown keys: a recorded resolved.cfg
-    # must still replay.
-    cfg = _load(tmp_path, "[model]\nfamily = resnet34\ndataset = svhn\n")
+@pytest.mark.parametrize("text, warning", [
+    *((f"[model]\nfamily = resnet34\ndataset = {dataset}\n",
+       "ignoring model.dataset: family resnet34 does not read it")
+      for dataset in ("svhn", "cifar10")),   # whatever the value
+    ("[oracle]\nkind = external\ntrainer_cmd = t\nfrontiers = 0.9, 0.8, 0.5\n",
+     "ignoring oracle.frontiers: kind external does not read it"),
+    ("[oracle]\nkind = replay\nledger = l.jsonl\nparallelism = 1\n",
+     "ignoring oracle.parallelism: kind replay does not read it"),
+    ("[oracle]\ntrainer_cmd = t\n", "ignoring oracle.trainer_cmd: kind surrogate does not read it"),
+], ids=["model-dataset-svhn", "model-dataset-cifar10", "external-frontiers",
+        "replay-parallelism", "surrogate-trainer-cmd"])
+def test_a_key_the_run_does_not_read_warns(tmp_path, caplog, text, warning):
+    # A warning, not an error, as for unknown keys; the run and its resolved.cfg
+    # go on without the key.
+    (tmp_path / "l.jsonl").touch()
     with caplog.at_level("WARNING", logger="chanreduce.config"):
-        spec = cfg.build_spec()
-    assert [r.getMessage() for r in caplog.records] == [
-        "ignoring model.dataset: family resnet34 does not read it"]
+        cfg = _load(tmp_path, text)
+    assert [r.getMessage() for r in caplog.records] == [warning]
+    spec = cfg.build_spec()
     request = build_request("r-1", channel_config(spec), spec, SEARCH_BUDGET)
-    assert request["dataset"] == "imagenet"
-    assert "dataset = svhn\n" in cfg.resolved_text()
+    assert request["dataset"] == ("imagenet" if "resnet34" in text else "cifar10")
+    key = warning.split()[1].split(".")[1].rstrip(":")
+    assert f"\n{key} = " not in cfg.resolved_text()
 
 
 @pytest.mark.parametrize("text, message", [
@@ -244,6 +277,7 @@ def test_a_non_finite_number_is_refused(tmp_path, key, value):
 @pytest.mark.parametrize("text, section, key", [
     ("[search]\nscope =\n", "search", "scope"),
     ("[model]\nnum_classes =\n", "model", "num_classes"),
+    ("[model]\ndepth =\n", "model", "depth"),
     ("[run]\nsearch_slots =\n", "run", "search_slots"),
 ])
 def test_empty_value_unsets_an_optional_key(tmp_path, text, section, key):
@@ -261,21 +295,20 @@ def test_defaults_are_the_library_defaults():
 
 
 def test_model_defaults_are_the_builder_defaults():
-    """Every builder parameter is a [model] key; where a builder declares a
-    default, the key's default is that value, and an unset class count is the
-    family builder's own, or None when the builder takes none."""
+    """Every builder parameter is a [model] key that starts unset; resolved.cfg
+    writes an unset one at its builder's default, and leaves it out where the
+    builder has none, and the model is the builder's own."""
     keys = {f.name: f.default for f in fields(ModelConfig)}
     for family, builder in BUILDERS.items():
-        params = inspect.signature(builder).parameters
-        for p in params.values():
-            assert p.name in keys, (family, p.name)
-            if p.default is not p.empty and p.name != "num_classes":
-                assert keys[p.name] == p.default, (family, p.name)
-        cfg = RunConfig()
-        cfg.model.family = family
-        classes = params.get("num_classes")
-        assert cfg.effective_classes() == (None if classes is None else classes.default)
-    assert keys["num_classes"] is None
+        cfg = RunConfig(ModelConfig(family=family))
+        model = cfg.resolved_text().split("\n\n")[0].splitlines()[1:]
+        written = dict(line.split(" = ", 1) for line in model)
+        for p in inspect.signature(builder).parameters.values():
+            assert keys[p.name] is None, (family, p.name)
+            expected = None if p.default in (p.empty, None) else format_value(p.default)
+            assert written.get(p.name) == expected, (family, p.name)
+        if family != "descriptor":
+            assert cfg.build_spec() == builder()
 
 
 def test_search_choices_are_the_library_choices(tmp_path):
@@ -315,6 +348,18 @@ def test_readme_names_the_families_reading_each_model_key():
             continue
         readers = {family for family, builder in BUILDERS.items()
                    if key in inspect.signature(builder).parameters}
+        assert set(re.split(r",\s*", comment.strip())) == readers, key
+
+
+def test_readme_names_the_kinds_reading_each_oracle_key():
+    """Each [oracle] key's README comment names the kinds that read it."""
+    text = README.read_text(encoding="utf-8")
+    block = text.split("```ini\n", 1)[1].split("[oracle]\n", 1)[1].split("\n\n", 1)[0]
+    for line in block.splitlines():
+        key, comment = re.match(r";?\s*(\w+)\s*=[^;]*;\s*([^;:]*)", line).groups()
+        if key == "kind":
+            continue
+        readers = {kind for kind, keys in OracleConfig.READS.items() if key in keys}
         assert set(re.split(r",\s*", comment.strip())) == readers, key
 
 
