@@ -4,18 +4,19 @@ Every run gets a directory holding the artifacts needed to reproduce it without
 re-evaluating anything: ``resolved.cfg`` (every setting the run reads, the command
 that ran and the directory's format), ``ledger.jsonl`` (one line per trained
 evaluation), a descriptor model's ``model.json``, and the command's reports.
-``chanreduce replay RUNDIR`` re-renders those reports from the ledger alone;
-reports carry no timestamps, so a replay is byte-identical. A rerun into the
-same directory answers from the ledger first and trains only what it lacks, so
-an interrupted run resumes where it stopped. Before anything is written, one
-guard (``_check_target``) refuses a target that is or lies under a file, one
-whose ``resolved.cfg`` cannot be read (as a format outside ``OLDEST_FORMAT..FORMAT``)
-even if its ledger holds nothing, and one holding records the run would not go on with.
+``chanreduce replay RUNDIR`` re-renders those reports from the ledger alone; reports
+carry no timestamps, so a replay is byte-identical. A rerun into the same directory
+answers from the ledger first and trains only what it lacks, so an interrupted run
+resumes where it stopped. Before anything is written, one guard (``_check_target``)
+refuses a target or ``files`` exchange directory that is or lies under a file, a
+target whose ``resolved.cfg`` cannot be read (as a format outside
+``OLDEST_FORMAT..FORMAT``) even if its ledger holds nothing, and one holding records
+the run would not go on with.
 
 Exit codes: 0 success, 1 runtime failure (reports may be partial), 2 bad
-configuration or usage. A SIGINT (Ctrl-C) or SIGTERM ends every trainer, records
-no training in flight, leaves ``summary.txt`` saying ``status: interrupted`` and
-ends the process by that signal, so a shell loop around it stops too.
+configuration or usage. An error leaves ``summary.txt`` saying ``status: failed``
+and why. A SIGINT (Ctrl-C) or SIGTERM ends every trainer, records no training in
+flight, leaves ``status: interrupted`` and ends the process by that signal.
 """
 
 from __future__ import annotations
@@ -144,14 +145,19 @@ def _make_oracle(cfg: RunConfig, spec, run_dir: Path, replaying: bool):
 
 
 def _check_target(args, cfg: RunConfig, spec, run_dir: Path) -> None:
-    """Refuse ``run_dir`` unless it and every existing directory above it are directories,
-    its ``resolved.cfg`` parses (unless this run parsed that file already), and a ledger
-    of it holding records goes on with them: by record key (``RunConfig.record_key``)
+    """Refuse ``run_dir`` unless it and a started ``files`` trainer's exchange directory are,
+    and lie under, directories only, its ``resolved.cfg`` parses (unless this run parsed it),
+    and a ledger holding records goes on with them: by record key (``RunConfig.record_key``)
     for a rerun not over its own ledger, byte for byte for a replay of what it copies."""
-    blocker = next((p for p in (run_dir, *run_dir.parents) if os.path.lexists(p)), None)
-    if blocker is not None and not blocker.is_dir():
-        raise ConfigError(f"cannot make run directory {run_dir}: {blocker} is not a directory")
     old, ledger, o = run_dir / "resolved.cfg", run_dir / "ledger.jsonl", cfg.oracle
+    targets = {"run": run_dir}
+    if (args.replay_dir is None and "--budget" in args.flags and o.kind == "external"
+            and o.protocol == "files" and o.exchange_dir):
+        targets["exchange"] = Path(o.exchange_dir)
+    for noun, path in targets.items():
+        blocker = next((p for p in (path, *path.parents) if os.path.lexists(p)), None)
+        if blocker is not None and not blocker.is_dir():
+            raise ConfigError(f"cannot make {noun} directory {path}: {blocker} is not a directory")
     recorded = (RunConfig.from_file(old) if old.exists() and not old.samefile(args.config)
                 else None)
     held = ledger.exists() and ledger.stat().st_size > 0
@@ -167,12 +173,11 @@ def _check_target(args, cfg: RunConfig, spec, run_dir: Path) -> None:
 
 
 def _run(args) -> int:
-    """Set up the run directory, run ``args.body(args, cfg, run_dir, spec, oracle)``
-    and write the summary lines it returns with its exit code. Nothing is written
-    before the model is built, ``args.check(args, cfg, spec)`` and ``_check_target``
-    pass, and a new run's oracle is built. A replay that finds no ledger record for
-    an evaluation ends as a failed run; a command without a training budget
-    evaluates nothing and gets no oracle."""
+    """Set up the run directory and return the exit code of ``args.body(args, cfg,
+    run_dir, spec, oracle)``, whose lines become ``summary.txt``; an exception it raises
+    is summarised instead and goes on to ``main``. Nothing is written before the model
+    is built, ``args.check(args, cfg, spec)`` and ``_check_target`` pass, and a new run's
+    oracle is built. A command without a training budget gets no oracle."""
     replay_dir = args.replay_dir
     evaluates = "--budget" in args.flags
     cfg = args.cfg or RunConfig.from_file(args.config)   # a replay's is parsed already
@@ -205,12 +210,9 @@ def _run(args) -> int:
     (run_dir / "ledger.jsonl").touch(exist_ok=True)
     try:
         code, lines = args.body(args, cfg, run_dir, spec, oracle)
-    except MissingEvaluationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code, lines = 1, ["status: failed", f"error: {exc}"]
-    except KeyboardInterrupt:
-        (run_dir / "summary.txt").write_text(_summary(cfg, ["status: interrupted"]),
-                                             encoding="utf-8")
+    except BaseException as exc:   # summarised below, then handled by main
+        lines = (["status: interrupted"] if isinstance(exc, KeyboardInterrupt)
+                 else ["status: failed", f"error: {exc}"])
         raise
     finally:
         if closer:
@@ -220,7 +222,7 @@ def _run(args) -> int:
             print(f"note: answered {served} failed or timed-out "
                   f"evaluation(s) from {run_dir / 'ledger.jsonl'}; rerun with a fresh "
                   f"--out to train them again", file=sys.stderr)
-    (run_dir / "summary.txt").write_text(_summary(cfg, lines), encoding="utf-8")
+        (run_dir / "summary.txt").write_text(_summary(cfg, lines), encoding="utf-8")
     return code
 
 

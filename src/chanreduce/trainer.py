@@ -11,16 +11,16 @@ Response fields:
     run_id, status, top1, top5, wall_seconds
 
 Unknown fields in a reply are ignored; the run_id must echo the request. A line
-not starting with ``{`` is the worker's own output and is skipped. A reply that
-never arrives (dead or unreachable worker, deadline passed) yields status
-``timeout``; a ``{`` line that cannot be parsed, and a ``files`` worker that
-exits non-zero, yield status ``failed``. A ``files`` failure's note ends with
-the last lines the worker wrote to stderr. Neither aborts a caller: failures
-surface as infeasible probes. A stop is no failure: a worker killed by one of
-``STOP_SIGNALS``, or any call once ``close`` ends every trainer, raises
-``KeyboardInterrupt`` and nothing is recorded. A record's ``wall_seconds`` is
-the trainer's own figure, else the time since a worker took the request;
-waiting for a busy worker never counts as trainer time.
+not starting with ``{`` is the worker's own output and is skipped. A failure the
+bridge detects is ``timeout`` only if the deadline passed with the worker still
+running, else ``failed`` (a worker that cannot be started or sent the request,
+exits non-zero or before replying, closes its output, or writes a garbled or no
+matching answer); its note names the cause, any exit code and a ``files`` worker's
+last stderr lines. No failure aborts a caller: failures surface as infeasible
+probes. A stop is no failure: a worker killed by one of ``STOP_SIGNALS``, or any
+call once ``close`` ends every trainer, raises ``KeyboardInterrupt`` and nothing
+is recorded. A record's ``wall_seconds`` is the trainer's own figure, else the
+time since a worker took the request, never the wait for a busy worker.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ def build_request(run_id: str, config: ChannelConfig, spec: ModelSpec,
 
 
 class _ReplyError(Exception):
-    def __init__(self, status: str, note: str, code: int = 0):
-        self.status, self.note, self.code = status, note, code   # code: the trainer's exit code
+    def __init__(self, note: str, code: int = 0, status: str = STATUS_FAILED):
+        self.note, self.code, self.status = note, code, status   # code: the trainer's exit code
 
 
 def _parse_reply(line: str, run_id: str) -> dict | None:
@@ -71,7 +71,7 @@ def _parse_reply(line: str, run_id: str) -> dict | None:
     try:
         reply = json.loads(line)
     except json.JSONDecodeError as exc:
-        raise _ReplyError(STATUS_FAILED, f"unparseable trainer reply: {exc}")
+        raise _ReplyError(f"unparseable trainer reply: {exc}")
     if reply.get("run_id") != run_id:
         log.warning("ignoring stale trainer reply line %r", line[:80])
         return None
@@ -133,13 +133,13 @@ class _PipeWorker:
             self.proc.stdin.flush()
         except (OSError, ValueError) as exc:
             self.kill()
-            raise _ReplyError(STATUS_TIMEOUT, f"trainer unreachable: {exc}")
+            raise _ReplyError(f"trainer unreachable: {exc}")
         try:
             while (out := self.read_line(deadline)) is not None:
                 reply = _parse_reply(out, run_id)
                 if reply is not None:
                     return reply
-            raise _ReplyError(STATUS_TIMEOUT, f"no trainer reply within {timeout:g}s")
+            raise _ReplyError(f"no trainer reply within {timeout:g}s", status=STATUS_TIMEOUT)
         except _ReplyError:
             self.kill()  # stream state unknown after silence, exit or garbage
             raise
@@ -156,8 +156,8 @@ class _PipeWorker:
         self._buffer = b""
 
     def read_line(self, deadline: float) -> str | None:
-        """Next stdout line, or None once the deadline passes. A closed pipe
-        raises, naming the worker's exit code once it has exited."""
+        """Next stdout line, or None past the deadline, in waits of at most 0.5 s: ``select``
+        refuses one beyond ``time_t``. A closed pipe raises, with the exit code if any."""
         assert self.proc is not None and self.proc.stdout is not None
         fd = self.proc.stdout.fileno()
         while b"\n" not in self._buffer:
@@ -172,10 +172,8 @@ class _PipeWorker:
                 try:
                     code = self.proc.wait(min(1.0, max(0.0, deadline - time.monotonic())))
                 except subprocess.TimeoutExpired:
-                    raise _ReplyError(STATUS_TIMEOUT,
-                                      "trainer closed its output before replying") from None
-                raise _ReplyError(STATUS_TIMEOUT,
-                                  f"trainer exited with code {code} before replying", code)
+                    raise _ReplyError("trainer closed its output before replying") from None
+                raise _ReplyError(f"trainer exited with code {code} before replying", code)
             self._buffer += chunk
         line, self._buffer = self._buffer.split(b"\n", 1)
         return line.decode("utf-8", errors="replace")
@@ -204,7 +202,7 @@ class _FilesWorker:
             if self.ended:   # close() ran while it started
                 proc.kill()
         except OSError as exc:
-            raise _ReplyError(STATUS_TIMEOUT, f"trainer unreachable: {exc}")
+            raise _ReplyError(f"trainer unreachable: {exc}")
         deadline = time.monotonic() + timeout
         with proc:
             while True:  # waits of at most 0.5 s: one long wait overflows the poll
@@ -216,19 +214,19 @@ class _FilesWorker:
                     if time.monotonic() >= deadline:
                         proc.kill()
                         proc.wait()
-                        raise _ReplyError(STATUS_TIMEOUT, f"trainer run exceeded {timeout:g}s"
-                                          + _stderr_tail(exc.stderr)) from None
+                        raise _ReplyError(f"trainer run exceeded {timeout:g}s"
+                                          + _stderr_tail(exc.stderr),
+                                          status=STATUS_TIMEOUT) from None
         if proc.returncode != 0:
-            raise _ReplyError(STATUS_FAILED, f"trainer exited with code {proc.returncode}"
+            raise _ReplyError(f"trainer exited with code {proc.returncode}"
                               + _stderr_tail(stderr), proc.returncode)
         if not resp_path.exists():
-            raise _ReplyError(STATUS_FAILED, "trainer wrote no response file"
-                              + _stderr_tail(stderr))
+            raise _ReplyError("trainer wrote no response file" + _stderr_tail(stderr))
         for line in resp_path.read_text(encoding="utf-8", errors="replace").splitlines():
             reply = _parse_reply(line, run_id)
             if reply is not None:
                 return reply
-        raise _ReplyError(STATUS_FAILED, "no response line with matching run_id")
+        raise _ReplyError("no response line with matching run_id")
 
     def kill(self) -> None:
         """Nothing runs between calls."""

@@ -14,10 +14,13 @@ never rewritten by newer code. The corpus holds the directories of each format
 N under the prefix ``fN``: a change that raises ``config.FORMAT`` records
 ``record.py fN`` for the new N.
 
-The trainer is this file too (``python3 record.py --train SEED``, run from this
+The trainer is this file too (``python3 record.py --train SEED [N]``, run from this
 directory). Its answers are seeded and noisy, and the noise depends on the
 request's position in the run (the counter that ends each run_id). So a repeated
-request gets another answer, and each ninth request fails.
+request gets another answer, and each ninth request fails. For the shapes in
+``EXITS`` it also exits with code 3 instead of replying to every N-th request, a
+failure the bridge detects and records with its exit code; a later request
+starts it afresh.
 """
 
 from __future__ import annotations
@@ -45,24 +48,29 @@ SHAPES = {
     "lesion-macroblock": (["lesion", "--kind", "macroblock_scale", "--values", "0.5", "0.75"],
                           SEQUENTIAL),
     "reduce-descriptor": (["reduce", "--budget", "search"], DESCRIPTOR),
+    "reduce-exits": (["reduce", "--budget", "search"], SEQUENTIAL),
 }
+EXITS = {"reduce-exits": 7}   # shape -> N: its trainer exits instead of replying to every N-th
 SLOTS = (1, 3)
 CONFIG = """\
 [model]
 {model}[oracle]
 kind = external
-trainer_cmd = python3 record.py --train {seed}
+trainer_cmd = python3 record.py --train {seed}{exits}
 protocol = pipe
 parallelism = {slots}
 timeout_seconds = 60
 """
 
 
-def train(seed: int) -> None:
-    """Answer pipe requests: top1 saturates with the total width, less seeded noise."""
+def train(seed: int, exits: int = 0) -> None:
+    """Answer pipe requests: top1 saturates with the total width, less seeded noise.
+    With ``exits``, exit with code 3 instead of answering every ``exits``-th request."""
     for line in sys.stdin:
         req = json.loads(line)
         n = int(req["run_id"].rsplit("-", 1)[1])
+        if exits and n % exits == 0:
+            sys.exit(3)
         noise = random.Random(f"{seed}-{n}").uniform(0.0, 0.004)
         reply = {"run_id": req["run_id"], "wall_seconds": 1.0}
         if n % 9 == 0:
@@ -90,7 +98,9 @@ def record(prefix: str) -> int:
                 continue
             argv, model = SHAPES[shape]
             cfg = Path(tmp, f"s{slots}.cfg")
-            cfg.write_text(CONFIG.format(model=model, seed=SEED, slots=slots), encoding="utf-8")
+            exits = f" {EXITS[shape]}" if shape in EXITS else ""
+            cfg.write_text(CONFIG.format(model=model, seed=SEED, slots=slots, exits=exits),
+                           encoding="utf-8")
             code = cli.main([*argv, "--config", str(cfg), "--out", str(out)])
             if code != 0:
                 print(f"{out.name}: exit {code}", file=sys.stderr)
@@ -100,7 +110,7 @@ def record(prefix: str) -> int:
 
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--train"]:
-        train(int(sys.argv[2]))
+        train(*map(int, sys.argv[2:]))
     elif len(sys.argv) == 2:
         sys.exit(record(sys.argv[1]))
     else:

@@ -1772,6 +1772,48 @@ def test_a_run_directory_under_a_regular_file_fails_and_writes_nothing(tmp_path,
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "run.cfg", "source"]
 
 
+@pytest.mark.parametrize("link", [False, True])
+def test_an_exchange_directory_under_a_regular_file_fails_and_writes_nothing(tmp_path, capsys,
+                                                                           link):
+    # Every command that starts a files trainer is refused, as for its run directory,
+    # whether the blocker is a regular file or a dangling link. A replay starts no
+    # trainer and size evaluates nothing, so neither is refused.
+    cfg, state = trainer_cfg(tmp_path, "files", 1)
+    (state / "release").touch()
+    blocker, exchange = tmp_path / "blocker", tmp_path / "blocker" / "exchange"
+    cfg.write_text(cfg.read_text().replace(str(tmp_path / "exchange"), str(exchange)))
+    out = tmp_path / "out"
+    assert run("reduce", "--config", cfg, "--out", out) == 0
+    shutil.rmtree(blocker)
+    if link:
+        blocker.symlink_to(tmp_path / "missing")
+    else:
+        blocker.write_text("kept")
+    before = sorted(tmp_path.iterdir())
+    for command in RUNS[:3]:
+        capsys.readouterr()
+        assert run(*command.split(), "--config", cfg, "--out", tmp_path / "run") == 2
+        assert (f"error: cannot make exchange directory {exchange}: {blocker} is not a "
+                f"directory") in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == before
+    assert blocker.is_symlink() if link else blocker.read_text() == "kept"
+    assert_replays(out)
+    assert run("size", "--config", cfg, "--out", tmp_path / "size") == 0
+
+
+def test_an_error_in_the_middle_of_a_run_is_its_summary(tmp_path, monkeypatch, capsys):
+    def append(self, record):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cr.EvaluationLedger, "append", append)
+    out = tmp_path / "out"
+    assert run("reduce", "--config", write_cfg(tmp_path), "--out", out) == 1
+    assert capsys.readouterr().err.endswith("error: [Errno 28] No space left on device\n")
+    assert (out / "summary.txt").read_text() == (
+        "command: reduce --budget search --direction backward\nstatus: failed\n"
+        "error: [Errno 28] No space left on device\n")
+
+
 @pytest.mark.parametrize("command,text,error", [
     ("size", "[model]\nfamily = mobilenet\nwidth_mult = 1.5\n", "cannot build model"),
     ("size", "[model]\nnum_classes = 0\n",

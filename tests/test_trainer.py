@@ -244,39 +244,55 @@ def test_a_non_finite_wall_seconds_falls_back_to_the_measured_time(tmp_path, d15
     json.dumps(rec.to_dict(), allow_nan=False)
 
 
-def test_pipe_timeout(tmp_path, d15_config, open_trainer):
-    script = _script(tmp_path, "sleeper.py", """\
-        import sys, time
-        sys.stdin.readline()
-        time.sleep(30)
-        """)
-    rec = open_trainer(script, timeout=0.5).evaluate(d15_config, cr.SEARCH_BUDGET)
-    assert rec.status == cr.STATUS_TIMEOUT
-    assert "no trainer reply within" in rec.note
+# Each trainer below reads its request from stdin (pipe) or from the file its
+# first argument names (files), then runs its body; None is a command that cannot
+# be started. A case is called as often as it says, and each call before the last
+# must be answered ok.
+UNREACHABLE = "[Errno 2] No such file or directory: '/nonexistent/trainer-binary'"
+SERVE_ONE_THEN_STOP_READING = ("os.close(0)\nprint(json.dumps({'run_id': req['run_id'], "
+                               "'status': 'ok', 'top1': 0.5}), flush=True)\ntime.sleep(30)")
+BRIDGE_FAILURES = {   # case: protocol, body, calls, status, note
+    "pipe-cannot-start": ("pipe", None, 1, cr.STATUS_FAILED,
+                          f"trainer unreachable: {UNREACHABLE}"),
+    "files-cannot-start": ("files", None, 1, cr.STATUS_FAILED,
+                           f"trainer unreachable: {UNREACHABLE}"),
+    "pipe-cannot-be-sent-its-request": ("pipe", SERVE_ONE_THEN_STOP_READING, 2,
+                                        cr.STATUS_FAILED,
+                                        "trainer unreachable: [Errno 32] Broken pipe"),
+    "pipe-exits-before-replying": ("pipe", "sys.exit(0)", 1, cr.STATUS_FAILED,
+                                   "trainer exited with code 0 before replying"),
+    "files-exits-before-replying": ("files", "sys.exit(0)", 1, cr.STATUS_FAILED,
+                                    "trainer wrote no response file"),
+    "pipe-exits-non-zero": ("pipe", "sys.exit(3)", 1, cr.STATUS_FAILED,
+                            "trainer exited with code 3 before replying"),
+    "files-exits-non-zero": ("files", "sys.exit(3)", 1, cr.STATUS_FAILED,
+                             "trainer exited with code 3"),
+    "pipe-closes-its-output": ("pipe", "os.close(1)\ntime.sleep(30)", 1, cr.STATUS_FAILED,
+                               "trainer closed its output before replying"),
+    "pipe-deadline-passes": ("pipe", "time.sleep(30)", 1, cr.STATUS_TIMEOUT,
+                             "no trainer reply within 1s"),
+    "files-deadline-passes": ("files", "time.sleep(30)", 1, cr.STATUS_TIMEOUT,
+                              "trainer run exceeded 1s"),
+}
 
 
-def test_pipe_worker_eof(tmp_path, d15_config, open_trainer):
-    script = _script(tmp_path, "exiter.py", """\
-        import sys
-        sys.exit(0)
-        """)
-    rec = open_trainer(script, timeout=2.0).evaluate(d15_config, cr.SEARCH_BUDGET)
-    assert rec.status == cr.STATUS_TIMEOUT
-
-
-@pytest.mark.parametrize("ending,note", [
-    ("sys.exit(3)", "trainer exited with code 3 before replying"),
-    ("os.close(1); time.sleep(30)", "trainer closed its output before replying"),
-])
-def test_pipe_worker_gone_before_replying(tmp_path, d15_config, ending, note, open_trainer):
-    script = _script(tmp_path, "crasher.py", f"""\
-        import os, sys, time
-        sys.stdin.readline()
-        {ending}
-        """)
-    rec = open_trainer(script).evaluate(d15_config, cr.SEARCH_BUDGET)
-    assert rec.status == cr.STATUS_TIMEOUT
-    assert rec.note == note
+@pytest.mark.parametrize("case", BRIDGE_FAILURES)
+def test_a_failure_the_bridge_detects_is_timeout_only_past_its_deadline(
+        tmp_path, d15_spec, d15_config, case):
+    protocol, body, calls, status, note = BRIDGE_FAILURES[case]
+    command = "/nonexistent/trainer-binary"
+    if body is not None:
+        command = [sys.executable, str(_script(tmp_path, "trainer.py", (
+            "import json, os, sys, time\n"
+            "text = open(sys.argv[1], encoding='utf-8').read() if sys.argv[1:] else input()\n"
+            "req = json.loads(text)\n"
+            + body + "\n")))]
+    timeout = 1.0 if status == cr.STATUS_TIMEOUT else 30.0
+    with closing(ExternalTrainerOracle(command, d15_spec, protocol=protocol, timeout=timeout,
+                                       exchange_dir=tmp_path / "exchange")) as oracle:
+        records = [oracle.evaluate(d15_config, cr.SEARCH_BUDGET) for _ in range(calls)]
+    assert all(r.ok for r in records[:-1])
+    assert (records[-1].status, records[-1].note, records[-1].top1) == (status, note, None)
 
 
 @pytest.mark.parametrize("protocol", ["pipe", "files"])
@@ -397,33 +413,6 @@ def test_pipe_workers_release_their_pipes(tmp_path, d15_spec, d15_config):
     assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
 
-def test_pipe_worker_that_stops_reading(tmp_path, d15_config, open_trainer):
-    """A request stuck in the pipe buffer of a worker that closed its stdin is
-    dropped when the worker is killed; the call still returns a record."""
-    script = _script(tmp_path, "deaf.py", """\
-        import json, os, sys, time
-        req = json.loads(sys.stdin.readline())
-        os.close(0)
-        print(json.dumps({"run_id": req["run_id"], "status": "ok", "top1": 0.5}),
-              flush=True)
-        time.sleep(30)
-        """)
-    oracle = open_trainer(script)
-    first = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
-    second = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
-    assert first.ok
-    assert second.status == cr.STATUS_TIMEOUT
-    assert "trainer unreachable" in second.note
-
-
-def test_unreachable_command(d15_spec, d15_config):
-    with closing(ExternalTrainerOracle("/nonexistent/trainer-binary", d15_spec,
-                                       timeout=2.0)) as oracle:
-        rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
-    assert rec.status == cr.STATUS_TIMEOUT
-    assert "trainer unreachable" in rec.note
-
-
 def test_pipe_recovers_after_kill(tmp_path, d15_config, open_trainer):
     # A garbage reply kills the worker; the next call gets a fresh one.
     flag = tmp_path / "first_call_done"
@@ -492,13 +481,6 @@ def test_files_round_trip(tmp_path, d15_config, open_trainer):
     rec = open_trainer(script, protocol="files").evaluate(d15_config, cr.SEARCH_BUDGET)
     assert rec.ok and rec.top1 == 0.71
     assert list(exchange.glob("*.request.json"))      # request left on disk
-
-
-def test_files_missing_response(tmp_path, d15_config, open_trainer):
-    script = _script(tmp_path, "silent.py", "import sys\n")
-    rec = open_trainer(script, protocol="files").evaluate(d15_config, cr.SEARCH_BUDGET)
-    assert rec.status == cr.STATUS_FAILED
-    assert "trainer wrote no response file" in rec.note
 
 
 def test_files_rerun_ignores_stale_response(tmp_path, d15_config, open_trainer):
@@ -672,15 +654,6 @@ def test_pipe_failure_reported_by_the_trainer(tmp_path, d15_config, status, note
     assert rec.status == status and rec.top1 is None and rec.top5 is None
     assert rec.wall_seconds == 7.0
     assert rec.note == (note or f"trainer reported {status}")
-
-
-def test_files_unreachable_command(tmp_path, d15_spec, d15_config):
-    with closing(ExternalTrainerOracle("/nonexistent/trainer-binary", d15_spec,
-                                       protocol="files", exchange_dir=tmp_path / "exchange",
-                                       timeout=2.0)) as oracle:
-        rec = oracle.evaluate(d15_config, cr.SEARCH_BUDGET)
-    assert rec.status == cr.STATUS_TIMEOUT and rec.top1 is None
-    assert rec.note.startswith("trainer unreachable: ")
 
 
 def test_files_response_without_a_matching_line_fails(tmp_path, d15_config, open_trainer):
