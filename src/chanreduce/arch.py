@@ -257,19 +257,25 @@ _DECLARED_TYPES = {
     "str": (str, "a string"),
     "tuple[int, int]": ((int, int), "a pair of integers"),
 }
-# Each layer kind's and ModelMeta's fields, with the types declared for them.
-_TYPED_FIELDS = {cls: tuple((f.name, *_DECLARED_TYPES[f.type.removesuffix(" | None")])
+# Each layer kind's and ModelMeta's fields, with the types declared for them and
+# whether the field is a count: every integer but the channel refs of a kind's
+# wiring, which may name entry 0, is at least 1.
+_TYPED_FIELDS = {cls: tuple((f.name, *_DECLARED_TYPES[f.type.removesuffix(" | None")],
+                             "int" in f.type
+                             and f.name not in dict(getattr(cls, "wiring", ())).values())
                             for f in fields(cls))
                  for cls in (*LAYER_KINDS, ModelMeta)}
 
 
 def _type_error(obj) -> str | None:
     """What is wrong with the first field of ``obj`` whose value lacks its
-    declared type; None when every field has it."""
-    for name, want, expected in _TYPED_FIELDS[type(obj)]:
+    declared type, or is a count below 1; None when every field is sound."""
+    for name, want, expected, count in _TYPED_FIELDS[type(obj)]:
         value = getattr(obj, name)
         if (tuple(map(type, value)) if type(value) is tuple else type(value)) != want:
             return f"{name} must be {expected}, got {value!r}"
+        if count and min(value if type(value) is tuple else (value,)) < 1:
+            return f"{name} must be >= 1, got {value!r}"
     return None
 
 
@@ -419,8 +425,6 @@ def build_sequential_cnn(depth: int = 15, block_widths: Sequence[int] = (16, 32,
     for w in block_widths:
         if not isinstance(w, int) or w < 1:
             raise ValueError(f"block widths must be positive integers, got {w!r}")
-    if input_channels < 1 or num_classes < 1:
-        raise ValueError("input_channels and num_classes must be >= 1")
 
     name = name or "sequential-d{}-{}".format(depth, "-".join(str(w) for w in block_widths))
     builder = SpecBuilder(ModelMeta(name, dataset, num_classes, input_channels, resolution))
@@ -434,9 +438,9 @@ def build_sequential_cnn(depth: int = 15, block_widths: Sequence[int] = (16, 32,
 
 
 def validate_spec(spec: ModelSpec) -> None:
-    """Check each field's declared type, ref wiring and literal channel counts;
-    every :class:`ModelSpec` runs it once, when constructed. Raises ValueError
-    (TypeError: unknown kind)."""
+    """Check each field's declared type, that each count is >= 1, the ref wiring
+    and literal channel counts; every :class:`ModelSpec` runs it once, when
+    constructed. Raises ValueError (TypeError: unknown kind)."""
     if error := _type_error(spec.meta):
         raise ValueError(f"model {error}")
     entries: list[int] = []  # nominal width per entry, index 1-based via offset
@@ -463,17 +467,8 @@ def validate_spec(spec: ModelSpec) -> None:
                     raise ValueError(f"layer {idx}: conv out_ref {layer.out_ref} breaks entry order "
                                      f"(expected {len(entries) + 1})")
                 entries.append(layer.out_channels)
-            if layer.out_channels < 1 or layer.in_channels < 1:
-                raise ValueError(f"layer {idx}: channel counts must be >= 1")
-            if layer.stride < 1 or layer.scale < 1 or min(layer.kernel) < 1:
-                raise ValueError(f"layer {idx}: conv kernel, stride and scale must be >= 1")
-        elif isinstance(layer, Pool):
-            if layer.window < 1 or layer.stride < 1:
-                raise ValueError(f"layer {idx}: pool window and stride must be >= 1")
         elif isinstance(layer, FullyConnected):
             fc_seen += 1
-            if layer.out_features < 1:
-                raise ValueError(f"layer {idx}: out_features must be >= 1")
         for width, ref in kind.wiring:
             if getattr(layer, width) != resolve(getattr(layer, ref)):
                 raise ValueError(f"layer {idx}: {layer.kind} {width} {getattr(layer, width)} "

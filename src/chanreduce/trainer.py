@@ -2,7 +2,8 @@
 
 One key-sorted JSON request line on the worker's stdin, one reply per line on its
 stdout (``pipe`` mode), or the same line as a request file handed to a fresh worker
-invocation with the response path to write (``files`` mode: one per request).
+invocation with the response path to write (``files`` mode: one per request, its
+stderr kept in an unnamed file in the exchange directory).
 
 Request fields:
     run_id, channels, macroblock_starts, dataset, num_classes, and the fields
@@ -15,12 +16,13 @@ not starting with ``{`` is the worker's own output and is skipped. A failure the
 bridge detects is ``timeout`` only if the deadline passed with the worker still
 running, else ``failed`` (a worker that cannot be started or sent the request,
 exits non-zero or before replying, closes its output, or writes a garbled or no
-matching answer); its note names the cause, any exit code and a ``files`` worker's
-last stderr lines. No failure aborts a caller: failures surface as infeasible
-probes. A stop is no failure: a worker killed by one of ``STOP_SIGNALS``, or any
-call once ``close`` ends every trainer, raises ``KeyboardInterrupt`` and nothing
-is recorded. A record's ``wall_seconds`` is the trainer's own figure, else the
-time since a worker took the request, never the wait for a busy worker.
+matching answer, and any I/O error of a ``files`` exchange); its note names the
+cause, any exit code and a ``files`` worker's last stderr lines. No failure
+aborts a caller: failures surface as infeasible probes. A stop is no failure: a
+worker killed by one of ``STOP_SIGNALS``, or any call once ``close`` ends every
+trainer, raises ``KeyboardInterrupt`` and nothing is recorded. A record's
+``wall_seconds`` is the trainer's own figure if finite and >= 0, else the time
+since a worker took the request, never the wait for a busy worker.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import select
 import shlex
 import signal
 import subprocess
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -86,8 +89,8 @@ def _record_from_reply(reply: dict, digest: str, budget: TrainingBudget,
                                 note=f"unknown trainer status {status!r}")
     top1, top5 = reply.get("top1"), reply.get("top5")
     wall = reply.get("wall_seconds")
-    # A finite JSON number, not a bool, NaN or Infinity; else the measured time.
-    wall = float(wall) if type(wall) in (int, float) and math.isfinite(wall) else elapsed
+    # A finite JSON number >= 0, not a bool, NaN or Infinity; else the measured time.
+    wall = float(wall) if type(wall) in (int, float) and 0 <= wall < math.inf else elapsed
     if status == STATUS_OK:
         try:
             if {type(top1), type(top5)} - {int, float, type(None)}:
@@ -102,9 +105,11 @@ def _record_from_reply(reply: dict, digest: str, budget: TrainingBudget,
                             note=reply.get("note") or f"trainer reported {status}")
 
 
-def _stderr_tail(stderr: bytes | None) -> str:
-    """A failure note's suffix: the trainer's last 5 stderr lines, at most 500 characters."""
-    lines = (stderr or b"").decode("utf-8", errors="replace").strip().splitlines()
+def _stderr_tail(stderr) -> str:
+    """A failure note's suffix: the last 5 lines of the trainer's stderr file, read from its
+    last 64 KiB, at most 500 characters."""
+    stderr.seek(max(0, stderr.seek(0, os.SEEK_END) - 65536))
+    lines = stderr.read().decode("utf-8", errors="replace").strip().splitlines()
     tail = " | ".join(line.strip() for line in lines[-5:])[-500:]
     return f"; stderr: {tail}" if tail else ""
 
@@ -181,7 +186,8 @@ class _PipeWorker:
 
 class _FilesWorker:
     """One trainer invocation at a time, given the paths of a request file it
-    reads and a response file it writes as its last two arguments."""
+    reads and a response file it writes as its last two arguments. Its stderr
+    goes to an unnamed file in the exchange directory, never into memory."""
 
     def __init__(self, argv: list[str], exchange_dir: Path):
         self.argv = argv
@@ -189,40 +195,37 @@ class _FilesWorker:
         self.proc, self.ended = None, False   # ended: set by ExternalTrainerOracle.close
 
     def call(self, run_id: str, line: str, timeout: float) -> dict:
-        self.exchange_dir.mkdir(parents=True, exist_ok=True)
         req_path = self.exchange_dir / f"{run_id}.request.json"
         resp_path = self.exchange_dir / f"{run_id}.response.json"
-        tmp = req_path.with_suffix(".tmp")
-        tmp.write_text(line, encoding="utf-8")
-        tmp.rename(req_path)
-        resp_path.unlink(missing_ok=True)
+        proc = None
         try:
-            proc = self.proc = subprocess.Popen(self.argv + [str(req_path), str(resp_path)],
-                                                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
-            if self.ended:   # close() ran while it started
-                proc.kill()
-        except OSError as exc:
-            raise _ReplyError(f"trainer unreachable: {exc}")
-        deadline = time.monotonic() + timeout
-        with proc:
-            while True:  # waits of at most 0.5 s: one long wait overflows the poll
+            self.exchange_dir.mkdir(parents=True, exist_ok=True)
+            tmp = req_path.with_suffix(".tmp")
+            tmp.write_text(line, encoding="utf-8")
+            tmp.rename(req_path)
+            resp_path.unlink(missing_ok=True)
+            with tempfile.TemporaryFile(dir=self.exchange_dir) as stderr:
+                proc = self.proc = subprocess.Popen(self.argv + [str(req_path), str(resp_path)],
+                                                    stdout=subprocess.DEVNULL, stderr=stderr)
+                if self.ended:   # close() ran while it started
+                    proc.kill()
                 try:
-                    stderr = proc.communicate(
-                        timeout=min(max(deadline - time.monotonic(), 0.0), 0.5))[1]
-                    break
-                except subprocess.TimeoutExpired as exc:
-                    if time.monotonic() >= deadline:
-                        proc.kill()
-                        proc.wait()
-                        raise _ReplyError(f"trainer run exceeded {timeout:g}s"
-                                          + _stderr_tail(exc.stderr),
-                                          status=STATUS_TIMEOUT) from None
-        if proc.returncode != 0:
-            raise _ReplyError(f"trainer exited with code {proc.returncode}"
-                              + _stderr_tail(stderr), proc.returncode)
-        if not resp_path.exists():
-            raise _ReplyError("trainer wrote no response file" + _stderr_tail(stderr))
-        for line in resp_path.read_text(encoding="utf-8", errors="replace").splitlines():
+                    code = proc.wait(timeout)   # polls: any timeout; an exit seen <= 50 ms late
+                except subprocess.TimeoutExpired:
+                    proc.kill()
+                    proc.wait()
+                    raise _ReplyError(f"trainer run exceeded {timeout:g}s" + _stderr_tail(stderr),
+                                      status=STATUS_TIMEOUT) from None
+                if code != 0:
+                    raise _ReplyError(f"trainer exited with code {code}" + _stderr_tail(stderr),
+                                      code)
+                if not resp_path.exists():
+                    raise _ReplyError("trainer wrote no response file" + _stderr_tail(stderr))
+            text = resp_path.read_text(encoding="utf-8", errors="replace")
+        except OSError as exc:
+            raise _ReplyError(f"trainer unreachable: {exc}" if proc is None
+                              else f"unreadable trainer response: {exc}") from None
+        for line in text.splitlines():
             reply = _parse_reply(line, run_id)
             if reply is not None:
                 return reply

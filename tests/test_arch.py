@@ -183,8 +183,9 @@ def _fc(in_features, out_features, in_ref):
     ([_conv(3, 8, 0, 1), _conv(8, 8, 1, 1)],
      "layer 1: a conv shares its input entry exactly when it is depthwise"),
     ([_conv(3, 8, 0, 2)], "layer 0: conv out_ref 2 breaks entry order (expected 1)"),
-    ([_conv(3, 0, 0, 1)], "layer 0: channel counts must be >= 1"),
-    ([_conv(3, 8, 0, 1), _fc(8, 0, 1)], "layer 1: out_features must be >= 1"),
+    ([_conv(3, 0, 0, 1)], "layer 0: conv out_channels must be >= 1, got 0"),
+    ([_conv(3, 8, 0, 1), _fc(8, 0, 1)], "layer 1: fully_connected out_features must be >= 1, "
+     "got 0"),
     ([_conv(3, 8, 0, 1), _fc(8, 10, 1), _fc(8, 10, 1)],
      "at most one fully connected classification head is supported"),
 ], ids=["undefined-ref", "depthwise-with-a-new-entry", "plain-conv-on-its-input-entry",

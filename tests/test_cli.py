@@ -1322,15 +1322,16 @@ def test_a_fractional_width_descriptor_leaves_no_directory(tmp_path, capsys, com
 # Each edit of layer 0 (conv), 1 (batchnorm) or 2 (pool) of a depth-2 model, or
 # of its header (None).
 @pytest.mark.parametrize("layer,edit,error", [
-    (0, {"kernel": [0, 3]}, "layer 0: conv kernel, stride and scale must be >= 1"),
-    (0, {"stride": 0}, "layer 0: conv kernel, stride and scale must be >= 1"),
-    (0, {"scale": 0}, "layer 0: conv kernel, stride and scale must be >= 1"),
-    (2, {"window": 0}, "layer 2: pool window and stride must be >= 1"),
+    (0, {"kernel": [0, 3]}, "layer 0: conv kernel must be >= 1, got (0, 3)"),
+    (0, {"stride": 0}, "layer 0: conv stride must be >= 1, got 0"),
+    (0, {"scale": 0}, "layer 0: conv scale must be >= 1, got 0"),
+    (2, {"window": 0}, "layer 2: pool window must be >= 1, got 0"),
     (1, {"ref": 2}, "channel ref 2 not yet defined"),
     (0, {"strides": 2}, "layer 0: conv has no key 'strides'"),
     (None, {"resolutoin": 64}, "model has no key 'resolutoin'"),
+    (None, {"resolution": 0}, "model resolution must be >= 1, got 0"),
 ], ids=["kernel-0x3", "conv-stride-0", "conv-scale-0", "pool-window-0", "dangling-ref",
-        "unknown-layer-key", "unknown-header-key"])
+        "unknown-layer-key", "unknown-header-key", "resolution-0"])
 def test_an_unbuildable_descriptor_leaves_no_directory(tmp_path, capsys, layer, edit, error):
     descriptor = cr.spec_to_dict(cr.build_sequential_cnn(2, [4, 8]))
     (descriptor if layer is None else descriptor["layers"][layer]).update(edit)
@@ -1817,7 +1818,9 @@ def test_an_error_in_the_middle_of_a_run_is_its_summary(tmp_path, monkeypatch, c
 @pytest.mark.parametrize("command,text,error", [
     ("size", "[model]\nfamily = mobilenet\nwidth_mult = 1.5\n", "cannot build model"),
     ("size", "[model]\nnum_classes = 0\n",
-     "cannot build model: input_channels and num_classes must be >= 1"),
+     "cannot build model: model num_classes must be >= 1, got 0"),
+    ("size", "[model]\nresolution = -5\n",
+     "cannot build model: model resolution must be >= 1, got -5"),
     ("reduce", "[oracle]\nkind = external\ntrainer_cmd = t\nparallelism = 0\n",
      "oracle.parallelism must be within [1, inf], got 0"),
     ("reduce", "[oracle]\nparallelism = -4\n",
@@ -1869,8 +1872,8 @@ def test_an_error_in_the_middle_of_a_run_is_its_summary(tmp_path, monkeypatch, c
     # A reduction returns the last feasible bound only.
     ("reduce", "[search]\nbeta_return_mode = last_midpoint\n",
      "search.beta_return_mode must be feasible_bound, got 'last_midpoint'"),
-], ids=["unbuildable-model", "no-classes", "no-trainer-slots", "surrogate-parallelism-negative",
-        "files-without-exchange-dir",
+], ids=["unbuildable-model", "no-classes", "negative-resolution", "no-trainer-slots",
+        "surrogate-parallelism-negative", "files-without-exchange-dir",
         "lesion-index-past-the-last", "rd-alpha-above-1", "rd-alpha-too-small-to-scale",
         "rd-alpha-abc", "rd-alpha-1/0", "rd-alpha-nan",
         "reduce-scope-past-the-blocks", "rd-scope-past-the-blocks",

@@ -6,6 +6,8 @@ import gc
 import hashlib
 import json
 import os
+import shutil
+import subprocess
 import sys
 import textwrap
 import threading
@@ -244,10 +246,17 @@ def test_a_non_finite_wall_seconds_falls_back_to_the_measured_time(tmp_path, d15
     json.dumps(rec.to_dict(), allow_nan=False)
 
 
+@pytest.mark.parametrize("wall", [-5, -0.5])
+def test_a_negative_wall_seconds_falls_back_to_the_measured_time(wall):
+    reply = {"status": "ok", "top1": 0.8, "wall_seconds": wall}
+    assert _record_from_reply(reply, "d" * 64, cr.SEARCH_BUDGET, 0.25).wall_seconds == 0.25
+
+
 # Each trainer below reads its request from stdin (pipe) or from the file its
 # first argument names (files), then runs its body; None is a command that cannot
 # be started. A case is called as often as it says, and each call before the last
-# must be answered ok.
+# must be answered ok. A note names the exchange directory and the response
+# path the trainer was given as {exchange} and {response}.
 UNREACHABLE = "[Errno 2] No such file or directory: '/nonexistent/trainer-binary'"
 SERVE_ONE_THEN_STOP_READING = ("os.close(0)\nprint(json.dumps({'run_id': req['run_id'], "
                                "'status': 'ok', 'top1': 0.5}), flush=True)\ntime.sleep(30)")
@@ -273,6 +282,14 @@ BRIDGE_FAILURES = {   # case: protocol, body, calls, status, note
                              "no trainer reply within 1s"),
     "files-deadline-passes": ("files", "time.sleep(30)", 1, cr.STATUS_TIMEOUT,
                               "trainer run exceeded 1s"),
+    # The test replaces the exchange directory with a regular file after the first call.
+    "files-exchange-dir-becomes-a-file": (
+        "files", "json.dump({'run_id': req['run_id'], 'status': 'ok', 'top1': 0.5}, "
+        "open(sys.argv[2], 'w'))", 2, cr.STATUS_FAILED,
+        "trainer unreachable: [Errno 17] File exists: '{exchange}'"),
+    "files-response-path-is-a-directory": (
+        "files", "os.mkdir(sys.argv[2])", 1, cr.STATUS_FAILED,
+        "unreadable trainer response: [Errno 21] Is a directory: '{response}'"),
 }
 
 
@@ -288,9 +305,15 @@ def test_a_failure_the_bridge_detects_is_timeout_only_past_its_deadline(
             "req = json.loads(text)\n"
             + body + "\n")))]
     timeout = 1.0 if status == cr.STATUS_TIMEOUT else 30.0
+    exchange = tmp_path / "exchange"
     with closing(ExternalTrainerOracle(command, d15_spec, protocol=protocol, timeout=timeout,
-                                       exchange_dir=tmp_path / "exchange")) as oracle:
-        records = [oracle.evaluate(d15_config, cr.SEARCH_BUDGET) for _ in range(calls)]
+                                       exchange_dir=exchange)) as oracle:
+        records = [oracle.evaluate(d15_config, cr.SEARCH_BUDGET) for _ in range(calls - 1)]
+        if case == "files-exchange-dir-becomes-a-file":
+            shutil.rmtree(exchange)
+            exchange.write_text("")
+        records.append(oracle.evaluate(d15_config, cr.SEARCH_BUDGET))
+    note = note.format(exchange=exchange, response=next(exchange.glob("*.response.json"), None))
     assert all(r.ok for r in records[:-1])
     assert (records[-1].status, records[-1].note, records[-1].top1) == (status, note, None)
 
@@ -572,19 +595,47 @@ def test_files_timeout_note_keeps_stderr_tail(tmp_path, d15_config, open_trainer
     assert rec.note == "trainer run exceeded 1s; stderr: epoch 0 | waiting for a GPU"
 
 
-def test_files_trainer_takes_a_timeout_too_long_for_one_poll(tmp_path, d15_config,
+@pytest.mark.parametrize("protocol", ["pipe", "files"])
+def test_each_protocol_takes_a_timeout_too_long_for_one_poll(tmp_path, d15_config, protocol,
                                                              open_trainer):
-    # 1e7 s in milliseconds overflows the C int one poll() call takes; the pipe
-    # protocol already waits in slices and takes it too.
-    script = _script(tmp_path, "file_trainer.py", """\
+    # 1e18 s overflows the C types one poll() or select() call takes: the pipe
+    # protocol waits in slices, and the files one polls in Python.
+    script = _script(tmp_path, "trainer.py", """\
         import json, sys
-        req = json.load(open(sys.argv[1]))
-        json.dump({"run_id": req["run_id"], "status": "ok", "top1": 0.71},
-                  open(sys.argv[2], "w"))
+        req = json.loads(open(sys.argv[1]).read() if sys.argv[1:] else input())
+        reply = json.dumps({"run_id": req["run_id"], "status": "ok", "top1": 0.71})
+        print(reply, file=open(sys.argv[2], "w") if sys.argv[1:] else sys.stdout, flush=True)
         """)
-    rec = open_trainer(script, protocol="files", timeout=1e7).evaluate(d15_config,
-                                                                       cr.SEARCH_BUDGET)
+    rec = open_trainer(script, protocol=protocol, timeout=1e18).evaluate(d15_config,
+                                                                         cr.SEARCH_BUDGET)
     assert rec.ok and rec.top1 == 0.71
+
+
+def test_a_files_trainers_stderr_is_not_held_in_memory(tmp_path):
+    # One evaluation whose trainer writes 64 MiB to stderr, in a fresh process
+    # whose peak RSS shows what the bridge held meanwhile.
+    chatty = _script(tmp_path, "chatty.py", """\
+        import json, sys
+        for _ in range(64):
+            sys.stderr.buffer.write(b"x" * ((1 << 20) - 1) + b"\\n")
+        req = json.load(open(sys.argv[1]))
+        json.dump({"run_id": req["run_id"], "status": "ok", "top1": 0.5}, open(sys.argv[2], "w"))
+        """)
+    probe = _script(tmp_path, "probe.py", f"""\
+        import resource, sys
+        sys.path.insert(0, {os.path.dirname(os.path.dirname(cr.__file__))!r})
+        import chanreduce as cr
+        spec = cr.build_sequential_cnn()
+        oracle = cr.ExternalTrainerOracle([sys.executable, {str(chatty)!r}], spec,
+                                          protocol="files", exchange_dir={str(tmp_path)!r})
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        record = oracle.evaluate(cr.channel_config(spec), cr.SEARCH_BUDGET)
+        print(record.status, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+        """)
+    status, grown_kib = subprocess.run([sys.executable, str(probe)], capture_output=True,
+                                       text=True, check=True).stdout.split()
+    assert status == cr.STATUS_OK
+    assert int(grown_kib) < 16 * 1024
 
 
 def test_files_mode_runs_at_most_parallelism_trainers(tmp_path, d15_config, open_trainer):
