@@ -121,10 +121,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _make_oracle(cfg: RunConfig, spec, run_dir: Path, replaying: bool):
     """The run's recorder, on the run's search slots, and its backend's closer.
-    The backend trains what the run's ledger lacks; a replay has none."""
+    The backend answers what the run's ledger lacks: it trains it, or under ``kind =
+    replay`` a recorder over the source ledger serves it. A replay has none."""
     o = cfg.oracle
     kind = None if replaying else o.kind
-    ledger = run_dir / "ledger.jsonl"
     inner = closer = None
     if kind == "surrogate":
         inner = SurrogateOracle(spec, cfg.surrogate_params())
@@ -135,12 +135,10 @@ def _make_oracle(cfg: RunConfig, spec, run_dir: Path, replaying: bool):
         closer = inner.close
     elif kind == "replay":
         # Only a fresh run reads the source; its directory then replays alone.
-        source = Path(o.ledger)
-        if not source.exists():
+        if not Path(o.ledger).exists():
             raise ConfigError(f"replay ledger {o.ledger} does not exist")
-        if source.resolve() != ledger.resolve():  # its own ledger needs no backend
-            inner = RecordingOracle(None, EvaluationLedger(source), spec)
-    return RecordingOracle(inner, EvaluationLedger(ledger), spec,
+        inner = RecordingOracle(None, EvaluationLedger(Path(o.ledger)), spec)
+    return RecordingOracle(inner, EvaluationLedger(run_dir / "ledger.jsonl"), spec,
                            parallel_slots=cfg.search_slots or 1), closer
 
 
@@ -148,7 +146,8 @@ def _check_target(args, cfg: RunConfig, spec, run_dir: Path) -> None:
     """Refuse ``run_dir`` unless it and a started ``files`` trainer's exchange directory are,
     and lie under, directories only, its ``resolved.cfg`` parses (unless this run parsed it),
     and a ledger holding records goes on with them: by record key (``RunConfig.record_key``)
-    for a rerun not over its own ledger, byte for byte for a replay of what it copies."""
+    for a rerun, ``kind = replay`` over its own ledger included, byte for byte for a
+    replay of what it copies."""
     old, ledger, o = run_dir / "resolved.cfg", run_dir / "ledger.jsonl", cfg.oracle
     targets = {"run": run_dir}
     if (args.replay_dir is None and "--budget" in args.flags and o.kind == "external"
@@ -165,9 +164,7 @@ def _check_target(args, cfg: RunConfig, spec, run_dir: Path) -> None:
         if held and ledger.read_bytes() != (args.replay_dir / "ledger.jsonl").read_bytes():
             raise ConfigError(f"{run_dir} holds another run's evaluations; "
                               f"replay into a fresh --out")
-    elif (held and recorded is not None
-          and not (o.kind == "replay" and Path(o.ledger).resolve() == ledger.resolve())
-          and recorded.record_key() != cfg.record_key(spec)):
+    elif held and recorded is not None and recorded.record_key() != cfg.record_key(spec):
         raise ConfigError(f"{run_dir} holds evaluations made for another dataset or with "
                           f"other [oracle] settings; use a fresh --out")
 
@@ -247,10 +244,6 @@ def _pick_budget(cfg: RunConfig, which: str):
     return cfg.final_budget() if which == "final" else cfg.search_budget()
 
 
-def _fmt_widths(widths) -> str:
-    return "[" + " ".join(str(w) for w in widths) + "]"
-
-
 def _check_partition(args, cfg: RunConfig, spec) -> None:
     """The model partitions into macroblocks, the search scope fits them, and the
     oracle reports the search's metric (the surrogate gives top1 only)."""
@@ -297,8 +290,8 @@ def _run_reduce(args, cfg, run_dir, spec, oracle) -> tuple[int, list[str]]:
     nominal = channel_config(spec)
     for b in sorted(result.scope):
         lines.append(f"block {b}: beta={result.betas[b]!r} "
-                     f"{_fmt_widths(nominal.block_channels(b))} -> "
-                     f"{_fmt_widths(result.reduced_config.block_channels(b))}")
+                     f"[{format_value(nominal.block_channels(b))}] -> "
+                     f"[{format_value(result.reduced_config.block_channels(b))}]")
     base, red = result.base_report, result.reduced_report
     lines.append(f"base: params={base.parameter_count} bytes={base.size_bytes} "
                  f"({base.size_mb:.4f} MB)")

@@ -15,14 +15,14 @@ Unknown fields in a reply are ignored; the run_id must echo the request. A line
 not starting with ``{`` is the worker's own output and is skipped. A failure the
 bridge detects is ``timeout`` only if the deadline passed with the worker still
 running, else ``failed`` (a worker that cannot be started or sent the request,
-exits non-zero or before replying, closes its output, or writes a garbled or no
-matching answer, and any I/O error of a ``files`` exchange); its note names the
+exits non-zero or before replying, closes its output, or writes a garbled, malformed
+or no matching answer, and any I/O error of a ``files`` exchange); its note names the
 cause, any exit code and a ``files`` worker's last stderr lines. No failure
 aborts a caller: failures surface as infeasible probes. A stop is no failure: a
 worker killed by one of ``STOP_SIGNALS``, or any call once ``close`` ends every
 trainer, raises ``KeyboardInterrupt`` and nothing is recorded. A record's
-``wall_seconds`` is the trainer's own figure if finite and >= 0, else the time
-since a worker took the request, never the wait for a busy worker.
+``wall_seconds`` is the trainer's own figure in a well-formed reply if finite and
+>= 0, else the time since a worker took the request, never the wait for a busy worker.
 """
 
 from __future__ import annotations
@@ -83,10 +83,10 @@ def _parse_reply(line: str, run_id: str) -> dict | None:
 
 def _record_from_reply(reply: dict, digest: str, budget: TrainingBudget,
                        elapsed: float) -> EvaluationRecord:
+    """The reply's record; a malformed one raises ``_ReplyError``."""
     status = reply.get("status")
     if status not in _STATUSES:
-        return EvaluationRecord(digest, budget, None, None, elapsed, STATUS_FAILED,
-                                note=f"unknown trainer status {status!r}")
+        raise _ReplyError(f"unknown trainer status {status!r}")
     top1, top5 = reply.get("top1"), reply.get("top5")
     wall = reply.get("wall_seconds")
     # A finite JSON number >= 0, not a bool, NaN or Infinity; else the measured time.
@@ -99,8 +99,7 @@ def _record_from_reply(reply: dict, digest: str, budget: TrainingBudget,
                                     None if top5 is None else float(top5),
                                     wall, STATUS_OK)
         except (TypeError, ValueError) as exc:
-            return EvaluationRecord(digest, budget, None, None, wall, STATUS_FAILED,
-                                    note=f"bad accuracy fields in trainer reply: {exc}")
+            raise _ReplyError(f"bad accuracy fields in trainer reply: {exc}") from None
     return EvaluationRecord(digest, budget, None, None, wall, status,
                             note=reply.get("note") or f"trainer reported {status}")
 

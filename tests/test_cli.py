@@ -240,6 +240,24 @@ def test_a_recorded_run_directory_replays(tmp_path, caplog, name):
         assert snapshot(out) == before and not replayed.exists()
 
 
+def test_a_replay_missing_the_final_evaluation_fails(tmp_path, capsys):
+    # The search is answered from the ledger, but the reduced configuration's
+    # final-budget record is gone: the replay stops there and says why.
+    source, out = tmp_path / "run", tmp_path / "replayed"
+    shutil.copytree(CORPUS / "f3-s1-reduce-search", source)
+    ledger = source / "ledger.jsonl"
+    lines = ledger.read_text().splitlines(keepends=True)
+    ledger.write_text("".join(line for line in lines if '"epochs":90' not in line))
+    assert len(ledger.read_text().splitlines()) == len(lines) - 1
+    capsys.readouterr()
+    assert run("replay", source, "--out", out) == 1
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error.startswith("error: missing evaluation for digest ")
+    assert (out / "summary.txt").read_text() == (
+        f"command: reduce --budget search --direction backward\nstatus: failed\n{error}\n")
+    assert not (out / "reduction.json").exists()
+
+
 @pytest.mark.parametrize("path", ["replay", "replay-out", "rerun-own-config",
                                   "rerun-other-config", "rerun-replaying-own-ledger"])
 @pytest.mark.parametrize("value", [str(FORMAT + 1), "0", "two"])
@@ -849,14 +867,15 @@ def test_rerun_of_a_finished_command_appends_nothing(tmp_path, monkeypatch, argv
     assert snapshot(out) == before
 
 
-def test_replay_kind_appends_nothing_on_a_rerun_or_its_own_ledger(tmp_path):
+def test_replay_kind_appends_nothing_on_a_rerun_or_its_own_ledger(tmp_path, capsys):
     # kind = replay pointed at another run's ledger records what it serves
-    # once; pointed at the run's own ledger it records nothing.
+    # once; pointed at the run's own ledger it is a rerun with other [oracle]
+    # settings, refused before anything is written.
     source = tmp_path / "source"
     assert run("reduce", "--config", write_cfg(tmp_path), "--out", source) == 0
     expected = (source / "reduction.json").read_bytes()
     out = tmp_path / "out"
-    for ledger in (source / "ledger.jsonl", source / "ledger.jsonl", out / "ledger.jsonl"):
+    for ledger in (source / "ledger.jsonl", source / "ledger.jsonl"):
         cfg = write_cfg(tmp_path, f"""\
             [oracle]
             kind = replay
@@ -865,6 +884,35 @@ def test_replay_kind_appends_nothing_on_a_rerun_or_its_own_ledger(tmp_path):
         assert run("reduce", "--config", cfg, "--out", out) == 0
         assert (out / "ledger.jsonl").read_bytes() == (source / "ledger.jsonl").read_bytes()
         assert (out / "reduction.json").read_bytes() == expected
+    before = snapshot(out)
+    capsys.readouterr()
+    cfg = write_cfg(tmp_path, f"[oracle]\nkind = replay\nledger = {out}/ledger.jsonl\n",
+                    name="replay.cfg")
+    assert run("reduce", "--config", cfg, "--out", out) == 2
+    assert "use a fresh --out" in capsys.readouterr().err
+    assert snapshot(out) == before
+
+
+def test_a_what_if_over_a_runs_own_ledger_leaves_the_run_resumable(tmp_path, capsys):
+    # A kind = replay what-if aimed at the directory whose ledger it reads is
+    # refused and writes nothing, so the recorded settings still resume there;
+    # the same what-if into a fresh --out runs.
+    out = tmp_path / "run"
+    shutil.copytree(CORPUS / "f3-s1-reduce-search", out)
+    before = snapshot(out)
+    recorded = (out / "resolved.cfg").read_text().split("[run]")[0]
+    what_if = write_cfg(tmp_path, recorded.split("[oracle]")[0]
+                        + f"[oracle]\nkind = replay\nledger = {out}/ledger.jsonl\n"
+                          "[search]\ndelta = 0.02\n", name="what-if.cfg")
+    reduce = ["reduce", "--budget", "search", "--config"]
+    capsys.readouterr()
+    assert run(*reduce, what_if, "--out", out) == 2
+    assert (f"{out} holds evaluations made for another dataset or with other [oracle] "
+            f"settings; use a fresh --out") in capsys.readouterr().err
+    assert snapshot(out) == before
+    assert run(*reduce, write_cfg(tmp_path, recorded, name="recorded.cfg"), "--out", out) == 0
+    assert snapshot(out) == before
+    assert run(*reduce, what_if, "--out", tmp_path / "fresh") == 0
 
 
 def test_replay_kind_run_replays_after_its_source_is_gone(tmp_path, capsys):
@@ -1355,6 +1403,17 @@ def test_an_unreadable_descriptor_leaves_no_directory(tmp_path, capsys, write):
     assert run("size", "--config", cfg, "--out", out) == 2
     assert f"malformed model descriptor {tmp_path.resolve() / 'model.json'}: " in \
         capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("top,kind", [([], "list"), ("model", "str"), (3, "int")])
+def test_a_descriptor_that_is_not_an_object_leaves_no_directory(tmp_path, capsys, top, kind):
+    (tmp_path / "model.json").write_text(json.dumps(top))
+    cfg = write_cfg(tmp_path, "[model]\nfamily = descriptor\ndescriptor = model.json\n")
+    out = tmp_path / "out"
+    assert run("size", "--config", cfg, "--out", out) == 2
+    assert (f"cannot build model: model must be a JSON object, got {kind}"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -209,19 +209,27 @@ def test_pipe_skips_the_trainers_own_log_lines(tmp_path, d15_config, open_traine
     ({"status": "ok", "top1": "0.9"}, "bad accuracy fields"),
     ({"status": "ok", "top1": 0.8, "top5": True}, "bad accuracy fields"),
 ])
-def test_pipe_bad_replies_fail(tmp_path, d15_config, reply, expect, open_trainer):
+def test_pipe_bad_replies_fail(tmp_path, d15_config, reply, expect, open_trainer, caplog):
+    # A malformed reply is a failure the bridge detects: recorded with the
+    # measured time, not the figure the reply gives, and logged.
     script = _script(tmp_path, "bad.py", f"""\
         import json, sys
         for line in sys.stdin:
             req = json.loads(line)
             out = dict({reply!r})
             out["run_id"] = req["run_id"]
-            out.setdefault("wall_seconds", 1.0)
+            out["wall_seconds"] = 1000
             print(json.dumps(out), flush=True)
         """)
-    rec = open_trainer(script).evaluate(d15_config, cr.SEARCH_BUDGET)
+    with caplog.at_level("WARNING", logger="chanreduce.trainer"):
+        rec = open_trainer(script).evaluate(d15_config, cr.SEARCH_BUDGET)
     assert rec.status == cr.STATUS_FAILED
     assert expect in rec.note
+    assert 0 <= rec.wall_seconds < 30
+    warnings = [r.getMessage() for r in caplog.records]
+    assert len(warnings) == 1
+    assert warnings[0].startswith("trainer evaluation ")
+    assert warnings[0].endswith(f": {rec.note}")
 
 
 def test_a_bool_wall_seconds_falls_back_to_the_measured_time():
